@@ -57,6 +57,14 @@ class StabilityConfig:
             raise PreconditionError("true_qber must be in [0, 1]")
         if self.sifted_rate_bps <= 0:
             raise PreconditionError("sifted_rate_bps must be positive")
+        if self.sifted_per_bin < 1:
+            raise PreconditionError(
+                "sifted_rate_bps * integration_time must round to at least one sifted bit"
+            )
+
+    @property
+    def sifted_per_bin(self) -> int:
+        return int(round(self.sifted_rate_bps * self.integration_time))
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,8 @@ class ExperimentConfig:
             raise PreconditionError(
                 f"experiment must be one of {', '.join(EXPERIMENTS)}"
             )
+        if self.rng_seed < 0:
+            raise PreconditionError("rng_seed must be >= 0")
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
         if any(l < 0 for l in self.losses):
@@ -225,4 +235,9 @@ def with_overrides(cfg: ExperimentConfig, seed: int | None = None, out: str | No
         updates["rng_seed"] = seed
     if out is not None:
         updates["output_path"] = out
-    return replace(cfg, **updates) if updates else cfg
+    if not updates:
+        return cfg
+    try:
+        return replace(cfg, **updates)
+    except PreconditionError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -214,10 +214,7 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
         channel = ChannelParams(loss_db=loss, loss_per_km=cfg.loss_per_km)
         if protocol == BB84:
             n_pairs = max(1, cfg.trials // 2)
-            mc = simulate_bb84(
-                n_pairs, source, channel, cfg.mzi, cfg.detector, int(seed),
-                randomize_blocks=cfg.randomize_blocks,
-            )
+            mc = simulate_bb84(n_pairs, source, channel, cfg.mzi, cfg.detector, int(seed))
             point = bb84_rate_point(link, loss)
         else:
             mc = simulate_dps(max(2, cfg.trials), source, channel, cfg.mzi, cfg.detector, int(seed))
@@ -294,7 +291,7 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
     """Shot-noise-limited QBER time series at fixed true error rate."""
     stab = cfg.stability
     n_bins = int(round(stab.duration / stab.integration_time))
-    n_sift = int(round(stab.sifted_rate_bps * stab.integration_time))
+    n_sift = stab.sifted_per_bin
     rng = np.random.default_rng(cfg.rng_seed)
     errors = rng.binomial(n_sift, stab.true_qber, size=n_bins)
     series = errors / n_sift

@@ -128,23 +128,31 @@ def attenuate(train: PulseTrain, channel: ChannelParams) -> PulseTrain:
     return train.with_mean_photons(train.mean_photons * channel.transmittance)
 
 
-def interfere(train: PulseTrain, mzi: InterferometerParams) -> InterferenceResult:
-    """Two-path interference of each pulse with its k-slot predecessor.
+def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
+    """Mean photon numbers at the two decoder ports for interfering pulses.
 
-    Port 0 is the constructive port at zero phase difference.  Port
-    intensities sum to loss_factor times the mean of the two interfering
-    pulses' photon numbers (exact energy conservation by construction).
+    `dphi` is the late pulse's phase minus the early pulse's.  Port 0 is
+    the constructive port at zero phase difference.  Port intensities
+    sum to loss_factor times the mean of the two pulses' photon numbers
+    (exact energy conservation by construction).
     """
+    total = mzi.loss_factor * (0.5 * (mu_late + mu_early))
+    port0 = 0.5 * total * (1.0 + mzi.visibility * np.cos(dphi + mzi.internal_phase))
+    return port0, total - port0
+
+
+def interfere(train: PulseTrain, mzi: InterferometerParams) -> InterferenceResult:
+    """Two-path interference of each pulse with its k-slot predecessor."""
     k = mzi.delay_slots(train.config.clock_rate)
     if len(train) <= k:
         raise PreconditionError("train shorter than interferometer delay")
-    mu_bar = 0.5 * (train.mean_photons[k:] + train.mean_photons[:-k])
-    dphi = train.phases[k:] - train.phases[:-k] + mzi.internal_phase
-    total = mzi.loss_factor * mu_bar
-    port0 = 0.5 * total * (1.0 + mzi.visibility * np.cos(dphi))
-    port1 = total - port0
-    slots = np.arange(k, len(train))
-    return InterferenceResult(slots, port0, port1)
+    port0, port1 = decoder_ports(
+        train.mean_photons[k:],
+        train.mean_photons[:-k],
+        train.phases[k:] - train.phases[:-k],
+        mzi,
+    )
+    return InterferenceResult(np.arange(k, len(train)), port0, port1)
 
 
 def click_probability(mean_photons, det: DetectorParams):

@@ -38,6 +38,8 @@ from .optics import (
     DetectorParams,
     InterferometerParams,
     attenuate,
+    click_probability,
+    decoder_ports,
     detect,
     interfere,
 )
@@ -51,7 +53,7 @@ BASIS_X = 1
 BB84 = "bb84"
 DPS = "dps"
 
-_BB84_CHUNK = 1 << 20
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class SiftResult:
             raise PreconditionError("error_count must be within [0, sifted_count]")
 
 
-def generate_symbols(protocol: str, count: int, rng_seed: int):
+def generate_symbols(protocol: str, count: int, rng_seed: int | np.random.Generator):
     """Independent uniform symbols for either protocol, deterministic per seed."""
     if count < 1:
         raise PreconditionError("count must be >= 1")
@@ -126,22 +128,6 @@ def generate_symbols(protocol: str, count: int, rng_seed: int):
     raise PreconditionError(f"unknown protocol {protocol!r}")
 
 
-def generate_bob_bases(count: int, rng_seed: int) -> np.ndarray:
-    """Fair-coin basis choices for the passive 50/50 receiver."""
-    rng = np.random.default_rng(rng_seed)
-    return rng.integers(0, 2, count, dtype=np.int8)
-
-
-def bb84_encode(symbols: Bb84Symbols, block_length: int = 2) -> np.ndarray:
-    """Per-pulse phases for pair encoding: each symbol becomes (0, phase_delta)."""
-    if block_length != 2:
-        raise PreconditionError("BB84 pair encoding requires block_length = 2")
-    n = len(symbols)
-    phases = np.zeros(2 * n)
-    phases[1::2] = symbols.phase_deltas
-    return phases
-
-
 def dps_encode(symbols: DpsSymbols, start_phase: float = 0.0) -> np.ndarray:
     """Cumulative phases for len(symbols) + 1 pulses; step i is bit i times pi."""
     phases = np.empty(len(symbols) + 1)
@@ -149,17 +135,6 @@ def dps_encode(symbols: DpsSymbols, start_phase: float = 0.0) -> np.ndarray:
     np.cumsum(symbols.phase_deltas, out=phases[1:])
     phases[1:] += start_phase
     return phases
-
-
-def passive_basis_clicks(clicks_z: ClickRecord, clicks_x: ClickRecord, bob_bases: np.ndarray) -> ClickRecord:
-    """Merge per-basis click records according to Bob's per-pair coin."""
-    if len(clicks_z) != len(clicks_x):
-        raise PreconditionError("basis click records must cover the same slots")
-    pair = clicks_z.slots // 2
-    use_x = bob_bases[pair].astype(bool)
-    port0 = np.where(use_x, clicks_x.port0, clicks_z.port0)
-    port1 = np.where(use_x, clicks_x.port1, clicks_z.port1)
-    return ClickRecord(clicks_z.slots, port0, port1)
 
 
 def _resolve_bits(c0: np.ndarray, c1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -176,7 +151,7 @@ def bb84_sift(
     symbols: Bb84Symbols,
     bob_basis_choices: np.ndarray,
     clicks: ClickRecord,
-    rng_seed: int = 0,
+    rng_seed: int | np.random.Generator = 0,
     clock_rate: float = 2e9,
 ) -> SiftResult:
     """Sift matched-basis central-slot clicks against Alice's bits."""
@@ -270,41 +245,38 @@ def simulate_bb84(
     mzi: InterferometerParams,
     det: DetectorParams,
     rng_seed: int,
-    randomize_blocks: bool = True,
-    chunk_pairs: int = _BB84_CHUNK,
 ) -> SiftResult:
-    """Monte Carlo BB84 link: encode, emit, attenuate, interfere, detect, sift.
+    """Monte Carlo BB84 link over the slots that can become key.
 
-    Chunked along block boundaries; counts are additive across chunks.
+    Only the central (intra-pair) slot of a matched-basis pair is sifted,
+    so only those slots are interfered and detected.  The per-pair global
+    phase adds to both pulses of a pair and cancels in that slot, so none
+    is drawn.  One generator is consumed in blocks of _BLOCK_PAIRS pairs:
+    Alice's bases and bits, Bob's basis coin, then the port clicks and
+    double-click ties of the matched pairs.
     """
     if n_pairs < 1:
         raise PreconditionError("n_pairs must be >= 1")
     if config.block_length != 2:
         raise PreconditionError("BB84 requires block_length = 2")
-    n_chunks = (n_pairs + chunk_pairs - 1) // chunk_pairs
-    seeds = _chunk_seeds(rng_seed, 6 * n_chunks).reshape(n_chunks, 6)
-    mzi_x = InterferometerParams(
-        delay=mzi.delay,
-        internal_phase=mzi.internal_phase - math.pi / 2.0,
-        insertion_loss_db=mzi.insertion_loss_db,
-        visibility=mzi.visibility,
-    )
+    if mzi.delay_slots(config.clock_rate) != 1:
+        raise PreconditionError("BB84 requires a one-slot interferometer delay")
+    rng = np.random.default_rng(rng_seed)
+    mu = config.mean_photon_number * channel.transmittance
     sifted = errors = 0
-    done = 0
-    while done < n_pairs:
-        m = min(chunk_pairs, n_pairs - done)
-        s_sym, s_bob, s_train, s_dz, s_dx, s_sift = seeds[done // chunk_pairs]
-        symbols = generate_symbols(BB84, m, s_sym)
-        bob = generate_bob_bases(m, s_bob)
-        train = emit_train(config, bb84_encode(symbols), randomize_blocks, s_train)
-        train = attenuate(train, channel)
-        clicks_z = detect(interfere(train, mzi), det, s_dz)
-        clicks_x = detect(interfere(train, mzi_x), det, s_dx)
-        merged = passive_basis_clicks(clicks_z, clicks_x, bob)
-        res = bb84_sift(symbols, bob, merged, s_sift, config.clock_rate)
+    for done in range(0, n_pairs, _BLOCK_PAIRS):
+        m = min(_BLOCK_PAIRS, n_pairs - done)
+        symbols = generate_symbols(BB84, m, rng)
+        bob = rng.integers(0, 2, m, dtype=np.int8)
+        pairs = np.flatnonzero(symbols.bases == bob)
+        # Bob's X decoder shifts the internal phase by -pi/2, cancelling the basis phase.
+        dphi = symbols.phase_deltas[pairs] - bob[pairs] * (math.pi / 2.0)
+        port0, port1 = decoder_ports(mu, mu, dphi, mzi)
+        c0 = rng.random(len(pairs)) < click_probability(port0, det)
+        c1 = rng.random(len(pairs)) < click_probability(port1, det)
+        res = bb84_sift(symbols, bob, ClickRecord(2 * pairs + 1, c0, c1), rng, config.clock_rate)
         sifted += res.sifted_count
         errors += res.error_count
-        done += m
     qber = errors / sifted if sifted else 0.0
     rate = sifted * config.clock_rate / (2.0 * n_pairs)
     return SiftResult(sifted, errors, qber, rate)
@@ -317,7 +289,7 @@ def simulate_dps(
     mzi: InterferometerParams,
     det: DetectorParams,
     rng_seed: int,
-    chunk_pulses: int = _BB84_CHUNK,
+    chunk_pulses: int = 1 << 20,
 ) -> SiftResult:
     """Monte Carlo DPS link over a single coherence block.
 
@@ -337,16 +309,7 @@ def simulate_dps(
         symbols = generate_symbols(DPS, m, s_sym)
         phases = np.mod(dps_encode(symbols, start_phase), TWO_PI)
         start_phase = float(phases[-1])
-        cfg = SourceConfig(
-            clock_rate=config.clock_rate,
-            pulse_width=config.pulse_width,
-            wavelength=config.wavelength,
-            halfwave_voltage=config.halfwave_voltage,
-            perturbation_duration=config.perturbation_duration,
-            block_length=len(phases),
-            mean_photon_number=config.mean_photon_number,
-        )
-        train = attenuate(emit_train(cfg, phases, False, 0), channel)
+        train = attenuate(emit_train(config, phases, False, 0), channel)
         clicks = detect(interfere(train, mzi), det, s_det)
         res = dps_sift(symbols, clicks, s_sift, config.clock_rate)
         sifted += res.sifted_count

@@ -86,6 +86,20 @@ class TestParse:
                 "experiment = dps_sweep\nlosses = 0, 10\nfiber_km = 0, 50\n"
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config_text("experiment = stability\nrng_seed = -1\n")
+        with pytest.raises(ConfigError):
+            with_overrides(ExperimentConfig(experiment="stability"), seed=-1)
+
+    def test_stability_without_sifted_bits_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config_text(
+                "experiment = stability\n"
+                "stability.sifted_rate_bps = 1\n"
+                "stability.integration_time = 0.1\n"
+            )
+
     def test_with_overrides(self):
         cfg = ExperimentConfig(experiment="stability")
         out = with_overrides(cfg, seed=99, out="x.csv")
@@ -180,3 +194,32 @@ class TestCli:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].startswith("loss_db,")
         assert len(lines) == 3
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("experiment = stability\nrng_seed = -1\n")
+        assert cli.main(["stability", "--config", str(cfg)]) == 2
+        assert cli.main(["stability", "--seed", "-1"]) == 2
+
+    def test_stability_without_sifted_bits_exit_code(self, tmp_path):
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text(
+            "experiment = stability\n"
+            "stability.sifted_rate_bps = 1\n"
+            "stability.integration_time = 0.1\n"
+        )
+        out = tmp_path / "stab.csv"
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_bb84_requires_one_slot_delay_exit_code(self, tmp_path):
+        cfg = tmp_path / "delay.cfg"
+        cfg.write_text(
+            "experiment = bb84_sweep\n"
+            "trials = 20000\n"
+            "losses = 0\n"
+            "mzi.delay = 1e-9\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["bb84-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
