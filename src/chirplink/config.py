@@ -16,6 +16,8 @@ embedded in every output file for bit-exact reproducibility.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, PreconditionError
@@ -93,10 +95,9 @@ class ExperimentConfig:
             raise PreconditionError("rng_seed must be >= 0")
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
+        _check_axis(self.losses, "losses")
         if any(l < 0 for l in self.losses):
             raise PreconditionError("losses must be non-negative")
-        if sorted(self.losses) != list(self.losses):
-            raise PreconditionError("losses must be increasing")
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Flat (key, value) view of the full configuration for embedding."""
@@ -113,6 +114,13 @@ class ExperimentConfig:
         return items
 
 
+def _check_axis(values: list[float], key: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise PreconditionError(f"{key} must be finite")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise PreconditionError(f"{key} must be strictly increasing")
+
+
 _GROUPS = {
     "source": SourceConfig,
     "mzi": InterferometerParams,
@@ -120,6 +128,9 @@ _GROUPS = {
     "keyrate": KeyRateConfig,
     "stability": StabilityConfig,
 }
+
+# A '#' starts a comment at the start of a line or after whitespace only.
+_COMMENT = re.compile(r"(^|\s)#.*")
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -149,7 +160,7 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
     fiber_km: list[float] | None = None
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.sub("", line, count=1).strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -180,9 +191,12 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
                 raise ConfigError(f"rng_seed: invalid integer {raw!r}") from None
         elif key == "trials":
             try:
-                top[key] = int(float(raw))
+                trials = float(raw)
             except ValueError:
                 raise ConfigError(f"trials: invalid integer {raw!r}") from None
+            if not trials.is_integer():
+                raise ConfigError(f"trials: expected an integer, got {raw!r}")
+            top[key] = int(trials)
         elif key == "output_path":
             top[key] = raw
         elif key in ("physical_mode", "randomize_blocks"):
@@ -216,6 +230,8 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
 
     kwargs = dict(top)
     try:
+        if fiber_km is not None:
+            _check_axis(fiber_km, "fiber_km")
         for group, values in groups.items():
             if values:
                 kwargs[group] = _GROUPS[group](**values)

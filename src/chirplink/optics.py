@@ -10,7 +10,6 @@ count probability per gate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +94,6 @@ class InterferenceResult:
     port0: np.ndarray
     port1: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.slots)
-
 
 @dataclass(frozen=True)
 class ClickRecord:
@@ -110,22 +106,6 @@ class ClickRecord:
     def __post_init__(self):
         if not (len(self.slots) == len(self.port0) == len(self.port1)):
             raise PreconditionError("click record arrays must have equal length")
-
-    @property
-    def total_port0(self) -> int:
-        return int(np.count_nonzero(self.port0))
-
-    @property
-    def total_port1(self) -> int:
-        return int(np.count_nonzero(self.port1))
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-
-def attenuate(train: PulseTrain, channel: ChannelParams) -> PulseTrain:
-    """Scale every mean photon number by the channel transmittance."""
-    return train.with_mean_photons(train.mean_photons * channel.transmittance)
 
 
 def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
@@ -165,18 +145,3 @@ def click_probability(mean_photons, det: DetectorParams):
         return float(p)
     return p
 
-
-def detect(intensities: InterferenceResult, det: DetectorParams, rng_seed: int) -> ClickRecord:
-    """Sample independent clicks on both ports; deterministic per seed."""
-    rng = np.random.default_rng(rng_seed)
-    p0 = click_probability(intensities.port0, det)
-    p1 = click_probability(intensities.port1, det)
-    c0 = rng.random(len(intensities)) < p0
-    c1 = rng.random(len(intensities)) < p1
-    return ClickRecord(intensities.slots, c0, c1)
-
-
-def export_clicks_csv(record: ClickRecord, path) -> None:
-    """Write a click record as CSV with columns slot, port0, port1."""
-    data = np.column_stack([record.slots, record.port0.astype(int), record.port1.astype(int)])
-    np.savetxt(path, data, delimiter=",", header="slot,port0,port1", comments="", fmt="%d")

@@ -25,7 +25,6 @@ factor 1/2 enters the sifted rate and the key-rate sift factor, not Q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,37 +36,16 @@ from .optics import (
     ClickRecord,
     DetectorParams,
     InterferometerParams,
-    attenuate,
     click_probability,
     decoder_ports,
-    detect,
-    interfere,
 )
-from .source import SourceConfig, emit_train
-
-TWO_PI = 2.0 * math.pi
-
-BASIS_Z = 0
-BASIS_X = 1
+from .source import SourceConfig
 
 BB84 = "bb84"
 DPS = "dps"
 
-_BLOCK_PAIRS = 1 << 16
-
-
-@dataclass(frozen=True)
-class Bb84Symbol:
-    basis: int
-    bit: int
-
-    def __post_init__(self):
-        if self.basis not in (BASIS_Z, BASIS_X) or self.bit not in (0, 1):
-            raise PreconditionError("basis must be Z/X and bit 0/1")
-
-    @property
-    def phase_delta(self) -> float:
-        return self.basis * (math.pi / 2.0) + self.bit * math.pi
+# Symbols per Monte Carlo block (BB84 pairs, DPS interference slots).
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,9 +63,6 @@ class Bb84Symbols:
     @property
     def phase_deltas(self) -> np.ndarray:
         return self.bases * (math.pi / 2.0) + self.bits * math.pi
-
-    def __getitem__(self, i: int) -> Bb84Symbol:
-        return Bb84Symbol(int(self.bases[i]), int(self.bits[i]))
 
 
 @dataclass(frozen=True)
@@ -126,15 +101,6 @@ def generate_symbols(protocol: str, count: int, rng_seed: int | np.random.Genera
     if protocol == DPS:
         return DpsSymbols(rng.integers(0, 2, count, dtype=np.int8))
     raise PreconditionError(f"unknown protocol {protocol!r}")
-
-
-def dps_encode(symbols: DpsSymbols, start_phase: float = 0.0) -> np.ndarray:
-    """Cumulative phases for len(symbols) + 1 pulses; step i is bit i times pi."""
-    phases = np.empty(len(symbols) + 1)
-    phases[0] = start_phase
-    np.cumsum(symbols.phase_deltas, out=phases[1:])
-    phases[1:] += start_phase
-    return phases
 
 
 def _resolve_bits(c0: np.ndarray, c1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -179,7 +145,7 @@ def bb84_sift(
 def dps_sift(
     symbols: DpsSymbols,
     clicks: ClickRecord,
-    rng_seed: int = 0,
+    rng_seed: int | np.random.Generator = 0,
     clock_rate: float = 2e9,
 ) -> SiftResult:
     """Sift every clicked interference slot; bit from the port identity."""
@@ -234,10 +200,6 @@ def expected_gain_qber(
     return gain, qber
 
 
-def _chunk_seeds(rng_seed: int, n: int) -> np.ndarray:
-    return np.random.default_rng(rng_seed).integers(0, 2**63 - 1, size=n)
-
-
 def simulate_bb84(
     n_pairs: int,
     config: SourceConfig,
@@ -251,7 +213,7 @@ def simulate_bb84(
     Only the central (intra-pair) slot of a matched-basis pair is sifted,
     so only those slots are interfered and detected.  The per-pair global
     phase adds to both pulses of a pair and cancels in that slot, so none
-    is drawn.  One generator is consumed in blocks of _BLOCK_PAIRS pairs:
+    is drawn.  One generator is consumed in blocks of _BLOCK pairs:
     Alice's bases and bits, Bob's basis coin, then the port clicks and
     double-click ties of the matched pairs.
     """
@@ -264,8 +226,8 @@ def simulate_bb84(
     rng = np.random.default_rng(rng_seed)
     mu = config.mean_photon_number * channel.transmittance
     sifted = errors = 0
-    for done in range(0, n_pairs, _BLOCK_PAIRS):
-        m = min(_BLOCK_PAIRS, n_pairs - done)
+    for done in range(0, n_pairs, _BLOCK):
+        m = min(_BLOCK, n_pairs - done)
         symbols = generate_symbols(BB84, m, rng)
         bob = rng.integers(0, 2, m, dtype=np.int8)
         pairs = np.flatnonzero(symbols.bases == bob)
@@ -289,48 +251,34 @@ def simulate_dps(
     mzi: InterferometerParams,
     det: DetectorParams,
     rng_seed: int,
-    chunk_pulses: int = 1 << 20,
 ) -> SiftResult:
     """Monte Carlo DPS link over a single coherence block.
 
-    Chunks overlap by one pulse so no interference slot is lost.
+    Every pulse carries the same mean photon number and slot i interferes
+    pulses i-1 and i with phase step bit_i * pi, so a slot's port means
+    depend only on its bit and are computed once.  One generator is
+    consumed in blocks of _BLOCK slots: the bits, the port clicks, then
+    the double-click ties.
     """
     if n_pulses < 2:
         raise PreconditionError("n_pulses must be >= 2")
+    if mzi.delay_slots(config.clock_rate) != 1:
+        raise PreconditionError("DPS requires a one-slot interferometer delay")
+    rng = np.random.default_rng(rng_seed)
+    mu = config.mean_photon_number * channel.transmittance
+    port0, port1 = decoder_ports(mu, mu, np.array([0.0, math.pi]), mzi)
+    p0 = click_probability(port0, det)
+    p1 = click_probability(port1, det)
     n_bits = n_pulses - 1
-    n_chunks = (n_bits + chunk_pulses - 1) // chunk_pulses
-    seeds = _chunk_seeds(rng_seed, 3 * n_chunks).reshape(n_chunks, 3)
     sifted = errors = 0
-    done = 0
-    start_phase = 0.0
-    for i in range(n_chunks):
-        m = min(chunk_pulses, n_bits - done)
-        s_sym, s_det, s_sift = seeds[i]
-        symbols = generate_symbols(DPS, m, s_sym)
-        phases = np.mod(dps_encode(symbols, start_phase), TWO_PI)
-        start_phase = float(phases[-1])
-        train = attenuate(emit_train(config, phases, False, 0), channel)
-        clicks = detect(interfere(train, mzi), det, s_det)
-        res = dps_sift(symbols, clicks, s_sift, config.clock_rate)
+    for done in range(0, n_bits, _BLOCK):
+        m = min(_BLOCK, n_bits - done)
+        symbols = generate_symbols(DPS, m, rng)
+        c0 = rng.random(m) < p0[symbols.bits]
+        c1 = rng.random(m) < p1[symbols.bits]
+        res = dps_sift(symbols, ClickRecord(np.arange(1, m + 1), c0, c1), rng, config.clock_rate)
         sifted += res.sifted_count
         errors += res.error_count
-        done += m
     qber = errors / sifted if sifted else 0.0
     rate = sifted * config.clock_rate / n_pulses
     return SiftResult(sifted, errors, qber, rate)
-
-
-def export_sift_json(
-    result: SiftResult, protocol: str, loss_db: float, path
-) -> None:
-    payload = {
-        "protocol": protocol,
-        "loss_db": loss_db,
-        "sifted_count": result.sifted_count,
-        "error_count": result.error_count,
-        "qber": result.qber,
-        "sifted_rate_bps": result.sifted_rate_bps,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -27,7 +27,6 @@ TWO_PI = 2.0 * math.pi
 class SourceConfig:
     clock_rate: float = 2e9
     pulse_width: float = 70e-12
-    wavelength: float = 1551e-9
     halfwave_voltage: float = 0.35
     perturbation_duration: float = 250e-12
     block_length: int = 2
@@ -46,23 +45,6 @@ class SourceConfig:
             raise PreconditionError("block_length must be >= 1")
         if self.mean_photon_number < 0:
             raise PreconditionError("mean_photon_number must be >= 0")
-        if self.wavelength <= 0:
-            raise PreconditionError("wavelength must be positive")
-
-
-@dataclass(frozen=True)
-class OpticalPulse:
-    slot_index: int
-    phase: float
-    mean_photons: float
-    block_id: int
-    global_phase: float
-
-    def __post_init__(self):
-        if self.mean_photons < 0:
-            raise PreconditionError("mean_photons must be >= 0")
-        if not 0.0 <= self.phase < TWO_PI:
-            raise PreconditionError("phase must be in [0, 2*pi)")
 
 
 @dataclass(frozen=True)
@@ -84,18 +66,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return len(self.phases)
-
-    def pulse(self, i: int) -> OpticalPulse:
-        return OpticalPulse(
-            slot_index=i,
-            phase=float(self.phases[i]),
-            mean_photons=float(self.mean_photons[i]),
-            block_id=int(self.block_ids[i]),
-            global_phase=float(self.global_phases[i]),
-        )
-
-    def with_mean_photons(self, mean_photons: np.ndarray) -> "PulseTrain":
-        return PulseTrain(self.phases, mean_photons, self.block_ids, self.global_phases, self.config)
 
 
 def chirp_to_phase(delta_nu: float, t_m: float) -> float:
@@ -146,58 +116,3 @@ def emit_train(
     mean_photons = np.full(n, config.mean_photon_number)
     return PulseTrain(phases, mean_photons, block_ids, global_phases, config)
 
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """Saturating seeding-visibility curve V(P) = v_max * (1 - exp(-P/p0))."""
-
-    v_max: float = 0.9906
-    p0_watts: float = 10e-6
-
-    def __post_init__(self):
-        if not 0.0 <= self.v_max <= 1.0:
-            raise PreconditionError("v_max must be in [0, 1]")
-        if self.p0_watts <= 0:
-            raise PreconditionError("p0_watts must be positive")
-
-
-def seeding_visibility(injection_power: float, curve: CalibrationRecord = CalibrationRecord()) -> float:
-    """Interference visibility of the seeded pulses vs injected power."""
-    if injection_power < 0:
-        raise PreconditionError("injection power must be >= 0")
-    return curve.v_max * (1.0 - math.exp(-injection_power / curve.p0_watts))
-
-
-def save_calibration(curve: CalibrationRecord, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"v_max = {curve.v_max!r}\n")
-        fh.write(f"p0_watts = {curve.p0_watts!r}\n")
-
-
-def load_calibration(path) -> CalibrationRecord:
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            values[key.strip()] = float(raw.strip())
-    unknown = set(values) - {"v_max", "p0_watts"}
-    if unknown:
-        raise PreconditionError(f"unknown calibration keys: {sorted(unknown)}")
-    return CalibrationRecord(**values)
-
-
-def export_train_csv(train: PulseTrain, path) -> None:
-    """Write a train as CSV with columns slot, phase_rad, mean_photons, block_id."""
-    slots = np.arange(len(train))
-    data = np.column_stack([slots, train.phases, train.mean_photons, train.block_ids])
-    np.savetxt(
-        path,
-        data,
-        delimiter=",",
-        header="slot,phase_rad,mean_photons,block_id",
-        comments="",
-        fmt=["%d", "%.17g", "%.17g", "%d"],
-    )

@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chirplink import cli
 from chirplink.config import (
@@ -10,6 +13,13 @@ from chirplink.config import (
     with_overrides,
 )
 from chirplink.errors import ConfigError, IntegrationDivergedError, PreconditionError
+from chirplink.optics import DetectorParams, InterferometerParams
+from chirplink.source import SourceConfig
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+# Values that fail the sweep-axis checks: not finite or not strictly increasing.
+BAD_AXES = ["0, 10, 10", "10, 5", "0, inf", "nan", "0, nan"]
 
 
 class TestParse:
@@ -99,6 +109,62 @@ class TestParse:
                 "stability.sifted_rate_bps = 1\n"
                 "stability.integration_time = 0.1\n"
             )
+
+    def test_hash_inside_value_is_not_a_comment(self):
+        cfg = parse_config_text(
+            "experiment = stability\n"
+            "output_path = out#1.csv\n"
+            "rng_seed = 4\t# tab before the comment\n"
+        )
+        assert cfg.output_path == "out#1.csv"
+        assert cfg.rng_seed == 4
+
+    @pytest.mark.parametrize("key", ["losses", "fiber_km"])
+    @pytest.mark.parametrize("axis", BAD_AXES)
+    def test_bad_sweep_axis_rejected(self, key, axis):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"experiment = dps_sweep\n{key} = {axis}\n")
+
+    def test_trials_must_be_integral(self):
+        assert parse_config_text("experiment = stability\ntrials = 2e6\n").trials == 2_000_000
+        for raw in ("1.9", "inf", "nan"):
+            with pytest.raises(ConfigError, match="trials"):
+                parse_config_text(f"experiment = stability\ntrials = {raw}\n")
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        trials=st.integers(1, 10**12),
+        losses=st.lists(st.floats(0.0, 100.0), max_size=6, unique=True).map(sorted),
+        voltages=st.lists(st.floats(-5.0, 5.0), max_size=6),
+        physical_mode=st.booleans(),
+        mu=st.floats(0.0, 10.0),
+        block_length=st.integers(1, 8),
+        visibility=st.floats(0.0, 1.0),
+        internal_phase=st.floats(-10.0, 10.0),
+        dark_rate=st.floats(0.0, 1e6),
+    )
+    def test_resolved_items_parse_back(
+        self, seed, trials, losses, voltages, physical_mode, mu, block_length,
+        visibility, internal_phase, dark_rate,
+    ):
+        cfg = ExperimentConfig(
+            experiment="bb84_sweep",
+            rng_seed=seed,
+            trials=trials,
+            physical_mode=physical_mode,
+            voltages=voltages,
+            losses=losses,
+            source=SourceConfig(mean_photon_number=mu, block_length=block_length),
+            mzi=InterferometerParams(visibility=visibility, internal_phase=internal_phase),
+            detector=DetectorParams(dark_rate=dark_rate),
+        )
+        text = "".join(f"{key} = {value}\n" for key, value in cfg.resolved_items())
+        assert parse_config_text(text) == cfg
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_example_configs_load(self, path):
+        cfg = load_config(path)
+        assert cfg.experiment == path.stem
 
     def test_with_overrides(self):
         cfg = ExperimentConfig(experiment="stability")
@@ -212,14 +278,23 @@ class TestCli:
         assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_bb84_requires_one_slot_delay_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("command", ["bb84-sweep", "dps-sweep"])
+    def test_requires_one_slot_delay_exit_code(self, tmp_path, command):
         cfg = tmp_path / "delay.cfg"
         cfg.write_text(
-            "experiment = bb84_sweep\n"
             "trials = 20000\n"
             "losses = 0\n"
             "mzi.delay = 1e-9\n"
         )
         out = tmp_path / "sweep.csv"
-        assert cli.main(["bb84-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", [f"losses = {axis}" for axis in BAD_AXES] + ["trials = 1.9"])
+    def test_bad_sweep_input_exit_code(self, tmp_path, line):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["dps-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not out.with_name("sweep.csv.json").exists()

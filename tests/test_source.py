@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chirplink import source
@@ -100,50 +100,6 @@ class TestEmitTrain:
         with pytest.raises(PreconditionError):
             source.emit_train(cfg, [], False, 0)
 
-    def test_pulse_accessor(self, cfg):
-        train = source.emit_train(cfg, [0.0, 1.0], False, 0)
-        p = train.pulse(1)
-        assert p.slot_index == 1
-        assert p.phase == pytest.approx(1.0)
-        assert p.block_id == 0
-
-
-class TestSeedingVisibility:
-    def test_zero_power_gives_zero(self):
-        assert source.seeding_visibility(0.0) == 0.0
-
-    def test_saturates_at_v_max(self):
-        curve = source.CalibrationRecord()
-        assert source.seeding_visibility(1.0, curve) == pytest.approx(curve.v_max, rel=1e-9)
-
-    def test_monotone_increasing(self):
-        powers = np.linspace(0.0, 50e-6, 40)
-        vis = [source.seeding_visibility(p) for p in powers]
-        assert all(b > a for a, b in zip(vis, vis[1:]))
-
-    def test_characteristic_power(self):
-        curve = source.CalibrationRecord(v_max=1.0, p0_watts=10e-6)
-        assert source.seeding_visibility(10e-6, curve) == pytest.approx(
-            1.0 - math.exp(-1.0), rel=1e-12
-        )
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(PreconditionError):
-            source.seeding_visibility(-1e-6)
-
-    def test_roundtrip_save_load(self, tmp_path):
-        curve = source.CalibrationRecord(v_max=0.95, p0_watts=7e-6)
-        path = tmp_path / "cal.txt"
-        source.save_calibration(curve, path)
-        loaded = source.load_calibration(path)
-        assert loaded == curve
-
-    def test_load_rejects_unknown_key(self, tmp_path):
-        path = tmp_path / "cal.txt"
-        path.write_text("v_max = 0.9\nbogus = 1\n")
-        with pytest.raises(PreconditionError):
-            source.load_calibration(path)
-
 
 class TestValidationAndExport:
     def test_bad_config_rejected(self):
@@ -156,15 +112,3 @@ class TestValidationAndExport:
         with pytest.raises(PreconditionError):
             source.SourceConfig(block_length=0)
 
-    def test_pulse_phase_range_enforced(self):
-        with pytest.raises(PreconditionError):
-            source.OpticalPulse(0, TWO_PI + 0.1, 0.2, 0, 0.0)
-
-    def test_train_csv_export(self, tmp_path):
-        cfg = source.SourceConfig()
-        train = source.emit_train(cfg, np.zeros(10), True, 4)
-        path = tmp_path / "train.csv"
-        source.export_train_csv(train, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "slot,phase_rad,mean_photons,block_id"
-        assert len(lines) == 11
