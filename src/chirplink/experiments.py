@@ -8,6 +8,7 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -46,24 +47,32 @@ def _write_summary(path, cfg: ExperimentConfig, payload: dict) -> None:
 # phase vs voltage
 
 
-def _perturbation_phase(
-    params: laser.LaserParams,
-    bias: float,
-    drive_step: float,
-    duration: float,
-    dt: float = 2e-13,
-) -> float:
-    """Net output phase of a steady laser after a rectangular drive perturbation."""
-    pre, post = 0.2e-9, 1.5e-9
-    segments = [(pre, bias), (duration, bias + drive_step), (post, bias)]
-    drive = laser.DriveWaveform.from_segments(segments, dt)
-    ref = laser.DriveWaveform.constant(bias, drive.duration, dt)
+# The physical path steps the rate equations at this interval, for a
+# window of _PRE, the perturbation, then _POST for the laser to settle.
+_DT = 2e-13
+_PRE, _POST = 0.2e-9, 1.5e-9
+
+
+def _steady_laser(params: laser.LaserParams | None, bias_over_threshold: float):
+    """Noiseless laser, its bias and the stationary (field, carrier) there."""
+    params = params or laser.LaserParams()
+    bias = bias_over_threshold * params.threshold_current
     n0, s0 = laser.stationary_state(params, bias)
-    e0 = complex(math.sqrt(s0), 0.0)
     quiet = replace(params, spontaneous_fraction=0.0)
-    tr_p = laser.integrate(quiet, drive, dt=dt, initial_field=e0, initial_carrier=n0)
-    tr_r = laser.integrate(quiet, ref, dt=dt, initial_field=e0, initial_carrier=n0)
-    return float((tr_p.phase[-1] - tr_p.phase[0]) - (tr_r.phase[-1] - tr_r.phase[0]))
+    return quiet, bias, complex(math.sqrt(s0), 0.0), n0
+
+
+def _perturbation_drive(bias: float, drive_step, duration: float) -> laser.DriveWaveform:
+    """Steady `bias` with a rectangular step of `duration`.
+
+    `drive_step` is one height, or an array of heights giving one pump
+    column per run of `laser.integrate_ensemble`.
+    """
+    window = laser.DriveWaveform.from_segments([(_PRE, 0.0), (duration, 1.0), (_POST, 0.0)], _DT)
+    step = np.asarray(drive_step, dtype=float)
+    on = window.current == 1.0
+    current = np.where(on[:, None] if step.ndim else on, bias + step, bias)
+    return laser.DriveWaveform(window.times, current)
 
 
 def calibrate_physical_drive_scale(
@@ -71,32 +80,61 @@ def calibrate_physical_drive_scale(
     params: laser.LaserParams | None = None,
     bias_over_threshold: float = 2.0,
 ) -> float:
-    """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi."""
-    params = params or laser.LaserParams()
-    bias = bias_over_threshold * params.threshold_current
+    """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi.
+
+    The net phase of a perturbed run is taken relative to the unperturbed
+    laser, which is integrated once.  brentq asks for one scale at a
+    time, so each evaluation is one scalar integration.
+    """
+    quiet, bias, e0, n0 = _steady_laser(params, bias_over_threshold)
     t_m = source.perturbation_duration
     v_pi = source.halfwave_voltage
-    # small-signal adiabatic-chirp estimate as the starting bracket
-    alpha = params.linewidth_enhancement
-    eps = params.gain_compression
-    guess = TWO_PI / (alpha * eps * t_m) / v_pi
 
+    def net_phase(drive_step: float) -> float:
+        drive = _perturbation_drive(bias, drive_step, t_m)
+        trace = laser.integrate(quiet, drive, dt=_DT, initial_field=e0, initial_carrier=n0)
+        return trace.phase[-1] - trace.phase[0]
+
+    reference = net_phase(0.0)
+
+    # cached: brentq evaluates the bracket ends again after the check below
+    @functools.cache
     def objective(scale: float) -> float:
-        return _perturbation_phase(params, bias, scale * v_pi, t_m) - math.pi
+        return float(net_phase(scale * v_pi) - reference) - math.pi
 
-    return float(optimize.brentq(objective, 0.2 * guess, 5.0 * guess, xtol=1e-4 * guess))
+    # small-signal adiabatic-chirp estimate as the starting bracket
+    guess = TWO_PI / (quiet.linewidth_enhancement * quiet.gain_compression * t_m) / v_pi
+    low, high = 0.2 * guess, 5.0 * guess
+    if objective(low) * objective(high) > 0:
+        raise PreconditionError(
+            f"physical_mode: the laser phase at source.halfwave_voltage = {v_pi:g} V does not "
+            f"cross pi for drive scales {low:.3g} to {high:.3g} per volt (phase "
+            f"{objective(low) + math.pi:+.3g} to {objective(high) + math.pi:+.3g} rad); "
+            f"source.perturbation_duration = {t_m:g} s must span several {_DT:g} s steps"
+        )
+    return float(optimize.brentq(objective, low, high, xtol=1e-4 * guess))
 
 
-def physical_phase_from_voltage(
-    voltage: float,
+def physical_phase_from_voltages(
+    voltages: np.ndarray | list[float],
     source: SourceConfig,
     drive_scale: float,
     params: laser.LaserParams | None = None,
     bias_over_threshold: float = 2.0,
-) -> float:
-    params = params or laser.LaserParams()
-    bias = bias_over_threshold * params.threshold_current
-    return _perturbation_phase(params, bias, drive_scale * voltage, source.perturbation_duration)
+) -> np.ndarray:
+    """Rate-equation phase at each voltage, all voltages in one batched run.
+
+    A last run with no perturbation is the reference; the batched stepper
+    reproduces the scalar one bit for bit, so each phase equals what the
+    calibration's scalar integrations give for that drive step.
+    """
+    quiet, bias, e0, n0 = _steady_laser(params, bias_over_threshold)
+    steps = np.append(drive_scale * np.asarray(voltages, dtype=float), 0.0)
+    drive = _perturbation_drive(bias, steps, source.perturbation_duration)
+    _, _, net = laser.integrate_ensemble(
+        quiet, drive, len(steps), dt=_DT, initial_field=e0, initial_carrier=n0
+    )
+    return net[:-1] - net[-1]
 
 
 @dataclass(frozen=True)
@@ -112,9 +150,7 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
     physical = None
     if cfg.physical_mode:
         scale = calibrate_physical_drive_scale(cfg.source)
-        physical = np.array(
-            [physical_phase_from_voltage(v, cfg.source, scale) for v in voltages]
-        )
+        physical = physical_phase_from_voltages(voltages, cfg.source, scale)
     if cfg.output_path:
         if physical is None:
             rows = np.column_stack([voltages, encoder])
@@ -142,6 +178,8 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     """Interference statistics of same-seed vs different-seed pulse pairs."""
     if cfg.source.block_length != 2:
         raise PreconditionError("randomization experiment requires block_length = 2")
+    if cfg.trials < 2:
+        raise PreconditionError("randomization needs trials >= 2 for a cross-block pulse pair")
     n_blocks = cfg.trials
     symbols = np.zeros(2 * n_blocks)
     train = emit_train(cfg.source, symbols, cfg.randomize_blocks, cfg.rng_seed)

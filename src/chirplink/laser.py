@@ -96,7 +96,11 @@ class LaserParams:
 
 @dataclass(frozen=True)
 class DriveWaveform:
-    """Uniformly sampled pump-rate waveform, in carriers per second."""
+    """Uniformly sampled pump-rate waveform, in carriers per second.
+
+    `current` has shape (n_samples,), or (n_samples, n_runs) for one pump
+    per run of :func:`integrate_ensemble`.
+    """
 
     times: np.ndarray
     current: np.ndarray
@@ -106,8 +110,8 @@ class DriveWaveform:
         current = np.asarray(self.current, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "current", current)
-        if times.ndim != 1 or times.shape != current.shape or times.size < 2:
-            raise PreconditionError("drive needs matching 1-d time/current arrays")
+        if times.ndim != 1 or times.size < 2 or current.ndim not in (1, 2) or len(current) != times.size:
+            raise PreconditionError("drive needs a 1-d time array and one current row per time")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(current))):
             raise PreconditionError("drive samples must be finite")
         dt = np.diff(times)
@@ -206,6 +210,8 @@ def integrate(
     """
     if dt > params.photon_lifetime / 10.0:
         raise PreconditionError("dt must be <= photon_lifetime / 10")
+    if drive.current.ndim != 1:
+        raise PreconditionError("integrate takes one pump; integrate_ensemble runs one per column")
 
     t0 = float(drive.times[0])
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
@@ -272,7 +278,7 @@ def integrate(
 
         s_new = e.real * e.real + e.imag * e.imag
         if not (math.isfinite(s_new) and math.isfinite(n)) or s_new > _DIVERGENCE_INTENSITY:
-            raise IntegrationDivergedError(k + 1)
+            raise IntegrationDivergedError(k + 1, s_new, n)
         field[k + 1] = e
         carrier[k + 1] = n
 
@@ -287,65 +293,103 @@ def integrate_ensemble(
     dt: float = 2e-13,
     initial_field: complex = 0j,
     initial_carrier: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run many independently seeded integrations without injection.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate `n_runs` copies of the rate equations at once, without injection.
 
-    Returns the final (field, carrier) arrays of shape (n_runs,).  Used
-    for phase-randomization statistics of vacuum-seeded pulses; the
-    scheme matches :func:`integrate` step for step.
+    The pump is shared, current shape (n_samples,), or per run, shape
+    (n_samples, n_runs); with spontaneous_fraction > 0 each run draws its
+    own Langevin noise from one generator.  Returns the final field, the
+    final carrier and the net unwrapped phase of each run, keeping only
+    the current state.  The step is that of :func:`integrate` in real
+    arithmetic, in the order of Python's complex operations, and the phase
+    is unwrapped per step as `np.unwrap` does, so a noiseless run equals
+    :func:`integrate` of its pump column bit for bit.
     """
     if dt > params.photon_lifetime / 10.0:
         raise PreconditionError("dt must be <= photon_lifetime / 10")
     if n_runs < 1:
         raise PreconditionError("n_runs must be >= 1")
+    if drive.current.ndim == 2 and drive.current.shape[1] != n_runs:
+        raise PreconditionError("a per-run drive needs one current column per run")
 
     t0 = float(drive.times[0])
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
     times = t0 + dt * np.arange(n_steps + 1)
-    pump = np.interp(times, drive.times, drive.current)
+    if drive.current.ndim == 1:
+        pump = np.interp(times, drive.times, drive.current)
+    else:
+        pump = np.empty((n_steps + 1, n_runs))
+        for j in range(n_runs):
+            pump[:, j] = np.interp(times, drive.times, drive.current[:, j])
 
     tau_n = params.carrier_lifetime
     inv_tau_p = 1.0 / params.photon_lifetime
     g = params.gain_slope
     n_tr = params.transparency_carrier
     eps = params.gain_compression
-    alpha = params.linewidth_enhancement
+    half_alpha = 0.5 * params.linewidth_enhancement
     beta = params.spontaneous_fraction
     rng = np.random.default_rng(rng_seed)
 
-    e = np.full(n_runs, complex(initial_field), dtype=complex)
-    n = np.full(n_runs, float(initial_carrier))
-
-    for k in range(n_steps):
-        s = e.real**2 + e.imag**2
+    def derivatives(er, ei, n, pump_k):
+        # (0.5 (gc - 1/tau_p) + 0.5j alpha (gu - 1/tau_p)) * E as Python
+        # multiplies complex numbers: (ar br - ai bi) + (ar bi + ai br) i
+        s = er * er + ei * ei
         gu = g * (n - n_tr)
         gc = gu / (1.0 + eps * s)
-        de1 = (0.5 * (gc - inv_tau_p) + 0.5j * alpha * (gu - inv_tau_p)) * e
-        dn1 = pump[k] - n / tau_n - gc * s
+        ar = 0.5 * (gc - inv_tau_p)
+        ai = half_alpha * (gu - inv_tau_p)
+        return ar * er - ai * ei, ar * ei + ai * er, pump_k - n / tau_n - gc * s
 
+    e0 = complex(initial_field)
+    er = np.full(n_runs, e0.real)
+    ei = np.full(n_runs, e0.imag)
+    n = np.full(n_runs, float(initial_carrier))
+    first_angle = angle = np.arctan2(ei, er)
+    correction = np.zeros(n_runs)
+
+    for k in range(n_steps):
+        der1, dei1, dn1 = derivatives(er, ei, n, pump[k])
+        epr = er + der1 * dt
+        epi = ei + dei1 * dt
         if beta > 0.0:
             amp = np.sqrt(np.maximum(n, 0.0) * (beta / tau_n * dt * 0.5))
             z = rng.standard_normal((2, n_runs))
-            noise = amp * (z[0] + 1j * z[1])
-        else:
-            noise = 0.0
+            nr, ni = amp * z[0], amp * z[1]
+            epr += nr
+            epi += ni
+        der2, dei2, dn2 = derivatives(epr, epi, n + dn1 * dt, pump[k + 1])
 
-        ep = e + de1 * dt + noise
-        npred = n + dn1 * dt
-        sp = ep.real**2 + ep.imag**2
-        gup = g * (npred - n_tr)
-        gcp = gup / (1.0 + eps * sp)
-        de2 = (0.5 * (gcp - inv_tau_p) + 0.5j * alpha * (gup - inv_tau_p)) * ep
-        dn2 = pump[k + 1] - npred / tau_n - gcp * sp
-
-        e = e + 0.5 * (de1 + de2) * dt + noise
+        er = er + 0.5 * (der1 + der2) * dt
+        ei = ei + 0.5 * (dei1 + dei2) * dt
+        if beta > 0.0:
+            er += nr
+            ei += ni
         n = n + 0.5 * (dn1 + dn2) * dt
 
-        bad = ~(np.isfinite(e.real) & np.isfinite(n)) | (e.real**2 + e.imag**2 > _DIVERGENCE_INTENSITY)
-        if np.any(bad):
-            raise IntegrationDivergedError(k + 1)
+        s = er * er + ei * ei
+        if not (s.max() <= _DIVERGENCE_INTENSITY and np.isfinite(n).all()):
+            bad = ~(np.isfinite(s) & np.isfinite(n)) | (s > _DIVERGENCE_INTENSITY)
+            run = int(np.argmax(bad))
+            raise IntegrationDivergedError(k + 1, s[run], n[run], run)
 
-    return e, n
+        previous, angle = angle, np.arctan2(ei, er)
+        step = angle - previous
+        if np.abs(step).max() >= math.pi:  # otherwise np.unwrap adds zeros
+            correction += _unwrap_correction(step)
+
+    field = np.empty(n_runs, dtype=complex)
+    field.real, field.imag = er, ei
+    return field, n, (angle + correction) - first_angle
+
+
+def _unwrap_correction(step: np.ndarray) -> np.ndarray:
+    """The phase correction `np.unwrap` adds for sample differences `step`."""
+    stepmod = np.mod(step + math.pi, TWO_PI) - math.pi
+    np.copyto(stepmod, math.pi, where=(stepmod == -math.pi) & (step > 0))
+    fix = stepmod - step
+    np.copyto(fix, 0.0, where=np.abs(step) < math.pi)
+    return fix
 
 
 def instantaneous_frequency(trace: FieldTrace) -> tuple[np.ndarray, np.ndarray]:

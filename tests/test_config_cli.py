@@ -298,3 +298,29 @@ class TestCli:
         assert cli.main(["dps-sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert not out.with_name("sweep.csv.json").exists()
+
+    def test_calibration_bracket_exit_code(self, tmp_path, capsys):
+        # a perturbation shorter than one integration step moves no phase
+        cfg = tmp_path / "pv.cfg"
+        cfg.write_text(
+            "experiment = phase_voltage\n"
+            "voltages = 0, 0.35\n"
+            "physical_mode = true\n"
+            "source.perturbation_duration = 1e-15\n"
+        )
+        out = tmp_path / "pv.csv"
+        assert cli.main(["phase-voltage", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "source.perturbation_duration" in err and "source.halfwave_voltage" in err
+        assert not out.exists()
+
+    def test_randomization_needs_two_trials_exit_code(self, tmp_path):
+        cfg = tmp_path / "rand.cfg"
+        cfg.write_text("experiment = randomization\ntrials = 1\n")
+        out = tmp_path / "rand.csv"
+        assert cli.main(["randomization", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.with_name("rand.csv.json").exists()
+        cfg.write_text("experiment = randomization\ntrials = 2\n")
+        assert cli.main(["randomization", "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.with_name("rand.csv.json").read_text()
+        assert json.loads(text, parse_constant=pytest.fail)["n_blocks"] == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from chirplink import experiments
+from chirplink import experiments, laser
 from chirplink.config import ExperimentConfig, StabilityConfig
 from chirplink.errors import PreconditionError
 from chirplink.source import SourceConfig, phase_from_voltage
@@ -61,15 +61,31 @@ class TestCalibration:
     def test_calibrated_scale_hits_pi_at_halfwave(self):
         src = SourceConfig()
         scale = experiments.calibrate_physical_drive_scale(src)
-        phi = experiments.physical_phase_from_voltage(src.halfwave_voltage, src, scale)
+        (phi,) = experiments.physical_phase_from_voltages([src.halfwave_voltage], src, scale)
         assert phi == pytest.approx(math.pi, rel=1e-3)
 
     def test_physical_phase_odd_in_voltage(self):
         src = SourceConfig()
         scale = experiments.calibrate_physical_drive_scale(src)
-        up = experiments.physical_phase_from_voltage(0.2, src, scale)
-        down = experiments.physical_phase_from_voltage(-0.2, src, scale)
+        up, down = experiments.physical_phase_from_voltages([0.2, -0.2], src, scale)
         assert down == pytest.approx(-up, rel=0.05)
+
+    def test_physical_mode_integrates_reference_once(self, monkeypatch):
+        calls = []
+        scalar = laser.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].duration)
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(laser, "integrate", counting)
+        cfg = ExperimentConfig(
+            experiment="phase_voltage", voltages=[-0.35, 0.0, 0.175, 0.35], physical_mode=True
+        )
+        res = experiments.run_phase_voltage(cfg)
+        # one reference plus the brentq evaluations; the voltages run batched
+        assert 1 < len(calls) <= 6
+        assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
 
 
 class TestRandomization:
@@ -90,6 +106,11 @@ class TestRandomization:
         assert len(res.cross_fraction) == 3999
         summary = json.loads((tmp_path / "rand.csv.json").read_text())
         assert summary["n_blocks"] == 4000
+
+    def test_requires_two_blocks(self):
+        cfg = ExperimentConfig(experiment="randomization", trials=1)
+        with pytest.raises(PreconditionError, match="trials >= 2"):
+            experiments.run_randomization(cfg)
 
     def test_requires_pair_blocks(self):
         cfg = ExperimentConfig(
