@@ -55,8 +55,9 @@ class StabilityConfig:
             raise PreconditionError("duration and integration_time must be positive")
         if self.integration_time > self.duration:
             raise PreconditionError("integration_time must be <= duration")
-        if not 0.0 <= self.true_qber <= 1.0:
-            raise PreconditionError("true_qber must be in [0, 1]")
+        # 0 and 1 give a zero model std, so the normal overlay is undefined
+        if not 0.0 < self.true_qber < 1.0:
+            raise PreconditionError("true_qber must be in (0, 1)")
         if self.sifted_rate_bps <= 0:
             raise PreconditionError("sifted_rate_bps must be positive")
         if self.sifted_per_bin < 1:
@@ -95,6 +96,8 @@ class ExperimentConfig:
             raise PreconditionError("rng_seed must be >= 0")
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
+        if not all(math.isfinite(v) for v in self.voltages):
+            raise PreconditionError("voltages must be finite")
         _check_axis(self.losses, "losses")
         if any(l < 0 for l in self.losses):
             raise PreconditionError("losses must be non-negative")

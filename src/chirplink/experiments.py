@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, stats
 
 from . import laser
 from .config import ExperimentConfig
@@ -112,7 +111,9 @@ def calibrate_physical_drive_scale(
             f"{objective(low) + math.pi:+.3g} to {objective(high) + math.pi:+.3g} rad); "
             f"source.perturbation_duration = {t_m:g} s must span several {_DT:g} s steps"
         )
-    return float(optimize.brentq(objective, low, high, xtol=1e-4 * guess))
+    from scipy.optimize import brentq  # here, so that importing chirplink loads no scipy
+
+    return float(brentq(objective, low, high, xtol=1e-4 * guess))
 
 
 def physical_phase_from_voltages(
@@ -129,7 +130,10 @@ def physical_phase_from_voltages(
     calibration's scalar integrations give for that drive step.
     """
     quiet, bias, e0, n0 = _steady_laser(params, bias_over_threshold)
-    steps = np.append(drive_scale * np.asarray(voltages, dtype=float), 0.0)
+    with np.errstate(over="ignore"):
+        steps = np.append(drive_scale * np.asarray(voltages, dtype=float), 0.0)
+    if not np.isfinite(steps).all():
+        raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
     drive = _perturbation_drive(bias, steps, source.perturbation_duration)
     _, _, net = laser.integrate_ensemble(
         quiet, drive, len(steps), dt=_DT, initial_field=e0, initial_carrier=n0
@@ -146,7 +150,10 @@ class PhaseVoltageResult:
 
 def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
     voltages = np.asarray(cfg.voltages, dtype=float)
-    encoder = np.array([phase_from_voltage(v, cfg.source) for v in voltages])
+    with np.errstate(over="ignore"):
+        encoder = np.array([phase_from_voltage(v, cfg.source) for v in voltages])
+    if not np.isfinite(encoder).all():
+        raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None
     if cfg.physical_mode:
         scale = calibrate_physical_drive_scale(cfg.source)
@@ -190,6 +197,8 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     intra = fraction[odd]
     cross = fraction[~odd]
     intra_som = float(np.std(intra) / np.mean(intra))
+    from scipy import stats  # here, so that importing chirplink loads no scipy
+
     ks = stats.kstest(cross, stats.arcsine.cdf)
     res = RandomizationResult(intra, cross, intra_som, float(ks.pvalue))
     if cfg.output_path:
@@ -339,10 +348,14 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
         t = (np.arange(n_bins) + 1) * stab.integration_time
         _write_table(cfg.output_path, cfg, "time_s,qber", np.column_stack([t, series]))
         sigma_model = math.sqrt(stab.true_qber * (1.0 - stab.true_qber) / n_sift)
-        edges = np.linspace(series.min(), series.max(), 41)
-        hist, _ = np.histogram(series, bins=edges, density=True)
+        # 40 bins over [min, max]; numpy widens a constant series' range by 0.5
+        hist, edges = np.histogram(series, bins=40, density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        overlay = stats.norm.pdf(centers, loc=stab.true_qber, scale=sigma_model)
+        # the normal density in scipy.stats.norm.pdf's arithmetic; where z**2
+        # overflows the density is 0, as scipy returns it
+        z = (centers - stab.true_qber) / sigma_model
+        with np.errstate(over="ignore"):
+            overlay = np.exp(-(z**2) / 2.0) / math.sqrt(TWO_PI) / sigma_model
         _write_summary(
             cfg.output_path + ".json",
             cfg,

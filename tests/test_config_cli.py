@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +21,9 @@ from chirplink.errors import ConfigError, IntegrationDivergedError, Precondition
 from chirplink.optics import DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "scripts" / "configs"
+SRC_DIR = ROOT / "src"
 
 # Values that fail the sweep-axis checks: not finite or not strictly increasing.
 BAD_AXES = ["0, 10, 10", "10, 5", "0, inf", "nan", "0, nan"]
@@ -124,6 +131,20 @@ class TestParse:
     def test_bad_sweep_axis_rejected(self, key, axis):
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"experiment = dps_sweep\n{key} = {axis}\n")
+
+    @pytest.mark.parametrize("qber", ["0", "1", "0.0", "1.5"])
+    def test_true_qber_must_be_inside_unit_interval(self, qber):
+        with pytest.raises(ConfigError, match=r"true_qber must be in \(0, 1\)"):
+            parse_config_text(f"experiment = stability\nstability.true_qber = {qber}\n")
+
+    @pytest.mark.parametrize("voltages", ["nan", "0, inf", "-inf, 0.1", "0.1, nan, 0.2"])
+    def test_voltages_must_be_finite(self, voltages):
+        with pytest.raises(ConfigError, match="voltages must be finite"):
+            parse_config_text(f"experiment = phase_voltage\nvoltages = {voltages}\n")
+
+    def test_voltages_need_not_be_ordered(self):
+        cfg = parse_config_text("experiment = phase_voltage\nvoltages = 0.5, -0.5, 0.5\n")
+        assert cfg.voltages == [0.5, -0.5, 0.5]
 
     def test_trials_must_be_integral(self):
         assert parse_config_text("experiment = stability\ntrials = 2e6\n").trials == 2_000_000
@@ -277,6 +298,107 @@ class TestCli:
         out = tmp_path / "stab.csv"
         assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines", ["stability.true_qber = 0", "stability.true_qber = 1"])
+    def test_stability_degenerate_qber_exit_code(self, tmp_path, capsys, lines):
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text(f"experiment = stability\n{lines}\n")
+        out = tmp_path / "stab.csv"
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "true_qber must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_name("stab.csv.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # one bin
+            "stability.duration = 1\nstability.integration_time = 1",
+            # one sifted bit per bin: every bin is almost surely error-free
+            "stability.sifted_rate_bps = 1\nstability.true_qber = 0.001\nstability.duration = 10",
+            # the overlay's z**2 overflows 40 bins away from the model mean
+            "stability.sifted_rate_bps = 1e18\nstability.true_qber = 1e-300\nstability.duration = 10",
+        ],
+        ids=["one-bin", "one-bit-per-bin", "overlay-underflow"],
+    )
+    def test_constant_stability_series_writes_finite_json(self, tmp_path, lines):
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text(f"experiment = stability\n{lines}\n")
+        out = tmp_path / "stab.csv"
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "nan" not in out.read_text().lower()
+        summary = json.loads(out.with_name("stab.csv.json").read_text(), parse_constant=pytest.fail)
+        assert summary["sample_std"] == 0.0
+        for key in ("histogram_centers", "histogram_density", "normal_overlay_density"):
+            assert len(summary[key]) == 40
+            assert np.isfinite(summary[key]).all()
+        width = summary["histogram_centers"][1] - summary["histogram_centers"][0]
+        assert sum(summary["histogram_density"]) * width == pytest.approx(1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("voltages = nan", "voltages must be finite"),
+            ("voltages = 0, inf", "voltages must be finite"),
+            ("voltages = nan\nphysical_mode = true", "voltages must be finite"),
+            ("voltages = 1e300", "overflows the encoder phase"),
+            ("voltages = 0, 1e300\nphysical_mode = true", "overflows the encoder phase"),
+            ("voltages = 1e297\nphysical_mode = true", "overflows the laser drive step"),
+        ],
+        ids=["nan", "inf", "nan-physical", "1e300", "1e300-physical", "1e297-physical"],
+    )
+    def test_bad_voltage_exit_code(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "pv.cfg"
+        cfg.write_text(f"experiment = phase_voltage\n{lines}\n")
+        out = tmp_path / "pv.csv"
+        assert cli.main(["phase-voltage", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+    def test_example_config_runs(self, tmp_path, path):
+        # as scripts/run_all_experiments.sh runs it
+        command = path.stem.replace("_", "-")
+        out = tmp_path / f"{path.stem}.csv"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert out.exists()
+        for summary in tmp_path.glob("*.json"):
+            json.loads(summary.read_text(), parse_constant=pytest.fail)
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # only randomization (KS test) and physical_mode (brentq) import scipy
+        (tmp_path / "stab.cfg").write_text("experiment = stability\nstability.duration = 100\n")
+        (tmp_path / "sweep.cfg").write_text("trials = 20000\nlosses = 0, 10\n")
+        (tmp_path / "pv.cfg").write_text("experiment = phase_voltage\n")
+        script = textwrap.dedent(
+            """
+            import sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+            import chirplink.cli
+            assert not scipy_modules(), scipy_modules()
+            for command, cfg in [
+                ("stability", "stab.cfg"),
+                ("bb84-sweep", "sweep.cfg"),
+                ("dps-sweep", "sweep.cfg"),
+                ("phase-voltage", "pv.cfg"),
+            ]:
+                out = command + ".csv"
+                assert chirplink.cli.main([command, "--config", cfg, "--out", out]) == 0
+                assert not scipy_modules(), (command, scipy_modules())
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "bb84-sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["bb84-sweep", "dps-sweep"])
     def test_requires_one_slot_delay_exit_code(self, tmp_path, command):

@@ -1,14 +1,17 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from chirplink import experiments, laser
-from chirplink.config import ExperimentConfig, StabilityConfig
+from chirplink.config import ExperimentConfig, StabilityConfig, load_config
 from chirplink.errors import PreconditionError
 from chirplink.source import SourceConfig, phase_from_voltage
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 class TestPhaseVoltage:
@@ -202,6 +205,29 @@ class TestStability:
         summary = json.loads((tmp_path / "stab.csv.json").read_text())
         assert summary["model_std"] == pytest.approx(sigma, rel=1e-9)
         assert len(summary["histogram_centers"]) == 40
+
+    @staticmethod
+    def _assert_overlay_matches_scipy(cfg, tmp_path):
+        from scipy import stats  # the oracle; run_stability does not import scipy
+
+        cfg = replace(cfg, output_path=str(tmp_path / "stab.csv"))
+        experiments.run_stability(cfg)
+        summary = json.loads((tmp_path / "stab.csv.json").read_text())
+        centers = np.array(summary["histogram_centers"])
+        expected = stats.norm.pdf(centers, loc=cfg.stability.true_qber, scale=summary["model_std"])
+        assert np.array_equal(np.array(summary["normal_overlay_density"]), expected)
+
+    def test_example_config_overlay_matches_scipy(self, tmp_path):
+        self._assert_overlay_matches_scipy(load_config(CONFIG_DIR / "stability.cfg"), tmp_path)
+
+    @pytest.mark.parametrize(
+        "seed, true_qber, sifted_rate_bps",
+        [(1, 0.001, 500.0), (2, 0.3, 40.0), (3, 0.97, 2000.0), (4, 0.5, 7.0)],
+    )
+    def test_normal_overlay_matches_scipy(self, tmp_path, seed, true_qber, sifted_rate_bps):
+        stab = StabilityConfig(duration=3600.0, sifted_rate_bps=sifted_rate_bps, true_qber=true_qber)
+        cfg = ExperimentConfig(experiment="stability", rng_seed=seed, stability=stab)
+        self._assert_overlay_matches_scipy(cfg, tmp_path)
 
     def test_short_run(self):
         cfg = ExperimentConfig(
