@@ -26,6 +26,9 @@ from .source import SourceConfig
 
 EXPERIMENTS = ("phase_voltage", "randomization", "bb84_sweep", "dps_sweep", "stability")
 
+# numpy's binomial draws take counts up to the int64 maximum.
+MAX_COUNT = 2**63 - 1
+
 DEFAULT_VOLTAGES = [round(-0.5 + 0.05 * i, 10) for i in range(21)]
 DEFAULT_LOSSES = [float(l) for l in range(0, 50, 5)]
 
@@ -39,6 +42,8 @@ class KeyRateConfig:
     def __post_init__(self):
         if not 0.0 < self.nu < self.mu:
             raise PreconditionError("keyrate intensities must satisfy 0 < nu < mu")
+        if self.mu > 709.0:
+            raise PreconditionError("keyrate.mu must be <= 709: the decoy bound takes exp(mu)")
         if self.f_ec < 1.0:
             raise PreconditionError("f_ec must be >= 1")
 
@@ -60,14 +65,28 @@ class StabilityConfig:
             raise PreconditionError("true_qber must be in (0, 1)")
         if self.sifted_rate_bps <= 0:
             raise PreconditionError("sifted_rate_bps must be positive")
-        if self.sifted_per_bin < 1:
+        if not 1 <= self.sifted_per_bin <= MAX_COUNT:
             raise PreconditionError(
-                "sifted_rate_bps * integration_time must round to at least one sifted bit"
+                f"sifted_rate_bps * integration_time must round to 1 to {MAX_COUNT} sifted bits"
             )
+        # the series and its table hold a few float arrays of n_bins
+        if self.n_bins > 10**7:
+            raise PreconditionError("duration / integration_time must be at most 10**7 bins")
+        if not self.model_std > 0.0:
+            raise PreconditionError("true_qber is so close to 0 or 1 that the model std is 0")
 
     @property
     def sifted_per_bin(self) -> int:
         return int(round(self.sifted_rate_bps * self.integration_time))
+
+    @property
+    def model_std(self) -> float:
+        """Binomial std of one bin's QBER."""
+        return math.sqrt(self.true_qber * (1.0 - self.true_qber) / self.sifted_per_bin)
+
+    @property
+    def n_bins(self) -> int:
+        return int(round(self.duration / self.integration_time))
 
 
 @dataclass(frozen=True)
@@ -94,13 +113,15 @@ class ExperimentConfig:
             )
         if self.rng_seed < 0:
             raise PreconditionError("rng_seed must be >= 0")
-        if self.trials < 1:
-            raise PreconditionError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_COUNT:
+            raise PreconditionError(f"trials must be in [1, {MAX_COUNT}]")
         if not all(math.isfinite(v) for v in self.voltages):
             raise PreconditionError("voltages must be finite")
         _check_axis(self.losses, "losses")
         if any(l < 0 for l in self.losses):
             raise PreconditionError("losses must be non-negative")
+        if not (math.isfinite(self.loss_per_km) and self.loss_per_km >= 0):
+            raise PreconditionError("loss_per_km must be finite and >= 0")
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Flat (key, value) view of the full configuration for embedding."""
@@ -174,17 +195,15 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
             if group not in _GROUPS:
                 raise ConfigError(f"unknown key {key!r}")
             cls = _GROUPS[group]
-            valid = {f.name: f for f in fields(cls)}
-            if name not in valid:
+            if name not in {f.name for f in fields(cls)}:
                 raise ConfigError(f"unknown key {key!r}")
-            ftype = valid[name].type
             try:
-                if ftype == "int":
-                    groups[group][name] = int(raw)
-                else:
-                    groups[group][name] = float(raw)
+                value = float(raw)
             except ValueError:
                 raise ConfigError(f"{key}: invalid number {raw!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {raw!r}")
+            groups[group][name] = value
         elif key == "experiment":
             top[key] = raw
         elif key == "rng_seed":
@@ -204,9 +223,7 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
             top[key] = raw
         elif key in ("physical_mode", "randomize_blocks"):
             top[key] = _parse_bool(raw, key)
-        elif key == "voltages":
-            top[key] = _parse_float_list(raw, key)
-        elif key == "losses":
+        elif key in ("voltages", "losses"):
             top[key] = _parse_float_list(raw, key)
         elif key == "fiber_km":
             fiber_km = _parse_float_list(raw, key)

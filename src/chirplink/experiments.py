@@ -150,7 +150,7 @@ class PhaseVoltageResult:
 
 def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
     voltages = np.asarray(cfg.voltages, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         encoder = np.array([phase_from_voltage(v, cfg.source) for v in voltages])
     if not np.isfinite(encoder).all():
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
@@ -183,20 +183,23 @@ class RandomizationResult:
 
 def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     """Interference statistics of same-seed vs different-seed pulse pairs."""
-    if cfg.source.block_length != 2:
-        raise PreconditionError("randomization experiment requires block_length = 2")
     if cfg.trials < 2:
         raise PreconditionError("randomization needs trials >= 2 for a cross-block pulse pair")
     n_blocks = cfg.trials
     symbols = np.zeros(2 * n_blocks)
     train = emit_train(cfg.source, symbols, cfg.randomize_blocks, cfg.rng_seed)
     result = interfere(train, cfg.mzi)
-    total = result.port0 + result.port1
-    fraction = result.port0 / total
     odd = (result.slots % 2) == 1
+    with np.errstate(invalid="ignore"):
+        fraction = result.port0 / (result.port0 + result.port1)
+        intra_som = float(np.std(fraction[odd]) / np.mean(fraction[odd]))
+    if not (np.isfinite(fraction).all() and math.isfinite(intra_som)):
+        raise PreconditionError(
+            "randomization: port fractions are undefined when no light reaches the decoder, "
+            "and intra-block std/mean when none leaves port 0 (visibility 1, internal_phase pi)"
+        )
     intra = fraction[odd]
     cross = fraction[~odd]
-    intra_som = float(np.std(intra) / np.mean(intra))
     from scipy import stats  # here, so that importing chirplink loads no scipy
 
     ks = stats.kstest(cross, stats.arcsine.cdf)
@@ -241,7 +244,7 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
     """Per-loss Monte Carlo sift plus analytic overlay and secure rate."""
     seeds = np.random.default_rng(cfg.rng_seed).integers(0, 2**63 - 1, size=len(cfg.losses))
     if protocol == BB84:
-        source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0, block_length=2)
+        source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
         mu_model = cfg.keyrate.mu
     elif protocol == DPS:
         source = cfg.source
@@ -337,7 +340,7 @@ class StabilityResult:
 def run_stability(cfg: ExperimentConfig) -> StabilityResult:
     """Shot-noise-limited QBER time series at fixed true error rate."""
     stab = cfg.stability
-    n_bins = int(round(stab.duration / stab.integration_time))
+    n_bins = stab.n_bins
     n_sift = stab.sifted_per_bin
     rng = np.random.default_rng(cfg.rng_seed)
     errors = rng.binomial(n_sift, stab.true_qber, size=n_bins)
@@ -347,7 +350,7 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
     if cfg.output_path:
         t = (np.arange(n_bins) + 1) * stab.integration_time
         _write_table(cfg.output_path, cfg, "time_s,qber", np.column_stack([t, series]))
-        sigma_model = math.sqrt(stab.true_qber * (1.0 - stab.true_qber) / n_sift)
+        sigma_model = stab.model_std
         # 40 bins over [min, max]; numpy widens a constant series' range by 0.5
         hist, edges = np.histogram(series, bins=40, density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])

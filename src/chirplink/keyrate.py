@@ -59,6 +59,8 @@ class DecoyInputs:
     def __post_init__(self):
         if not 0.0 < self.nu < self.mu:
             raise PreconditionError("decoy intensities must satisfy 0 < nu < mu")
+        if not self.mu * self.nu - self.nu * self.nu > 0.0:
+            raise PreconditionError("decoy intensities: mu * nu - nu^2 rounds to 0")
         for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

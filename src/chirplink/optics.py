@@ -10,6 +10,7 @@ count probability per gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,9 @@ class InterferometerParams:
 
     def delay_slots(self, clock_rate: float) -> int:
         k = self.delay * clock_rate
-        k_int = int(round(k))
-        if k_int < 1 or abs(k - k_int) > 1e-6:
+        if not (math.isfinite(k) and k >= 0.5 and abs(k - round(k)) <= 1e-6):
             raise PreconditionError("delay must be an integer number >= 1 of slot periods")
-        return k_int
+        return round(k)
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,10 @@ class DetectorParams:
             raise PreconditionError("dark_rate must be >= 0")
         if not 0 < self.gate_width <= self.gate_period:
             raise PreconditionError("gate_width must be in (0, gate_period]")
+        if self.dark_probability > 1.0:
+            raise PreconditionError(
+                "dark_rate * gate_width is the dark click probability per gate and must be <= 1"
+            )
 
     @property
     def dark_probability(self) -> float:
@@ -95,19 +99,6 @@ class InterferenceResult:
     port1: np.ndarray
 
 
-@dataclass(frozen=True)
-class ClickRecord:
-    """Time-gated detector outcomes per interference slot and port."""
-
-    slots: np.ndarray
-    port0: np.ndarray
-    port1: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.slots) == len(self.port0) == len(self.port1)):
-            raise PreconditionError("click record arrays must have equal length")
-
-
 def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
     """Mean photon numbers at the two decoder ports for interfering pulses.
 
@@ -116,7 +107,7 @@ def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
     sum to loss_factor times the mean of the two pulses' photon numbers
     (exact energy conservation by construction).
     """
-    total = mzi.loss_factor * (0.5 * (mu_late + mu_early))
+    total = mzi.loss_factor * (0.5 * mu_late + 0.5 * mu_early)
     port0 = 0.5 * total * (1.0 + mzi.visibility * np.cos(dphi + mzi.internal_phase))
     return port0, total - port0
 

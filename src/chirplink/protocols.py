@@ -7,12 +7,22 @@ interference slot of matched-basis pairs is sifted.  DPS encodes one bit
 per pulse as a 0/pi phase step relative to the preceding pulse, and
 every interference slot is sifted.
 
-The analytic gain/QBER model mirrors the Monte Carlo path exactly:
+The Monte Carlo draws counts, not slots, and is exact in distribution:
+after basis matching (Bob's X decoder cancels the basis phase) each
+sifted slot interferes two equal pulses with phase difference bit * pi,
+so within a bit class its outcome (no click, port 0 only, port 1 only,
+both) is i.i.d. categorical, their sums are multinomial, and the fair
+double-click coin makes the errors binomial.  An effect that correlates
+slots (afterpulsing, dead time, a drifting phase) would need per-slot
+draws again.
+
+The analytic gain/QBER model mirrors the Monte Carlo path:
 
     Q = 1 - (1 - Y0) exp(-mu * eta_tot)
     E = [e_det (1 - exp(-mu * eta_tot)) + Y0/2] / Q
 
-with e_det = (1 - V)/2, Y0 = 1 - (1 - p_dark)^2 (two detectors), and
+with e_det = (1 - V cos theta)/2 for the decoder's internal phase theta,
+Y0 = 1 - (1 - p_dark)^2 (two detectors), and
 
     BB84: mu = mean photons per pair,  eta_tot = T_ch * 1/2 * L_mzi * eta_det
     DPS:  mu = mean photons per pulse, eta_tot = T_ch * L_mzi * eta_det
@@ -21,6 +31,7 @@ The BB84 factor 1/2 is the pair-geometry duty factor: half of the
 pair's energy interferes in the discarded satellite slots.  The passive
 basis choice is a bookkeeping coin, not an extra optical loss; its
 factor 1/2 enters the sifted rate and the key-rate sift factor, not Q.
+The closed form matches the Monte Carlo's click model up to O((mu eta)^3).
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ import numpy as np
 from .errors import PreconditionError
 from .optics import (
     ChannelParams,
-    ClickRecord,
     DetectorParams,
     InterferometerParams,
     click_probability,
@@ -43,38 +53,6 @@ from .source import SourceConfig
 
 BB84 = "bb84"
 DPS = "dps"
-
-# Symbols per Monte Carlo block (BB84 pairs, DPS interference slots).
-_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class Bb84Symbols:
-    bases: np.ndarray
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if len(self.bases) != len(self.bits):
-            raise PreconditionError("bases and bits must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.bases)
-
-    @property
-    def phase_deltas(self) -> np.ndarray:
-        return self.bases * (math.pi / 2.0) + self.bits * math.pi
-
-
-@dataclass(frozen=True)
-class DpsSymbols:
-    bits: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @property
-    def phase_deltas(self) -> np.ndarray:
-        return self.bits * math.pi
 
 
 @dataclass(frozen=True)
@@ -87,82 +65,6 @@ class SiftResult:
     def __post_init__(self):
         if not 0 <= self.error_count <= self.sifted_count:
             raise PreconditionError("error_count must be within [0, sifted_count]")
-
-
-def generate_symbols(protocol: str, count: int, rng_seed: int | np.random.Generator):
-    """Independent uniform symbols for either protocol, deterministic per seed."""
-    if count < 1:
-        raise PreconditionError("count must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    if protocol == BB84:
-        bases = rng.integers(0, 2, count, dtype=np.int8)
-        bits = rng.integers(0, 2, count, dtype=np.int8)
-        return Bb84Symbols(bases, bits)
-    if protocol == DPS:
-        return DpsSymbols(rng.integers(0, 2, count, dtype=np.int8))
-    raise PreconditionError(f"unknown protocol {protocol!r}")
-
-
-def _resolve_bits(c0: np.ndarray, c1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Port identity gives the bit; double clicks get a fair coin."""
-    bits = c1.astype(np.int8)
-    double = c0 & c1
-    n_double = int(np.count_nonzero(double))
-    if n_double:
-        bits[double] = rng.integers(0, 2, n_double, dtype=np.int8)
-    return bits
-
-
-def bb84_sift(
-    symbols: Bb84Symbols,
-    bob_basis_choices: np.ndarray,
-    clicks: ClickRecord,
-    rng_seed: int | np.random.Generator = 0,
-    clock_rate: float = 2e9,
-) -> SiftResult:
-    """Sift matched-basis central-slot clicks against Alice's bits."""
-    n_pairs = len(symbols)
-    if len(bob_basis_choices) != n_pairs:
-        raise PreconditionError("bob_basis_choices length must match symbols")
-    if np.any(clicks.slots >= 2 * n_pairs):
-        raise PreconditionError("click record extends beyond the symbol sequence")
-    central = (clicks.slots % 2) == 1
-    c0 = clicks.port0[central]
-    c1 = clicks.port1[central]
-    pair = clicks.slots[central] // 2
-    matched = symbols.bases[pair] == bob_basis_choices[pair]
-    clicked = c0 | c1
-    keep = matched & clicked
-    rng = np.random.default_rng(rng_seed)
-    bob_bits = _resolve_bits(c0[keep], c1[keep], rng)
-    errors = int(np.count_nonzero(bob_bits != symbols.bits[pair[keep]]))
-    sifted = int(np.count_nonzero(keep))
-    qber = errors / sifted if sifted else 0.0
-    rate = sifted * clock_rate / (2.0 * n_pairs)
-    return SiftResult(sifted, errors, qber, rate)
-
-
-def dps_sift(
-    symbols: DpsSymbols,
-    clicks: ClickRecord,
-    rng_seed: int | np.random.Generator = 0,
-    clock_rate: float = 2e9,
-) -> SiftResult:
-    """Sift every clicked interference slot; bit from the port identity."""
-    n_pulses = len(symbols) + 1
-    if np.any(clicks.slots < 1) or np.any(clicks.slots >= n_pulses):
-        raise PreconditionError("click record does not match the symbol sequence")
-    clicked = clicks.port0 | clicks.port1
-    c0 = clicks.port0[clicked]
-    c1 = clicks.port1[clicked]
-    rng = np.random.default_rng(rng_seed)
-    bob_bits = _resolve_bits(c0, c1, rng)
-    expected = symbols.bits[clicks.slots[clicked] - 1]
-    errors = int(np.count_nonzero(bob_bits != expected))
-    sifted = int(np.count_nonzero(clicked))
-    qber = errors / sifted if sifted else 0.0
-    rate = sifted * clock_rate / n_pulses
-    return SiftResult(sifted, errors, qber, rate)
 
 
 def vacuum_yield(det: DetectorParams) -> float:
@@ -193,11 +95,50 @@ def expected_gain_qber(
         raise PreconditionError(f"unknown protocol {protocol!r}")
     eta_tot = channel.transmittance * duty * mzi.loss_factor * det.efficiency
     y0 = vacuum_yield(det)
-    e_det = 0.5 * (1.0 - mzi.visibility)
+    e_det = 0.5 * (1.0 - mzi.visibility * math.cos(mzi.internal_phase))
     signal = 1.0 - math.exp(-mu * eta_tot)
     gain = 1.0 - (1.0 - y0) * math.exp(-mu * eta_tot)
     qber = (e_det * signal + 0.5 * y0) / gain if gain > 0 else 0.0
     return gain, qber
+
+
+def _sample_link(
+    protocol: str,
+    n_slots: int,
+    n_pulses: int,
+    config: SourceConfig,
+    channel: ChannelParams,
+    mzi: InterferometerParams,
+    det: DetectorParams,
+    rng_seed: int,
+) -> SiftResult:
+    """Sift counts of n_slots slots, drawn class by class from one generator:
+    BB84's matched pairs (a fair basis coin per pair), the bit-1 slots, per
+    bit the (none, port 0 only, port 1 only, both) split, and the errors
+    among the double clicks (a fair tie coin).
+    """
+    if mzi.delay_slots(config.clock_rate) != 1:
+        raise PreconditionError(f"{protocol.upper()} requires a one-slot interferometer delay")
+    rng = np.random.default_rng(rng_seed)
+    if protocol == BB84:
+        n_slots = rng.binomial(n_slots, 0.5)
+    mu = config.mean_photon_number * channel.transmittance
+    port0, port1 = decoder_ports(mu, mu, np.array([0.0, math.pi]), mzi)
+    p0 = click_probability(port0, det)
+    p1 = click_probability(port1, det)
+    ones = rng.binomial(n_slots, 0.5)
+    sifted = errors = doubles = 0
+    for bit, n in ((0, n_slots - ones), (1, ones)):
+        a, b = p0[bit], p1[bit]
+        _, only0, only1, both = rng.multinomial(
+            n, [(1 - a) * (1 - b), a * (1 - b), (1 - a) * b, a * b]
+        )
+        sifted += int(only0 + only1 + both)
+        errors += int(only0 if bit else only1)
+        doubles += int(both)
+    errors += int(rng.binomial(doubles, 0.5))
+    qber = errors / sifted if sifted else 0.0
+    return SiftResult(sifted, errors, qber, sifted * config.clock_rate / n_pulses)
 
 
 def simulate_bb84(
@@ -208,40 +149,10 @@ def simulate_bb84(
     det: DetectorParams,
     rng_seed: int,
 ) -> SiftResult:
-    """Monte Carlo BB84 link over the slots that can become key.
-
-    Only the central (intra-pair) slot of a matched-basis pair is sifted,
-    so only those slots are interfered and detected.  The per-pair global
-    phase adds to both pulses of a pair and cancels in that slot, so none
-    is drawn.  One generator is consumed in blocks of _BLOCK pairs:
-    Alice's bases and bits, Bob's basis coin, then the port clicks and
-    double-click ties of the matched pairs.
-    """
+    """Monte Carlo BB84 link over the central slots of matched-basis pairs."""
     if n_pairs < 1:
         raise PreconditionError("n_pairs must be >= 1")
-    if config.block_length != 2:
-        raise PreconditionError("BB84 requires block_length = 2")
-    if mzi.delay_slots(config.clock_rate) != 1:
-        raise PreconditionError("BB84 requires a one-slot interferometer delay")
-    rng = np.random.default_rng(rng_seed)
-    mu = config.mean_photon_number * channel.transmittance
-    sifted = errors = 0
-    for done in range(0, n_pairs, _BLOCK):
-        m = min(_BLOCK, n_pairs - done)
-        symbols = generate_symbols(BB84, m, rng)
-        bob = rng.integers(0, 2, m, dtype=np.int8)
-        pairs = np.flatnonzero(symbols.bases == bob)
-        # Bob's X decoder shifts the internal phase by -pi/2, cancelling the basis phase.
-        dphi = symbols.phase_deltas[pairs] - bob[pairs] * (math.pi / 2.0)
-        port0, port1 = decoder_ports(mu, mu, dphi, mzi)
-        c0 = rng.random(len(pairs)) < click_probability(port0, det)
-        c1 = rng.random(len(pairs)) < click_probability(port1, det)
-        res = bb84_sift(symbols, bob, ClickRecord(2 * pairs + 1, c0, c1), rng, config.clock_rate)
-        sifted += res.sifted_count
-        errors += res.error_count
-    qber = errors / sifted if sifted else 0.0
-    rate = sifted * config.clock_rate / (2.0 * n_pairs)
-    return SiftResult(sifted, errors, qber, rate)
+    return _sample_link(BB84, n_pairs, 2 * n_pairs, config, channel, mzi, det, rng_seed)
 
 
 def simulate_dps(
@@ -252,33 +163,7 @@ def simulate_dps(
     det: DetectorParams,
     rng_seed: int,
 ) -> SiftResult:
-    """Monte Carlo DPS link over a single coherence block.
-
-    Every pulse carries the same mean photon number and slot i interferes
-    pulses i-1 and i with phase step bit_i * pi, so a slot's port means
-    depend only on its bit and are computed once.  One generator is
-    consumed in blocks of _BLOCK slots: the bits, the port clicks, then
-    the double-click ties.
-    """
+    """Monte Carlo DPS link over one coherence block: n_pulses - 1 slots."""
     if n_pulses < 2:
         raise PreconditionError("n_pulses must be >= 2")
-    if mzi.delay_slots(config.clock_rate) != 1:
-        raise PreconditionError("DPS requires a one-slot interferometer delay")
-    rng = np.random.default_rng(rng_seed)
-    mu = config.mean_photon_number * channel.transmittance
-    port0, port1 = decoder_ports(mu, mu, np.array([0.0, math.pi]), mzi)
-    p0 = click_probability(port0, det)
-    p1 = click_probability(port1, det)
-    n_bits = n_pulses - 1
-    sifted = errors = 0
-    for done in range(0, n_bits, _BLOCK):
-        m = min(_BLOCK, n_bits - done)
-        symbols = generate_symbols(DPS, m, rng)
-        c0 = rng.random(m) < p0[symbols.bits]
-        c1 = rng.random(m) < p1[symbols.bits]
-        res = dps_sift(symbols, ClickRecord(np.arange(1, m + 1), c0, c1), rng, config.clock_rate)
-        sifted += res.sifted_count
-        errors += res.error_count
-    qber = errors / sifted if sifted else 0.0
-    rate = sifted * config.clock_rate / n_pulses
-    return SiftResult(sifted, errors, qber, rate)
+    return _sample_link(DPS, n_pulses - 1, n_pulses, config, channel, mzi, det, rng_seed)

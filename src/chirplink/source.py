@@ -29,7 +29,6 @@ class SourceConfig:
     pulse_width: float = 70e-12
     halfwave_voltage: float = 0.35
     perturbation_duration: float = 250e-12
-    block_length: int = 2
     mean_photon_number: float = 0.25
 
     def __post_init__(self):
@@ -41,8 +40,8 @@ class SourceConfig:
             raise PreconditionError("halfwave_voltage must be positive")
         if self.perturbation_duration <= 0:
             raise PreconditionError("perturbation_duration must be positive")
-        if self.block_length < 1:
-            raise PreconditionError("block_length must be >= 1")
+        if 2.0 * self.halfwave_voltage * self.perturbation_duration == 0.0:
+            raise PreconditionError("halfwave_voltage * perturbation_duration underflows to 0")
         if self.mean_photon_number < 0:
             raise PreconditionError("mean_photon_number must be >= 0")
 
@@ -94,17 +93,18 @@ def emit_train(
 ) -> PulseTrain:
     """Assemble the emitted pulse train from per-slot phase symbols.
 
-    Pulses are grouped into coherence blocks of config.block_length; with
-    randomization on, each block gets an independent uniform global phase
-    (cavity depletion between seed pulses), added to every pulse of the
-    block.  All pulses carry the same mean photon number, since every
-    short pulse is seeded by the unmodulated part of the injected light.
+    Pulses are grouped into coherence blocks of two, the pulse pairs that
+    BB84 encodes on; with randomization on, each block gets an independent
+    uniform global phase (cavity depletion between seed pulses), added to
+    both pulses of the block.  All pulses carry the same mean photon
+    number, since every short pulse is seeded by the unmodulated part of
+    the injected light.
     """
     symbols = np.asarray(phase_symbols, dtype=float)
     if symbols.size == 0:
         raise PreconditionError("phase_symbols must be non-empty")
     n = symbols.size
-    block_ids = np.arange(n) // config.block_length
+    block_ids = np.arange(n) // 2
     n_blocks = int(block_ids[-1]) + 1
     if randomize_blocks:
         rng = np.random.default_rng(rng_seed)

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chirplink import cli
@@ -27,6 +28,22 @@ SRC_DIR = ROOT / "src"
 
 # Values that fail the sweep-axis checks: not finite or not strictly increasing.
 BAD_AXES = ["0, 10, 10", "10, 5", "0, inf", "nan", "0, nan"]
+
+# A small config per subcommand for the input fuzz.
+FUZZ_BASES = {
+    "phase-voltage": "experiment = phase_voltage\nvoltages = -0.35, 0, 0.35\n",
+    "randomization": "experiment = randomization\ntrials = 1000\n",
+    "bb84-sweep": "experiment = bb84_sweep\nlosses = 0, 20\nmzi.visibility = 0.952\n",
+    "dps-sweep": "experiment = dps_sweep\nfiber_km = 0, 50\nmzi.visibility = 0.962\n",
+    "stability": "experiment = stability\nstability.duration = 1000\n",
+}
+FUZZ_KEYS = [key for key, _ in ExperimentConfig().resolved_items()] + ["fiber_km", "output_path"]
+# Finite, huge, negative, zero, nan and inf numbers.
+FUZZ_VALUES = [
+    "0.3", "1", "2", "700", "1000", "1e-9", "5e-10", "1e-300", "5e-324",
+    "1e19", "4e19", "1e300", "1.7976931348623157e308",
+    "-1", "-1e-300", "-1e300", "0", "-0", "nan", "inf", "-inf",
+]
 
 
 class TestParse:
@@ -159,14 +176,13 @@ class TestParse:
         voltages=st.lists(st.floats(-5.0, 5.0), max_size=6),
         physical_mode=st.booleans(),
         mu=st.floats(0.0, 10.0),
-        block_length=st.integers(1, 8),
         visibility=st.floats(0.0, 1.0),
         internal_phase=st.floats(-10.0, 10.0),
         dark_rate=st.floats(0.0, 1e6),
     )
     def test_resolved_items_parse_back(
-        self, seed, trials, losses, voltages, physical_mode, mu, block_length,
-        visibility, internal_phase, dark_rate,
+        self, seed, trials, losses, voltages, physical_mode, mu, visibility, internal_phase,
+        dark_rate,
     ):
         cfg = ExperimentConfig(
             experiment="bb84_sweep",
@@ -175,7 +191,7 @@ class TestParse:
             physical_mode=physical_mode,
             voltages=voltages,
             losses=losses,
-            source=SourceConfig(mean_photon_number=mu, block_length=block_length),
+            source=SourceConfig(mean_photon_number=mu),
             mzi=InterferometerParams(visibility=visibility, internal_phase=internal_phase),
             detector=DetectorParams(dark_rate=dark_rate),
         )
@@ -446,3 +462,65 @@ class TestCli:
         assert cli.main(["randomization", "--config", str(cfg), "--out", str(out)]) == 0
         text = out.with_name("rand.csv.json").read_text()
         assert json.loads(text, parse_constant=pytest.fail)["n_blocks"] == 2
+
+
+class TestInputBounds:
+    """Inputs the count sampler or the closed form cannot take exit with code 2."""
+
+    @pytest.mark.parametrize(
+        "command, lines, message",
+        [
+            ("bb84-sweep", "detector.dark_rate = 8e9", "dark_rate * gate_width"),
+            ("bb84-sweep", "mzi.insertion_loss_db = nan", "mzi.insertion_loss_db must be finite"),
+            ("dps-sweep", "source.mean_photon_number = inf", "mean_photon_number must be finite"),
+            ("bb84-sweep", "keyrate.f_ec = nan", "keyrate.f_ec must be finite"),
+            ("bb84-sweep", "trials = 4e19", "trials must be in"),
+            ("dps-sweep", "trials = 1e19", "trials must be in"),
+            ("bb84-sweep", "keyrate.mu = 1000\nkeyrate.nu = 1", "keyrate.mu must be <="),
+            ("stability", "stability.sifted_rate_bps = 1e19", "sifted bits"),
+            ("stability", "stability.integration_time = 1e-3", "bins"),
+            ("randomization", "source.mean_photon_number = 0", "no light reaches the decoder"),
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, command, lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{lines}\n")
+        out = tmp_path / "run.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_trials_run(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 9e18\nlosses = 0, 40\n")
+        for command in ("bb84-sweep", "dps-sweep"):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            points = json.loads(out.with_name(out.name + ".json").read_text())["points"]
+            assert points[0]["sifted_count"] > 10**16
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        command=st.sampled_from(sorted(FUZZ_BASES)),
+        key=st.sampled_from(FUZZ_KEYS),
+        value=st.sampled_from(FUZZ_VALUES),
+    )
+    def test_fuzz_one_key(self, command, key, value):
+        # the randomization train holds two pulses per trial in memory
+        assume(not (command == "randomization" and key == "trials" and float(value) > 1e5))
+        lines = [
+            line for line in FUZZ_BASES[command].splitlines()
+            if line.partition("=")[0].strip() != key
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+            out = Path(tmp) / "run.csv"
+            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code == 0:
+                rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+                assert np.isfinite([[float(x) for x in row.split(",")] for row in rows]).all()
+                summary = out.with_name("run.csv.json")
+                if summary.exists():
+                    json.loads(summary.read_text(), parse_constant=pytest.fail)

@@ -9,6 +9,7 @@ from dataclasses import replace
 from chirplink import experiments, laser
 from chirplink.config import ExperimentConfig, StabilityConfig, load_config
 from chirplink.errors import PreconditionError
+from chirplink.optics import InterferometerParams
 from chirplink.source import SourceConfig, phase_from_voltage
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -115,15 +116,6 @@ class TestRandomization:
         with pytest.raises(PreconditionError, match="trials >= 2"):
             experiments.run_randomization(cfg)
 
-    def test_requires_pair_blocks(self):
-        cfg = ExperimentConfig(
-            experiment="randomization",
-            trials=100,
-            source=SourceConfig(block_length=4),
-        )
-        with pytest.raises(PreconditionError):
-            experiments.run_randomization(cfg)
-
     def test_without_randomization_cross_pairs_collapse(self):
         cfg = ExperimentConfig(
             experiment="randomization", trials=500, randomize_blocks=False
@@ -166,6 +158,23 @@ class TestSweeps:
         rows = experiments.run_sweep(cfg, "dps")
         r = rows[0]
         se = math.sqrt(r.analytic_qber * (1 - r.analytic_qber) / max(r.mc_sifted_count, 1))
+        assert abs(r.mc_qber - r.analytic_qber) < 5 * se
+
+    @pytest.mark.parametrize("protocol", ["bb84", "dps"])
+    def test_closed_form_honours_internal_phase(self, protocol):
+        # theta = 0.5 moves the error floor from (1 - V)/2 = 2.4 % to ~7.8 %
+        mzi = InterferometerParams(internal_phase=0.5, visibility=0.952)
+        cfg = replace(
+            ExperimentConfig(experiment=f"{protocol}_sweep"),
+            trials=2_000_000,
+            losses=[0.0],
+            rng_seed=7,
+            mzi=mzi,
+        )
+        (r,) = experiments.run_sweep(cfg, protocol)
+        e_det = 0.5 * (1 - 0.952 * math.cos(0.5))
+        assert r.analytic_qber == pytest.approx(e_det, rel=0.02)
+        se = math.sqrt(r.analytic_qber * (1 - r.analytic_qber) / r.mc_sifted_count)
         assert abs(r.mc_qber - r.analytic_qber) < 5 * se
 
     def test_unknown_protocol_rejected(self):

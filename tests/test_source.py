@@ -109,6 +109,4 @@ class TestValidationAndExport:
             source.SourceConfig(pulse_width=1e-9)  # wider than the 500 ps slot
         with pytest.raises(PreconditionError):
             source.SourceConfig(mean_photon_number=-0.1)
-        with pytest.raises(PreconditionError):
-            source.SourceConfig(block_length=0)
 
