@@ -65,13 +65,14 @@ class StabilityConfig:
             raise PreconditionError("true_qber must be in (0, 1)")
         if self.sifted_rate_bps <= 0:
             raise PreconditionError("sifted_rate_bps must be positive")
-        if not 1 <= self.sifted_per_bin <= MAX_COUNT:
+        # bounded as floats, which may be inf, before the properties round them
+        if not 0.5 < self.sifted_rate_bps * self.integration_time < 2.0**63:
             raise PreconditionError(
                 f"sifted_rate_bps * integration_time must round to 1 to {MAX_COUNT} sifted bits"
             )
-        # the series and its table hold a few float arrays of n_bins
-        if self.n_bins > 10**7:
-            raise PreconditionError("duration / integration_time must be at most 10**7 bins")
+        # with --out a run takes ~46 bytes of memory per bin: ~46 GB at 10**9 bins
+        if not self.duration / self.integration_time <= 1e9:
+            raise PreconditionError("duration / integration_time must be at most 10**9 bins")
         if not self.model_std > 0.0:
             raise PreconditionError("true_qber is so close to 0 or 1 that the model std is 0")
 

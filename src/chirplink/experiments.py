@@ -340,15 +340,14 @@ class StabilityResult:
 def run_stability(cfg: ExperimentConfig) -> StabilityResult:
     """Shot-noise-limited QBER time series at fixed true error rate."""
     stab = cfg.stability
-    n_bins = stab.n_bins
     n_sift = stab.sifted_per_bin
     rng = np.random.default_rng(cfg.rng_seed)
-    errors = rng.binomial(n_sift, stab.true_qber, size=n_bins)
+    errors = rng.binomial(n_sift, stab.true_qber, size=stab.n_bins)
     series = errors / n_sift
     mean = float(np.mean(series))
     std = float(np.std(series))
     if cfg.output_path:
-        t = (np.arange(n_bins) + 1) * stab.integration_time
+        t = (np.arange(stab.n_bins) + 1) * stab.integration_time
         _write_table(cfg.output_path, cfg, "time_s,qber", np.column_stack([t, series]))
         sigma_model = stab.model_std
         # 40 bins over [min, max]; numpy widens a constant series' range by 0.5

@@ -478,7 +478,22 @@ class TestInputBounds:
             ("dps-sweep", "trials = 1e19", "trials must be in"),
             ("bb84-sweep", "keyrate.mu = 1000\nkeyrate.nu = 1", "keyrate.mu must be <="),
             ("stability", "stability.sifted_rate_bps = 1e19", "sifted bits"),
-            ("stability", "stability.integration_time = 1e-3", "bins"),
+            (
+                "stability",
+                "stability.integration_time = 1e-5\nstability.sifted_rate_bps = 1e6",
+                "bins",
+            ),
+            (
+                "stability",
+                "stability.duration = 1.7976931348623157e308\nstability.integration_time = 0.5",
+                "bins",
+            ),
+            (
+                "stability",
+                "stability.sifted_rate_bps = 1e308\n"
+                "stability.integration_time = 2\nstability.duration = 2",
+                "sifted bits",
+            ),
             ("randomization", "source.mean_photon_number = 0", "no light reaches the decoder"),
         ],
     )
@@ -489,6 +504,10 @@ class TestInputBounds:
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_year_of_one_second_bins_accepted(self):
+        cfg = parse_config_text("experiment = stability\nstability.duration = 3.2e7\n")
+        assert cfg.stability.n_bins == 32_000_000
 
     def test_largest_trials_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"

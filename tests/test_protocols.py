@@ -295,6 +295,10 @@ class TestMonteCarloAgreement:
         assert abs(res.sifted_count - expect_sift) < 5 * math.sqrt(expect_sift)
         se_q = math.sqrt(qber * (1 - qber) / res.sifted_count)
         assert abs(res.qber - qber) < 5 * se_q
+        # the rate counts every pulse of the block, not only the n_pulses - 1 slots
+        assert res.sifted_rate_bps == pytest.approx(
+            res.sifted_count * cfg.clock_rate / n_pulses
+        )
 
     def test_bb84_memory_bounded_by_block(self, det, mzi):
         cfg = source.SourceConfig(mean_photon_number=0.25)
