@@ -185,6 +185,9 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     """Interference statistics of same-seed vs different-seed pulse pairs."""
     if cfg.trials < 2:
         raise PreconditionError("randomization needs trials >= 2 for a cross-block pulse pair")
+    # a run takes ~210 bytes of memory per trial: ~21 GB at 10**8
+    if cfg.trials > 10**8:
+        raise PreconditionError("randomization trials must be at most 10**8")
     n_blocks = cfg.trials
     symbols = np.zeros(2 * n_blocks)
     train = emit_train(cfg.source, symbols, cfg.randomize_blocks, cfg.rng_seed)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -200,6 +201,38 @@ class TestLockedPhaseOffset:
         assert np.std(diff) < 0.05
         off = laser.locked_phase_offset(steady, slave, (2e-9, 4e-9))
         assert abs(off) < np.pi
+
+
+def sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestBitPins:
+    """Frozen digests of the traces of scripts/laser_traces.py (seed 12345)
+    pin the Langevin-noise and injection branches of `integrate` bit for bit."""
+
+    def test_gain_switched_noisy_trace(self, params):
+        th = params.threshold_current
+        drive = laser.DriveWaveform.from_segments([(0.5e-9, 0.2 * th), (3e-9, 3.0 * th)], 1e-11)
+        trace = laser.integrate(params, drive, noise_seed=12345, dt=DT)
+        assert sha256(trace.field) == "0205ce88769d2c66baff6e31196412fef40f8f7ae72449c57f99d7d1e9e10f2d"
+        assert sha256(trace.carrier) == "80d33eb9845533e0150da10c6975fbad84783419d5259b4ca848d3d876fec195"
+
+    def test_injection_locked_noisy_slave(self, params, steady):
+        assert sha256(steady.field) == "f10db547000e53439842237fb428899e29e6fad6fec456affb2453de7654edf7"
+        n0, s0 = laser.stationary_state(params, 2.0 * params.threshold_current)
+        drive = laser.DriveWaveform.constant(2.0 * params.threshold_current, 4e-9, 1e-11)
+        slave = laser.integrate(
+            replace(params, injection_coupling=5e10),
+            drive,
+            injection=steady,
+            noise_seed=12346,
+            dt=DT,
+            initial_field=1j * complex(math.sqrt(s0)),
+            initial_carrier=n0,
+        )
+        assert sha256(slave.field) == "cdd5038820ad7e15b9957536ce730354616cb070cc9557f90b82579d28ff635b"
+        assert sha256(slave.carrier) == "4e42df0736e1a8b1edadc8a514739b5d8ad08fd67fc84b25bfa521a7ce65fe8c"
 
 
 class TestEnsemble:
