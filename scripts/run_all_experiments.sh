@@ -1,6 +1,7 @@
 #!/bin/sh
 # Run all five experiment recipes with their example configs, phase-voltage
-# also with physical_mode = true, and scripts/laser_traces.py, all from this
+# also with physical_mode = true, randomization also with
+# randomize_blocks = false, and scripts/laser_traces.py, all from this
 # checkout's src/; end with the sha256 of every file written.
 # Usage: scripts/run_all_experiments.sh [output-dir]
 #
@@ -23,12 +24,18 @@ sed 's/^physical_mode = false$/physical_mode = true/' scripts/configs/phase_volt
     > "$outdir/phase_voltage_physical.cfg"
 python3 -m chirplink.cli phase-voltage --config "$outdir/phase_voltage_physical.cfg" \
     --out "$outdir/phase_voltage_physical.csv"
+echo "== randomization, randomize_blocks = false =="
+sed 's/^randomize_blocks = true$/randomize_blocks = false/' scripts/configs/randomization.cfg \
+    > "$outdir/randomization_fixed.cfg"
+python3 -m chirplink.cli randomization --config "$outdir/randomization_fixed.cfg" \
+    --out "$outdir/randomization_fixed.csv"
 echo "== laser traces =="
 python3 scripts/laser_traces.py --outdir "$outdir"
 echo "== sha256 =="
 for f in phase_voltage.csv randomization.csv randomization.csv.json bb84_sweep.csv \
     bb84_sweep.csv.json dps_sweep.csv dps_sweep.csv.json stability.csv stability.csv.json \
-    phase_voltage_physical.cfg phase_voltage_physical.csv \
+    phase_voltage_physical.cfg phase_voltage_physical.csv randomization_fixed.cfg \
+    randomization_fixed.csv randomization_fixed.csv.json \
     gain_switched_trace.csv injection_locked_trace.csv; do
     sha256sum "$outdir/$f"
 done

@@ -19,9 +19,9 @@ from . import laser
 from .config import ExperimentConfig
 from .errors import PreconditionError
 from .keyrate import LinkParams, bb84_rate_point, dps_rate_point
-from .optics import ChannelParams, interfere
+from .optics import ChannelParams, decoder_ports
 from .protocols import BB84, DPS, expected_gain_qber, simulate_bb84, simulate_dps
-from .source import SourceConfig, emit_train, phase_from_voltage
+from .source import SourceConfig, phase_from_voltage
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,27 +182,38 @@ class RandomizationResult:
 
 
 def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
-    """Interference statistics of same-seed vs different-seed pulse pairs."""
+    """Interference statistics of same-block vs cross-block pulse pairs.
+
+    Each block of two pulses carries one global phase, uniform when
+    `randomize_blocks` is set and 0 otherwise.  The one-slot decoder pairs
+    the two pulses of a block (phase difference 0, the same for every
+    block) and the last pulse of a block with the first of the next.
+    """
     if cfg.trials < 2:
         raise PreconditionError("randomization needs trials >= 2 for a cross-block pulse pair")
-    # a run takes ~210 bytes of memory per trial: ~21 GB at 10**8
+    # a run takes ~106 bytes of memory per trial: ~11 GB at 10**8
     if cfg.trials > 10**8:
         raise PreconditionError("randomization trials must be at most 10**8")
+    if cfg.mzi.delay_slots(cfg.source.clock_rate) != 1:
+        raise PreconditionError("randomization requires a one-slot interferometer delay")
     n_blocks = cfg.trials
-    symbols = np.zeros(2 * n_blocks)
-    train = emit_train(cfg.source, symbols, cfg.randomize_blocks, cfg.rng_seed)
-    result = interfere(train, cfg.mzi)
-    odd = (result.slots % 2) == 1
+    if cfg.randomize_blocks:
+        phases = np.random.default_rng(cfg.rng_seed).uniform(0.0, TWO_PI, n_blocks)
+    else:
+        phases = np.zeros(n_blocks)
+    mu = cfg.source.mean_photon_number
+    # slot 0 is the intra-block pair, slots 1... the cross-block pairs
+    port0, port1 = decoder_ports(mu, mu, np.append(0.0, np.diff(phases)), cfg.mzi)
     with np.errstate(invalid="ignore"):
-        fraction = result.port0 / (result.port0 + result.port1)
-        intra_som = float(np.std(fraction[odd]) / np.mean(fraction[odd]))
+        fraction = port0 / (port0 + port1)
+        intra = np.full(n_blocks, fraction[0])
+        intra_som = float(np.std(intra) / np.mean(intra))
     if not (np.isfinite(fraction).all() and math.isfinite(intra_som)):
         raise PreconditionError(
             "randomization: port fractions are undefined when no light reaches the decoder, "
             "and intra-block std/mean when none leaves port 0 (visibility 1, internal_phase pi)"
         )
-    intra = fraction[odd]
-    cross = fraction[~odd]
+    cross = fraction[1:]
     from scipy import stats  # here, so that importing chirplink loads no scipy
 
     ks = stats.kstest(cross, stats.arcsine.cdf)

@@ -2,8 +2,9 @@
 
 Pulses are delta-like slots; only per-slot phases and mean photon
 numbers propagate.  The interferometer combines each pulse with the one
-a fixed integer number of slots earlier; the effective visibility folds
-source seeding fidelity and decoder imperfection into one number.
+a slot earlier (every caller requires a one-slot delay); the effective
+visibility folds source seeding fidelity and decoder imperfection into
+one number.
 Detection is a threshold model with Poisson click statistics and a dark
 count probability per gate.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .source import PulseTrain
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,6 @@ class DetectorParams:
         return self.dark_rate * self.gate_width
 
 
-@dataclass(frozen=True)
-class InterferenceResult:
-    """Mean photon numbers at the two decoder ports, per interference slot."""
-
-    slots: np.ndarray
-    port0: np.ndarray
-    port1: np.ndarray
-
-
 def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
     """Mean photon numbers at the two decoder ports for interfering pulses.
 
@@ -110,20 +101,6 @@ def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
     total = mzi.loss_factor * (0.5 * mu_late + 0.5 * mu_early)
     port0 = 0.5 * total * (1.0 + mzi.visibility * np.cos(dphi + mzi.internal_phase))
     return port0, total - port0
-
-
-def interfere(train: PulseTrain, mzi: InterferometerParams) -> InterferenceResult:
-    """Two-path interference of each pulse with its k-slot predecessor."""
-    k = mzi.delay_slots(train.config.clock_rate)
-    if len(train) <= k:
-        raise PreconditionError("train shorter than interferometer delay")
-    port0, port1 = decoder_ports(
-        train.mean_photons[k:],
-        train.mean_photons[:-k],
-        train.phases[k:] - train.phases[:-k],
-        mzi,
-    )
-    return InterferenceResult(np.arange(k, len(train)), port0, port1)
 
 
 def click_probability(mean_photons, det: DetectorParams):

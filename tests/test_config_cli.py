@@ -416,8 +416,8 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bb84-sweep.csv").exists()
 
-    @pytest.mark.parametrize("command", ["bb84-sweep", "dps-sweep"])
-    def test_requires_one_slot_delay_exit_code(self, tmp_path, command):
+    @pytest.mark.parametrize("command", ["bb84-sweep", "dps-sweep", "randomization"])
+    def test_requires_one_slot_delay_exit_code(self, tmp_path, command, capsys):
         cfg = tmp_path / "delay.cfg"
         cfg.write_text(
             "trials = 20000\n"
@@ -427,6 +427,8 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+        assert not out.with_name("sweep.csv.json").exists()
+        assert "one-slot interferometer delay" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [f"losses = {axis}" for axis in BAD_AXES] + ["trials = 1.9"])
     def test_bad_sweep_input_exit_code(self, tmp_path, line):

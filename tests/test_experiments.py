@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -122,6 +123,63 @@ class TestRandomization:
         )
         res = experiments.run_randomization(cfg)
         assert np.allclose(res.cross_fraction, 1.0, rtol=1e-9)
+
+    def test_seed_determinism(self):
+        cfg = ExperimentConfig(experiment="randomization", trials=64, rng_seed=17)
+        a = experiments.run_randomization(cfg)
+        b = experiments.run_randomization(cfg)
+        assert np.array_equal(a.cross_fraction, b.cross_fraction)
+        c = experiments.run_randomization(replace(cfg, rng_seed=18))
+        assert not np.array_equal(a.cross_fraction, c.cross_fraction)
+
+    def test_one_phase_per_block(self):
+        cfg = ExperimentConfig(experiment="randomization", trials=50, rng_seed=5)
+        res = experiments.run_randomization(cfg)
+        # both pulses of a block share its phase; distinct blocks never collide
+        assert len(np.unique(res.intra_fraction)) == 1
+        assert len(np.unique(res.cross_fraction)) == 49
+
+    # Frozen digests of intra_fraction/cross_fraction and both statistics,
+    # 1000 blocks at seed 2024: (randomize_blocks, V, theta, insertion loss).
+    @pytest.mark.parametrize(
+        "randomize, vis, theta, loss, intra, cross, intra_som, ks_p",
+        [
+            (True, 1.0, 0.0, 0.0,
+             "e4190bf93e24bcf8e8861a8901d31a4f22c435c951faa399ade31357df139aec",
+             "2f7157d19bce04f49f325cad8a0be3d7e9efeee54aa0155470b563e69b5a7e00",
+             0.0, 0.3182737531745221),
+            (False, 1.0, 0.0, 0.0,
+             "e4190bf93e24bcf8e8861a8901d31a4f22c435c951faa399ade31357df139aec",
+             "f1e1bbfcbe225458a5a800272390da213ab584336a2848d7ef0a3b259329c014",
+             0.0, 0.0),
+            (True, 0.952, 0.5, 0.0,
+             "d3d5840f861538534587fbf95a9a3322f2bf841f3d062af19c0865126d74196a",
+             "0d986be78605e6ab73a1247fe3cee11eaf932d9ec811da10d6eb76716e1b535e",
+             4.839000020065359e-16, 5.532124478836797e-09),
+            (False, 0.952, 0.5, 3.0,
+             "d3d5840f861538534587fbf95a9a3322f2bf841f3d062af19c0865126d74196a",
+             "38ad689b664a6ed30157255cf0912c24c3bc521ddcf70bb9ceb3c79413885d6a",
+             4.839000020065359e-16, 0.0),
+            (True, 0.952, 0.5, 3.0,
+             "d3d5840f861538534587fbf95a9a3322f2bf841f3d062af19c0865126d74196a",
+             "4f7a90134f165486f3523cae8795ca3bb72ec982c04329f602d72ae0c0ecfcbf",
+             4.839000020065359e-16, 5.532124478836797e-09),
+        ],
+    )
+    def test_bit_pins(self, randomize, vis, theta, loss, intra, cross, intra_som, ks_p):
+        base = ExperimentConfig(experiment="randomization")
+        cfg = replace(
+            base,
+            trials=1000,
+            rng_seed=2024,
+            randomize_blocks=randomize,
+            mzi=replace(base.mzi, visibility=vis, internal_phase=theta, insertion_loss_db=loss),
+        )
+        res = experiments.run_randomization(cfg)
+        assert hashlib.sha256(res.intra_fraction.tobytes()).hexdigest() == intra
+        assert hashlib.sha256(res.cross_fraction.tobytes()).hexdigest() == cross
+        assert res.intra_std_over_mean == intra_som
+        assert res.cross_ks_pvalue == ks_p
 
 
 class TestSweeps:

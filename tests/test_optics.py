@@ -14,11 +14,6 @@ def cfg():
     return source.SourceConfig()
 
 
-def make_train(phases, mu=0.25):
-    cfg = source.SourceConfig(mean_photon_number=mu)
-    return source.emit_train(cfg, phases, randomize_blocks=False, rng_seed=0)
-
-
 class TestChannel:
     def test_transmittance_values(self):
         # [DERIVED] 10 dB -> 0.1, 30 dB -> 1e-3
@@ -53,60 +48,50 @@ class TestInterferometer:
             mzi.delay_slots(cfg.clock_rate)
 
     def test_equal_phases_all_light_in_port0(self):
-        train = make_train(np.zeros(6))
         mzi = optics.InterferometerParams(insertion_loss_db=0.0, visibility=1.0)
-        res = optics.interfere(train, mzi)
-        assert np.allclose(res.port0, 0.25, rtol=1e-12)
-        assert np.allclose(res.port1, 0.0, atol=1e-15)
+        port0, port1 = optics.decoder_ports(0.25, 0.25, np.zeros(5), mzi)
+        assert np.allclose(port0, 0.25, rtol=1e-12)
+        assert np.allclose(port1, 0.0, atol=1e-15)
 
     def test_pi_phase_flips_port(self):
-        train = make_train([0.0, math.pi, 0.0, math.pi])
         mzi = optics.InterferometerParams(insertion_loss_db=0.0)
-        res = optics.interfere(train, mzi)
-        assert np.allclose(res.port0, 0.0, atol=1e-12)
-        assert np.allclose(res.port1, 0.25, rtol=1e-9)
+        port0, port1 = optics.decoder_ports(0.25, 0.25, np.array([math.pi, -math.pi]), mzi)
+        assert np.allclose(port0, 0.0, atol=1e-12)
+        assert np.allclose(port1, 0.25, rtol=1e-9)
 
     def test_quadrature_phase_splits_evenly(self):
-        train = make_train([0.0, math.pi / 2])
         mzi = optics.InterferometerParams(insertion_loss_db=0.0)
-        res = optics.interfere(train, mzi)
-        assert res.port0[0] == pytest.approx(0.125, rel=1e-9)
-        assert res.port1[0] == pytest.approx(0.125, rel=1e-9)
+        port0, port1 = optics.decoder_ports(0.25, 0.25, math.pi / 2, mzi)
+        assert port0 == pytest.approx(0.125, rel=1e-9)
+        assert port1 == pytest.approx(0.125, rel=1e-9)
 
     def test_internal_phase_shifts_fringe(self):
-        train = make_train([0.0, math.pi / 2])
         mzi = optics.InterferometerParams(insertion_loss_db=0.0, internal_phase=-math.pi / 2)
-        res = optics.interfere(train, mzi)
-        assert res.port0[0] == pytest.approx(0.25, rel=1e-9)
+        port0, _ = optics.decoder_ports(0.25, 0.25, math.pi / 2, mzi)
+        assert port0 == pytest.approx(0.25, rel=1e-9)
 
     @given(
         phases=st.lists(st.floats(0.0, 2 * math.pi - 1e-9), min_size=2, max_size=8),
+        mu=st.floats(0.0, 10.0),
         vis=st.floats(0.0, 1.0),
         loss=st.floats(0.0, 6.0),
     )
-    def test_energy_conservation(self, phases, vis, loss):
-        train = make_train(phases)
+    def test_energy_conservation(self, phases, mu, vis, loss):
+        mu_late = np.full(len(phases) - 1, mu)
+        mu_early = np.linspace(0.0, 1.0, len(phases) - 1)
         mzi = optics.InterferometerParams(insertion_loss_db=loss, visibility=vis)
-        res = optics.interfere(train, mzi)
-        expected = mzi.loss_factor * 0.5 * (
-            train.mean_photons[1:] + train.mean_photons[:-1]
-        )
-        assert np.allclose(res.port0 + res.port1, expected, rtol=1e-12)
-        assert np.all(res.port0 >= 0.0)
-        assert np.all(res.port1 >= 0.0)
+        port0, port1 = optics.decoder_ports(mu_late, mu_early, np.diff(phases), mzi)
+        expected = mzi.loss_factor * 0.5 * (mu_late + mu_early)
+        assert np.allclose(port0 + port1, expected, rtol=1e-12)
+        assert np.all(port0 >= 0.0)
+        assert np.all(port1 >= 0.0)
 
     def test_reduced_visibility_leaks_light(self):
-        train = make_train(np.zeros(4))
         mzi = optics.InterferometerParams(insertion_loss_db=0.0, visibility=0.952)
-        res = optics.interfere(train, mzi)
+        port0, port1 = optics.decoder_ports(0.25, 0.25, np.zeros(3), mzi)
         # [DERIVED] wrong-port fraction (1 - V)/2 = 0.024
-        frac = res.port1 / (res.port0 + res.port1)
+        frac = port1 / (port0 + port1)
         assert np.allclose(frac, 0.024, rtol=1e-9)
-
-    def test_train_shorter_than_delay_rejected(self):
-        train = make_train([0.0])
-        with pytest.raises(PreconditionError):
-            optics.interfere(train, optics.InterferometerParams())
 
 
 class TestDetector:
