@@ -10,10 +10,12 @@ import pathlib
 
 import numpy as np
 
-from chirplink.keyrate import LinkParams, export_rate_curve_csv, rate_curve
+from chirplink.keyrate import LinkParams, rate_curve
 from chirplink.optics import InterferometerParams
 from chirplink.protocols import BB84, DPS
 from chirplink.source import SourceConfig
+
+HEADER = "loss_db,sifted_rate_bps,qber,secure_rate_bps"
 
 
 def main() -> None:
@@ -42,7 +44,8 @@ def main() -> None:
     ):
         points = rate_curve(protocol, link, losses)
         path = outdir / f"{name}.csv"
-        export_rate_curve_csv(points, path)
+        data = [[p.loss_db, p.sifted_rate_bps, p.qber, p.secure_rate_bps] for p in points]
+        np.savetxt(path, data, delimiter=",", header=HEADER, comments="")
         cutoff = max((p.loss_db for p in points if p.secure_rate_bps > 0), default=None)
         print(f"{path}: secure-rate cutoff at {cutoff} dB")
 

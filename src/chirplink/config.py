@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise PreconditionError("rng_seed must be >= 0")
         if not 1 <= self.trials <= MAX_COUNT:
             raise PreconditionError(f"trials must be in [1, {MAX_COUNT}]")
+        if not self.voltages:
+            raise PreconditionError("voltages must have at least one value")
         if not all(math.isfinite(v) for v in self.voltages):
             raise PreconditionError("voltages must be finite")
         _check_axis(self.losses, "losses")
@@ -140,6 +142,8 @@ class ExperimentConfig:
 
 
 def _check_axis(values: list[float], key: str) -> None:
+    if not values:
+        raise PreconditionError(f"{key} must have at least one value")
     if not all(math.isfinite(v) for v in values):
         raise PreconditionError(f"{key} must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):

@@ -52,26 +52,26 @@ _DT = 2e-13
 _PRE, _POST = 0.2e-9, 1.5e-9
 
 
-def _steady_laser(params: laser.LaserParams | None, bias_over_threshold: float):
-    """Noiseless laser, its bias and the stationary (field, carrier) there."""
-    params = params or laser.LaserParams()
-    bias = bias_over_threshold * params.threshold_current
-    n0, s0 = laser.stationary_state(params, bias)
-    quiet = replace(params, spontaneous_fraction=0.0)
-    return quiet, bias, complex(math.sqrt(s0), 0.0), n0
+def _phase_shift(params: laser.LaserParams | None, bias_over_threshold: float, duration: float):
+    """Net phase of a drive step of `duration`, as a function of its height.
 
-
-def _perturbation_drive(bias: float, drive_step, duration: float) -> laser.DriveWaveform:
-    """Steady `bias` with a rectangular step of `duration`.
-
-    `drive_step` is one height, or an array of heights giving one pump
-    column per run of `laser.integrate_ensemble`.
+    The noiseless laser starts at its stationary state at the bias; the
+    phase is taken relative to the unperturbed laser, which is integrated
+    once, here.  Each call of the returned function is one integration.
     """
-    window = laser.DriveWaveform.from_segments([(_PRE, 0.0), (duration, 1.0), (_POST, 0.0)], _DT)
-    step = np.asarray(drive_step, dtype=float)
-    on = window.current == 1.0
-    current = np.where(on[:, None] if step.ndim else on, bias + step, bias)
-    return laser.DriveWaveform(window.times, current)
+    quiet = replace(params or laser.LaserParams(), spontaneous_fraction=0.0)
+    bias = bias_over_threshold * quiet.threshold_current
+    n0, s0 = laser.stationary_state(quiet, bias)
+    e0 = complex(math.sqrt(s0), 0.0)
+
+    def net_phase(drive_step: float) -> float:
+        segments = [(_PRE, bias), (duration, bias + drive_step), (_POST, bias)]
+        drive = laser.DriveWaveform.from_segments(segments, _DT)
+        trace = laser.integrate(quiet, drive, dt=_DT, initial_field=e0, initial_carrier=n0)
+        return trace.phase[-1] - trace.phase[0]
+
+    reference = net_phase(0.0)
+    return lambda drive_step: net_phase(drive_step) - reference
 
 
 def calibrate_physical_drive_scale(
@@ -81,28 +81,21 @@ def calibrate_physical_drive_scale(
 ) -> float:
     """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi.
 
-    The net phase of a perturbed run is taken relative to the unperturbed
-    laser, which is integrated once.  brentq asks for one scale at a
-    time, so each evaluation is one scalar integration.
+    brentq asks for one scale at a time, so each evaluation is one
+    integration.
     """
-    quiet, bias, e0, n0 = _steady_laser(params, bias_over_threshold)
+    params = params or laser.LaserParams()
     t_m = source.perturbation_duration
     v_pi = source.halfwave_voltage
-
-    def net_phase(drive_step: float) -> float:
-        drive = _perturbation_drive(bias, drive_step, t_m)
-        trace = laser.integrate(quiet, drive, dt=_DT, initial_field=e0, initial_carrier=n0)
-        return trace.phase[-1] - trace.phase[0]
-
-    reference = net_phase(0.0)
+    phase_shift = _phase_shift(params, bias_over_threshold, t_m)
 
     # cached: brentq evaluates the bracket ends again after the check below
     @functools.cache
     def objective(scale: float) -> float:
-        return float(net_phase(scale * v_pi) - reference) - math.pi
+        return float(phase_shift(scale * v_pi)) - math.pi
 
     # small-signal adiabatic-chirp estimate as the starting bracket
-    guess = TWO_PI / (quiet.linewidth_enhancement * quiet.gain_compression * t_m) / v_pi
+    guess = TWO_PI / (params.linewidth_enhancement * params.gain_compression * t_m) / v_pi
     low, high = 0.2 * guess, 5.0 * guess
     if objective(low) * objective(high) > 0:
         raise PreconditionError(
@@ -123,22 +116,17 @@ def physical_phase_from_voltages(
     params: laser.LaserParams | None = None,
     bias_over_threshold: float = 2.0,
 ) -> np.ndarray:
-    """Rate-equation phase at each voltage, all voltages in one batched run.
+    """Rate-equation phase at each voltage, one integration per voltage.
 
-    A last run with no perturbation is the reference; the batched stepper
-    reproduces the scalar one bit for bit, so each phase equals what the
-    calibration's scalar integrations give for that drive step.
+    Each phase equals what the calibration's integrations give for the
+    same drive step.
     """
-    quiet, bias, e0, n0 = _steady_laser(params, bias_over_threshold)
     with np.errstate(over="ignore"):
-        steps = np.append(drive_scale * np.asarray(voltages, dtype=float), 0.0)
+        steps = drive_scale * np.asarray(voltages, dtype=float)
     if not np.isfinite(steps).all():
         raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
-    drive = _perturbation_drive(bias, steps, source.perturbation_duration)
-    _, _, net = laser.integrate_ensemble(
-        quiet, drive, len(steps), dt=_DT, initial_field=e0, initial_carrier=n0
-    )
-    return net[:-1] - net[-1]
+    phase_shift = _phase_shift(params, bias_over_threshold, source.perturbation_duration)
+    return np.array([phase_shift(float(step)) for step in steps])
 
 
 @dataclass(frozen=True)
@@ -196,6 +184,12 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
         raise PreconditionError("randomization trials must be at most 10**8")
     if cfg.mzi.delay_slots(cfg.source.clock_rate) != 1:
         raise PreconditionError("randomization requires a one-slot interferometer delay")
+    visibility = cfg.mzi.visibility
+    if visibility == 0.0:
+        raise PreconditionError(
+            "randomization: mzi.visibility = 0 leaves every port fraction at 1/2, "
+            "so the cross-block fractions have no arcsine law to test"
+        )
     n_blocks = cfg.trials
     if cfg.randomize_blocks:
         phases = np.random.default_rng(cfg.rng_seed).uniform(0.0, TWO_PI, n_blocks)
@@ -216,7 +210,8 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     cross = fraction[1:]
     from scipy import stats  # here, so that importing chirplink loads no scipy
 
-    ks = stats.kstest(cross, stats.arcsine.cdf)
+    # 1/2 (1 + V cos(uniform phase)) is arcsine-distributed on (1 -+ V)/2
+    ks = stats.kstest(cross, stats.arcsine(loc=(1.0 - visibility) / 2.0, scale=visibility).cdf)
     res = RandomizationResult(intra, cross, intra_som, float(ks.pvalue))
     if cfg.output_path:
         edges = np.linspace(0.0, 1.0, 51)

@@ -188,16 +188,3 @@ def rate_curve(protocol: str, link: LinkParams, losses) -> list[RatePoint]:
         return [dps_rate_point(link, l) for l in losses]
     raise PreconditionError(f"unknown protocol {protocol!r}")
 
-
-def export_rate_curve_csv(points: list[RatePoint], path) -> None:
-    """CSV with columns loss_db, sifted_rate_bps, qber, secure_rate_bps."""
-    data = np.array(
-        [[p.loss_db, p.sifted_rate_bps, p.qber, p.secure_rate_bps] for p in points]
-    )
-    np.savetxt(
-        path,
-        data,
-        delimiter=",",
-        header="loss_db,sifted_rate_bps,qber,secure_rate_bps",
-        comments="",
-    )

@@ -96,11 +96,7 @@ class LaserParams:
 
 @dataclass(frozen=True)
 class DriveWaveform:
-    """Uniformly sampled pump-rate waveform, in carriers per second.
-
-    `current` has shape (n_samples,), or (n_samples, n_runs) for one pump
-    per run of :func:`integrate_ensemble`.
-    """
+    """Uniformly sampled pump-rate waveform, in carriers per second."""
 
     times: np.ndarray
     current: np.ndarray
@@ -110,8 +106,8 @@ class DriveWaveform:
         current = np.asarray(self.current, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "current", current)
-        if times.ndim != 1 or times.size < 2 or current.ndim not in (1, 2) or len(current) != times.size:
-            raise PreconditionError("drive needs a 1-d time array and one current row per time")
+        if times.ndim != 1 or times.size < 2 or current.shape != times.shape:
+            raise PreconditionError("drive needs 1-d time and current arrays of one length")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(current))):
             raise PreconditionError("drive samples must be finite")
         dt = np.diff(times)
@@ -210,8 +206,6 @@ def integrate(
     """
     if dt > params.photon_lifetime / 10.0:
         raise PreconditionError("dt must be <= photon_lifetime / 10")
-    if drive.current.ndim != 1:
-        raise PreconditionError("integrate takes one pump; integrate_ensemble runs one per column")
 
     t0 = float(drive.times[0])
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
@@ -297,34 +291,25 @@ def integrate_ensemble(
     dt: float = 2e-13,
     initial_field: complex = 0j,
     initial_carrier: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate `n_runs` copies of the rate equations at once, without injection.
 
-    The pump is shared, current shape (n_samples,), or per run, shape
-    (n_samples, n_runs); with spontaneous_fraction > 0 each run draws its
-    own Langevin noise from one generator.  Returns the final field, the
-    final carrier and the net unwrapped phase of each run, keeping only
-    the current state.  The step is that of :func:`integrate` in real
-    arithmetic, in the order of Python's complex operations, and the phase
-    is unwrapped per step as `np.unwrap` does, so a noiseless run equals
-    :func:`integrate` of its pump column bit for bit.
+    All runs share the pump; with spontaneous_fraction > 0 each run draws
+    its own Langevin noise from one generator.  Returns the final field
+    and the final carrier of each run, keeping only the current state.
+    The step is that of :func:`integrate` in real arithmetic, in the order
+    of Python's complex operations, so a noiseless run equals
+    :func:`integrate` bit for bit.
     """
     if dt > params.photon_lifetime / 10.0:
         raise PreconditionError("dt must be <= photon_lifetime / 10")
     if n_runs < 1:
         raise PreconditionError("n_runs must be >= 1")
-    if drive.current.ndim == 2 and drive.current.shape[1] != n_runs:
-        raise PreconditionError("a per-run drive needs one current column per run")
 
     t0 = float(drive.times[0])
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
     times = t0 + dt * np.arange(n_steps + 1)
-    if drive.current.ndim == 1:
-        pump = np.interp(times, drive.times, drive.current)
-    else:
-        pump = np.empty((n_steps + 1, n_runs))
-        for j in range(n_runs):
-            pump[:, j] = np.interp(times, drive.times, drive.current[:, j])
+    pump = np.interp(times, drive.times, drive.current)
 
     tau_n = params.carrier_lifetime
     inv_tau_p = 1.0 / params.photon_lifetime
@@ -349,8 +334,6 @@ def integrate_ensemble(
     er = np.full(n_runs, e0.real)
     ei = np.full(n_runs, e0.imag)
     n = np.full(n_runs, float(initial_carrier))
-    first_angle = angle = np.arctan2(ei, er)
-    correction = np.zeros(n_runs)
 
     for k in range(n_steps):
         der1, dei1, dn1 = derivatives(er, ei, n, pump[k])
@@ -377,23 +360,9 @@ def integrate_ensemble(
             run = int(np.argmax(bad))
             raise IntegrationDivergedError(k + 1, s[run], n[run], run)
 
-        previous, angle = angle, np.arctan2(ei, er)
-        step = angle - previous
-        if np.abs(step).max() >= math.pi:  # otherwise np.unwrap adds zeros
-            correction += _unwrap_correction(step)
-
     field = np.empty(n_runs, dtype=complex)
     field.real, field.imag = er, ei
-    return field, n, (angle + correction) - first_angle
-
-
-def _unwrap_correction(step: np.ndarray) -> np.ndarray:
-    """The phase correction `np.unwrap` adds for sample differences `step`."""
-    stepmod = np.mod(step + math.pi, TWO_PI) - math.pi
-    np.copyto(stepmod, math.pi, where=(stepmod == -math.pi) & (step > 0))
-    fix = stepmod - step
-    np.copyto(fix, 0.0, where=np.abs(step) < math.pi)
-    return fix
+    return field, n
 
 
 def instantaneous_frequency(trace: FieldTrace) -> tuple[np.ndarray, np.ndarray]:

@@ -264,7 +264,7 @@ def test_criterion_8_laser_dynamics():
         [(0.3e-9, 0.2 * params.threshold_current), (0.7e-9, 3.0 * params.threshold_current)],
         1e-11,
     )
-    fields, _, _ = laser.integrate_ensemble(params, gs_drive, 1000, rng_seed=42, dt=2e-13)
+    fields, _ = laser.integrate_ensemble(params, gs_drive, 1000, rng_seed=42, dt=2e-13)
     phases = np.mod(np.angle(fields), 2 * np.pi)
     counts, _ = np.histogram(phases, bins=16, range=(0.0, 2 * np.pi))
     chi2_p = float(stats.chisquare(counts).pvalue)

@@ -172,8 +172,8 @@ class TestParse:
     @given(
         seed=st.integers(0, 2**63 - 1),
         trials=st.integers(1, 10**12),
-        losses=st.lists(st.floats(0.0, 100.0), max_size=6, unique=True).map(sorted),
-        voltages=st.lists(st.floats(-5.0, 5.0), max_size=6),
+        losses=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6, unique=True).map(sorted),
+        voltages=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6),
         physical_mode=st.booleans(),
         mu=st.floats(0.0, 10.0),
         visibility=st.floats(0.0, 1.0),
@@ -498,6 +498,11 @@ class TestInputBounds:
             ),
             ("randomization", "source.mean_photon_number = 0", "no light reaches the decoder"),
             ("randomization", "trials = 1e18", "trials must be at most"),
+            ("randomization", "mzi.visibility = 0", "mzi.visibility"),
+            ("bb84-sweep", "losses =", "losses must have at least one value"),
+            ("dps-sweep", "losses =", "losses must have at least one value"),
+            ("dps-sweep", "fiber_km =", "fiber_km must have at least one value"),
+            ("phase-voltage", "voltages =\nphysical_mode = true", "voltages must have at least one"),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, lines, message):

@@ -76,20 +76,34 @@ class TestCalibration:
         assert down == pytest.approx(-up, rel=0.05)
 
     def test_physical_mode_integrates_reference_once(self, monkeypatch):
-        calls = []
-        scalar = laser.integrate
+        # per stage: [integrations, of which with a constant pump]
+        counts = {"calibrate": [0, 0], "voltages": [0, 0]}
+        stage = "voltages"
+        scalar, calibrate = laser.integrate, experiments.calibrate_physical_drive_scale
 
         def counting(*args, **kwargs):
-            calls.append(args[1].duration)
+            counts[stage][0] += 1
+            counts[stage][1] += int(np.ptp(args[1].current) == 0.0)
             return scalar(*args, **kwargs)
 
+        def calibrating(*args, **kwargs):
+            nonlocal stage
+            stage = "calibrate"
+            try:
+                return calibrate(*args, **kwargs)
+            finally:
+                stage = "voltages"
+
         monkeypatch.setattr(laser, "integrate", counting)
-        cfg = ExperimentConfig(
-            experiment="phase_voltage", voltages=[-0.35, 0.0, 0.175, 0.35], physical_mode=True
-        )
+        monkeypatch.setattr(experiments, "calibrate_physical_drive_scale", calibrating)
+        voltages = [-0.35, 0.175, 0.35]
+        cfg = ExperimentConfig(experiment="phase_voltage", voltages=voltages, physical_mode=True)
         res = experiments.run_phase_voltage(cfg)
-        # one reference plus the brentq evaluations; the voltages run batched
-        assert 1 < len(calls) <= 6
+        # one reference per function, never one per voltage or per brentq step
+        n_calibrate, calibrate_references = counts["calibrate"]
+        assert n_calibrate > 3 and calibrate_references == 1
+        # one integration per voltage, plus the reference
+        assert counts["voltages"] == [len(voltages) + 1, 1]
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
 
 
@@ -111,6 +125,14 @@ class TestRandomization:
         assert len(res.cross_fraction) == 3999
         summary = json.loads((tmp_path / "rand.csv.json").read_text())
         assert summary["n_blocks"] == 4000
+
+    def test_cross_fractions_follow_arcsine_below_unit_visibility(self):
+        # 1/2 (1 + V cos phi) spans [(1 - V)/2, (1 + V)/2], not [0, 1]
+        base = ExperimentConfig(experiment="randomization")
+        cfg = replace(
+            base, trials=10_000, rng_seed=2024, mzi=replace(base.mzi, visibility=0.952)
+        )
+        assert experiments.run_randomization(cfg).cross_ks_pvalue > 0.01
 
     def test_requires_two_blocks(self):
         cfg = ExperimentConfig(experiment="randomization", trials=1)
@@ -155,7 +177,7 @@ class TestRandomization:
             (True, 0.952, 0.5, 0.0,
              "d3d5840f861538534587fbf95a9a3322f2bf841f3d062af19c0865126d74196a",
              "0d986be78605e6ab73a1247fe3cee11eaf932d9ec811da10d6eb76716e1b535e",
-             4.839000020065359e-16, 5.532124478836797e-09),
+             4.839000020065359e-16, 0.3032975729866758),
             (False, 0.952, 0.5, 3.0,
              "d3d5840f861538534587fbf95a9a3322f2bf841f3d062af19c0865126d74196a",
              "38ad689b664a6ed30157255cf0912c24c3bc521ddcf70bb9ceb3c79413885d6a",
@@ -163,7 +185,7 @@ class TestRandomization:
             (True, 0.952, 0.5, 3.0,
              "d3d5840f861538534587fbf95a9a3322f2bf841f3d062af19c0865126d74196a",
              "4f7a90134f165486f3523cae8795ca3bb72ec982c04329f602d72ae0c0ecfcbf",
-             4.839000020065359e-16, 5.532124478836797e-09),
+             4.839000020065359e-16, 0.3032975729866758),
         ],
     )
     def test_bit_pins(self, randomize, vis, theta, loss, intra, cross, intra_som, ks_p):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chirplink import keyrate, protocols
+from chirplink import protocols
 from chirplink.errors import PreconditionError
 from chirplink.keyrate import (
     DecoyInputs,
@@ -209,11 +209,3 @@ class TestRatePoints:
     def test_unknown_protocol_rejected(self, bb84_link):
         with pytest.raises(PreconditionError):
             rate_curve("cow", bb84_link, [0.0, 10.0])
-
-    def test_csv_export(self, tmp_path, bb84_link):
-        points = rate_curve(protocols.BB84, bb84_link, [0.0, 10.0, 20.0])
-        path = tmp_path / "curve.csv"
-        keyrate.export_rate_curve_csv(points, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "loss_db,sifted_rate_bps,qber,secure_rate_bps"
-        assert len(lines) == 4
