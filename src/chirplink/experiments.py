@@ -8,7 +8,6 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import laser
 from .config import ExperimentConfig
-from .errors import PreconditionError
+from .errors import IntegrationDivergedError, PreconditionError
 from .keyrate import LinkParams, bb84_rate_point, dps_rate_point
 from .optics import ChannelParams, decoder_ports
 from .protocols import BB84, DPS, expected_gain_qber, simulate_bb84, simulate_dps
@@ -52,45 +51,56 @@ _DT = 2e-13
 _PRE, _POST = 0.2e-9, 1.5e-9
 
 
-def _phase_shift(params: laser.LaserParams | None, bias_over_threshold: float, duration: float):
+def _phase_shift(duration: float):
     """Net phase of a drive step of `duration`, as a function of its height.
 
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, which is integrated
-    once, here.  Each call of the returned function is one integration.
+    once, here.  Up to sample k0 every run is that reference, as step k0
+    is the first to read the step's pump, so each run resumes from the
+    reference's state there and unwraps the reference's first k0 samples
+    with its own: the array a run over the whole window unwraps, bit for
+    bit.  Each drive level is integrated at most once per returned function.
     """
-    quiet = replace(params or laser.LaserParams(), spontaneous_fraction=0.0)
-    bias = bias_over_threshold * quiet.threshold_current
+    quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
+    bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)
-    e0 = complex(math.sqrt(s0), 0.0)
 
-    def net_phase(drive_step: float) -> float:
-        segments = [(_PRE, bias), (duration, bias + drive_step), (_POST, bias)]
+    def run(segments, e, n):
         drive = laser.DriveWaveform.from_segments(segments, _DT)
-        trace = laser.integrate(quiet, drive, dt=_DT, initial_field=e0, initial_carrier=n0)
-        return trace.phase[-1] - trace.phase[0]
+        return laser.integrate(quiet, drive, dt=_DT, initial_field=e, initial_carrier=n)
 
-    reference = net_phase(0.0)
-    return lambda drive_step: net_phase(drive_step) - reference
+    reference = run([(_PRE, bias), (duration, bias), (_POST, bias)], complex(math.sqrt(s0)), n0)
+    reference_net = reference.phase[-1] - reference.phase[0]
+    k0 = round(_PRE / _DT) - 1
+    net = {bias: 0.0}  # by drive level; a zero step is the reference
+
+    def phase_shift(drive_step: float) -> float:
+        level = bias + drive_step
+        if level not in net:
+            segments = [(_DT, bias), (duration, level), (_POST, bias)]
+            try:
+                trace = run(segments, reference.field[k0], reference.carrier[k0])
+            except IntegrationDivergedError as exc:  # name the sample in the whole window
+                raise IntegrationDivergedError(exc.step_index + k0, exc.intensity, exc.carrier)
+            phase = np.unwrap(np.angle(np.concatenate([reference.field[:k0], trace.field])))
+            net[level] = (phase[-1] - phase[0]) - reference_net
+        return net[level]
+
+    return phase_shift
 
 
-def calibrate_physical_drive_scale(
-    source: SourceConfig,
-    params: laser.LaserParams | None = None,
-    bias_over_threshold: float = 2.0,
-) -> float:
+def calibrate_physical_drive_scale(source: SourceConfig, phase_shift=None) -> float:
     """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi.
 
-    brentq asks for one scale at a time, so each evaluation is one
-    integration.
+    brentq asks for one scale at a time; `phase_shift`, built here when not
+    given, integrates each new one once.  The root is its last evaluation.
     """
-    params = params or laser.LaserParams()
+    params = laser.LaserParams()
     t_m = source.perturbation_duration
     v_pi = source.halfwave_voltage
-    phase_shift = _phase_shift(params, bias_over_threshold, t_m)
+    phase_shift = phase_shift or _phase_shift(t_m)
 
-    # cached: brentq evaluates the bracket ends again after the check below
-    @functools.cache
     def objective(scale: float) -> float:
         return float(phase_shift(scale * v_pi)) - math.pi
 
@@ -113,19 +123,18 @@ def physical_phase_from_voltages(
     voltages: np.ndarray | list[float],
     source: SourceConfig,
     drive_scale: float,
-    params: laser.LaserParams | None = None,
-    bias_over_threshold: float = 2.0,
+    phase_shift=None,
 ) -> np.ndarray:
-    """Rate-equation phase at each voltage, one integration per voltage.
+    """Rate-equation phase at each voltage, at most one integration per voltage.
 
-    Each phase equals what the calibration's integrations give for the
-    same drive step.
+    With the calibration's `phase_shift`, a drive step it has integrated
+    costs none; each phase equals what the calibration gives for that step.
     """
     with np.errstate(over="ignore"):
         steps = drive_scale * np.asarray(voltages, dtype=float)
     if not np.isfinite(steps).all():
         raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
-    phase_shift = _phase_shift(params, bias_over_threshold, source.perturbation_duration)
+    phase_shift = phase_shift or _phase_shift(source.perturbation_duration)
     return np.array([phase_shift(float(step)) for step in steps])
 
 
@@ -144,8 +153,10 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None
     if cfg.physical_mode:
-        scale = calibrate_physical_drive_scale(cfg.source)
-        physical = physical_phase_from_voltages(voltages, cfg.source, scale)
+        # one reference and one memo for the calibration and the voltages
+        phase_shift = _phase_shift(cfg.source.perturbation_duration)
+        scale = calibrate_physical_drive_scale(cfg.source, phase_shift)
+        physical = physical_phase_from_voltages(voltages, cfg.source, scale, phase_shift)
     if cfg.output_path:
         if physical is None:
             rows = np.column_stack([voltages, encoder])
@@ -185,12 +196,14 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     if cfg.mzi.delay_slots(cfg.source.clock_rate) != 1:
         raise PreconditionError("randomization requires a one-slot interferometer delay")
     visibility = cfg.mzi.visibility
-    if visibility == 0.0:
-        raise PreconditionError(
-            "randomization: mzi.visibility = 0 leaves every port fraction at 1/2, "
-            "so the cross-block fractions have no arcsine law to test"
-        )
     n_blocks = cfg.trials
+    # 1/2 (1 + V cos dphi) takes ~V 2**53 distinct doubles; with fewer than
+    # one per cross-block pair the ties alone reject the arcsine law
+    if visibility * 2.0**53 < n_blocks - 1:
+        raise PreconditionError(
+            f"randomization: mzi.visibility = {visibility:g} must be >= (trials - 1) * 2**-53, "
+            "or rounding leaves the port fractions too few values to resolve the arcsine law"
+        )
     if cfg.randomize_blocks:
         phases = np.random.default_rng(cfg.rng_seed).uniform(0.0, TWO_PI, n_blocks)
     else:

@@ -229,7 +229,7 @@ def integrate(
     g = params.gain_slope
     n_tr = params.transparency_carrier
     eps = params.gain_compression
-    alpha = params.linewidth_enhancement
+    half_alpha_j = 0.5j * params.linewidth_enhancement
     beta = params.spontaneous_fraction
 
     if beta > 0.0:
@@ -239,18 +239,17 @@ def integrate(
     else:
         xi = None
 
-    field = np.empty(n_steps + 1, dtype=complex)
-    carrier = np.empty(n_steps + 1, dtype=float)
     e = complex(initial_field)
     n = float(initial_carrier)
-    field[0] = e
-    carrier[0] = n
+    # stored in lists for the same reason: a numpy store per step costs more
+    field = [e] * (n_steps + 1)
+    carrier = [n] * (n_steps + 1)
 
     for k in range(n_steps):
         s = (e.real * e.real + e.imag * e.imag)
         gu = g * (n - n_tr)
         gc = gu / (1.0 + eps * s)
-        de1 = (0.5 * (gc - inv_tau_p) + 0.5j * alpha * (gu - inv_tau_p)) * e
+        de1 = (0.5 * (gc - inv_tau_p) + half_alpha_j * (gu - inv_tau_p)) * e
         dn1 = pump[k] - n / tau_n - gc * s
         if inj is not None:
             de1 += kappa * inj[k]
@@ -266,7 +265,7 @@ def integrate(
         sp = (ep.real * ep.real + ep.imag * ep.imag)
         gup = g * (np_ - n_tr)
         gcp = gup / (1.0 + eps * sp)
-        de2 = (0.5 * (gcp - inv_tau_p) + 0.5j * alpha * (gup - inv_tau_p)) * ep
+        de2 = (0.5 * (gcp - inv_tau_p) + half_alpha_j * (gup - inv_tau_p)) * ep
         dn2 = pump[k + 1] - np_ / tau_n - gcp * sp
         if inj is not None:
             de2 += kappa * inj[k + 1]

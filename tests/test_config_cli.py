@@ -499,6 +499,8 @@ class TestInputBounds:
             ("randomization", "source.mean_photon_number = 0", "no light reaches the decoder"),
             ("randomization", "trials = 1e18", "trials must be at most"),
             ("randomization", "mzi.visibility = 0", "mzi.visibility"),
+            ("randomization", "mzi.visibility = 1e-300", "mzi.visibility"),
+            ("randomization", "trials = 10000\nmzi.visibility = 1e-14", "mzi.visibility"),
             ("bb84-sweep", "losses =", "losses must have at least one value"),
             ("dps-sweep", "losses =", "losses must have at least one value"),
             ("dps-sweep", "fiber_km =", "fiber_km must have at least one value"),

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from chirplink import experiments, laser
 from chirplink.config import ExperimentConfig, StabilityConfig, load_config
-from chirplink.errors import PreconditionError
+from chirplink.errors import IntegrationDivergedError, PreconditionError
 from chirplink.optics import InterferometerParams
 from chirplink.source import SourceConfig, phase_from_voltage
 
@@ -76,35 +76,87 @@ class TestCalibration:
         assert down == pytest.approx(-up, rel=0.05)
 
     def test_physical_mode_integrates_reference_once(self, monkeypatch):
-        # per stage: [integrations, of which with a constant pump]
-        counts = {"calibrate": [0, 0], "voltages": [0, 0]}
-        stage = "voltages"
+        # the pump and step count of each integration, by the stage that made it
+        runs = {"calibrate": [], "voltages": []}
+        stage, scales = "voltages", []
         scalar, calibrate = laser.integrate, experiments.calibrate_physical_drive_scale
 
         def counting(*args, **kwargs):
-            counts[stage][0] += 1
-            counts[stage][1] += int(np.ptp(args[1].current) == 0.0)
-            return scalar(*args, **kwargs)
+            trace = scalar(*args, **kwargs)
+            runs[stage].append((args[1].current, len(trace) - 1))
+            return trace
 
         def calibrating(*args, **kwargs):
             nonlocal stage
             stage = "calibrate"
             try:
-                return calibrate(*args, **kwargs)
+                scales.append(calibrate(*args, **kwargs))
+                return scales[-1]
             finally:
                 stage = "voltages"
 
         monkeypatch.setattr(laser, "integrate", counting)
         monkeypatch.setattr(experiments, "calibrate_physical_drive_scale", calibrating)
-        voltages = [-0.35, 0.175, 0.35]
+        voltages = [-0.35, 0.0, 0.175, 0.35]
         cfg = ExperimentConfig(experiment="phase_voltage", voltages=voltages, physical_mode=True)
         res = experiments.run_phase_voltage(cfg)
-        # one reference per function, never one per voltage or per brentq step
-        n_calibrate, calibrate_references = counts["calibrate"]
-        assert n_calibrate > 3 and calibrate_references == 1
-        # one integration per voltage, plus the reference
-        assert counts["voltages"] == [len(voltages) + 1, 1]
+        every = runs["calibrate"] + runs["voltages"]
+        # one constant-pump reference per call, over the whole window
+        ((bias_pump, n_steps),) = [(pump, n) for pump, n in every if np.ptp(pump) == 0.0]
+        bias = bias_pump[0]
+        # every other run resumes at the last sample before the step's pump
+        k0 = round(experiments._PRE / experiments._DT) - 1
+        assert all(n == n_steps - k0 for pump, n in every if np.ptp(pump) > 0.0)
+        assert len(runs["calibrate"]) > 3
+        # 0 V is the reference and +V_pi brentq's last evaluation, so after
+        # the calibration only -V_pi and V_pi / 2 are integrated
+        levels = [pump[1] for pump, _ in runs["voltages"] if np.ptp(pump) > 0.0]
+        assert levels == [bias + scales[0] * -0.35, bias + scales[0] * 0.175]
+        assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
+        # nothing is carried over to the next call
+        experiments.run_phase_voltage(cfg)
+        assert len(runs["calibrate"]) + len(runs["voltages"]) == 2 * len(every)
+
+    def test_resumed_phase_equals_whole_window_run(self):
+        # the net phase from one integration over the whole window per drive step
+        dt, duration = experiments._DT, SourceConfig().perturbation_duration
+        pre, post = experiments._PRE, experiments._POST
+        quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
+        bias = 2.0 * quiet.threshold_current
+        n0, s0 = laser.stationary_state(quiet, bias)
+
+        def whole_window(step):
+            segments = [(pre, bias), (duration, bias + step), (post, bias)]
+            drive = laser.DriveWaveform.from_segments(segments, dt)
+            trace = laser.integrate(
+                quiet, drive, dt=dt, initial_field=complex(math.sqrt(s0), 0.0), initial_carrier=n0
+            )
+            return trace.phase[-1] - trace.phase[0]
+
+        phase_shift = experiments._phase_shift(duration)
+        scale = experiments.calibrate_physical_drive_scale(SourceConfig(), phase_shift)
+        reference = whole_window(0.0)
+        for volts in (-0.5, -0.35, -0.1, 0.1, 0.35, 0.5):
+            step = scale * volts
+            assert phase_shift(step) == whole_window(step) - reference
+        # a diverging run names the sample of the whole window, at the same state
+        with pytest.raises(IntegrationDivergedError) as whole:
+            whole_window(scale * 1e6)
+        with pytest.raises(IntegrationDivergedError) as resumed:
+            phase_shift(scale * 1e6)
+        assert str(resumed.value) == str(whole.value)
+
+    def test_default_physical_phases_bit_pin(self):
+        # recorded with one whole-window integration per drive step
+        cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
+        cfg = replace(cfg, physical_mode=True, output_path=None)
+        phases = experiments.run_phase_voltage(cfg).physical_phase
+        assert len(phases) == 21
+        assert (
+            hashlib.sha256(phases.tobytes()).hexdigest()
+            == "5d47dcf77c36e00f266038c7a3b5e513ddcb55c2ae033114d067048e52e1826f"
+        )
 
 
 class TestRandomization:
@@ -133,6 +185,19 @@ class TestRandomization:
             base, trials=10_000, rng_seed=2024, mzi=replace(base.mzi, visibility=0.952)
         )
         assert experiments.run_randomization(cfg).cross_ks_pvalue > 0.01
+
+    def test_visibility_must_resolve_one_fraction_per_cross_pair(self):
+        # 1/2 (1 + V cos dphi) takes ~V 2**53 values: at the bound the KS
+        # p-value is that of V = 1, one ulp below it the run is refused
+        base = ExperimentConfig(experiment="randomization", trials=10_001, rng_seed=2024)
+        bound = 10_000 * 2.0**-53
+        at_bound = replace(base, mzi=replace(base.mzi, visibility=bound))
+        assert experiments.run_randomization(at_bound).cross_ks_pvalue == pytest.approx(
+            experiments.run_randomization(base).cross_ks_pvalue, abs=0.01
+        )
+        below = replace(base, mzi=replace(base.mzi, visibility=math.nextafter(bound, 0.0)))
+        with pytest.raises(PreconditionError, match="mzi.visibility"):
+            experiments.run_randomization(below)
 
     def test_requires_two_blocks(self):
         cfg = ExperimentConfig(experiment="randomization", trials=1)
