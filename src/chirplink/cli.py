@@ -1,6 +1,7 @@
 """Command-line front end: one subcommand per experiment recipe.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence.
+Exit codes: 0 success, 2 configuration error (or no gcc to build the
+laser integrator), 3 numerical divergence.
 """
 
 from __future__ import annotations

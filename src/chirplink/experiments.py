@@ -49,6 +49,9 @@ def _write_summary(path, cfg: ExperimentConfig, payload: dict) -> None:
 # window of _PRE, the perturbation, then _POST for the laser to settle.
 _DT = 2e-13
 _PRE, _POST = 0.2e-9, 1.5e-9
+# At most this many steps per run: a run costs ~120 bytes and ~0.25 us
+# per step (0.09 us of it in the Heun kernel), so ~120 MB and ~0.25 s.
+_MAX_STEPS = 1e6
 
 
 def _phase_shift(duration: float):
@@ -62,6 +65,12 @@ def _phase_shift(duration: float):
     with its own: the array a run over the whole window unwraps, bit for
     bit.  Each drive level is integrated at most once per returned function.
     """
+    steps = (_PRE + duration + _POST) / _DT
+    if not steps <= _MAX_STEPS:
+        raise PreconditionError(
+            f"physical_mode: source.perturbation_duration = {duration:g} s asks for {steps:.3g} "
+            f"rate-equation steps of {_DT:g} s per run, more than {_MAX_STEPS:.0e}"
+        )
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)

@@ -31,7 +31,11 @@ particular device.
 from __future__ import annotations
 
 import cmath
+import ctypes
+import functools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +52,11 @@ MAX_DETUNING_HZ = 20e9
 # noise-dominated and treated as undefined.
 EXTINCTION_FLOOR_FRACTION = 1e-3
 
-# Hard cap on the photon number used to detect runaway integrations.
-_DIVERGENCE_INTENSITY = 1e12
+# The Heun kernel: its source, compiled on first use, and the gcc flags.
+# -ffp-contract=off keeps gcc from fusing a multiply and an add (its
+# default on aarch64), which would change the last bits of a step.
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_heun.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -144,20 +151,15 @@ class DriveWaveform:
 
 @dataclass(frozen=True)
 class FieldTrace:
-    """Sampled complex field, carrier number and unwrapped phase."""
+    """Sampled complex field and carrier number, with the unwrapped phase."""
 
     times: np.ndarray
     field: np.ndarray
     carrier: np.ndarray
-    phase: np.ndarray
 
-    @classmethod
-    def from_field(cls, times, field, carrier) -> "FieldTrace":
-        times = np.asarray(times, dtype=float)
-        field = np.asarray(field, dtype=complex)
-        carrier = np.asarray(carrier, dtype=float)
-        phase = np.unwrap(np.angle(field))
-        return cls(times, field, carrier, phase)
+    @functools.cached_property
+    def phase(self) -> np.ndarray:
+        return np.unwrap(np.angle(self.field))
 
     @property
     def intensity(self) -> np.ndarray:
@@ -189,6 +191,84 @@ def stationary_state(params: LaserParams, drive_level: float) -> tuple[float, fl
     return n, s
 
 
+@functools.cache
+def _heun():
+    """The kernel of _heun.c, compiled by gcc on first use.
+
+    The library is cached under $XDG_CACHE_HOME/chirplink (default
+    ~/.cache/chirplink), named by the sha256 of the source, the gcc
+    command and the machine architecture.  It is written under a
+    temporary name and moved into place, so runs that compile at once do
+    not clash.  Where the cache cannot be written, it is built in a
+    private temporary directory.
+    """
+    import hashlib  # here, so that importing chirplink loads no hashlib
+
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        source = fh.read()
+    command = ["gcc", *_CFLAGS, "-x", "c", "-", "-lm"]
+    # a cache shared between machines of two architectures keeps one of each
+    key = hashlib.sha256(source + " ".join([*command, os.uname().machine]).encode()).hexdigest()[:16]
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "chirplink")
+    lib = os.path.join(cache, f"heun-{key}.so")
+    private = None
+    if not os.path.exists(lib):
+        import subprocess  # only to compile
+
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        except OSError:  # an unwritable cache
+            private = tempfile.mkdtemp(prefix="chirplink-")
+            lib = os.path.join(private, "heun.so")
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
+        os.close(fd)
+        try:
+            proc = subprocess.run([*command, "-o", tmp], input=source, capture_output=True)
+            if proc.returncode:
+                raise OSError(proc.stderr.decode(errors="replace").strip())
+            os.replace(tmp, lib)
+        except OSError as exc:
+            raise OSError(f"the laser integrator needs gcc to compile {_KERNEL_SOURCE}: {exc}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    kernel = ctypes.CDLL(lib).chirplink_heun
+    if private:  # the loaded library stays mapped
+        os.remove(lib)
+        os.rmdir(private)
+    kernel.restype = ctypes.c_long
+    kernel.argtypes = (
+        [ctypes.c_long] + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 3
+        + [ctypes.c_long] * 2 + [ctypes.c_void_p] * 2
+    )
+    return kernel
+
+
+def _kernel_inputs(params: LaserParams, drive: DriveWaveform, dt: float):
+    """The sample times, the pump at them and the kernel's float arguments."""
+    if not 0.0 < dt <= params.photon_lifetime / 10.0:
+        raise PreconditionError("dt must be > 0 and <= photon_lifetime / 10")
+    t0 = float(drive.times[0])
+    n_steps = int(math.floor(drive.duration / dt + 1e-9))
+    times = t0 + dt * np.arange(n_steps + 1)
+    pump = np.interp(times, drive.times, drive.current)
+    half_alpha_j = 0.5j * params.linewidth_enhancement
+    coefficients = (
+        params.carrier_lifetime,
+        1.0 / params.photon_lifetime,
+        params.gain_slope,
+        params.transparency_carrier,
+        params.gain_compression,
+        half_alpha_j.real,
+        half_alpha_j.imag,
+        params.spontaneous_fraction,
+        params.injection_coupling,
+        dt,
+    )
+    return times, pump, coefficients
+
+
 def integrate(
     params: LaserParams,
     drive: DriveWaveform,
@@ -200,86 +280,35 @@ def integrate(
 ) -> FieldTrace:
     """Integrate the stochastic rate equations over the drive window.
 
-    Fixed-step stochastic Heun scheme; deterministic for a fixed
-    (params, drive, noise_seed, dt).  The Langevin term is applied to
-    the field only.
+    Fixed-step stochastic Heun scheme, run by the compiled kernel;
+    deterministic for a fixed (params, drive, noise_seed, dt).  The
+    Langevin term is applied to the field only.
     """
-    if dt > params.photon_lifetime / 10.0:
-        raise PreconditionError("dt must be <= photon_lifetime / 10")
+    times, pump, coefficients = _kernel_inputs(params, drive, dt)
+    n_steps = len(times) - 1
 
-    t0 = float(drive.times[0])
-    n_steps = int(math.floor(drive.duration / dt + 1e-9))
-    times = t0 + dt * np.arange(n_steps + 1)
-    # The loop reads Python floats and complexes: a numpy scalar indexed
-    # from an array would turn every operation of the step into a numpy
-    # scalar operation, ~4x slower, for the same IEEE arithmetic.
-    pump = np.interp(times, drive.times, drive.current).tolist()
-
-    kappa = params.injection_coupling
-    if injection is not None and kappa > 0.0:
+    inj = None
+    if injection is not None and params.injection_coupling > 0.0:
         inj = np.interp(times, injection.times, injection.field.real) + 1j * np.interp(
             times, injection.times, injection.field.imag
         )
-        inj = (inj * np.exp(1j * TWO_PI * params.detuning * (times - t0))).tolist()
-    else:
-        inj = None
+        inj = inj * np.exp(1j * TWO_PI * params.detuning * (times - times[0]))
 
-    tau_n = params.carrier_lifetime
-    inv_tau_p = 1.0 / params.photon_lifetime
-    g = params.gain_slope
-    n_tr = params.transparency_carrier
-    eps = params.gain_compression
-    half_alpha_j = 0.5j * params.linewidth_enhancement
-    beta = params.spontaneous_fraction
+    xi = None
+    if params.spontaneous_fraction > 0.0:
+        xi = np.random.default_rng(noise_seed).standard_normal((n_steps, 2))
 
-    if beta > 0.0:
-        rng = np.random.default_rng(noise_seed)
-        xi = rng.standard_normal((n_steps, 2))
-        xi_re, xi_im = xi[:, 0].tolist(), xi[:, 1].tolist()
-    else:
-        xi = None
-
-    e = complex(initial_field)
-    n = float(initial_carrier)
-    # stored in lists for the same reason: a numpy store per step costs more
-    field = [e] * (n_steps + 1)
-    carrier = [n] * (n_steps + 1)
-
-    for k in range(n_steps):
-        s = (e.real * e.real + e.imag * e.imag)
-        gu = g * (n - n_tr)
-        gc = gu / (1.0 + eps * s)
-        de1 = (0.5 * (gc - inv_tau_p) + half_alpha_j * (gu - inv_tau_p)) * e
-        dn1 = pump[k] - n / tau_n - gc * s
-        if inj is not None:
-            de1 += kappa * inj[k]
-
-        if xi is not None:
-            amp = math.sqrt(max(n, 0.0) * beta / tau_n * dt * 0.5)
-            noise = complex(amp * xi_re[k], amp * xi_im[k])
-        else:
-            noise = 0j
-
-        ep = e + de1 * dt + noise
-        np_ = n + dn1 * dt
-        sp = (ep.real * ep.real + ep.imag * ep.imag)
-        gup = g * (np_ - n_tr)
-        gcp = gup / (1.0 + eps * sp)
-        de2 = (0.5 * (gcp - inv_tau_p) + half_alpha_j * (gup - inv_tau_p)) * ep
-        dn2 = pump[k + 1] - np_ / tau_n - gcp * sp
-        if inj is not None:
-            de2 += kappa * inj[k + 1]
-
-        e = e + 0.5 * (de1 + de2) * dt + noise
-        n = n + 0.5 * (dn1 + dn2) * dt
-
-        s_new = e.real * e.real + e.imag * e.imag
-        if not (math.isfinite(s_new) and math.isfinite(n)) or s_new > _DIVERGENCE_INTENSITY:
-            raise IntegrationDivergedError(k + 1, s_new, n)
-        field[k + 1] = e
-        carrier[k + 1] = n
-
-    return FieldTrace.from_field(times, field, carrier)
+    field = np.empty(n_steps + 1, dtype=complex)
+    carrier = np.empty(n_steps + 1)
+    field[0], carrier[0] = complex(initial_field), float(initial_carrier)
+    k = _heun()(
+        n_steps, *coefficients, pump.ctypes.data, None if inj is None else inj.ctypes.data,
+        None if xi is None else xi.ctypes.data, 1, 2, field.ctypes.data, carrier.ctypes.data,
+    )
+    if k:
+        e = complex(field[k])
+        raise IntegrationDivergedError(k, e.real * e.real + e.imag * e.imag, carrier[k])
+    return FieldTrace(times, field, carrier)
 
 
 def integrate_ensemble(
@@ -291,93 +320,44 @@ def integrate_ensemble(
     initial_field: complex = 0j,
     initial_carrier: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate `n_runs` copies of the rate equations at once, without injection.
+    """Integrate `n_runs` copies of the rate equations, without injection.
 
     All runs share the pump; with spontaneous_fraction > 0 each run draws
-    its own Langevin noise from one generator.  Returns the final field
-    and the final carrier of each run, keeping only the current state.
-    The step is that of :func:`integrate` in real arithmetic, in the order
-    of Python's complex operations, so a noiseless run equals
-    :func:`integrate` bit for bit.
+    its own Langevin noise from one generator, as one (n_steps, 2, n_runs)
+    array.  Returns the final field and the final carrier of each run.
+    Each run is the kernel of :func:`integrate` fed its own noise, so a
+    noiseless run equals it bit for bit.  A divergence names the run that
+    diverges at the earliest step, the lowest-numbered one on a tie.
     """
-    if dt > params.photon_lifetime / 10.0:
-        raise PreconditionError("dt must be <= photon_lifetime / 10")
     if n_runs < 1:
         raise PreconditionError("n_runs must be >= 1")
+    times, pump, coefficients = _kernel_inputs(params, drive, dt)
+    n_steps = len(times) - 1
 
-    t0 = float(drive.times[0])
-    n_steps = int(math.floor(drive.duration / dt + 1e-9))
-    times = t0 + dt * np.arange(n_steps + 1)
-    pump = np.interp(times, drive.times, drive.current)
+    xi = None
+    if params.spontaneous_fraction > 0.0:
+        xi = np.random.default_rng(rng_seed).standard_normal((n_steps, 2, n_runs))
 
-    tau_n = params.carrier_lifetime
-    inv_tau_p = 1.0 / params.photon_lifetime
-    g = params.gain_slope
-    n_tr = params.transparency_carrier
-    eps = params.gain_compression
-    half_alpha = 0.5 * params.linewidth_enhancement
-    beta = params.spontaneous_fraction
-    rng = np.random.default_rng(rng_seed)
-
-    def derivatives(er, ei, n, pump_k):
-        # (0.5 (gc - 1/tau_p) + 0.5j alpha (gu - 1/tau_p)) * E as Python
-        # multiplies complex numbers: (ar br - ai bi) + (ar bi + ai br) i
-        s = er * er + ei * ei
-        gu = g * (n - n_tr)
-        gc = gu / (1.0 + eps * s)
-        ar = 0.5 * (gc - inv_tau_p)
-        ai = half_alpha * (gu - inv_tau_p)
-        return ar * er - ai * ei, ar * ei + ai * er, pump_k - n / tau_n - gc * s
-
-    e0 = complex(initial_field)
-    er = np.full(n_runs, e0.real)
-    ei = np.full(n_runs, e0.imag)
-    n = np.full(n_runs, float(initial_carrier))
-
-    for k in range(n_steps):
-        der1, dei1, dn1 = derivatives(er, ei, n, pump[k])
-        epr = er + der1 * dt
-        epi = ei + dei1 * dt
-        if beta > 0.0:
-            amp = np.sqrt(np.maximum(n, 0.0) * (beta / tau_n * dt * 0.5))
-            z = rng.standard_normal((2, n_runs))
-            nr, ni = amp * z[0], amp * z[1]
-            epr += nr
-            epi += ni
-        der2, dei2, dn2 = derivatives(epr, epi, n + dn1 * dt, pump[k + 1])
-
-        er = er + 0.5 * (der1 + der2) * dt
-        ei = ei + 0.5 * (dei1 + dei2) * dt
-        if beta > 0.0:
-            er += nr
-            ei += ni
-        n = n + 0.5 * (dn1 + dn2) * dt
-
-        s = er * er + ei * ei
-        if not (s.max() <= _DIVERGENCE_INTENSITY and np.isfinite(n).all()):
-            bad = ~(np.isfinite(s) & np.isfinite(n)) | (s > _DIVERGENCE_INTENSITY)
-            run = int(np.argmax(bad))
-            raise IntegrationDivergedError(k + 1, s[run], n[run], run)
-
-    field = np.empty(n_runs, dtype=complex)
-    field.real, field.imag = er, ei
-    return field, n
-
-
-def instantaneous_frequency(trace: FieldTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Chirp Delta-nu(t) from central differences of the unwrapped phase.
-
-    Returns (times, chirp) of length len(trace) - 2.  The whole trace
-    must sit above the extinction floor for the phase to be meaningful.
-    """
-    if len(trace) < 3:
-        raise PreconditionError("trace too short for central differences")
-    floor = trace.extinction_floor
-    if np.any(trace.intensity < floor):
-        raise UndefinedPhaseError("span includes extinguished samples")
-    dt = np.diff(trace.times)
-    chirp = (trace.phase[2:] - trace.phase[:-2]) / (dt[1:] + dt[:-1]) / TWO_PI
-    return trace.times[1:-1], chirp
+    field = np.empty(n_steps + 1, dtype=complex)
+    carrier = np.empty(n_steps + 1)
+    finals = np.empty(n_runs, dtype=complex)
+    final_carriers = np.empty(n_runs)
+    first = None  # (sample index, run, field, carrier) of the earliest divergence
+    kernel = _heun()
+    for run in range(n_runs):
+        field[0], carrier[0] = complex(initial_field), float(initial_carrier)
+        k = kernel(
+            n_steps, *coefficients, pump.ctypes.data, None,
+            None if xi is None else xi.ctypes.data + run * xi.itemsize, n_runs, 2 * n_runs,
+            field.ctypes.data, carrier.ctypes.data,
+        )
+        if k and (first is None or k < first[0]):
+            first = (k, run, complex(field[k]), float(carrier[k]))
+        finals[run], final_carriers[run] = field[-1], carrier[-1]
+    if first is not None:
+        k, run, e, n = first
+        raise IntegrationDivergedError(k, e.real * e.real + e.imag * e.imag, n, run)
+    return finals, final_carriers
 
 
 def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[float, float]) -> float:

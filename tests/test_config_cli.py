@@ -505,6 +505,16 @@ class TestInputBounds:
             ("dps-sweep", "losses =", "losses must have at least one value"),
             ("dps-sweep", "fiber_km =", "fiber_km must have at least one value"),
             ("phase-voltage", "voltages =\nphysical_mode = true", "voltages must have at least one"),
+            (
+                "phase-voltage",
+                "physical_mode = true\nsource.perturbation_duration = 1e-3",
+                "source.perturbation_duration = 0.001 s asks for 5e+09 rate-equation steps",
+            ),
+            (
+                "phase-voltage",
+                "physical_mode = true\nsource.perturbation_duration = 2e-7",
+                "source.perturbation_duration",
+            ),
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, lines, message):
@@ -551,3 +561,16 @@ class TestInputBounds:
                 summary = out.with_name("run.csv.json")
                 if summary.exists():
                     json.loads(summary.read_text(), parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("key", [key for key in FUZZ_KEYS if key.startswith("source.")])
+    def test_fuzz_physical_mode_source_values(self, tmp_path, key):
+        # the one-key fuzz runs phase-voltage without the rate-equation laser
+        for value in FUZZ_VALUES:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{FUZZ_BASES['phase-voltage']}physical_mode = true\n{key} = {value}\n")
+            out = tmp_path / f"run{value}.csv"
+            code = cli.main(["phase-voltage", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3), value
+            if code == 0:
+                rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+                assert np.isfinite([[float(x) for x in row.split(",")] for row in rows]).all(), value

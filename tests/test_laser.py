@@ -1,19 +1,20 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize
 
 from chirplink import laser
-from chirplink.errors import (
-    IntegrationDivergedError,
-    PreconditionError,
-    UndefinedPhaseError,
-)
+from chirplink.errors import IntegrationDivergedError, PreconditionError
 
 DT = 2e-13
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -105,54 +106,19 @@ class TestIntegrate:
         with pytest.raises(PreconditionError):
             laser.integrate(params, drive, dt=params.photon_lifetime)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-13, math.nan])
+    def test_dt_not_positive_rejected(self, params, dt):
+        drive = laser.DriveWaveform.constant(params.threshold_current, 1e-9, 1e-11)
+        with pytest.raises(PreconditionError):
+            laser.integrate(params, drive, dt=dt)
+        with pytest.raises(PreconditionError):
+            laser.integrate_ensemble(params, drive, 2, dt=dt)
+
     def test_divergence_reports_sample_index(self, params):
         drive = laser.DriveWaveform.constant(1e30, 1e-10, 1e-12)
         with pytest.raises(IntegrationDivergedError) as exc:
             laser.integrate(params, drive, dt=1e-13, initial_field=1e-3)
         assert exc.value.step_index > 0
-
-
-class TestInstantaneousFrequency:
-    def test_linear_phase_gives_constant_chirp(self):
-        times = np.arange(0.0, 1e-9, 1e-12)
-        field = np.exp(1j * 2 * np.pi * 1e9 * times)
-        trace = laser.FieldTrace.from_field(times, field, np.zeros_like(times))
-        _, chirp = laser.instantaneous_frequency(trace)
-        assert len(chirp) == len(trace) - 2
-        assert np.allclose(chirp, 1e9, rtol=1e-6)
-
-    def test_steady_state_chirp_is_zero(self, quiet):
-        drive = laser.DriveWaveform.constant(2.0 * quiet.threshold_current, 2e-9, 1e-11)
-        n0, s0 = laser.stationary_state(quiet, 2.0 * quiet.threshold_current)
-        trace = laser.integrate(
-            quiet, drive, dt=DT, initial_field=complex(math.sqrt(s0)), initial_carrier=n0
-        )
-        _, chirp = laser.instantaneous_frequency(trace)
-        # solitary-laser offset from gain compression is a constant frequency
-        assert np.std(chirp) < 1e-3 * abs(np.mean(chirp)) + 1e3
-
-    def test_perturbation_chirp_integrates_to_phase_step(self, quiet):
-        bias = 2.0 * quiet.threshold_current
-        n0, s0 = laser.stationary_state(quiet, bias)
-        drive = laser.DriveWaveform.from_segments(
-            [(0.5e-9, bias), (250e-12, 1.4 * bias), (1e-9, bias)], 1e-11
-        )
-        trace = laser.integrate(
-            quiet, drive, dt=DT, initial_field=complex(math.sqrt(s0)), initial_carrier=n0
-        )
-        times, chirp = laser.instantaneous_frequency(trace)
-        dt = times[1] - times[0]
-        integral = np.sum(chirp) * dt
-        endpoints = (trace.phase[-1] - trace.phase[0]) / (2 * np.pi)
-        assert integral == pytest.approx(endpoints, rel=0.02)
-
-    def test_extinguished_span_raises(self, params):
-        drive = laser.DriveWaveform.from_segments(
-            [(0.5e-9, 0.0), (1e-9, 2.0 * params.threshold_current)], 1e-11
-        )
-        trace = laser.integrate(params, drive, noise_seed=1, dt=DT)
-        with pytest.raises(UndefinedPhaseError):
-            laser.instantaneous_frequency(trace)
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +137,7 @@ class TestLockedPhaseOffset:
         assert laser.locked_phase_offset(steady, steady, (1e-9, 3e-9)) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset_recovered(self, steady):
-        shifted = laser.FieldTrace.from_field(
-            steady.times, steady.field * np.exp(1j * np.pi / 2), steady.carrier
-        )
+        shifted = laser.FieldTrace(steady.times, steady.field * np.exp(1j * np.pi / 2), steady.carrier)
         off = laser.locked_phase_offset(steady, shifted, (1e-9, 3e-9))
         assert off == pytest.approx(np.pi / 2, abs=1e-9)
 
@@ -233,6 +197,208 @@ class TestBitPins:
         )
         assert sha256(slave.field) == "cdd5038820ad7e15b9957536ce730354616cb070cc9557f90b82579d28ff635b"
         assert sha256(slave.carrier) == "4e42df0736e1a8b1edadc8a514739b5d8ad08fd67fc84b25bfa521a7ce65fe8c"
+
+
+def oracle_integrate(params, drive, injection=None, noise_seed=0, dt=DT,
+                     initial_field=1e-6 + 0j, initial_carrier=0.0, xi=None):
+    """The stochastic Heun step in Python complex arithmetic, step by step.
+
+    This is the loop the compiled kernel replaced; the kernel must give the
+    same bits.  `xi`, an (n_steps, 2) array of unit normals, replaces the
+    noise drawn from `noise_seed`.
+    """
+    t0 = float(drive.times[0])
+    n_steps = int(math.floor(drive.duration / dt + 1e-9))
+    times = t0 + dt * np.arange(n_steps + 1)
+    pump = np.interp(times, drive.times, drive.current).tolist()
+
+    kappa = params.injection_coupling
+    inj = None
+    if injection is not None and kappa > 0.0:
+        inj = np.interp(times, injection.times, injection.field.real) + 1j * np.interp(
+            times, injection.times, injection.field.imag
+        )
+        inj = (inj * np.exp(1j * 2.0 * math.pi * params.detuning * (times - t0))).tolist()
+
+    tau_n = params.carrier_lifetime
+    inv_tau_p = 1.0 / params.photon_lifetime
+    g = params.gain_slope
+    n_tr = params.transparency_carrier
+    eps = params.gain_compression
+    half_alpha_j = 0.5j * params.linewidth_enhancement
+    beta = params.spontaneous_fraction
+    if beta > 0.0 and xi is None:
+        xi = np.random.default_rng(noise_seed).standard_normal((n_steps, 2))
+    if beta > 0.0:
+        xi_re, xi_im = xi[:, 0].tolist(), xi[:, 1].tolist()
+
+    e = complex(initial_field)
+    n = float(initial_carrier)
+    field = [e] * (n_steps + 1)
+    carrier = [n] * (n_steps + 1)
+    for k in range(n_steps):
+        s = e.real * e.real + e.imag * e.imag
+        gu = g * (n - n_tr)
+        gc = gu / (1.0 + eps * s)
+        de1 = (0.5 * (gc - inv_tau_p) + half_alpha_j * (gu - inv_tau_p)) * e
+        dn1 = pump[k] - n / tau_n - gc * s
+        if inj is not None:
+            de1 += kappa * inj[k]
+
+        if beta > 0.0:
+            amp = math.sqrt(max(n, 0.0) * beta / tau_n * dt * 0.5)
+            noise = complex(amp * xi_re[k], amp * xi_im[k])
+        else:
+            noise = 0j
+
+        ep = e + de1 * dt + noise
+        np_ = n + dn1 * dt
+        sp = ep.real * ep.real + ep.imag * ep.imag
+        gup = g * (np_ - n_tr)
+        gcp = gup / (1.0 + eps * sp)
+        de2 = (0.5 * (gcp - inv_tau_p) + half_alpha_j * (gup - inv_tau_p)) * ep
+        dn2 = pump[k + 1] - np_ / tau_n - gcp * sp
+        if inj is not None:
+            de2 += kappa * inj[k + 1]
+
+        e = e + 0.5 * (de1 + de2) * dt + noise
+        n = n + 0.5 * (dn1 + dn2) * dt
+
+        s_new = e.real * e.real + e.imag * e.imag
+        if not (math.isfinite(s_new) and math.isfinite(n)) or s_new > 1e12:
+            raise IntegrationDivergedError(k + 1, s_new, n)
+        field[k + 1] = e
+        carrier[k + 1] = n
+    return laser.FieldTrace(times, np.array(field), np.array(carrier))
+
+
+def assert_same_bits(trace, oracle):
+    for name in ("times", "field", "carrier", "phase"):
+        assert getattr(trace, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+
+class TestKernelMatchesOracle:
+    """The compiled kernel and the Python step give the same bits."""
+
+    def test_noisy_gain_switched(self, params):
+        th = params.threshold_current
+        drive = laser.DriveWaveform.from_segments([(0.3e-9, 0.2 * th), (1.2e-9, 3.0 * th)], 1e-11)
+        for seed in (1, 2):
+            assert_same_bits(
+                laser.integrate(params, drive, noise_seed=seed),
+                oracle_integrate(params, drive, noise_seed=seed),
+            )
+
+    @pytest.mark.parametrize("detuning", [0.0, 1.5e9, -4e9])
+    def test_noisy_injection_locked(self, params, steady, detuning):
+        slave = replace(params, injection_coupling=5e10, detuning=detuning)
+        n0, s0 = laser.stationary_state(slave, 2.0 * slave.threshold_current)
+        drive = laser.DriveWaveform.constant(2.0 * slave.threshold_current, 1.5e-9, 1e-11)
+        kwargs = dict(injection=steady, noise_seed=7, initial_field=1j * math.sqrt(s0), initial_carrier=n0)
+        assert_same_bits(laser.integrate(slave, drive, **kwargs), oracle_integrate(slave, drive, **kwargs))
+
+    def test_drive_step(self, quiet):
+        bias = 2.0 * quiet.threshold_current
+        n0, s0 = laser.stationary_state(quiet, bias)
+        drive = laser.DriveWaveform.from_segments([(0.2e-9, bias), (250e-12, 1.4 * bias), (1e-9, bias)], 1e-11)
+        kwargs = dict(initial_field=complex(math.sqrt(s0)), initial_carrier=n0)
+        assert_same_bits(laser.integrate(quiet, drive, **kwargs), oracle_integrate(quiet, drive, **kwargs))
+
+    @pytest.mark.parametrize("level, initial_field", [(1e30, 1e-3), (0.0, complex(math.inf, 0.0))])
+    def test_divergence_message(self, params, level, initial_field):
+        drive = laser.DriveWaveform(np.arange(101) * 1e-12, np.full(101, level))
+        with pytest.raises(IntegrationDivergedError) as kernel:
+            laser.integrate(params, drive, dt=1e-13, initial_field=initial_field)
+        with pytest.raises(IntegrationDivergedError) as oracle:
+            oracle_integrate(params, drive, dt=1e-13, initial_field=initial_field)
+        assert str(kernel.value) == str(oracle.value)
+        assert kernel.value.step_index == oracle.value.step_index > 0
+
+    def test_noisy_ensemble_run(self, params):
+        th = params.threshold_current
+        drive = laser.DriveWaveform.from_segments([(0.3e-9, 0.2 * th), (0.4e-9, 3.0 * th)], 1e-11)
+        n_runs = 5
+        fields, carriers = laser.integrate_ensemble(params, drive, n_runs, rng_seed=3)
+        n_steps = int(math.floor(drive.duration / DT + 1e-9))
+        xi = np.random.default_rng(3).standard_normal((n_steps, 2, n_runs))
+        for run in (0, 3):
+            trace = oracle_integrate(params, drive, initial_field=0j, xi=xi[:, :, run])
+            assert fields[run].tobytes() == trace.field[-1].tobytes()
+            assert carriers[run].tobytes() == trace.carrier[-1].tobytes()
+
+    def test_ensemble_divergence_names_earliest_run(self, params):
+        # at this carrier the noise decides the step at which a run crosses
+        # the intensity cap, and run 0 crosses it later than another run
+        drive = laser.DriveWaveform(np.arange(11) * 1e-13, np.zeros(11))
+        kwargs = dict(dt=1e-13, initial_field=0j, initial_carrier=4e6)
+        xi = np.random.default_rng(5).standard_normal((10, 2, 6))
+        alone = []
+        for run in range(6):
+            with pytest.raises(IntegrationDivergedError) as exc:
+                oracle_integrate(params, drive, xi=xi[:, :, run], **kwargs)
+            alone.append(exc.value)
+        first = min(range(6), key=lambda run: alone[run].step_index)  # lowest run on a tie
+        assert alone[0].step_index > alone[first].step_index
+        with pytest.raises(IntegrationDivergedError) as batch:
+            laser.integrate_ensemble(params, drive, 6, rng_seed=5, **kwargs)
+        assert batch.value.run_index == first
+        assert str(batch.value) == str(alone[first]).replace(":", f" in run {first}:", 1)
+
+
+def run_fresh(script, cache, cwd=None, **env_vars):
+    """Run `script` in a new interpreter with XDG_CACHE_HOME set to `cache`."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+INTEGRATE_ONCE = """
+import sys
+from chirplink import laser
+p = laser.LaserParams()
+laser.integrate(p, laser.DriveWaveform.constant(p.threshold_current, 1e-11, 1e-12))
+print("subprocess" in sys.modules)
+"""
+
+
+class TestKernelBuild:
+    def test_import_compiles_nothing(self, tmp_path):
+        script = (
+            "import sys; import chirplink.cli; "
+            "print(sorted({'subprocess', 'hashlib'} & set(sys.modules)))"
+        )
+        proc = run_fresh(script, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_first_integration_compiles_into_cache_once(self, tmp_path):
+        first = run_fresh(INTEGRATE_ONCE, tmp_path)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout.strip() == "True"
+        (lib,) = (tmp_path / "chirplink").iterdir()
+        assert lib.name.startswith("heun-") and lib.suffix == ".so"
+        second = run_fresh(INTEGRATE_ONCE, tmp_path)
+        assert second.returncode == 0, second.stderr
+        assert second.stdout.strip() == "False"  # loaded, not compiled
+
+    def test_unwritable_cache_builds_in_private_directory(self, tmp_path):
+        (tmp_path / "cache").write_text("a file, not a directory")
+        (tmp_path / "tmp").mkdir()
+        proc = run_fresh(INTEGRATE_ONCE, tmp_path / "cache", TMPDIR=str(tmp_path / "tmp"))
+        assert proc.returncode == 0, proc.stderr
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_without_gcc_exit_code(self, tmp_path):
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "bin").mkdir()
+        (tmp_path / "pv.cfg").write_text("experiment = phase_voltage\nphysical_mode = true\n")
+        script = "import chirplink.cli; raise SystemExit(chirplink.cli.main(['phase-voltage', '--config', 'pv.cfg']))"
+        proc = run_fresh(script, tmp_path / "cache", cwd=tmp_path, PATH=str(tmp_path / "bin"))
+        assert proc.returncode == 2
+        assert "needs gcc" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestEnsemble:
