@@ -58,6 +58,10 @@ EXTINCTION_FLOOR_FRACTION = 1e-3
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_heun.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
+# integrate_ensemble draws its Langevin noise this many steps at a time:
+# 16 bytes per step and run, so 8 MB for 1000 runs.
+_NOISE_BLOCK_STEPS = 512
+
 
 @dataclass(frozen=True)
 class LaserParams:
@@ -139,14 +143,24 @@ class DriveWaveform:
 
     @classmethod
     def from_segments(cls, segments, sample_interval: float) -> "DriveWaveform":
-        """Build a piecewise-constant drive from (duration, level) pairs."""
-        levels = []
+        """Build a piecewise-constant drive from (duration, level) pairs.
+
+        Each segment holds its level for round(duration / sample_interval)
+        samples, and the drive ends on one more sample of the last level.
+        """
+        if not sample_interval > 0.0:
+            raise PreconditionError("drive sample_interval must be > 0")
+        counts, levels = [], []
         for duration, level in segments:
-            n = int(round(duration / sample_interval))
-            levels.extend([float(level)] * n)
-        levels.append(levels[-1])
-        t = np.arange(len(levels)) * sample_interval
-        return cls(t, np.asarray(levels))
+            if not 0.0 <= duration < math.inf:
+                raise PreconditionError(f"drive segment duration {duration!r} must be finite and >= 0")
+            counts.append(int(round(duration / sample_interval)))
+            levels.append(float(level))
+        if sum(counts) == 0:
+            raise PreconditionError("drive segments must span at least one sample")
+        current = np.repeat(levels, counts)
+        current = np.append(current, current[-1])
+        return cls(np.arange(current.size) * sample_interval, current)
 
 
 @dataclass(frozen=True)
@@ -323,40 +337,44 @@ def integrate_ensemble(
     """Integrate `n_runs` copies of the rate equations, without injection.
 
     All runs share the pump; with spontaneous_fraction > 0 each run draws
-    its own Langevin noise from one generator, as one (n_steps, 2, n_runs)
-    array.  Returns the final field and the final carrier of each run.
-    Each run is the kernel of :func:`integrate` fed its own noise, so a
-    noiseless run equals it bit for bit.  A divergence names the run that
-    diverges at the earliest step, the lowest-numbered one on a tie.
+    its own Langevin noise from one generator, in the stream order of one
+    (n_steps, 2, n_runs) array.  That array is drawn _NOISE_BLOCK_STEPS
+    steps at a time, and each run resumes from its state at the end of
+    the last block, so the result does not depend on the block size.
+    Returns the final field and the final carrier of each run.  Each run
+    is the kernel of :func:`integrate` fed its own noise, so a noiseless
+    run equals it bit for bit.  A divergence names the run that diverges
+    at the earliest step, the lowest-numbered one on a tie.
     """
     if n_runs < 1:
         raise PreconditionError("n_runs must be >= 1")
     times, pump, coefficients = _kernel_inputs(params, drive, dt)
     n_steps = len(times) - 1
+    rng = np.random.default_rng(rng_seed) if params.spontaneous_fraction > 0.0 else None
 
-    xi = None
-    if params.spontaneous_fraction > 0.0:
-        xi = np.random.default_rng(rng_seed).standard_normal((n_steps, 2, n_runs))
-
-    field = np.empty(n_steps + 1, dtype=complex)
-    carrier = np.empty(n_steps + 1)
-    finals = np.empty(n_runs, dtype=complex)
-    final_carriers = np.empty(n_runs)
+    block = max(1, min(n_steps, _NOISE_BLOCK_STEPS))
+    field = np.empty(block + 1, dtype=complex)
+    carrier = np.empty(block + 1)
+    finals = np.full(n_runs, complex(initial_field))
+    final_carriers = np.full(n_runs, float(initial_carrier))
     first = None  # (sample index, run, field, carrier) of the earliest divergence
-    kernel = _heun()
-    for run in range(n_runs):
-        field[0], carrier[0] = complex(initial_field), float(initial_carrier)
-        k = kernel(
-            n_steps, *coefficients, pump.ctypes.data, None,
-            None if xi is None else xi.ctypes.data + run * xi.itemsize, n_runs, 2 * n_runs,
-            field.ctypes.data, carrier.ctypes.data,
-        )
-        if k and (first is None or k < first[0]):
-            first = (k, run, complex(field[k]), float(carrier[k]))
-        finals[run], final_carriers[run] = field[-1], carrier[-1]
-    if first is not None:
-        k, run, e, n = first
-        raise IntegrationDivergedError(k, e.real * e.real + e.imag * e.imag, n, run)
+    kernel, at_field, at_carrier = _heun(), field.ctypes.data, carrier.ctypes.data
+    for start in range(0, n_steps, block):
+        m = min(block, n_steps - start)
+        at_pump = pump.ctypes.data + start * pump.itemsize
+        xi = None if rng is None else rng.standard_normal((m, 2, n_runs))
+        for run in range(n_runs):
+            field[0], carrier[0] = finals[run], final_carriers[run]
+            k = kernel(
+                m, *coefficients, at_pump, None, None if xi is None else xi.ctypes.data + run * xi.itemsize,
+                n_runs, 2 * n_runs, at_field, at_carrier,
+            )
+            if k and (first is None or start + k < first[0]):
+                first = (start + k, run, complex(field[k]), float(carrier[k]))
+            finals[run], final_carriers[run] = field[m], carrier[m]
+        if first is not None:  # a later block can only diverge later
+            k, run, e, n = first
+            raise IntegrationDivergedError(k, e.real * e.real + e.imag * e.imag, n, run)
     return finals, final_carriers
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chirplink import experiments, laser
 from chirplink.config import ExperimentConfig, StabilityConfig, load_config
@@ -140,6 +142,8 @@ class TestCalibration:
         for volts in (-0.5, -0.35, -0.1, 0.1, 0.35, 0.5):
             step = scale * volts
             assert phase_shift(step) == whole_window(step) - reference
+        # ~100 wraps of the phase, nearly all of them in the resumed run
+        assert phase_shift(scale * -3.0) == whole_window(scale * -3.0) - reference
         # a diverging run names the sample of the whole window, at the same state
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window(scale * 1e6)
@@ -157,6 +161,36 @@ class TestCalibration:
             hashlib.sha256(phases.tobytes()).hexdigest()
             == "5d47dcf77c36e00f266038c7a3b5e513ddcb55c2ae033114d067048e52e1826f"
         )
+
+
+# angles in [-pi, pi]; the sampled values differ by exactly pi or 2 pi,
+# where np.unwrap's boundary rule decides, and NaN propagates
+ANGLES = st.floats(-math.pi, math.pi) | st.sampled_from(
+    [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.nan]
+)
+
+
+class TestUnwrappedNet:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        head=st.lists(ANGLES, min_size=1, max_size=30),
+        tail=st.lists(ANGLES, min_size=1, max_size=30),
+    )
+    @example(head=[0.1, 0.2], tail=[0.3, 0.4])  # no wraps
+    @example(head=[0.0], tail=[math.pi, 0.0, -math.pi, math.pi / 2, -math.pi / 2])  # |dd| = pi
+    @example(head=[0.0, 3.0], tail=[-3.0, -2.9])  # a wrap at the resume boundary
+    @example(head=[0.0, 3.0, -3.0], tail=[3.0, -3.0])  # wraps in head, at the boundary and in tail
+    @example(head=[0.0, math.nan], tail=[1.0])
+    @example(head=[0.0], tail=[math.nan, 1.0])
+    def test_equals_np_unwrap_over_concatenation(self, head, tail):
+        head, tail = np.array(head), np.array(tail)
+        phase = np.unwrap(np.concatenate([head, tail]))
+        expected = phase[-1] - phase[0]
+        net = experiments._unwrapped_net(head)(tail)
+        if math.isnan(expected):
+            assert math.isnan(net)
+        else:
+            assert np.float64(net).tobytes() == expected.tobytes()
 
 
 class TestRandomization:

@@ -326,6 +326,26 @@ class TestKernelMatchesOracle:
             assert fields[run].tobytes() == trace.field[-1].tobytes()
             assert carriers[run].tobytes() == trace.carrier[-1].tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_noise_blocks_keep_results(self, params, monkeypatch, block):
+        # drawing the noise a few steps at a time gives the one-array result
+        th = params.threshold_current
+        drive = laser.DriveWaveform.from_segments([(0.3e-9, 0.2 * th), (0.1e-9, 3.0 * th)], 1e-11)
+        monkeypatch.setattr(laser, "_NOISE_BLOCK_STEPS", 10**9)
+        whole = laser.integrate_ensemble(params, drive, 5, rng_seed=3)
+        runaway = laser.DriveWaveform(np.arange(11) * 1e-13, np.zeros(11))
+        kwargs = dict(dt=1e-13, initial_field=0j, initial_carrier=4e6)
+        with pytest.raises(IntegrationDivergedError) as whole_diverged:
+            laser.integrate_ensemble(params, runaway, 6, rng_seed=5, **kwargs)
+        monkeypatch.setattr(laser, "_NOISE_BLOCK_STEPS", block)
+        blocked = laser.integrate_ensemble(params, drive, 5, rng_seed=3)
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
+        with pytest.raises(IntegrationDivergedError) as blocked_diverged:
+            laser.integrate_ensemble(params, runaway, 6, rng_seed=5, **kwargs)
+        assert blocked_diverged.value.run_index == whole_diverged.value.run_index
+        assert blocked_diverged.value.step_index == whole_diverged.value.step_index
+        assert str(blocked_diverged.value) == str(whole_diverged.value)
+
     def test_ensemble_divergence_names_earliest_run(self, params):
         # at this carrier the noise decides the step at which a run crosses
         # the intensity cap, and run 0 crosses it later than another run
@@ -466,6 +486,41 @@ class TestValidationAndExport:
             laser.DriveWaveform(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 1.0]))
         with pytest.raises(PreconditionError):
             laser.DriveWaveform(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [(0.5e-9, 0.2), (3e-9, 3.0)],
+            [(0.2e-9, 1.0), (250e-12, 1.4), (1e-9, 1.0)],
+            [(1.234e-11, 1.0), (0.0, 2.0), (2.345e-11, 3.0), (0.4e-12, 4.0), (7.77e-12, 5.0)],
+            [(2e-13, 7.0), (1.95e-9, 1.4e17), (1.5e-9, 7.0)],
+        ],
+    )
+    @pytest.mark.parametrize("sample_interval", [1e-11, 2e-13, 3e-12])
+    def test_from_segments_equals_list_construction(self, segments, sample_interval):
+        # the levels as a list of one float per sample, as they were once built
+        levels = []
+        for duration, level in segments:
+            levels.extend([float(level)] * int(round(duration / sample_interval)))
+        levels.append(levels[-1])
+        drive = laser.DriveWaveform.from_segments(segments, sample_interval)
+        assert drive.current.tobytes() == np.asarray(levels).tobytes()
+        assert drive.times.tobytes() == (np.arange(len(levels)) * sample_interval).tobytes()
+
+    @pytest.mark.parametrize("duration", [-1e-11, -1e-30, math.nan, math.inf])
+    def test_from_segments_rejects_bad_duration(self, duration):
+        with pytest.raises(PreconditionError, match="duration"):
+            laser.DriveWaveform.from_segments([(1e-10, 1.0), (duration, 2.0)], 1e-11)
+
+    @pytest.mark.parametrize("segments", [[], [(0.0, 1.0)], [(1e-13, 1.0), (4e-12, 2.0)]])
+    def test_from_segments_rejects_no_samples(self, segments):
+        with pytest.raises(PreconditionError, match="at least one sample"):
+            laser.DriveWaveform.from_segments(segments, 1e-11)
+
+    @pytest.mark.parametrize("sample_interval", [0.0, -1e-11, math.nan])
+    def test_from_segments_rejects_bad_interval(self, sample_interval):
+        with pytest.raises(PreconditionError, match="sample_interval"):
+            laser.DriveWaveform.from_segments([(1e-10, 1.0)], sample_interval)
 
     def test_trace_csv_export(self, tmp_path, params):
         drive = laser.DriveWaveform.constant(1.5 * params.threshold_current, 0.5e-9, 1e-11)
