@@ -1,61 +1,74 @@
-/* Fixed-step stochastic Heun integrator of the rate equations of laser.py.
+/* Fixed-step stochastic Heun integrator of the rate equations of laser.py,
+ * for n_runs independent runs stepped together.
  *
- * This is the step of the Python loop kept as the oracle in
+ * Each run takes the step of the Python loop kept as the oracle in
  * tests/test_laser.py, written out in real arithmetic in the order
  * CPython 3.11 evaluates it: a float operand of a complex operation is
  * promoted to (x, 0.0), a product is (ar br - ai bi, ar bi + ai br) and a
  * sum adds the parts.  The zero terms are kept, so that signed zeros,
  * infinities and NaNs come out as they do in Python.  Build it with
- * -ffp-contract=off and without -ffast-math: a fused multiply-add or a
- * reordering would change the last bits.
+ * -ffp-contract=off and without -ffast-math: a fused multiply-add, a
+ * flush of subnormals or a reordering would change the last bits.  The
+ * runs do not interact, so the loop over them vectorizes; vector
+ * additions, products, quotients and square roots round as the scalar
+ * ones do, so a run gets the same bits at any batch width.
  *
- * hr + i hi is 0.5j * alpha as Python computes it.  field holds
- * n_steps + 1 complex values as (re, im) pairs and carrier n_steps + 1
- * values; their first entries are the initial state.  pump holds
- * n_steps + 1 samples and inj, when not NULL, n_steps + 1 complex samples.
- * When xi is not NULL, step k reads the unit normals xi[k * xi_stride] and
- * xi[k * xi_stride + xi_im].  Returns 0, or the sample index k + 1 of the
- * first step whose state is not finite or whose intensity exceeds 1e12;
- * that state is stored at index k + 1.
+ * Arrays are step-major: a row holds one value of each run.  hr + i hi is
+ * 0.5j * alpha as Python computes it.  pump holds n_steps + 1 rows, and
+ * inj, when not NULL, n_steps + 1 rows of complex samples as (re, im)
+ * pairs.  When xi is not NULL, step k reads the unit normals of its row k
+ * of 2 n_runs values, the real parts first.  field (complex) holds
+ * field_rows rows and carrier carrier_rows rows, and sample k is stored in
+ * row k % rows: n_steps + 1 rows keep the whole trace, 2 rows only the
+ * last two samples.  Row 0 holds the initial state.  diverged[j] is 0 in;
+ * it is set to the sample index k + 1 of the first step whose state is not
+ * finite or whose intensity exceeds 1e12, and the run keeps that state in
+ * every later sample.
  */
+#include <float.h>
 #include <math.h>
 
 /* Hard cap on the photon number used to detect runaway integrations. */
 #define DIVERGENCE_INTENSITY 1e12
 
-long chirplink_heun(long n_steps, double tau_n, double inv_tau_p, double g, double n_tr,
-                    double eps, double hr, double hi, double beta, double kappa, double dt,
-                    const double *pump, const double *inj, const double *xi, long xi_im,
-                    long xi_stride, double *field, double *carrier)
+/* Step k of every run, from state (e, n) to (e1, n1). */
+static inline __attribute__((always_inline)) void step(
+    long k, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
+    double hr, double hi, double beta, double kappa, double dt, const double *restrict p0,
+    const double *restrict p1, const double *restrict i0, const double *restrict i1,
+    const double *restrict x_re, const double *restrict x_im, const double *restrict e,
+    const double *restrict n, double *restrict e1, double *restrict n1, long *restrict diverged,
+    const int injected, const int noisy)
 {
-    double er = field[0], ei = field[1], n = carrier[0];
-    for (long k = 0; k < n_steps; k++) {
+    for (long j = 0; j < n_runs; j++) {
+        double er = e[2 * j], ei = e[2 * j + 1], nc = n[j];
+
         /* (0.5 (gc - 1/tau_p) + half_alpha_j (gu - 1/tau_p)) * e, de += kappa * inj[k] */
         double s = er * er + ei * ei;
-        double gu = g * (n - n_tr);
+        double gu = g * (nc - n_tr);
         double gc = gu / (1.0 + eps * s);
         double x = gu - inv_tau_p;
         double cr = 0.5 * (gc - inv_tau_p) + (hr * x - hi * 0.0);
         double ci = 0.0 + (hr * 0.0 + hi * x);
         double d1r = cr * er - ci * ei, d1i = cr * ei + ci * er;
-        double dn1 = pump[k] - n / tau_n - gc * s;
-        if (inj) {
-            double ir = inj[2 * k], ii = inj[2 * k + 1];
+        double dn1 = p0[j] - nc / tau_n - gc * s;
+        if (injected) {
+            double ir = i0[2 * j], ii = i0[2 * j + 1];
             d1r = d1r + (kappa * ir - 0.0 * ii);
             d1i = d1i + (kappa * ii + 0.0 * ir);
         }
 
         double nr = 0.0, ni = 0.0;
-        if (xi) {
-            double amp = sqrt((0.0 > n ? 0.0 : n) * beta / tau_n * dt * 0.5);
-            nr = amp * xi[k * xi_stride];
-            ni = amp * xi[k * xi_stride + xi_im];
+        if (noisy) {
+            double amp = sqrt((0.0 > nc ? 0.0 : nc) * beta / tau_n * dt * 0.5);
+            nr = amp * x_re[j];
+            ni = amp * x_im[j];
         }
 
         /* ep = e + de1 * dt + noise */
         double epr = er + (d1r * dt - d1i * 0.0) + nr;
         double epi = ei + (d1r * 0.0 + d1i * dt) + ni;
-        double np_ = n + dn1 * dt;
+        double np_ = nc + dn1 * dt;
         double sp = epr * epr + epi * epi;
         double gup = g * (np_ - n_tr);
         double gcp = gup / (1.0 + eps * sp);
@@ -63,9 +76,9 @@ long chirplink_heun(long n_steps, double tau_n, double inv_tau_p, double g, doub
         cr = 0.5 * (gcp - inv_tau_p) + (hr * x - hi * 0.0);
         ci = 0.0 + (hr * 0.0 + hi * x);
         double d2r = cr * epr - ci * epi, d2i = cr * epi + ci * epr;
-        double dn2 = pump[k + 1] - np_ / tau_n - gcp * sp;
-        if (inj) {
-            double ir = inj[2 * k + 2], ii = inj[2 * k + 3];
+        double dn2 = p1[j] - np_ / tau_n - gcp * sp;
+        if (injected) {
+            double ir = i1[2 * j], ii = i1[2 * j + 1];
             d2r = d2r + (kappa * ir - 0.0 * ii);
             d2i = d2i + (kappa * ii + 0.0 * ir);
         }
@@ -73,16 +86,62 @@ long chirplink_heun(long n_steps, double tau_n, double inv_tau_p, double g, doub
         /* e = e + 0.5 * (de1 + de2) * dt + noise */
         double sr = d1r + d2r, si = d1i + d2i;
         double ar = 0.5 * sr - 0.0 * si, ai = 0.5 * si + 0.0 * sr;
-        er = er + (ar * dt - ai * 0.0) + nr;
-        ei = ei + (ar * 0.0 + ai * dt) + ni;
-        n = n + 0.5 * (dn1 + dn2) * dt;
+        double er1 = er + (ar * dt - ai * 0.0) + nr;
+        double ei1 = ei + (ar * 0.0 + ai * dt) + ni;
+        double nc1 = nc + 0.5 * (dn1 + dn2) * dt;
 
-        field[2 * k + 2] = er;
-        field[2 * k + 3] = ei;
-        carrier[k + 1] = n;
-        double s_new = er * er + ei * ei;
-        if (!(isfinite(s_new) && isfinite(n)) || s_new > DIVERGENCE_INTENSITY)
-            return k + 1;
+        /* An intensity that is NaN, infinite or above the cap, or a carrier
+         * that is not finite, diverges.  The tests are comparisons joined
+         * by &, so that the loop has no branch. */
+        double s1 = er1 * er1 + ei1 * ei1;
+        long live = diverged[j] == 0;
+        long ok = (s1 <= DIVERGENCE_INTENSITY) & (fabs(nc1) <= DBL_MAX);
+        e1[2 * j] = live ? er1 : er;
+        e1[2 * j + 1] = live ? ei1 : ei;
+        n1[j] = live ? nc1 : nc;
+        diverged[j] |= -(live & !ok) & (k + 1);
     }
-    return 0;
+}
+
+/* One copy of the loop for each presence of inj and xi, so that no
+ * branch is left inside the loop over runs. */
+static inline __attribute__((always_inline)) void steps(
+    long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
+    double hr, double hi, double beta, double kappa, double dt, const double *pump,
+    const double *inj, const double *xi, double *field, long field_rows, double *carrier,
+    long carrier_rows, long *diverged, const int injected, const int noisy)
+{
+    for (long k = 0; k < n_steps; k++) {
+        const double *p0 = pump + k * n_runs, *i0 = injected ? inj + 2 * k * n_runs : 0;
+        const double *x_re = noisy ? xi + 2 * k * n_runs : 0;
+        step(k, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, p0, p0 + n_runs,
+             i0, injected ? i0 + 2 * n_runs : 0, x_re, noisy ? x_re + n_runs : 0,
+             field + 2 * (k % field_rows) * n_runs, carrier + (k % carrier_rows) * n_runs,
+             field + 2 * ((k + 1) % field_rows) * n_runs, carrier + ((k + 1) % carrier_rows) * n_runs,
+             diverged, injected, noisy);
+    }
+}
+
+/* On x86_64, one build for CPUs with AVX2 (4 runs per instruction) and
+ * one for the rest; the loader picks the one this CPU can run. */
+#if defined(__x86_64__)
+__attribute__((target_clones("avx2", "default")))
+#endif
+void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
+                    double eps, double hr, double hi, double beta, double kappa, double dt,
+                    const double *pump, const double *inj, const double *xi, double *field,
+                    long field_rows, double *carrier, long carrier_rows, long *diverged)
+{
+#define STEPS(injected, noisy)                                                                 \
+    steps(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump, inj, \
+          xi, field, field_rows, carrier, carrier_rows, diverged, injected, noisy)
+    if (inj && xi)
+        STEPS(1, 1);
+    else if (inj)
+        STEPS(1, 0);
+    else if (xi)
+        STEPS(0, 1);
+    else
+        STEPS(0, 0);
+#undef STEPS
 }

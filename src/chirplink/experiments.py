@@ -16,7 +16,7 @@ import numpy as np
 
 from . import laser
 from .config import ExperimentConfig
-from .errors import IntegrationDivergedError, PreconditionError
+from .errors import PreconditionError
 from .keyrate import LinkParams, bb84_rate_point, dps_rate_point
 from .optics import ChannelParams, decoder_ports
 from .protocols import BB84, DPS, expected_gain_qber, simulate_bb84, simulate_dps
@@ -53,6 +53,10 @@ _PRE, _POST = 0.2e-9, 1.5e-9
 # and ~0.12 us per step (~0.08 us of it in laser.integrate), so ~100 MB
 # and ~0.12 s (958,500 steps on one x86_64 core: 98 bytes, 0.11-0.12 us).
 _MAX_STEPS = 1e6
+# The physical path integrates this many drive levels per kernel call:
+# four runs fill one AVX2 vector; eight gained ~10 % of run time and held
+# ~3 MB more at once.
+_BATCH_RUNS = 4
 
 
 def _unwrapped_net(head: np.ndarray):
@@ -81,7 +85,7 @@ def _unwrapped_net(head: np.ndarray):
 
 
 def _phase_shift(duration: float):
-    """Net phase of a drive step of `duration`, as a function of its height.
+    """Net phase of a drive step of `duration`, as a function of its heights.
 
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, which is integrated
@@ -89,8 +93,9 @@ def _phase_shift(duration: float):
     is the first to read the step's pump, so each run resumes from the
     reference's state there and its phase is unwrapped after the
     reference's first k0 angles: the net phase of a run over the whole
-    window, bit for bit.  Each drive level is integrated at most once per
-    returned function.
+    window, bit for bit.  The returned function takes an array of drive
+    steps and integrates each level it has not met before, _BATCH_RUNS
+    runs at a time; a divergence names the first such level in input order.
     """
     steps = (_PRE + duration + _POST) / _DT
     if not steps <= _MAX_STEPS:
@@ -101,28 +106,44 @@ def _phase_shift(duration: float):
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)
+    # samples of the bias before, of the step and of the bias after it, as
+    # DriveWaveform.from_segments counts them; the drive ends on one more
+    n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
 
-    def run(segments, e, n):
-        drive = laser.DriveWaveform.from_segments(segments, _DT)
-        return laser.integrate(quiet, drive, dt=_DT, initial_field=e, initial_carrier=n)
-
-    reference = run([(_PRE, bias), (duration, bias), (_POST, bias)], complex(math.sqrt(s0)), n0)
-    k0 = round(_PRE / _DT) - 1
-    angle = np.angle(reference.field)
+    pump = np.full((n_pre + n_step + n_post + 1, 1), bias)
+    reference, carrier, diverged = laser.integrate_pumps(quiet, pump, _DT, complex(math.sqrt(s0)), n0)
+    if diverged[0]:
+        raise laser.diverged_error(diverged[0], reference[diverged[0], 0], carrier[diverged[0], 0])
+    k0 = n_pre - 1
+    start = reference[k0, 0], carrier[k0, 0]
+    angle = np.angle(reference[:, 0])
     resumed_net = _unwrapped_net(angle[:k0])
     reference_net = resumed_net(angle[k0:])
     net = {bias: 0.0}  # by drive level; a zero step is the reference
 
-    def phase_shift(drive_step: float) -> float:
-        level = bias + drive_step
-        if level not in net:
-            segments = [(_DT, bias), (duration, level), (_POST, bias)]
-            try:
-                trace = run(segments, reference.field[k0], reference.carrier[k0])
-            except IntegrationDivergedError as exc:  # name the sample in the whole window
-                raise IntegrationDivergedError(exc.step_index + k0, exc.intensity, exc.carrier)
-            net[level] = resumed_net(np.angle(trace.field)) - reference_net
-        return net[level]
+    def pumps(levels: list[float]) -> np.ndarray:  # from sample k0 on
+        pump = np.full((n_step + n_post + 2, len(levels)), bias)
+        pump[1 : n_step + 1] = levels
+        return pump
+
+    def integrate(levels: list[float]) -> list[float]:
+        """Net phases of runs at `levels`, stepped together."""
+        field, carrier, diverged = laser.integrate_pumps(
+            quiet, pumps(levels), _DT, *start, carrier_trace=False
+        )
+        if diverged.any():  # name the sample in the whole window
+            j = int(np.flatnonzero(diverged)[0])
+            raise laser.diverged_error(diverged[j] + k0, field[diverged[j], j], carrier[j])
+        return [resumed_net(np.angle(field[:, j])) - reference_net for j in range(len(levels))]
+
+    def phase_shift(drive_steps) -> np.ndarray:
+        levels = bias + np.asarray(drive_steps, dtype=float)
+        flat = levels.ravel().tolist()
+        new = list(dict.fromkeys(level for level in flat if level not in net))
+        for i in range(0, len(new), _BATCH_RUNS):
+            batch = new[i : i + _BATCH_RUNS]
+            net.update(zip(batch, integrate(batch)))
+        return np.array([net[level] for level in flat]).reshape(levels.shape)
 
     return phase_shift
 
@@ -130,8 +151,9 @@ def _phase_shift(duration: float):
 def calibrate_physical_drive_scale(source: SourceConfig, phase_shift=None) -> float:
     """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi.
 
-    brentq asks for one scale at a time; `phase_shift`, built here when not
-    given, integrates each new one once.  The root is its last evaluation.
+    The bracket's ends are integrated together; brentq then asks for one
+    scale at a time, and `phase_shift`, built here when not given,
+    integrates each new one once.  The root is its last evaluation.
     """
     params = laser.LaserParams()
     t_m = source.perturbation_duration
@@ -144,11 +166,12 @@ def calibrate_physical_drive_scale(source: SourceConfig, phase_shift=None) -> fl
     # small-signal adiabatic-chirp estimate as the starting bracket
     guess = TWO_PI / (params.linewidth_enhancement * params.gain_compression * t_m) / v_pi
     low, high = 0.2 * guess, 5.0 * guess
-    if objective(low) * objective(high) > 0:
+    at_low, at_high = phase_shift(np.array([low, high]) * v_pi) - math.pi
+    if at_low * at_high > 0:
         raise PreconditionError(
             f"physical_mode: the laser phase at source.halfwave_voltage = {v_pi:g} V does not "
             f"cross pi for drive scales {low:.3g} to {high:.3g} per volt (phase "
-            f"{objective(low) + math.pi:+.3g} to {objective(high) + math.pi:+.3g} rad); "
+            f"{at_low + math.pi:+.3g} to {at_high + math.pi:+.3g} rad); "
             f"source.perturbation_duration = {t_m:g} s must span several {_DT:g} s steps"
         )
     from scipy.optimize import brentq  # here, so that importing chirplink loads no scipy
@@ -172,7 +195,7 @@ def physical_phase_from_voltages(
     if not np.isfinite(steps).all():
         raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
     phase_shift = phase_shift or _phase_shift(source.perturbation_duration)
-    return np.array([phase_shift(float(step)) for step in steps])
+    return phase_shift(steps)
 
 
 @dataclass(frozen=True)

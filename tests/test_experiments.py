@@ -78,15 +78,17 @@ class TestCalibration:
         assert down == pytest.approx(-up, rel=0.05)
 
     def test_physical_mode_integrates_reference_once(self, monkeypatch):
-        # the pump and step count of each integration, by the stage that made it
+        # the pump and step count of each run, and the runs of each call,
+        # by the stage that made them
         runs = {"calibrate": [], "voltages": []}
+        calls = {"calibrate": [], "voltages": []}
         stage, scales = "voltages", []
-        scalar, calibrate = laser.integrate, experiments.calibrate_physical_drive_scale
+        batched, calibrate = laser.integrate_pumps, experiments.calibrate_physical_drive_scale
 
-        def counting(*args, **kwargs):
-            trace = scalar(*args, **kwargs)
-            runs[stage].append((args[1].current, len(trace) - 1))
-            return trace
+        def counting(params, pump, *args, **kwargs):
+            runs[stage].extend((column, len(column) - 1) for column in np.asarray(pump).T)
+            calls[stage].append(np.shape(pump)[1])
+            return batched(params, pump, *args, **kwargs)
 
         def calibrating(*args, **kwargs):
             nonlocal stage
@@ -97,7 +99,7 @@ class TestCalibration:
             finally:
                 stage = "voltages"
 
-        monkeypatch.setattr(laser, "integrate", counting)
+        monkeypatch.setattr(laser, "integrate_pumps", counting)
         monkeypatch.setattr(experiments, "calibrate_physical_drive_scale", calibrating)
         voltages = [-0.35, 0.0, 0.175, 0.35]
         cfg = ExperimentConfig(experiment="phase_voltage", voltages=voltages, physical_mode=True)
@@ -114,6 +116,10 @@ class TestCalibration:
         # the calibration only -V_pi and V_pi / 2 are integrated
         levels = [pump[1] for pump, _ in runs["voltages"] if np.ptp(pump) > 0.0]
         assert levels == [bias + scales[0] * -0.35, bias + scales[0] * 0.175]
+        # the reference, then both voltages in one call; the calibration
+        # integrates its bracket's ends together and brentq's steps alone
+        assert calls["voltages"] == [1, 2]
+        assert calls["calibrate"] == [2] + [1] * (len(runs["calibrate"]) - 2)
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
         # nothing is carried over to the next call

@@ -365,6 +365,105 @@ class TestKernelMatchesOracle:
         assert str(batch.value) == str(alone[first]).replace(":", f" in run {first}:", 1)
 
 
+WIDTHS = [1, 3, 4, 5, 8, 13]  # one run, the vector body alone and with a scalar epilogue
+
+
+def batch_inputs(params, width, runaway=None):
+    """Drives sampled at DT, one per run, each with its own level, initial
+    field and noise seed; run `runaway` steps to a pump of 1e30 mid-window."""
+    th = params.threshold_current
+    drives = []
+    for j in range(width):
+        level = 1e30 if j == runaway else (1.0 + 0.3 * j) * th
+        drives.append(laser.DriveWaveform.from_segments([(0.1e-9, 0.2 * th), (0.2e-9, level)], DT))
+    initial = [complex(1e-3 * (j + 1), -1e-4 * j) for j in range(width)]
+    return drives, initial, [100 + j for j in range(width)]
+
+
+class TestBatchedKernel:
+    """integrate_pumps steps its runs together, each as it steps alone."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_columns_equal_integrate_and_oracle(self, params, steady, width, noisy, injected):
+        p = replace(params, spontaneous_fraction=params.spontaneous_fraction if noisy else 0.0)
+        if injected:
+            p = replace(p, injection_coupling=5e10, detuning=1.5e9)
+        drives, initial, seeds = batch_inputs(p, width)
+        n_steps = len(drives[0].times) - 1
+        times = DT * np.arange(n_steps + 1)
+        noise = inj = injection = None
+        if noisy:
+            noise = np.stack([np.random.default_rng(seed).standard_normal((n_steps, 2)) for seed in seeds], -1)
+        if injected:  # the samples integrate() takes from the master's trace
+            injection = steady
+            inj = np.interp(times, steady.times, steady.field.real) + 1j * np.interp(
+                times, steady.times, steady.field.imag
+            )
+            inj = np.repeat((inj * np.exp(1j * 2.0 * math.pi * p.detuning * times))[:, None], width, 1)
+        pump = np.column_stack([drive.current for drive in drives])
+        field, carrier, diverged = laser.integrate_pumps(p, pump, DT, np.array(initial), 900.0, noise, inj)
+        assert not diverged.any()
+        for j, drive in enumerate(drives):
+            kwargs = dict(injection=injection, noise_seed=seeds[j], dt=DT, initial_field=initial[j],
+                          initial_carrier=900.0)
+            alone = laser.integrate(p, drive, **kwargs)
+            column = laser.FieldTrace(times, field[:, j].copy(), carrier[:, j].copy())
+            assert_same_bits(column, alone)
+            assert_same_bits(column, oracle_integrate(p, drive, **kwargs))
+        # without the traces, the last samples
+        last_field, last_carrier, _ = laser.integrate_pumps(
+            p, pump, DT, np.array(initial), 900.0, noise, inj, field_trace=False, carrier_trace=False
+        )
+        assert last_field.tobytes() == field[-1].tobytes()
+        assert last_carrier.tobytes() == carrier[-1].tobytes()
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_one_run_diverges_mid_window(self, params, width):
+        runaway = width // 2
+        drives, initial, seeds = batch_inputs(params, width, runaway)
+        n_steps = len(drives[0].times) - 1
+        noise = np.stack([np.random.default_rng(seed).standard_normal((n_steps, 2)) for seed in seeds], -1)
+        pump = np.column_stack([drive.current for drive in drives])
+        field, carrier, diverged = laser.integrate_pumps(params, pump, DT, np.array(initial), 900.0, noise)
+        last_field, last_carrier, _ = laser.integrate_pumps(
+            params, pump, DT, np.array(initial), 900.0, noise, field_trace=False, carrier_trace=False
+        )
+        for j, drive in enumerate(drives):
+            kwargs = dict(noise_seed=seeds[j], dt=DT, initial_field=initial[j], initial_carrier=900.0)
+            if j != runaway:
+                assert diverged[j] == 0
+                alone = laser.integrate(params, drive, **kwargs)
+                assert field[:, j].tobytes() == alone.field.tobytes()
+                assert carrier[:, j].tobytes() == alone.carrier.tobytes()
+                continue
+            with pytest.raises(IntegrationDivergedError) as alone:
+                laser.integrate(params, drive, **kwargs)
+            with pytest.raises(IntegrationDivergedError) as oracle:
+                oracle_integrate(params, drive, **kwargs)
+            k = diverged[j]
+            assert k == alone.value.step_index == oracle.value.step_index > 500
+            assert k < n_steps  # mid-window
+            error = laser.diverged_error(k, field[k, j], carrier[k, j])
+            assert str(error) == str(alone.value) == str(oracle.value)
+            # the run keeps the state it diverged at, to the last sample
+            assert (field[k:, j] == field[k, j]).all() and (carrier[k:, j] == carrier[k, j]).all()
+            assert last_field[j] == field[k, j] and last_carrier[j] == carrier[k, j]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pump_rejected(self, quiet, bad):
+        pump = np.full((11, 3), quiet.threshold_current)
+        pump[5, 1] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            laser.integrate_pumps(quiet, pump, DT, 1e-3, 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-13, math.nan, 1e-12])
+    def test_bad_dt_rejected(self, quiet, dt):
+        with pytest.raises(PreconditionError, match="dt"):
+            laser.integrate_pumps(quiet, np.ones((11, 3)), dt, 1e-3, 0.0)
+
+
 def run_fresh(script, cache, cwd=None, **env_vars):
     """Run `script` in a new interpreter with XDG_CACHE_HOME set to `cache`."""
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), **env_vars)
