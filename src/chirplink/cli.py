@@ -7,6 +7,7 @@ laser integrator), 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import ExperimentConfig, load_config, with_overrides
@@ -23,12 +24,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-_SUBCOMMANDS = {
-    "phase-voltage": "phase_voltage",
-    "randomization": "randomization",
-    "bb84-sweep": "bb84_sweep",
-    "dps-sweep": "dps_sweep",
-    "stability": "stability",
+# each subcommand runs the experiment of its name with "_" for "-"
+_RECIPES = {
+    "phase-voltage": run_phase_voltage,
+    "randomization": run_randomization,
+    "bb84-sweep": functools.partial(run_sweep, protocol=BB84),
+    "dps-sweep": functools.partial(run_sweep, protocol=DPS),
+    "stability": run_stability,
 }
 
 
@@ -38,24 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate the phase-chirp QKD light source and its BB84/DPS links.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _SUBCOMMANDS:
+    for command in _RECIPES:
         p = sub.add_parser(command, help=f"run the {command.replace('-', ' ')} experiment")
         p.add_argument("--config", help="flat key-value configuration file")
         p.add_argument("--seed", type=int, default=None, help="override rng_seed")
         p.add_argument("--out", default=None, help="override output_path")
     return parser
-
-
-def _dispatch(cfg: ExperimentConfig):
-    if cfg.experiment == "phase_voltage":
-        return run_phase_voltage(cfg)
-    if cfg.experiment == "randomization":
-        return run_randomization(cfg)
-    if cfg.experiment == "bb84_sweep":
-        return run_sweep(cfg, BB84)
-    if cfg.experiment == "dps_sweep":
-        return run_sweep(cfg, DPS)
-    return run_stability(cfg)
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -68,14 +58,14 @@ def exit_code_for(exc: BaseException) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    experiment = _SUBCOMMANDS[args.command]
+    experiment = args.command.replace("-", "_")
     try:
         if args.config:
             cfg = load_config(args.config, experiment)
         else:
             cfg = ExperimentConfig(experiment=experiment)
         cfg = with_overrides(cfg, seed=args.seed, out=args.out)
-        _dispatch(cfg)
+        _RECIPES[args.command](cfg)
     except (ConfigError, PreconditionError, IntegrationDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 from .errors import PreconditionError
 from .keyrate import LinkParams, bb84_rate_point, dps_rate_point
 from .optics import ChannelParams, decoder_ports
-from .protocols import BB84, DPS, expected_gain_qber, simulate_bb84, simulate_dps
+from .protocols import BB84, DPS, simulate_bb84, simulate_dps
 from .source import SourceConfig, phase_from_voltage
 
 TWO_PI = 2.0 * math.pi
@@ -148,17 +148,17 @@ def _phase_shift(duration: float):
     return phase_shift
 
 
-def calibrate_physical_drive_scale(source: SourceConfig, phase_shift=None) -> float:
+def calibrate_physical_drive_scale(source: SourceConfig, phase_shift) -> float:
     """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi.
 
-    The bracket's ends are integrated together; brentq then asks for one
-    scale at a time, and `phase_shift`, built here when not given,
-    integrates each new one once.  The root is its last evaluation.
+    `phase_shift` is _phase_shift(source.perturbation_duration).  The
+    bracket's ends are integrated together; brentq then asks for one scale
+    at a time, and `phase_shift` integrates each new one once.  The root is
+    its last evaluation.
     """
     params = laser.LaserParams()
     t_m = source.perturbation_duration
     v_pi = source.halfwave_voltage
-    phase_shift = phase_shift or _phase_shift(t_m)
 
     def objective(scale: float) -> float:
         return float(phase_shift(scale * v_pi)) - math.pi
@@ -179,25 +179,6 @@ def calibrate_physical_drive_scale(source: SourceConfig, phase_shift=None) -> fl
     return float(brentq(objective, low, high, xtol=1e-4 * guess))
 
 
-def physical_phase_from_voltages(
-    voltages: np.ndarray | list[float],
-    source: SourceConfig,
-    drive_scale: float,
-    phase_shift=None,
-) -> np.ndarray:
-    """Rate-equation phase at each voltage, at most one integration per voltage.
-
-    With the calibration's `phase_shift`, a drive step it has integrated
-    costs none; each phase equals what the calibration gives for that step.
-    """
-    with np.errstate(over="ignore"):
-        steps = drive_scale * np.asarray(voltages, dtype=float)
-    if not np.isfinite(steps).all():
-        raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
-    phase_shift = phase_shift or _phase_shift(source.perturbation_duration)
-    return phase_shift(steps)
-
-
 @dataclass(frozen=True)
 class PhaseVoltageResult:
     voltages: np.ndarray
@@ -213,10 +194,14 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None
     if cfg.physical_mode:
-        # one reference and one memo for the calibration and the voltages
+        # one reference and one memo: a step the calibration integrated costs none
         phase_shift = _phase_shift(cfg.source.perturbation_duration)
         scale = calibrate_physical_drive_scale(cfg.source, phase_shift)
-        physical = physical_phase_from_voltages(voltages, cfg.source, scale, phase_shift)
+        with np.errstate(over="ignore"):
+            steps = scale * voltages
+        if not np.isfinite(steps).all():
+            raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
+        physical = phase_shift(steps)
     if cfg.output_path:
         if physical is None:
             rows = np.column_stack([voltages, encoder])
@@ -316,7 +301,6 @@ class SweepRow:
     mc_qber: float
     mc_sifted_count: int
     mc_error_count: int
-    analytic_gain: float
     analytic_qber: float
     analytic_sifted_rate_bps: float
     secure_rate_bps: float
@@ -327,10 +311,8 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
     seeds = np.random.default_rng(cfg.rng_seed).integers(0, 2**63 - 1, size=len(cfg.losses))
     if protocol == BB84:
         source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
-        mu_model = cfg.keyrate.mu
     elif protocol == DPS:
         source = cfg.source
-        mu_model = cfg.source.mean_photon_number
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
     link = LinkParams(
@@ -343,7 +325,7 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
     )
     rows = []
     for loss, seed in zip(cfg.losses, seeds):
-        channel = ChannelParams(loss_db=loss, loss_per_km=cfg.loss_per_km)
+        channel = ChannelParams(loss)
         if protocol == BB84:
             n_pairs = max(1, cfg.trials // 2)
             mc = simulate_bb84(n_pairs, source, channel, cfg.mzi, cfg.detector, int(seed))
@@ -351,7 +333,6 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
         else:
             mc = simulate_dps(max(2, cfg.trials), source, channel, cfg.mzi, cfg.detector, int(seed))
             point = dps_rate_point(link, loss)
-        gain, qber = expected_gain_qber(protocol, mu_model, channel, cfg.mzi, cfg.detector)
         rows.append(
             SweepRow(
                 loss_db=loss,
@@ -359,8 +340,7 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
                 mc_qber=mc.qber,
                 mc_sifted_count=mc.sifted_count,
                 mc_error_count=mc.error_count,
-                analytic_gain=gain,
-                analytic_qber=qber,
+                analytic_qber=point.qber,
                 analytic_sifted_rate_bps=point.sifted_rate_bps,
                 secure_rate_bps=point.secure_rate_bps,
             )

@@ -6,7 +6,7 @@ The BB84 bound is the standard two-decoy (vacuum + weak) result:
                                - (mu^2 - nu^2)/mu^2 * Y0)
     e1 <= (E_nu Q_nu e^nu - Y0/2) / (Y1 * nu)
     Q1  = Y1 * mu * exp(-mu)
-    R   = sift_factor * max(0, -Q_mu f_ec H2(E_mu) + Q1 (1 - H2(e1)))
+    R   = 1/2 * max(0, -Q_mu f_ec H2(E_mu) + Q1 (1 - H2(e1)))
 
 The DPS secure fraction is pluggable; the default transcribes the
 individual-attack bound with a photon-number-splitting penalty,
@@ -54,7 +54,6 @@ class DecoyInputs:
     e_nu: float
     y0: float
     f_ec: float = 1.16
-    sift_factor: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.nu < self.mu:
@@ -96,7 +95,8 @@ def decoy_bb84_rate(inputs: DecoyInputs) -> DecoyRateResult:
     raw = -inputs.q_mu * inputs.f_ec * binary_entropy(inputs.e_mu) + q1 * (
         1.0 - binary_entropy(e1)
     )
-    return DecoyRateResult(inputs.sift_factor * max(0.0, raw), y1, e1, True)
+    # the bases agree in half of the signals
+    return DecoyRateResult(0.5 * max(0.0, raw), y1, e1, True)
 
 
 def dps_rate(gain: float, qber: float, mu: float, f_ec: float = 1.16) -> float:
@@ -158,7 +158,6 @@ def bb84_rate_point(link: LinkParams, loss_db: float) -> RatePoint:
             e_nu=e_nu,
             y0=y0,
             f_ec=link.f_ec,
-            sift_factor=0.5,
         )
     )
     pair_rate = link.source.clock_rate / 2.0

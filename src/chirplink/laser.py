@@ -81,7 +81,6 @@ class LaserParams:
     linewidth_enhancement: float = 3.0
     spontaneous_fraction: float = 1e-4
     injection_coupling: float = 0.0
-    threshold_current: float = 0.0
     detuning: float = 0.0
 
     def __post_init__(self):
@@ -101,14 +100,14 @@ class LaserParams:
             raise PreconditionError(
                 f"detuning must be finite and within +/-{MAX_DETUNING_HZ:.0e} Hz"
             )
-        if self.threshold_current == 0.0:
-            object.__setattr__(
-                self, "threshold_current", self.threshold_carrier / self.carrier_lifetime
-            )
 
     @property
     def threshold_carrier(self) -> float:
         return self.transparency_carrier + 1.0 / (self.gain_slope * self.photon_lifetime)
+
+    @property
+    def threshold_current(self) -> float:
+        return self.threshold_carrier / self.carrier_lifetime
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,6 @@ class DriveWaveform:
             raise PreconditionError("drive times must be strictly increasing")
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
             raise PreconditionError("drive sampling must be uniform")
-
-    @property
-    def sample_interval(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def duration(self) -> float:

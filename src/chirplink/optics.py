@@ -30,10 +30,6 @@ class ChannelParams:
         if self.loss_per_km < 0:
             raise PreconditionError("loss_per_km must be >= 0")
 
-    @classmethod
-    def from_fiber_km(cls, length_km: float, loss_per_km: float = 0.2) -> "ChannelParams":
-        return cls(loss_db=length_km * loss_per_km, loss_per_km=loss_per_km)
-
     @property
     def transmittance(self) -> float:
         return 10.0 ** (-self.loss_db / 10.0)

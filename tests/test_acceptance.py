@@ -145,7 +145,7 @@ def test_criterion_5_dps_sweep():
     mc = protocols.simulate_dps(2_000_000, src, ChannelParams(0.0), mzi, det, rng_seed=3)
     se = math.sqrt(base_qber * (1 - base_qber) / mc.sifted_count)
     base_ok = abs(base_qber - 0.019) < 0.003 and abs(mc.qber - 0.019) < 0.003 + 3 * se
-    km = ChannelParams.from_fiber_km(100.0, 0.2)
+    km = ChannelParams(100.0 * 0.2)
     db = ChannelParams(20.0)
     res_km = protocols.simulate_dps(500_000, src, km, mzi, det, rng_seed=5)
     res_db = protocols.simulate_dps(500_000, src, db, mzi, det, rng_seed=5)

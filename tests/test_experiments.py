@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from chirplink import experiments, laser
 from chirplink.config import ExperimentConfig, StabilityConfig, load_config
 from chirplink.errors import IntegrationDivergedError, PreconditionError
-from chirplink.optics import InterferometerParams
+from chirplink.optics import ChannelParams, InterferometerParams
+from chirplink.protocols import expected_gain_qber
 from chirplink.source import SourceConfig, phase_from_voltage
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -67,14 +68,16 @@ class TestPhaseVoltage:
 class TestCalibration:
     def test_calibrated_scale_hits_pi_at_halfwave(self):
         src = SourceConfig()
-        scale = experiments.calibrate_physical_drive_scale(src)
-        (phi,) = experiments.physical_phase_from_voltages([src.halfwave_voltage], src, scale)
+        phase_shift = experiments._phase_shift(src.perturbation_duration)
+        scale = experiments.calibrate_physical_drive_scale(src, phase_shift)
+        phi = float(phase_shift(scale * src.halfwave_voltage))
         assert phi == pytest.approx(math.pi, rel=1e-3)
 
     def test_physical_phase_odd_in_voltage(self):
         src = SourceConfig()
-        scale = experiments.calibrate_physical_drive_scale(src)
-        up, down = experiments.physical_phase_from_voltages([0.2, -0.2], src, scale)
+        phase_shift = experiments._phase_shift(src.perturbation_duration)
+        scale = experiments.calibrate_physical_drive_scale(src, phase_shift)
+        up, down = phase_shift(scale * np.array([0.2, -0.2]))
         assert down == pytest.approx(-up, rel=0.05)
 
     def test_physical_mode_integrates_reference_once(self, monkeypatch):
@@ -361,6 +364,19 @@ class TestSweeps:
         assert r.analytic_qber == pytest.approx(e_det, rel=0.02)
         se = math.sqrt(r.analytic_qber * (1 - r.analytic_qber) / r.mc_sifted_count)
         assert abs(r.mc_qber - r.analytic_qber) < 5 * se
+
+    @pytest.mark.parametrize("protocol", ["bb84", "dps"])
+    def test_analytic_qber_is_the_closed_form(self, protocol):
+        # bit for bit, at keyrate.mu per BB84 pair and at
+        # source.mean_photon_number per DPS pulse
+        cfg = replace(load_config(CONFIG_DIR / f"{protocol}_sweep.cfg"), output_path=None)
+        mu = cfg.keyrate.mu if protocol == "bb84" else cfg.source.mean_photon_number
+        rows = experiments.run_sweep(cfg, protocol)
+        assert [r.loss_db for r in rows] == list(cfg.losses)
+        for r in rows:
+            channel = ChannelParams(r.loss_db)
+            _, qber = expected_gain_qber(protocol, mu, channel, cfg.mzi, cfg.detector)
+            assert r.analytic_qber == qber
 
     def test_unknown_protocol_rejected(self):
         cfg = ExperimentConfig(experiment="bb84_sweep", trials=10)

@@ -104,16 +104,6 @@ class TestDecoyBound:
         assert not res.valid
         assert res.diagnostic is not None
 
-    def test_rate_scales_with_sift_factor(self):
-        base = self.inputs_for(0.05)
-        full = DecoyInputs(
-            mu=base.mu, nu=base.nu, q_mu=base.q_mu, q_nu=base.q_nu,
-            e_mu=base.e_mu, e_nu=base.e_nu, y0=base.y0, sift_factor=1.0,
-        )
-        assert decoy_bb84_rate(full).rate == pytest.approx(
-            2.0 * decoy_bb84_rate(base).rate, rel=1e-12
-        )
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(PreconditionError):
             DecoyInputs(mu=0.1, nu=0.5, q_mu=0.1, q_nu=0.1, e_mu=0.01, e_nu=0.01, y0=0.0)

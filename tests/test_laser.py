@@ -580,6 +580,12 @@ class TestValidationAndExport:
         with pytest.raises(PreconditionError):
             laser.LaserParams(detuning=1e12)
 
+    def test_threshold_current_follows_carrier_lifetime(self):
+        params = replace(laser.LaserParams(), carrier_lifetime=2e-9)
+        assert params.threshold_current == params.threshold_carrier / params.carrier_lifetime
+        # [DERIVED] N_th = 1000 + 1 / (5e8 * 2e-12) = 2000 carriers over 2 ns
+        assert params.threshold_current == pytest.approx(1.0e12, rel=1e-12)
+
     def test_drive_validation(self):
         with pytest.raises(PreconditionError):
             laser.DriveWaveform(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 1.0]))

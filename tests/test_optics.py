@@ -20,10 +20,6 @@ class TestChannel:
         assert optics.ChannelParams(10.0).transmittance == pytest.approx(0.1, rel=1e-12)
         assert optics.ChannelParams(30.0).transmittance == pytest.approx(1e-3, rel=1e-12)
 
-    def test_from_fiber_km(self):
-        ch = optics.ChannelParams.from_fiber_km(100.0, 0.2)
-        assert ch.loss_db == pytest.approx(20.0, rel=1e-15)
-
     @given(a=st.floats(0.0, 40.0), b=st.floats(0.0, 40.0))
     def test_attenuation_composes_in_db(self, a, b):
         once = optics.ChannelParams(a + b).transmittance
