@@ -122,8 +122,27 @@ static inline __attribute__((always_inline)) void steps(
     }
 }
 
-/* On x86_64, one build for CPUs with AVX2 (4 runs per instruction) and
- * one for the rest; the loader picks the one this CPU can run. */
+#define STEPS(injected, noisy)                                                                 \
+    steps(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump, inj, \
+          xi, field, field_rows, carrier, carrier_rows, diverged, injected, noisy)
+
+/* The copies with injection, built once, without an AVX2 clone: only
+ * laser.integrate injects, one run at a time, which a vector does not speed. */
+__attribute__((noinline)) void chirplink_heun_injected(
+    long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
+    double hr, double hi, double beta, double kappa, double dt, const double *pump,
+    const double *inj, const double *xi, double *field, long field_rows, double *carrier,
+    long carrier_rows, long *diverged)
+{
+    if (xi)
+        STEPS(1, 1);
+    else
+        STEPS(1, 0);
+}
+
+/* The entry.  On x86_64 the copies without injection are built for CPUs
+ * with AVX2 (4 runs per instruction) and for the rest; the loader picks
+ * the one this CPU can run. */
 #if defined(__x86_64__)
 __attribute__((target_clones("avx2", "default")))
 #endif
@@ -132,16 +151,13 @@ void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, d
                     const double *pump, const double *inj, const double *xi, double *field,
                     long field_rows, double *carrier, long carrier_rows, long *diverged)
 {
-#define STEPS(injected, noisy)                                                                 \
-    steps(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump, inj, \
-          xi, field, field_rows, carrier, carrier_rows, diverged, injected, noisy)
-    if (inj && xi)
-        STEPS(1, 1);
-    else if (inj)
-        STEPS(1, 0);
+    if (inj)
+        chirplink_heun_injected(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta,
+                                kappa, dt, pump, inj, xi, field, field_rows, carrier, carrier_rows,
+                                diverged);
     else if (xi)
         STEPS(0, 1);
     else
         STEPS(0, 0);
-#undef STEPS
 }
+#undef STEPS

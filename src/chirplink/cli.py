@@ -34,6 +34,7 @@ _RECIPES = {
 }
 
 
+@functools.cache  # built at the first call, not at import; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chirplink",

@@ -49,37 +49,54 @@ def _write_summary(path, cfg: ExperimentConfig, payload: dict) -> None:
 # window of _PRE, the perturbation, then _POST for the laser to settle.
 _DT = 2e-13
 _PRE, _POST = 0.2e-9, 1.5e-9
-# At most this many steps per run: a run costs ~100 bytes of peak memory
-# and ~0.12 us per step (~0.08 us of it in laser.integrate), so ~100 MB
-# and ~0.12 s (958,500 steps on one x86_64 core: 98 bytes, 0.11-0.12 us).
+# At most this many steps per run: a kernel call of 8 runs holds their
+# pump and field traces, ~200 bytes per step at its peak, so ~200 MB and
+# ~0.25 s (958,500 steps on one x86_64 core: 202 bytes; 109 at 4 runs).
 _MAX_STEPS = 1e6
 # The physical path integrates this many drive levels per kernel call:
-# four runs fill one AVX2 vector; eight gained ~10 % of run time and held
-# ~3 MB more at once.
-_BATCH_RUNS = 4
+# two AVX2 vectors of runs hide the latency of each run's chain of steps.
+_BATCH_RUNS = 8
 
 
 def _unwrapped_net(head: np.ndarray):
-    """np.unwrap's net phase over `head` and then a tail, as a function of the tail.
+    """np.unwrap's net phase over the angles of `head` and then a tail, as a function of tails.
 
-    np.unwrap adds the running sum of its corrections to each angle, and a
-    correction is nonzero only at a jump of at least pi.  So the net phase
-    is the tail's last angle plus the corrections of head and tail summed
-    in order, minus head[0]; head's sum is taken here once, and adding
-    unwrap's +0.0 corrections would leave both sums as they are.
+    `head` holds complex samples; the returned function takes an (n, runs)
+    array of them, one tail per column, and returns for each column
+    np.unwrap(np.angle(np.concatenate([head, tail])))'s last value minus
+    its first, bit for bit.  np.unwrap adds the running sum of its
+    corrections to each angle, and a correction is nonzero only at a jump
+    of more than pi (+0.0 at exactly pi, which leaves a sum as it is).  A
+    sample's angle is in [0, pi] when the sign bit of its imaginary part
+    is clear and in [-pi, -0] when it is set, so such a jump changes that
+    sign bit: angles are taken only there, and at every sample of a column
+    holding a NaN or an infinity.  The corrections are added one at a
+    time in sample order, as np.cumsum adds them (a pairwise sum would
+    change the last bits), head's once, here, and each tail's to that sum.
     """
 
-    def corrections(dd):  # np.unwrap's, at the jumps it corrects
-        dd = dd[~(np.abs(dd) < math.pi)]
+    def corrections(samples: np.ndarray, before: complex, total: float) -> np.ndarray:
+        """`total` plus np.unwrap's corrections of each column of `samples`, after `before`."""
+        jumps = np.diff(np.signbit(samples.imag), axis=0, prepend=np.signbit(before.imag))
+        with np.errstate(invalid="ignore", over="ignore"):
+            if not np.isfinite(samples.sum()):  # a NaN angle, maybe: every jump
+                jumps[:] = True
+        k, column = np.divmod(np.flatnonzero(jumps), samples.shape[1])  # in sample order
+        dd = np.angle(samples[k, column]) - np.angle(np.where(k > 0, samples[k - 1, column], before))
+        corrected = ~(np.abs(dd) < math.pi)
+        dd, column = dd[corrected], column[corrected]
         ddmod = np.mod(dd + math.pi, TWO_PI) - math.pi
         np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (dd > 0))
-        return ddmod - dd
+        sums = np.full(samples.shape[1], total)
+        np.add.at(sums, column, ddmod - dd)  # one at a time, in order, as np.cumsum adds
+        return sums
 
-    head_sum = np.cumsum(np.append(0.0, corrections(np.diff(head))))[-1]
+    (head_sum,) = corrections(head[1:, None], head[0], 0.0)
+    first, last = head[0], head[-1]  # and not head, which may be a view of a larger array
 
-    def net(tail: np.ndarray) -> float:
-        total = np.cumsum(np.append(head_sum, corrections(np.diff(tail, prepend=head[-1]))))[-1]
-        return float((tail[-1] + total) - head[0])
+    def net(tails: np.ndarray) -> np.ndarray:
+        total = corrections(tails, last, head_sum)
+        return (np.angle(tails[-1]) + total) - np.angle(first)
 
     return net
 
@@ -88,14 +105,16 @@ def _phase_shift(duration: float):
     """Net phase of a drive step of `duration`, as a function of its heights.
 
     The noiseless laser starts at its stationary state at the bias; the
-    phase is taken relative to the unperturbed laser, which is integrated
-    once, here.  Up to sample k0 every run is that reference, as step k0
-    is the first to read the step's pump, so each run resumes from the
+    phase is taken relative to the unperturbed laser, the reference.  The
+    returned function takes an array of drive steps and integrates each
+    level it has not met before, _BATCH_RUNS runs per kernel call.  The
+    first call steps the reference and the first new levels over the whole
+    window.  Up to sample k0 every run is the reference, as step k0 is the
+    first to read the step's pump, so each later run resumes from the
     reference's state there and its phase is unwrapped after the
-    reference's first k0 angles: the net phase of a run over the whole
-    window, bit for bit.  The returned function takes an array of drive
-    steps and integrates each level it has not met before, _BATCH_RUNS
-    runs at a time; a divergence names the first such level in input order.
+    reference's first k0 samples: the net phase of a run over the whole
+    window, bit for bit.  A divergence names the first such level in input
+    order, the reference first, at the sample of the whole window.
     """
     steps = (_PRE + duration + _POST) / _DT
     if not steps <= _MAX_STEPS:
@@ -109,41 +128,43 @@ def _phase_shift(duration: float):
     # samples of the bias before, of the step and of the bias after it, as
     # DriveWaveform.from_segments counts them; the drive ends on one more
     n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
-
-    pump = np.full((n_pre + n_step + n_post + 1, 1), bias)
-    reference, carrier, diverged = laser.integrate_pumps(quiet, pump, _DT, complex(math.sqrt(s0)), n0)
-    if diverged[0]:
-        raise laser.diverged_error(diverged[0], reference[diverged[0], 0], carrier[diverged[0], 0])
     k0 = n_pre - 1
-    start = reference[k0, 0], carrier[k0, 0]
-    angle = np.angle(reference[:, 0])
-    resumed_net = _unwrapped_net(angle[:k0])
-    reference_net = resumed_net(angle[k0:])
-    net = {bias: 0.0}  # by drive level; a zero step is the reference
+    start = complex(math.sqrt(s0)), n0  # the state at sample `origin`: 0, then k0
+    origin = 0
+    net_after_head = None  # of tails from sample k0, once the reference has run
+    raw = {}  # net phase by drive level, before the reference's is subtracted
 
-    def pumps(levels: list[float]) -> np.ndarray:  # from sample k0 on
-        pump = np.full((n_step + n_post + 2, len(levels)), bias)
-        pump[1 : n_step + 1] = levels
+    def pumps(levels: list[float]) -> np.ndarray:  # from sample `origin` on
+        pump = np.full((n_pre + n_step + n_post + 1 - origin, len(levels)), bias)
+        pump[n_pre - origin : n_pre + n_step - origin] = levels
         return pump
 
     def integrate(levels: list[float]) -> list[float]:
-        """Net phases of runs at `levels`, stepped together."""
+        """Raw net phases of runs at `levels`, stepped together from sample `origin`."""
+        nonlocal start, origin, net_after_head
+        # the pump is freed on return, before the phases are taken
         field, carrier, diverged = laser.integrate_pumps(
-            quiet, pumps(levels), _DT, *start, carrier_trace=False
+            quiet, pumps(levels), _DT, *start, carrier_trace=origin == 0
         )
         if diverged.any():  # name the sample in the whole window
             j = int(np.flatnonzero(diverged)[0])
-            raise laser.diverged_error(diverged[j] + k0, field[diverged[j], j], carrier[j])
-        return [resumed_net(np.angle(field[:, j])) - reference_net for j in range(len(levels))]
+            last_carrier = carrier if origin else carrier[-1]
+            raise laser.diverged_error(diverged[j] + origin, field[diverged[j], j], last_carrier[j])
+        if origin == 0:  # levels[0] is the reference
+            start, origin = (field[k0, 0], carrier[k0, 0]), k0
+            net_after_head = _unwrapped_net(field[:k0, 0])
+            field = field[k0:]
+        return net_after_head(field).tolist()
 
     def phase_shift(drive_steps) -> np.ndarray:
         levels = bias + np.asarray(drive_steps, dtype=float)
         flat = levels.ravel().tolist()
-        new = list(dict.fromkeys(level for level in flat if level not in net))
+        # the reference goes first, with the first new levels
+        new = [level for level in dict.fromkeys([bias, *flat]) if level not in raw]
         for i in range(0, len(new), _BATCH_RUNS):
             batch = new[i : i + _BATCH_RUNS]
-            net.update(zip(batch, integrate(batch)))
-        return np.array([net[level] for level in flat]).reshape(levels.shape)
+            raw.update(zip(batch, integrate(batch)))
+        return np.array([raw[level] - raw[bias] for level in flat]).reshape(levels.shape)
 
     return phase_shift
 

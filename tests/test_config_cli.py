@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -282,6 +283,29 @@ class TestCli:
         cfg = tmp_path / "mismatch.cfg"
         cfg.write_text("experiment = dps_sweep\n")
         assert cli.main(["stability", "--config", str(cfg)]) == 2
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text("experiment = stability\nstability.duration = 10\n")
+        for out in ("a.csv", "b.csv"):
+            assert cli.main(["stability", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert progs.count("chirplink") == 1
+
+    def test_bad_subcommand_exits_2_with_cached_parser(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["no-such-recipe"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'no-such-recipe'" in capsys.readouterr().err
 
     def test_sweep_subcommand_smoke(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -108,21 +108,25 @@ class TestCalibration:
         cfg = ExperimentConfig(experiment="phase_voltage", voltages=voltages, physical_mode=True)
         res = experiments.run_phase_voltage(cfg)
         every = runs["calibrate"] + runs["voltages"]
-        # one constant-pump reference per call, over the whole window
+        # one constant-pump reference per call, integrated once, over the
+        # whole window, in the same call as the calibration's bracket ends
         ((bias_pump, n_steps),) = [(pump, n) for pump, n in every if np.ptp(pump) == 0.0]
         bias = bias_pump[0]
-        # every other run resumes at the last sample before the step's pump
+        assert [n for _, n in runs["calibrate"][:3]] == [n_steps] * 3
+        assert np.ptp(runs["calibrate"][0][0]) == 0.0
+        # brentq's steps and the voltages resume at the last sample before
+        # the step's pump
         k0 = round(experiments._PRE / experiments._DT) - 1
-        assert all(n == n_steps - k0 for pump, n in every if np.ptp(pump) > 0.0)
+        assert all(n == n_steps - k0 for _, n in runs["calibrate"][3:] + runs["voltages"])
         assert len(runs["calibrate"]) > 3
         # 0 V is the reference and +V_pi brentq's last evaluation, so after
         # the calibration only -V_pi and V_pi / 2 are integrated
         levels = [pump[1] for pump, _ in runs["voltages"] if np.ptp(pump) > 0.0]
         assert levels == [bias + scales[0] * -0.35, bias + scales[0] * 0.175]
-        # the reference, then both voltages in one call; the calibration
-        # integrates its bracket's ends together and brentq's steps alone
-        assert calls["voltages"] == [1, 2]
-        assert calls["calibrate"] == [2] + [1] * (len(runs["calibrate"]) - 2)
+        # the reference with the bracket's ends, brentq's steps alone, then
+        # both voltages in one call
+        assert calls["calibrate"] == [3] + [1] * (len(runs["calibrate"]) - 3)
+        assert calls["voltages"] == [2]
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
         # nothing is carried over to the next call
@@ -171,35 +175,105 @@ class TestCalibration:
             == "5d47dcf77c36e00f266038c7a3b5e513ddcb55c2ae033114d067048e52e1826f"
         )
 
+    def test_fresh_divergence_names_whole_window_sample(self):
+        # the first request steps the reference and its levels from sample 0
+        duration = SourceConfig().perturbation_duration
+        scale = experiments.calibrate_physical_drive_scale(
+            SourceConfig(), experiments._phase_shift(duration)
+        )
+        with pytest.raises(IntegrationDivergedError) as whole:
+            whole_window_trace(scale * 1e6, duration)
+        with pytest.raises(IntegrationDivergedError) as fresh:
+            experiments._phase_shift(duration)(scale * np.array([0.1, 1e6, 2e6]))
+        assert str(fresh.value) == str(whole.value)
+        assert (fresh.value.step_index, fresh.value.intensity, fresh.value.carrier) == (
+            whole.value.step_index, whole.value.intensity, whole.value.carrier
+        )
 
-# angles in [-pi, pi]; the sampled values differ by exactly pi or 2 pi,
-# where np.unwrap's boundary rule decides, and NaN propagates
-ANGLES = st.floats(-math.pi, math.pi) | st.sampled_from(
-    [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.nan]
+    def test_net_phases_do_not_depend_on_grouping(self):
+        # more new levels than one call takes, with a repeat and the zero step
+        duration = SourceConfig().perturbation_duration
+        scale = experiments.calibrate_physical_drive_scale(
+            SourceConfig(), experiments._phase_shift(duration)
+        )
+        volts = [0.35, -0.2, 0.0, 0.1, -0.5, 0.2, 0.35, 0.05, -0.05, 0.3, -0.35, 0.15]
+        steps = scale * np.array(volts)
+        assert len(set(steps.tolist())) > experiments._BATCH_RUNS
+        at_once = experiments._phase_shift(duration)(steps)
+        phase_shift = experiments._phase_shift(duration)
+        one_at_a_time = np.array([float(phase_shift(step)) for step in steps])
+        phase_shift = experiments._phase_shift(duration)
+        in_two = np.concatenate([phase_shift(steps[:2]), phase_shift(steps[2:])])
+        assert at_once.tobytes() == one_at_a_time.tobytes() == in_two.tobytes()
+        assert at_once[2] == 0.0 and at_once[0] == at_once[6]
+
+
+def whole_window_trace(step, duration):
+    """One integration of the noiseless laser over the whole window of a drive step."""
+    dt, pre, post = experiments._DT, experiments._PRE, experiments._POST
+    quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
+    bias = 2.0 * quiet.threshold_current
+    n0, s0 = laser.stationary_state(quiet, bias)
+    segments = [(pre, bias), (duration, bias + step), (post, bias)]
+    drive = laser.DriveWaveform.from_segments(segments, dt)
+    return laser.integrate(
+        quiet, drive, dt=dt, initial_field=complex(math.sqrt(s0), 0.0), initial_carrier=n0
+    )
+
+
+def unit(*angles):
+    return [complex(math.cos(a), math.sin(a)) for a in angles]
+
+
+# any complex samples, and those whose angles np.unwrap's boundary rules
+# decide: signed zeros on both axes, -1 +- 0j at +-pi, +-1j, NaN and infinity
+SAMPLES = st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [
+        complex(x, y)
+        for x in (0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf)
+        for y in (0.0, -0.0, 1.0, -1.0, math.nan, math.inf)
+    ]
 )
+
+
+@st.composite
+def tails(draw):
+    """One to three tails of one length, as a list of columns."""
+    n = draw(st.integers(1, 30))
+    return draw(st.lists(st.lists(SAMPLES, min_size=n, max_size=n), min_size=1, max_size=3))
 
 
 class TestUnwrappedNet:
     @settings(max_examples=200, deadline=None)
-    @given(
-        head=st.lists(ANGLES, min_size=1, max_size=30),
-        tail=st.lists(ANGLES, min_size=1, max_size=30),
+    @given(head=st.lists(SAMPLES, min_size=1, max_size=30), tails=tails())
+    @example(head=unit(0.1, 0.2), tails=[unit(0.3, 0.4)])  # no wraps
+    # |dd| = pi: angles 0, pi, 0, -pi, pi/2, -pi/2
+    @example(head=[1 + 0j], tails=[[-1 + 0j, 1 + 0j, complex(-1.0, -0.0), 1j, -1j]])
+    # signed zeros on both axes: angles pi, -pi, pi, -pi, -0, 0, pi
+    @example(
+        head=[complex(-1.0, 0.0)],
+        tails=[[complex(-1.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+                complex(0.0, 0.0), complex(-0.0, 0.0)]],
     )
-    @example(head=[0.1, 0.2], tail=[0.3, 0.4])  # no wraps
-    @example(head=[0.0], tail=[math.pi, 0.0, -math.pi, math.pi / 2, -math.pi / 2])  # |dd| = pi
-    @example(head=[0.0, 3.0], tail=[-3.0, -2.9])  # a wrap at the resume boundary
-    @example(head=[0.0, 3.0, -3.0], tail=[3.0, -3.0])  # wraps in head, at the boundary and in tail
-    @example(head=[0.0, math.nan], tail=[1.0])
-    @example(head=[0.0], tail=[math.nan, 1.0])
-    def test_equals_np_unwrap_over_concatenation(self, head, tail):
-        head, tail = np.array(head), np.array(tail)
-        phase = np.unwrap(np.concatenate([head, tail]))
-        expected = phase[-1] - phase[0]
-        net = experiments._unwrapped_net(head)(tail)
-        if math.isnan(expected):
-            assert math.isnan(net)
-        else:
-            assert np.float64(net).tobytes() == expected.tobytes()
+    @example(head=unit(0.0, 3.0), tails=[unit(-3.0, -2.9)])  # a wrap at the resume boundary
+    # wraps in head, at the boundary and in tail, of two tails
+    @example(head=unit(0.0, 3.0, -3.0), tails=[unit(3.0, -3.0), unit(-3.0, 3.0)])
+    @example(head=[1 + 0j, complex(math.nan, 0.0)], tails=[unit(1.0)])
+    @example(head=[1 + 0j], tails=[[complex(0.0, math.nan), *unit(1.0)]])
+    @example(head=[complex(math.nan, math.nan)], tails=[unit(1.0), unit(2.0)])
+    @example(head=[1 + 0j], tails=[unit(1.0, 2.0), [complex(math.inf, -math.inf), complex(-math.inf, 0.0)]])
+    def test_equals_np_unwrap_over_concatenation(self, head, tails):
+        head = np.array(head, dtype=complex)
+        columns = np.array(tails, dtype=complex)
+        nets = experiments._unwrapped_net(head)(np.ascontiguousarray(columns.T))
+        assert nets.shape == (len(columns),)
+        for tail, net in zip(columns, nets):
+            phase = np.unwrap(np.angle(np.concatenate([head, tail])))
+            expected = phase[-1] - phase[0]
+            if math.isnan(expected):
+                assert math.isnan(net)
+            else:
+                assert net.tobytes() == expected.tobytes()
 
 
 class TestRandomization:
