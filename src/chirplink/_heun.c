@@ -17,22 +17,34 @@
  * 0.5j * alpha as Python computes it.  pump holds n_steps + 1 rows, and
  * inj, when not NULL, n_steps + 1 rows of complex samples as (re, im)
  * pairs.  When xi is not NULL, step k reads the unit normals of its row k
- * of 2 n_runs values, the real parts first.  field (complex) holds
- * field_rows rows and carrier carrier_rows rows, and sample k is stored in
- * row k % rows: n_steps + 1 rows keep the whole trace, 2 rows only the
- * last two samples.  Row 0 holds the initial state.  diverged[j] is 0 in;
- * it is set to the sample index k + 1 of the first step whose state is not
- * finite or whose intensity exceeds 1e12, and the run keeps that state in
- * every later sample.
+ * of 2 n_runs values, the real parts first.  field (complex) and carrier
+ * hold `rows` rows, and sample k is stored in row k % rows: n_steps + 1
+ * rows keep the whole trace, 2 rows only the last two samples.  Row 0
+ * holds the initial state.  diverged[j] is 0 in; it is set to the sample
+ * index k + 1 of the first step whose state is not finite or whose
+ * intensity exceeds 1e12, and the run keeps that state in every later
+ * sample.
+ *
+ * When flip_index is not NULL, each step k at which the sign bit of run j's
+ * Im E changes appends k * n_runs + j to flip_index and the run's samples k
+ * and k + 1 to flip_before and flip_after (complex), as np.flatnonzero(
+ * np.diff(np.signbit(field.imag), axis=0)) orders them; there is room for
+ * n_steps * n_runs, and the entry returns the number written.
  */
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 /* Hard cap on the photon number used to detect runaway integrations. */
 #define DIVERGENCE_INTENSITY 1e12
 
-/* Step k of every run, from state (e, n) to (e1, n1). */
-static inline __attribute__((always_inline)) void step(
+/* The bits of x: the top one is its sign bit. */
+static inline uint64_t bits(double x) { uint64_t u; memcpy(&u, &x, sizeof u); return u; }
+
+/* Step k of every run, from state (e, n) to (e1, n1).  Returns whether the
+ * sign bit of some run's Im E changed. */
+static inline __attribute__((always_inline)) uint64_t step(
     long k, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
     double hr, double hi, double beta, double kappa, double dt, const double *restrict p0,
     const double *restrict p1, const double *restrict i0, const double *restrict i1,
@@ -40,6 +52,7 @@ static inline __attribute__((always_inline)) void step(
     const double *restrict n, double *restrict e1, double *restrict n1, long *restrict diverged,
     const int injected, const int noisy)
 {
+    uint64_t flipped = 0;
     for (long j = 0; j < n_runs; j++) {
         double er = e[2 * j], ei = e[2 * j + 1], nc = n[j];
 
@@ -100,44 +113,57 @@ static inline __attribute__((always_inline)) void step(
         e1[2 * j + 1] = live ? ei1 : ei;
         n1[j] = live ? nc1 : nc;
         diverged[j] |= -(live & !ok) & (k + 1);
+        flipped |= bits(e1[2 * j + 1]) ^ bits(ei);
     }
+    return flipped >> 63;
 }
 
 /* One copy of the loop for each presence of inj and xi, so that no
  * branch is left inside the loop over runs. */
-static inline __attribute__((always_inline)) void steps(
+static inline __attribute__((always_inline)) long steps(
     long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
     double hr, double hi, double beta, double kappa, double dt, const double *pump,
-    const double *inj, const double *xi, double *field, long field_rows, double *carrier,
-    long carrier_rows, long *diverged, const int injected, const int noisy)
+    const double *inj, const double *xi, double *field, double *carrier, long rows,
+    long *diverged, long *flip_index, double *flip_before, double *flip_after,
+    const int injected, const int noisy)
 {
+    long n_flips = 0;
     for (long k = 0; k < n_steps; k++) {
         const double *p0 = pump + k * n_runs, *i0 = injected ? inj + 2 * k * n_runs : 0;
         const double *x_re = noisy ? xi + 2 * k * n_runs : 0;
-        step(k, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, p0, p0 + n_runs,
-             i0, injected ? i0 + 2 * n_runs : 0, x_re, noisy ? x_re + n_runs : 0,
-             field + 2 * (k % field_rows) * n_runs, carrier + (k % carrier_rows) * n_runs,
-             field + 2 * ((k + 1) % field_rows) * n_runs, carrier + ((k + 1) % carrier_rows) * n_runs,
-             diverged, injected, noisy);
+        double *e = field + 2 * (k % rows) * n_runs, *e1 = field + 2 * ((k + 1) % rows) * n_runs;
+        uint64_t flipped = step(
+            k, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, p0, p0 + n_runs, i0,
+            injected ? i0 + 2 * n_runs : 0, x_re, noisy ? x_re + n_runs : 0, e,
+            carrier + (k % rows) * n_runs, e1, carrier + ((k + 1) % rows) * n_runs, diverged,
+            injected, noisy);
+        /* a sign change is rare: step() ORs the sign bits in its vector
+         * loop, and the runs are searched only on a change */
+        for (long j = 0; flip_index && flipped && j < n_runs; j++) {
+            if ((bits(e[2 * j + 1]) ^ bits(e1[2 * j + 1])) >> 63) {
+                flip_index[n_flips] = k * n_runs + j;
+                memcpy(flip_before + 2 * n_flips, e + 2 * j, 2 * sizeof *e);
+                memcpy(flip_after + 2 * n_flips++, e1 + 2 * j, 2 * sizeof *e1);
+            }
+        }
     }
+    return n_flips;
 }
 
 #define STEPS(injected, noisy)                                                                 \
     steps(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump, inj, \
-          xi, field, field_rows, carrier, carrier_rows, diverged, injected, noisy)
+          xi, field, carrier, rows, diverged, flip_index, flip_before, flip_after, injected,   \
+          noisy)
 
 /* The copies with injection, built once, without an AVX2 clone: only
  * laser.integrate injects, one run at a time, which a vector does not speed. */
-__attribute__((noinline)) void chirplink_heun_injected(
+__attribute__((noinline)) long chirplink_heun_injected(
     long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
     double hr, double hi, double beta, double kappa, double dt, const double *pump,
-    const double *inj, const double *xi, double *field, long field_rows, double *carrier,
-    long carrier_rows, long *diverged)
+    const double *inj, const double *xi, double *field, double *carrier, long rows,
+    long *diverged, long *flip_index, double *flip_before, double *flip_after)
 {
-    if (xi)
-        STEPS(1, 1);
-    else
-        STEPS(1, 0);
+    return xi ? STEPS(1, 1) : STEPS(1, 0);
 }
 
 /* The entry.  On x86_64 the copies without injection are built for CPUs
@@ -146,18 +172,16 @@ __attribute__((noinline)) void chirplink_heun_injected(
 #if defined(__x86_64__)
 __attribute__((target_clones("avx2", "default")))
 #endif
-void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
+long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
                     double eps, double hr, double hi, double beta, double kappa, double dt,
                     const double *pump, const double *inj, const double *xi, double *field,
-                    long field_rows, double *carrier, long carrier_rows, long *diverged)
+                    double *carrier, long rows, long *diverged, long *flip_index,
+                    double *flip_before, double *flip_after)
 {
     if (inj)
-        chirplink_heun_injected(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta,
-                                kappa, dt, pump, inj, xi, field, field_rows, carrier, carrier_rows,
-                                diverged);
-    else if (xi)
-        STEPS(0, 1);
-    else
-        STEPS(0, 0);
+        return chirplink_heun_injected(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi,
+                                       beta, kappa, dt, pump, inj, xi, field, carrier, rows,
+                                       diverged, flip_index, flip_before, flip_after);
+    return xi ? STEPS(0, 1) : STEPS(0, 0);
 }
 #undef STEPS

@@ -49,56 +49,34 @@ def _write_summary(path, cfg: ExperimentConfig, payload: dict) -> None:
 # window of _PRE, the perturbation, then _POST for the laser to settle.
 _DT = 2e-13
 _PRE, _POST = 0.2e-9, 1.5e-9
-# At most this many steps per run: a kernel call of 8 runs holds their
-# pump and field traces, ~200 bytes per step at its peak, so ~200 MB and
-# ~0.25 s (958,500 steps on one x86_64 core: 202 bytes; 109 at 4 runs).
+# At most this many steps per run: a 20-run kernel call holds its pump, 8
+# bytes per run-step, ~150 MB and ~0.2 s at the cap on one x86_64 core.
 _MAX_STEPS = 1e6
-# The physical path integrates this many drive levels per kernel call:
-# two AVX2 vectors of runs hide the latency of each run's chain of steps.
-_BATCH_RUNS = 8
+# The physical path integrates up to this many drive levels per kernel call.
+# A call costs one run's chain of steps plus a little per AVX2 vector of 4
+# runs, but 3 runs past the last vector cost more than a vector (8751 steps:
+# 0.43 ms for 3 runs, 0.41 for 4), so such a call repeats its last level.
+_BATCH_RUNS = 20
 
 
-def _unwrapped_net(head: np.ndarray):
-    """np.unwrap's net phase over the angles of `head` and then a tail, as a function of tails.
+def _unwrap_corrections(flips, totals: np.ndarray) -> np.ndarray:
+    """`totals` plus np.unwrap's corrections at the sign flips of Im E.
 
-    `head` holds complex samples; the returned function takes an (n, runs)
-    array of them, one tail per column, and returns for each column
-    np.unwrap(np.angle(np.concatenate([head, tail])))'s last value minus
-    its first, bit for bit.  np.unwrap adds the running sum of its
-    corrections to each angle, and a correction is nonzero only at a jump
-    of more than pi (+0.0 at exactly pi, which leaves a sum as it is).  A
-    sample's angle is in [0, pi] when the sign bit of its imaginary part
-    is clear and in [-pi, -0] when it is set, so such a jump changes that
-    sign bit: angles are taken only there, and at every sample of a column
-    holding a NaN or an infinity.  The corrections are added one at a
-    time in sample order, as np.cumsum adds them (a pairwise sum would
-    change the last bits), head's once, here, and each tail's to that sum.
+    `flips` is integrate_pumps' (index, before, after) of finite samples;
+    totals[index % len(totals)] gets them.  A correction is nonzero only at
+    a jump of more than pi (+0.0 at exactly pi, which leaves a sum as it
+    is), and an angle is in [0, pi] when the sign bit of Im E is clear and
+    in [-pi, -0] when it is set, so such a jump flips that bit.  They are
+    added one at a time in sample order, as np.cumsum adds them.
     """
-
-    def corrections(samples: np.ndarray, before: complex, total: float) -> np.ndarray:
-        """`total` plus np.unwrap's corrections of each column of `samples`, after `before`."""
-        jumps = np.diff(np.signbit(samples.imag), axis=0, prepend=np.signbit(before.imag))
-        with np.errstate(invalid="ignore", over="ignore"):
-            if not np.isfinite(samples.sum()):  # a NaN angle, maybe: every jump
-                jumps[:] = True
-        k, column = np.divmod(np.flatnonzero(jumps), samples.shape[1])  # in sample order
-        dd = np.angle(samples[k, column]) - np.angle(np.where(k > 0, samples[k - 1, column], before))
-        corrected = ~(np.abs(dd) < math.pi)
-        dd, column = dd[corrected], column[corrected]
-        ddmod = np.mod(dd + math.pi, TWO_PI) - math.pi
-        np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (dd > 0))
-        sums = np.full(samples.shape[1], total)
-        np.add.at(sums, column, ddmod - dd)  # one at a time, in order, as np.cumsum adds
-        return sums
-
-    (head_sum,) = corrections(head[1:, None], head[0], 0.0)
-    first, last = head[0], head[-1]  # and not head, which may be a view of a larger array
-
-    def net(tails: np.ndarray) -> np.ndarray:
-        total = corrections(tails, last, head_sum)
-        return (np.angle(tails[-1]) + total) - np.angle(first)
-
-    return net
+    index, before, after = flips
+    dd = np.angle(after) - np.angle(before)
+    corrected = np.abs(dd) >= math.pi
+    dd, column = dd[corrected], index[corrected] % len(totals)
+    ddmod = np.mod(dd + math.pi, TWO_PI) - math.pi
+    np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (dd > 0))
+    np.add.at(totals, column, ddmod - dd)
+    return totals
 
 
 def _phase_shift(duration: float):
@@ -106,15 +84,14 @@ def _phase_shift(duration: float):
 
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, the reference.  The
-    returned function takes an array of drive steps and integrates each
-    level it has not met before, _BATCH_RUNS runs per kernel call.  The
-    first call steps the reference and the first new levels over the whole
-    window.  Up to sample k0 every run is the reference, as step k0 is the
-    first to read the step's pump, so each later run resumes from the
-    reference's state there and its phase is unwrapped after the
-    reference's first k0 samples: the net phase of a run over the whole
-    window, bit for bit.  A divergence names the first such level in input
-    order, the reference first, at the sample of the whole window.
+    returned function takes an array of drive steps and integrates the
+    levels it has not met before in one kernel call (_BATCH_RUNS at most).
+    Up to sample k0 every run is the reference, as step k0 is the first to
+    read the step's pump: the reference steps there alone, once, and every
+    level, its own tail too, resumes from its state at k0.  The net phase,
+    from the kernel's sign flips, is np.unwrap's over the whole window, bit
+    for bit.  A divergence names the first such level in input order, the
+    reference first, at the sample of the whole window.
     """
     steps = (_PRE + duration + _POST) / _DT
     if not steps <= _MAX_STEPS:
@@ -129,41 +106,36 @@ def _phase_shift(duration: float):
     # DriveWaveform.from_segments counts them; the drive ends on one more
     n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
     k0 = n_pre - 1
-    start = complex(math.sqrt(s0)), n0  # the state at sample `origin`: 0, then k0
-    origin = 0
-    net_after_head = None  # of tails from sample k0, once the reference has run
+    start = head_sum = None  # the reference's state at sample k0 and its corrections to there
     raw = {}  # net phase by drive level, before the reference's is subtracted
 
-    def pumps(levels: list[float]) -> np.ndarray:  # from sample `origin` on
-        pump = np.full((n_pre + n_step + n_post + 1 - origin, len(levels)), bias)
+    def integrate(levels: list[float], origin: int, n_steps: int, start):
+        """Last fields and flips of runs at `levels`, stepped together from sample `origin`."""
+        levels = levels + levels[-1:] * (len(levels) % 4 == 3)
+        pump = np.full((n_steps + 1, len(levels)), bias)
         pump[n_pre - origin : n_pre + n_step - origin] = levels
-        return pump
-
-    def integrate(levels: list[float]) -> list[float]:
-        """Raw net phases of runs at `levels`, stepped together from sample `origin`."""
-        nonlocal start, origin, net_after_head
-        # the pump is freed on return, before the phases are taken
-        field, carrier, diverged = laser.integrate_pumps(
-            quiet, pumps(levels), _DT, *start, carrier_trace=origin == 0
+        field, carrier, diverged, flips = laser.integrate_pumps(
+            quiet, pump, _DT, *start, trace=False, flips=True
         )
         if diverged.any():  # name the sample in the whole window
             j = int(np.flatnonzero(diverged)[0])
-            last_carrier = carrier if origin else carrier[-1]
-            raise laser.diverged_error(diverged[j] + origin, field[diverged[j], j], last_carrier[j])
-        if origin == 0:  # levels[0] is the reference
-            start, origin = (field[k0, 0], carrier[k0, 0]), k0
-            net_after_head = _unwrapped_net(field[:k0, 0])
-            field = field[k0:]
-        return net_after_head(field).tolist()
+            raise laser.diverged_error(diverged[j] + origin, field[j], carrier[j])
+        return field, carrier, flips
 
     def phase_shift(drive_steps) -> np.ndarray:
+        nonlocal start, head_sum
         levels = bias + np.asarray(drive_steps, dtype=float)
         flat = levels.ravel().tolist()
-        # the reference goes first, with the first new levels
         new = [level for level in dict.fromkeys([bias, *flat]) if level not in raw]
+        if new and start is None:
+            field, carrier, flips = integrate([bias], 0, k0, (complex(math.sqrt(s0)), n0))
+            start, (head_sum,) = (field[0], carrier[0]), _unwrap_corrections(flips, np.zeros(1))
         for i in range(0, len(new), _BATCH_RUNS):
             batch = new[i : i + _BATCH_RUNS]
-            raw.update(zip(batch, integrate(batch)))
+            field, _, flips = integrate(batch, k0, n_pre + n_step + n_post - k0, start)
+            # sample 0 is real and positive, at angle 0; zip drops the copies
+            nets = np.angle(field) + _unwrap_corrections(flips, np.full(len(field), head_sum))
+            raw.update(zip(batch, nets.tolist()))
         return np.array([raw[level] - raw[bias] for level in flat]).reshape(levels.shape)
 
     return phase_shift

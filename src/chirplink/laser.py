@@ -252,10 +252,10 @@ def _heun():
     if private:  # the loaded library stays mapped
         os.remove(lib)
         os.rmdir(private)
-    kernel.restype = None
+    kernel.restype = ctypes.c_long
     kernel.argtypes = (
-        [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 4
-        + [ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+        [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 5 + [ctypes.c_long]
+        + [ctypes.c_void_p] * 4
     )
     return kernel
 
@@ -282,8 +282,8 @@ def integrate_pumps(
     initial_carrier,
     noise: np.ndarray | None = None,
     injection: np.ndarray | None = None,
-    field_trace: bool = True,
-    carrier_trace: bool = True,
+    trace: bool = True,
+    flips: bool = False,
 ):
     """Integrate one run of the rate equations per column of `pump`.
 
@@ -296,10 +296,11 @@ def integrate_pumps(
     (n_steps + 1, n_runs) complex samples, is added with the coupling.
 
     Returns (field, carrier, diverged).  field and carrier are the
-    (n_steps + 1, n_runs) traces, or, where `field_trace` or
-    `carrier_trace` is false, only the state at the last sample.
-    diverged[j] is 0, or the sample index at which run j diverged; the run
-    keeps that state in every later sample, so it is also its last state.
+    (n_steps + 1, n_runs) traces, or, where `trace` is false, only the
+    state at the last sample.  diverged[j] is 0, or the sample index at
+    which run j diverged; the run keeps that state in every later sample,
+    so it is also its last state.  With `flips`, a fourth item holds the
+    sign changes of Im E, (index, before, after), as _heun.c lists them.
     """
     _check_dt(params, dt)
     pump = np.ascontiguousarray(pump, dtype=float)
@@ -318,8 +319,8 @@ def integrate_pumps(
             raise PreconditionError("injection must be an (n_steps + 1, n_runs) array")
 
     # the kernel keeps sample k in row k % rows: all of them, or the last two
-    field = np.empty((n_steps + 1 if field_trace else 2, n_runs), dtype=complex)
-    carrier = np.empty((n_steps + 1 if carrier_trace else 2, n_runs))
+    rows = n_steps + 1 if trace else 2
+    field, carrier = np.empty((rows, n_runs), dtype=complex), np.empty((rows, n_runs))
     field[0], carrier[0] = initial_field, initial_carrier
     diverged = np.zeros(n_runs, dtype=ctypes.c_long)
     half_alpha_j = 0.5j * params.linewidth_enhancement
@@ -335,15 +336,20 @@ def integrate_pumps(
         params.injection_coupling,
         dt,
     )
+    # room for a flip of every run at every step; only the pages written are
+    # touched (three arrays: numpy advises huge pages for one of 4 MiB or more)
+    index = np.empty(n_steps * n_runs if flips else 0, dtype=ctypes.c_long)
+    before, after = np.empty(index.size, dtype=complex), np.empty(index.size, dtype=complex)
+    outputs = [a.ctypes.data if flips else None for a in (index, before, after)]
     inputs = [None if a is None else a.ctypes.data for a in (pump, injection, noise)]
-    _heun()(
-        n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, len(field),
-        carrier.ctypes.data, len(carrier), diverged.ctypes.data,
+    n = _heun()(
+        n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, carrier.ctypes.data, rows,
+        diverged.ctypes.data, *outputs,
     )
-    if not field_trace:
-        field = field[n_steps % 2]
-    if not carrier_trace:
-        carrier = carrier[n_steps % 2]
+    if not trace:
+        field, carrier = field[n_steps % 2], carrier[n_steps % 2]
+    if flips:
+        return field, carrier, diverged, (index[:n], before[:n], after[:n])
     return field, carrier, diverged
 
 
@@ -425,9 +431,7 @@ def integrate_ensemble(
         m = min(block, n_steps - start)
         pumps = np.broadcast_to(pump[start : start + m + 1, None], (m + 1, n_runs))
         xi = None if rng is None else rng.standard_normal((m, 2, n_runs))
-        field, carrier, diverged = integrate_pumps(
-            params, pumps, dt, field, carrier, xi, field_trace=False, carrier_trace=False
-        )
+        field, carrier, diverged = integrate_pumps(params, pumps, dt, field, carrier, xi, trace=False)
         if diverged.any():  # a later block can only diverge later
             run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))
             raise diverged_error(start + diverged[run], field[run], carrier[run], run)

@@ -414,7 +414,7 @@ class TestBatchedKernel:
             assert_same_bits(column, oracle_integrate(p, drive, **kwargs))
         # without the traces, the last samples
         last_field, last_carrier, _ = laser.integrate_pumps(
-            p, pump, DT, np.array(initial), 900.0, noise, inj, field_trace=False, carrier_trace=False
+            p, pump, DT, np.array(initial), 900.0, noise, inj, trace=False
         )
         assert last_field.tobytes() == field[-1].tobytes()
         assert last_carrier.tobytes() == carrier[-1].tobytes()
@@ -428,7 +428,7 @@ class TestBatchedKernel:
         pump = np.column_stack([drive.current for drive in drives])
         field, carrier, diverged = laser.integrate_pumps(params, pump, DT, np.array(initial), 900.0, noise)
         last_field, last_carrier, _ = laser.integrate_pumps(
-            params, pump, DT, np.array(initial), 900.0, noise, field_trace=False, carrier_trace=False
+            params, pump, DT, np.array(initial), 900.0, noise, trace=False
         )
         for j, drive in enumerate(drives):
             kwargs = dict(noise_seed=seeds[j], dt=DT, initial_field=initial[j], initial_carrier=900.0)
@@ -450,6 +450,47 @@ class TestBatchedKernel:
             # the run keeps the state it diverged at, to the last sample
             assert (field[k:, j] == field[k, j]).all() and (carrier[k:, j] == carrier[k, j]).all()
             assert last_field[j] == field[k, j] and last_carrier[j] == carrier[k, j]
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("copy", ["plain", "noisy", "injected"])
+    def test_flips_are_the_sign_changes_of_the_trace(self, params, width, copy):
+        p = replace(params, spontaneous_fraction=params.spontaneous_fraction if copy == "noisy" else 0.0)
+        if copy == "injected":
+            p = replace(p, injection_coupling=5e10)
+        th, n_steps = p.threshold_current, 3000
+        # run 0 has no pump and no carrier, so its phase spins fast; the
+        # last of three or more runs steps to a pump of 1e30 and diverges
+        levels = [0.0] + [(0.5 + 0.3 * j) * th for j in range(1, width)]
+        if width >= 3:
+            levels[-1] = 1e30
+        pump = np.full((n_steps + 1, width), 0.2 * th)
+        pump[500:] = levels
+        initial = np.array([complex(1e-3 * (j + 1), -1e-4 * j) for j in range(width)])
+        carrier = np.where(np.arange(width) == 0, 0.0, 900.0)
+        rng = np.random.default_rng(width)
+        noise = rng.standard_normal((n_steps, 2, width)) if copy == "noisy" else None
+        # an injection that turns 0.3 rad per step, so that it spins run 0 too
+        inj = np.repeat(0.3 * np.exp(0.3j * np.arange(n_steps + 1))[:, None], width, 1)
+        inj = inj if copy == "injected" else None
+        field, _, diverged = laser.integrate_pumps(p, pump, DT, initial, carrier, noise, inj)
+        last_field, _, last_diverged, (index, before, after) = laser.integrate_pumps(
+            p, pump, DT, initial, carrier, noise, inj, trace=False, flips=True
+        )
+        assert last_field.tobytes() == field[-1].tobytes()
+        assert last_diverged.tobytes() == diverged.tobytes()
+        expected = np.flatnonzero(np.diff(np.signbit(field.imag), axis=0))
+        assert np.array_equal(index, expected)
+        k, j = np.divmod(expected, width)
+        assert before.tobytes() == field[k, j].tobytes()
+        assert after.tobytes() == field[k + 1, j].tobytes()
+        assert np.count_nonzero(j == 0) > 200
+        if width >= 3:
+            d = diverged[-1]
+            assert 500 < d < n_steps  # mid-call
+            assert (k[j == width - 1] < d).all()  # no flip after its divergence sample
+            assert not diverged[:-1].any()
+        else:
+            assert not diverged.any()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_pump_rejected(self, quiet, bad):
