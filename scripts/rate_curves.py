@@ -10,9 +10,8 @@ import pathlib
 
 import numpy as np
 
-from chirplink.keyrate import LinkParams, rate_curve
+from chirplink.keyrate import LinkParams, bb84_rate_point, dps_rate_point
 from chirplink.optics import InterferometerParams
-from chirplink.protocols import BB84, DPS
 from chirplink.source import SourceConfig
 
 HEADER = "loss_db,sifted_rate_bps,qber,secure_rate_bps"
@@ -38,11 +37,11 @@ def main() -> None:
         mzi=InterferometerParams(visibility=0.962),
     )
 
-    for name, protocol, link in (
-        ("bb84_rate_curve", BB84, bb84_link),
-        ("dps_rate_curve", DPS, dps_link),
+    for name, rate_point, link in (
+        ("bb84_rate_curve", bb84_rate_point, bb84_link),
+        ("dps_rate_curve", dps_rate_point, dps_link),
     ):
-        points = rate_curve(protocol, link, losses)
+        points = [rate_point(link, loss) for loss in losses]
         path = outdir / f"{name}.csv"
         data = [[p.loss_db, p.sifted_rate_bps, p.qber, p.secure_rate_bps] for p in points]
         np.savetxt(path, data, delimiter=",", header=HEADER, comments="")

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Run all five experiment recipes with their example configs, phase-voltage
 # also with physical_mode = true, randomization also with
-# randomize_blocks = false, and scripts/laser_traces.py, all from this
-# checkout's src/; end with the sha256 of every file written.
+# randomize_blocks = false, scripts/laser_traces.py and scripts/rate_curves.py,
+# all from this checkout's src/; end with the sha256 of every file written.
 # Usage: scripts/run_all_experiments.sh [output-dir]
 #
 # To check that a change keeps every output byte-identical, run this in both
@@ -31,11 +31,14 @@ python3 -m chirplink.cli randomization --config "$outdir/randomization_fixed.cfg
     --out "$outdir/randomization_fixed.csv"
 echo "== laser traces =="
 python3 scripts/laser_traces.py --outdir "$outdir"
+echo "== rate curves =="
+python3 scripts/rate_curves.py --outdir "$outdir"
 echo "== sha256 =="
 for f in phase_voltage.csv randomization.csv randomization.csv.json bb84_sweep.csv \
     bb84_sweep.csv.json dps_sweep.csv dps_sweep.csv.json stability.csv stability.csv.json \
     phase_voltage_physical.cfg phase_voltage_physical.csv randomization_fixed.cfg \
     randomization_fixed.csv randomization_fixed.csv.json \
-    gain_switched_trace.csv injection_locked_trace.csv; do
+    gain_switched_trace.csv injection_locked_trace.csv \
+    bb84_rate_curve.csv dps_rate_curve.csv; do
     sha256sum "$outdir/$f"
 done

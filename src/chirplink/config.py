@@ -120,11 +120,12 @@ class ExperimentConfig:
             raise PreconditionError("voltages must have at least one value")
         if not all(math.isfinite(v) for v in self.voltages):
             raise PreconditionError("voltages must be finite")
+        # before losses, which parse_config_text may have computed from it
+        if not (math.isfinite(self.loss_per_km) and self.loss_per_km >= 0):
+            raise PreconditionError("loss_per_km must be finite and >= 0")
         _check_axis(self.losses, "losses")
         if any(l < 0 for l in self.losses):
             raise PreconditionError("losses must be non-negative")
-        if not (math.isfinite(self.loss_per_km) and self.loss_per_km >= 0):
-            raise PreconditionError("loss_per_km must be finite and >= 0")
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Flat (key, value) view of the full configuration for embedding."""
@@ -250,7 +251,7 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
     if fiber_km is not None:
         if "losses" in top:
             raise ConfigError("losses: give either losses or fiber_km, not both")
-        lpk = top.get("loss_per_km", 0.2)
+        lpk = top.get("loss_per_km", ExperimentConfig.loss_per_km)
         top["losses"] = [km * lpk for km in fiber_km]
 
     kwargs = dict(top)

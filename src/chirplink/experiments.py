@@ -231,8 +231,6 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     # a run takes ~106 bytes of memory per trial: ~11 GB at 10**8
     if cfg.trials > 10**8:
         raise PreconditionError("randomization trials must be at most 10**8")
-    if cfg.mzi.delay_slots(cfg.source.clock_rate) != 1:
-        raise PreconditionError("randomization requires a one-slot interferometer delay")
     visibility = cfg.mzi.visibility
     n_blocks = cfg.trials
     # 1/2 (1 + V cos dphi) takes ~V 2**53 distinct doubles; with fewer than

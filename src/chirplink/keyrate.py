@@ -73,8 +73,6 @@ class DecoyRateResult:
     rate: float
     y1_bound: float
     e1_bound: float
-    valid: bool
-    diagnostic: str | None = None
 
 
 def decoy_bb84_rate(inputs: DecoyInputs) -> DecoyRateResult:
@@ -86,17 +84,17 @@ def decoy_bb84_rate(inputs: DecoyInputs) -> DecoyRateResult:
         - (mu * mu - nu * nu) / (mu * mu) * inputs.y0
     )
     if y1 <= 0.0:
-        return DecoyRateResult(0.0, y1, 1.0, False, "single-photon yield bound <= 0")
+        return DecoyRateResult(0.0, y1, 1.0)
     e1 = (inputs.e_nu * inputs.q_nu * math.exp(nu) - 0.5 * inputs.y0) / (y1 * nu)
     e1 = max(e1, 0.0)
     if e1 > 0.5:
-        return DecoyRateResult(0.0, y1, e1, False, "single-photon error bound > 1/2")
+        return DecoyRateResult(0.0, y1, e1)
     q1 = y1 * mu * math.exp(-mu)
     raw = -inputs.q_mu * inputs.f_ec * binary_entropy(inputs.e_mu) + q1 * (
         1.0 - binary_entropy(e1)
     )
     # the bases agree in half of the signals
-    return DecoyRateResult(0.5 * max(0.0, raw), y1, e1, True)
+    return DecoyRateResult(0.5 * max(0.0, raw), y1, e1)
 
 
 def dps_rate(gain: float, qber: float, mu: float, f_ec: float = 1.16) -> float:
@@ -139,12 +137,9 @@ class LinkParams:
     decoy_nu: float = 0.1
     f_ec: float = 1.16
 
-    def channel(self, loss_db: float) -> ChannelParams:
-        return ChannelParams(loss_db=loss_db)
-
 
 def bb84_rate_point(link: LinkParams, loss_db: float) -> RatePoint:
-    channel = link.channel(loss_db)
+    channel = ChannelParams(loss_db)
     q_mu, e_mu = expected_gain_qber(BB84, link.signal_mu, channel, link.mzi, link.detector)
     q_nu, e_nu = expected_gain_qber(BB84, link.decoy_nu, channel, link.mzi, link.detector)
     y0 = vacuum_yield(link.detector)
@@ -166,24 +161,10 @@ def bb84_rate_point(link: LinkParams, loss_db: float) -> RatePoint:
 
 
 def dps_rate_point(link: LinkParams, loss_db: float) -> RatePoint:
-    channel = link.channel(loss_db)
+    channel = ChannelParams(loss_db)
     mu = link.source.mean_photon_number
     q, e = expected_gain_qber(DPS, mu, channel, link.mzi, link.detector)
     secure_fraction = dps_rate(q, min(e, 0.5), mu, link.f_ec)
     clock = link.source.clock_rate
     return RatePoint(loss_db, q * clock, e, secure_fraction * clock)
-
-
-def rate_curve(protocol: str, link: LinkParams, losses) -> list[RatePoint]:
-    """Analytic rate points over an increasing sequence of channel losses."""
-    losses = list(losses)
-    if any(l < 0 for l in losses):
-        raise PreconditionError("losses must be non-negative")
-    if not all(b > a for a, b in zip(losses, losses[1:])):
-        raise PreconditionError("losses must be strictly increasing")
-    if protocol == BB84:
-        return [bb84_rate_point(link, l) for l in losses]
-    if protocol == DPS:
-        return [dps_rate_point(link, l) for l in losses]
-    raise PreconditionError(f"unknown protocol {protocol!r}")
 

@@ -1,17 +1,16 @@
 """Channel attenuation, asymmetric Mach-Zehnder decoding and gated detection.
 
 Pulses are delta-like slots; only per-slot phases and mean photon
-numbers propagate.  The interferometer combines each pulse with the one
-a slot earlier (every caller requires a one-slot delay); the effective
-visibility folds source seeding fidelity and decoder imperfection into
-one number.
+numbers propagate.  The interferometer's delay is one slot, the pulse
+separation, by construction: it combines each pulse with the one before
+it.  The effective visibility folds source seeding fidelity and decoder
+imperfection into one number.
 Detection is a threshold model with Poisson click statistics and a dark
 count probability per gate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +36,11 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class InterferometerParams:
-    delay: float = 500e-12
     internal_phase: float = 0.0
     insertion_loss_db: float = 3.0
     visibility: float = 1.0
 
     def __post_init__(self):
-        if self.delay <= 0:
-            raise PreconditionError("delay must be positive")
         if self.insertion_loss_db < 0:
             raise PreconditionError("insertion_loss_db must be >= 0")
         if not 0.0 <= self.visibility <= 1.0:
@@ -54,27 +50,20 @@ class InterferometerParams:
     def loss_factor(self) -> float:
         return 10.0 ** (-self.insertion_loss_db / 10.0)
 
-    def delay_slots(self, clock_rate: float) -> int:
-        k = self.delay * clock_rate
-        if not (math.isfinite(k) and k >= 0.5 and abs(k - round(k)) <= 1e-6):
-            raise PreconditionError("delay must be an integer number >= 1 of slot periods")
-        return round(k)
-
 
 @dataclass(frozen=True)
 class DetectorParams:
     efficiency: float = 0.14
     dark_rate: float = 150.0
     gate_width: float = 0.25e-9
-    gate_period: float = 0.5e-9
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise PreconditionError("efficiency must be in [0, 1]")
         if self.dark_rate < 0:
             raise PreconditionError("dark_rate must be >= 0")
-        if not 0 < self.gate_width <= self.gate_period:
-            raise PreconditionError("gate_width must be in (0, gate_period]")
+        if not self.gate_width > 0:
+            raise PreconditionError("gate_width must be positive")
         if self.dark_probability > 1.0:
             raise PreconditionError(
                 "dark_rate * gate_width is the dark click probability per gate and must be <= 1"

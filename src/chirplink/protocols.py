@@ -117,8 +117,6 @@ def _sample_link(
     bit the (none, port 0 only, port 1 only, both) split, and the errors
     among the double clicks (a fair tie coin).
     """
-    if mzi.delay_slots(config.clock_rate) != 1:
-        raise PreconditionError(f"{protocol.upper()} requires a one-slot interferometer delay")
     rng = np.random.default_rng(rng_seed)
     if protocol == BB84:
         n_slots = rng.binomial(n_slots, 0.5)

@@ -25,16 +25,13 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class SourceConfig:
     clock_rate: float = 2e9
-    pulse_width: float = 70e-12
     halfwave_voltage: float = 0.35
     perturbation_duration: float = 250e-12
     mean_photon_number: float = 0.25
 
     def __post_init__(self):
-        if self.clock_rate <= 0:
-            raise PreconditionError("clock_rate must be positive")
-        if not 0 < self.pulse_width < 1.0 / self.clock_rate:
-            raise PreconditionError("pulse_width must fit inside one clock period")
+        if not 0 < self.clock_rate * 2.0**63 < math.inf:
+            raise PreconditionError("clock_rate must be positive, and finite times 2**63 counts")
         if self.halfwave_voltage <= 0:
             raise PreconditionError("halfwave_voltage must be positive")
         if self.perturbation_duration <= 0:

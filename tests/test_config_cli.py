@@ -440,19 +440,17 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bb84-sweep.csv").exists()
 
-    @pytest.mark.parametrize("command", ["bb84-sweep", "dps-sweep", "randomization"])
-    def test_requires_one_slot_delay_exit_code(self, tmp_path, command, capsys):
-        cfg = tmp_path / "delay.cfg"
-        cfg.write_text(
-            "trials = 20000\n"
-            "losses = 0\n"
-            "mzi.delay = 1e-9\n"
-        )
-        out = tmp_path / "sweep.csv"
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+    @pytest.mark.parametrize("key", ["source.pulse_width", "detector.gate_period", "mzi.delay"])
+    def test_deleted_key_exit_code(self, tmp_path, command, key, capsys):
+        # no computation reads these, so they are rejected, not ignored; the
+        # decoder delay is one slot by construction
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = 5e-10\n")
+        out = tmp_path / "run.csv"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
-        assert not out.with_name("sweep.csv.json").exists()
-        assert "one-slot interferometer delay" in capsys.readouterr().err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("line", [f"losses = {axis}" for axis in BAD_AXES] + ["trials = 1.9"])
     def test_bad_sweep_input_exit_code(self, tmp_path, line):
@@ -499,6 +497,7 @@ class TestInputBounds:
             ("bb84-sweep", "detector.dark_rate = 8e9", "dark_rate * gate_width"),
             ("bb84-sweep", "mzi.insertion_loss_db = nan", "mzi.insertion_loss_db must be finite"),
             ("dps-sweep", "source.mean_photon_number = inf", "mean_photon_number must be finite"),
+            ("bb84-sweep", "source.clock_rate = 1e300", "clock_rate must be positive, and finite"),
             ("bb84-sweep", "keyrate.f_ec = nan", "keyrate.f_ec must be finite"),
             ("bb84-sweep", "trials = 4e19", "trials must be in"),
             ("dps-sweep", "trials = 1e19", "trials must be in"),
@@ -528,6 +527,8 @@ class TestInputBounds:
             ("bb84-sweep", "losses =", "losses must have at least one value"),
             ("dps-sweep", "losses =", "losses must have at least one value"),
             ("dps-sweep", "fiber_km =", "fiber_km must have at least one value"),
+            ("dps-sweep", "fiber_km = 0 1\nloss_per_km = -1", "loss_per_km must be finite"),
+            ("dps-sweep", "fiber_km = 0 1\nloss_per_km = nan", "loss_per_km must be finite"),
             ("phase-voltage", "voltages =\nphysical_mode = true", "voltages must have at least one"),
             (
                 "phase-voltage",

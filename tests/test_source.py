@@ -61,7 +61,5 @@ class TestValidationAndExport:
         with pytest.raises(PreconditionError):
             source.SourceConfig(clock_rate=0.0)
         with pytest.raises(PreconditionError):
-            source.SourceConfig(pulse_width=1e-9)  # wider than the 500 ps slot
-        with pytest.raises(PreconditionError):
             source.SourceConfig(mean_photon_number=-0.1)
 
