@@ -6,11 +6,13 @@ loss_db, sifted_rate_bps, qber, secure_rate_bps.
 """
 
 import argparse
+import math
 import pathlib
 
 import numpy as np
 
-from chirplink.keyrate import LinkParams, bb84_rate_point, dps_rate_point
+from chirplink.config import ExperimentConfig
+from chirplink.keyrate import bb84_rate_point, dps_rate_point
 from chirplink.optics import InterferometerParams
 from chirplink.source import SourceConfig
 
@@ -23,25 +25,29 @@ def main() -> None:
     parser.add_argument("--max-loss-db", type=float, default=50.0)
     parser.add_argument("--step-db", type=float, default=0.5)
     args = parser.parse_args()
+    if not (math.isfinite(args.max_loss_db) and args.max_loss_db >= 0):
+        parser.error("--max-loss-db must be finite and >= 0")
+    if not (math.isfinite(args.step_db) and args.step_db > 0):
+        parser.error("--step-db must be finite and > 0")
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     losses = list(np.arange(0.0, args.max_loss_db + args.step_db / 2, args.step_db))
 
-    bb84_link = LinkParams(
+    bb84_cfg = ExperimentConfig(
         source=SourceConfig(mean_photon_number=0.25),
         mzi=InterferometerParams(visibility=0.952),
     )
-    dps_link = LinkParams(
+    dps_cfg = ExperimentConfig(
         source=SourceConfig(mean_photon_number=0.2),
         mzi=InterferometerParams(visibility=0.962),
     )
 
-    for name, rate_point, link in (
-        ("bb84_rate_curve", bb84_rate_point, bb84_link),
-        ("dps_rate_curve", dps_rate_point, dps_link),
+    for name, rate_point, cfg in (
+        ("bb84_rate_curve", bb84_rate_point, bb84_cfg),
+        ("dps_rate_curve", dps_rate_point, dps_cfg),
     ):
-        points = [rate_point(link, loss) for loss in losses]
+        points = [rate_point(cfg, loss) for loss in losses]
         path = outdir / f"{name}.csv"
         data = [[p.loss_db, p.sifted_rate_bps, p.qber, p.secure_rate_bps] for p in points]
         np.savetxt(path, data, delimiter=",", header=HEADER, comments="")

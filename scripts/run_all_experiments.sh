@@ -6,8 +6,7 @@
 # Usage: scripts/run_all_experiments.sh [output-dir]
 #
 # To check that a change keeps every output byte-identical, run this in both
-# checkouts with the same relative output directory (the CSV headers embed
-# the output path) and diff the two sha256 lists.
+# checkouts and diff the two sha256 lists.
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

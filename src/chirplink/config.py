@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError, PreconditionError
 from .optics import DetectorParams, InterferometerParams
@@ -120,25 +120,23 @@ class ExperimentConfig:
             raise PreconditionError("voltages must have at least one value")
         if not all(math.isfinite(v) for v in self.voltages):
             raise PreconditionError("voltages must be finite")
-        # before losses, which parse_config_text may have computed from it
         if not (math.isfinite(self.loss_per_km) and self.loss_per_km >= 0):
             raise PreconditionError("loss_per_km must be finite and >= 0")
         _check_axis(self.losses, "losses")
-        if any(l < 0 for l in self.losses):
-            raise PreconditionError("losses must be non-negative")
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Flat (key, value) view of the full configuration for embedding."""
         items: list[tuple[str, str]] = []
-        for name in ("experiment", "rng_seed", "trials", "physical_mode", "randomize_blocks"):
-            items.append((name, str(getattr(self, name))))
-        items.append(("voltages", ", ".join(repr(v) for v in self.voltages)))
-        items.append(("losses", ", ".join(repr(v) for v in self.losses)))
-        items.append(("loss_per_km", repr(self.loss_per_km)))
-        for group in ("source", "mzi", "detector", "keyrate", "stability"):
-            obj = getattr(self, group)
-            for f in fields(obj):
-                items.append((f"{group}.{f.name}", repr(getattr(obj, f.name))))
+        for f in fields(self):
+            if f.name == "output_path":
+                continue
+            value = getattr(self, f.name)
+            if is_dataclass(value):
+                items += [(f"{f.name}.{g.name}", repr(getattr(value, g.name))) for g in fields(value)]
+            elif isinstance(value, list):
+                items.append((f.name, ", ".join(repr(v) for v in value)))
+            else:
+                items.append((f.name, str(value)))
         return items
 
 
@@ -149,6 +147,8 @@ def _check_axis(values: list[float], key: str) -> None:
         raise PreconditionError(f"{key} must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise PreconditionError(f"{key} must be strictly increasing")
+    if values[0] < 0:  # the smallest value of an increasing axis
+        raise PreconditionError(f"{key} must be non-negative")
 
 
 _GROUPS = {
@@ -177,6 +177,21 @@ def _parse_float_list(raw: str, key: str) -> list[float]:
         return [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+
+
+def _parse_count(raw: str, key: str) -> int:
+    """An integer, exactly, or an integral float such as 2e6."""
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: invalid integer {raw!r}") from None
+    if not value.is_integer():
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
+    return int(value)
 
 
 def parse_config_text(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -218,13 +233,7 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
             except ValueError:
                 raise ConfigError(f"rng_seed: invalid integer {raw!r}") from None
         elif key == "trials":
-            try:
-                trials = float(raw)
-            except ValueError:
-                raise ConfigError(f"trials: invalid integer {raw!r}") from None
-            if not trials.is_integer():
-                raise ConfigError(f"trials: expected an integer, got {raw!r}")
-            top[key] = int(trials)
+            top[key] = _parse_count(raw, key)
         elif key == "output_path":
             top[key] = raw
         elif key in ("physical_mode", "randomize_blocks"):
@@ -248,20 +257,22 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
             )
         top["experiment"] = experiment
 
-    if fiber_km is not None:
-        if "losses" in top:
-            raise ConfigError("losses: give either losses or fiber_km, not both")
-        lpk = top.get("loss_per_km", ExperimentConfig.loss_per_km)
-        top["losses"] = [km * lpk for km in fiber_km]
+    if fiber_km is not None and "losses" in top:
+        raise ConfigError("losses: give either losses or fiber_km, not both")
 
     kwargs = dict(top)
     try:
-        if fiber_km is not None:
-            _check_axis(fiber_km, "fiber_km")
         for group, values in groups.items():
             if values:
                 kwargs[group] = _GROUPS[group](**values)
-        return ExperimentConfig(**kwargs)
+        cfg = ExperimentConfig(**kwargs)
+        if fiber_km is None:
+            return cfg
+        # the axis in km, then in dB at the loss_per_km the config has checked
+        _check_axis(fiber_km, "fiber_km")
+        losses = [km * cfg.loss_per_km for km in fiber_km]
+        _check_axis(losses, "fiber_km * loss_per_km")
+        return replace(cfg, losses=losses)
     except PreconditionError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -17,9 +17,9 @@ import numpy as np
 from . import laser
 from .config import ExperimentConfig
 from .errors import PreconditionError
-from .keyrate import LinkParams, bb84_rate_point, dps_rate_point
+from .keyrate import RatePoint, bb84_rate_point, dps_rate_point
 from .optics import ChannelParams, decoder_ports
-from .protocols import BB84, DPS, simulate_bb84, simulate_dps
+from .protocols import BB84, DPS, SiftResult, simulate_bb84, simulate_dps
 from .source import SourceConfig, phase_from_voltage
 
 TWO_PI = 2.0 * math.pi
@@ -285,20 +285,8 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
 # rate sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    loss_db: float
-    mc_sifted_rate_bps: float
-    mc_qber: float
-    mc_sifted_count: int
-    mc_error_count: int
-    analytic_qber: float
-    analytic_sifted_rate_bps: float
-    secure_rate_bps: float
-
-
-def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
-    """Per-loss Monte Carlo sift plus analytic overlay and secure rate."""
+def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[tuple[SiftResult, RatePoint]]:
+    """Per-loss Monte Carlo sift, paired with the analytic point and secure rate."""
     seeds = np.random.default_rng(cfg.rng_seed).integers(0, 2**63 - 1, size=len(cfg.losses))
     if protocol == BB84:
         source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
@@ -306,48 +294,22 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
         source = cfg.source
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    link = LinkParams(
-        source=source,
-        mzi=cfg.mzi,
-        detector=cfg.detector,
-        signal_mu=cfg.keyrate.mu,
-        decoy_nu=cfg.keyrate.nu,
-        f_ec=cfg.keyrate.f_ec,
-    )
     rows = []
     for loss, seed in zip(cfg.losses, seeds):
         channel = ChannelParams(loss)
         if protocol == BB84:
             n_pairs = max(1, cfg.trials // 2)
             mc = simulate_bb84(n_pairs, source, channel, cfg.mzi, cfg.detector, int(seed))
-            point = bb84_rate_point(link, loss)
+            point = bb84_rate_point(cfg, loss)
         else:
             mc = simulate_dps(max(2, cfg.trials), source, channel, cfg.mzi, cfg.detector, int(seed))
-            point = dps_rate_point(link, loss)
-        rows.append(
-            SweepRow(
-                loss_db=loss,
-                mc_sifted_rate_bps=mc.sifted_rate_bps,
-                mc_qber=mc.qber,
-                mc_sifted_count=mc.sifted_count,
-                mc_error_count=mc.error_count,
-                analytic_qber=point.qber,
-                analytic_sifted_rate_bps=point.sifted_rate_bps,
-                secure_rate_bps=point.secure_rate_bps,
-            )
-        )
+            point = dps_rate_point(cfg, loss)
+        rows.append((mc, point))
     if cfg.output_path:
         table = np.array(
             [
-                [
-                    r.loss_db,
-                    r.mc_sifted_rate_bps,
-                    r.mc_qber,
-                    r.analytic_sifted_rate_bps,
-                    r.analytic_qber,
-                    r.secure_rate_bps,
-                ]
-                for r in rows
+                [p.loss_db, mc.sifted_rate_bps, mc.qber, p.sifted_rate_bps, p.qber, p.secure_rate_bps]
+                for mc, p in rows
             ]
         )
         _write_table(
@@ -364,14 +326,14 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[SweepRow]:
                 "loss_seeds": [int(s) for s in seeds],
                 "points": [
                     {
-                        "loss_db": r.loss_db,
-                        "sifted_count": r.mc_sifted_count,
-                        "error_count": r.mc_error_count,
-                        "mc_qber": r.mc_qber,
-                        "analytic_qber": r.analytic_qber,
-                        "secure_rate_bps": r.secure_rate_bps,
+                        "loss_db": p.loss_db,
+                        "sifted_count": mc.sifted_count,
+                        "error_count": mc.error_count,
+                        "mc_qber": mc.qber,
+                        "analytic_qber": p.qber,
+                        "secure_rate_bps": p.secure_rate_bps,
                     }
-                    for r in rows
+                    for mc, p in rows
                 ],
             },
         )

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import PreconditionError
-from .optics import ChannelParams, DetectorParams, InterferometerParams
+from .optics import ChannelParams
 from .protocols import BB84, DPS, expected_gain_qber, vacuum_yield
-from .source import SourceConfig
 
 
 def binary_entropy(x):
@@ -53,7 +53,7 @@ class DecoyInputs:
     e_mu: float
     e_nu: float
     y0: float
-    f_ec: float = 1.16
+    f_ec: float
 
     def __post_init__(self):
         if not 0.0 < self.nu < self.mu:
@@ -97,7 +97,7 @@ def decoy_bb84_rate(inputs: DecoyInputs) -> DecoyRateResult:
     return DecoyRateResult(0.5 * max(0.0, raw), y1, e1)
 
 
-def dps_rate(gain: float, qber: float, mu: float, f_ec: float = 1.16) -> float:
+def dps_rate(gain: float, qber: float, mu: float, f_ec: float) -> float:
     """Individual-attack DPS secure fraction per pulse."""
     if not 0.0 <= gain <= 1.0:
         raise PreconditionError("gain must be in [0, 1]")
@@ -126,45 +126,26 @@ class RatePoint:
             raise PreconditionError("secure_rate_bps must be clamped at 0")
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    """Everything needed to evaluate a rate curve analytically."""
-
-    source: SourceConfig = SourceConfig()
-    mzi: InterferometerParams = InterferometerParams()
-    detector: DetectorParams = DetectorParams()
-    signal_mu: float = 0.5
-    decoy_nu: float = 0.1
-    f_ec: float = 1.16
-
-
-def bb84_rate_point(link: LinkParams, loss_db: float) -> RatePoint:
+def bb84_rate_point(cfg: ExperimentConfig, loss_db: float) -> RatePoint:
+    """Analytic BB84 point at keyrate.mu (signal) and keyrate.nu (decoy) per pair."""
     channel = ChannelParams(loss_db)
-    q_mu, e_mu = expected_gain_qber(BB84, link.signal_mu, channel, link.mzi, link.detector)
-    q_nu, e_nu = expected_gain_qber(BB84, link.decoy_nu, channel, link.mzi, link.detector)
-    y0 = vacuum_yield(link.detector)
+    mu, nu = cfg.keyrate.mu, cfg.keyrate.nu
+    q_mu, e_mu = expected_gain_qber(BB84, mu, channel, cfg.mzi, cfg.detector)
+    q_nu, e_nu = expected_gain_qber(BB84, nu, channel, cfg.mzi, cfg.detector)
+    y0 = vacuum_yield(cfg.detector)
     res = decoy_bb84_rate(
-        DecoyInputs(
-            mu=link.signal_mu,
-            nu=link.decoy_nu,
-            q_mu=q_mu,
-            q_nu=q_nu,
-            e_mu=e_mu,
-            e_nu=e_nu,
-            y0=y0,
-            f_ec=link.f_ec,
-        )
+        DecoyInputs(mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, f_ec=cfg.keyrate.f_ec)
     )
-    pair_rate = link.source.clock_rate / 2.0
+    pair_rate = cfg.source.clock_rate / 2.0
     sifted = 0.5 * q_mu * pair_rate
     return RatePoint(loss_db, sifted, e_mu, res.rate * pair_rate)
 
 
-def dps_rate_point(link: LinkParams, loss_db: float) -> RatePoint:
+def dps_rate_point(cfg: ExperimentConfig, loss_db: float) -> RatePoint:
+    """Analytic DPS point at source.mean_photon_number per pulse."""
     channel = ChannelParams(loss_db)
-    mu = link.source.mean_photon_number
-    q, e = expected_gain_qber(DPS, mu, channel, link.mzi, link.detector)
-    secure_fraction = dps_rate(q, min(e, 0.5), mu, link.f_ec)
-    clock = link.source.clock_rate
+    mu = cfg.source.mean_photon_number
+    q, e = expected_gain_qber(DPS, mu, channel, cfg.mzi, cfg.detector)
+    secure_fraction = dps_rate(q, min(e, 0.5), mu, cfg.keyrate.f_ec)
+    clock = cfg.source.clock_rate
     return RatePoint(loss_db, q * clock, e, secure_fraction * clock)
-

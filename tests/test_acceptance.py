@@ -20,7 +20,7 @@ from scipy import stats
 
 from chirplink import experiments, keyrate, laser, protocols, source
 from chirplink.config import ExperimentConfig, StabilityConfig
-from chirplink.keyrate import DecoyInputs, LinkParams, bb84_rate_point, decoy_bb84_rate
+from chirplink.keyrate import DecoyInputs, bb84_rate_point, decoy_bb84_rate
 from chirplink.optics import ChannelParams, DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
 
@@ -108,19 +108,16 @@ def test_criterion_4_bb84_sweep():
     rows = experiments.run_sweep(cfg, protocols.BB84)
     details = []
     band_ok = True
-    for r in rows:
-        se = math.sqrt(
-            r.analytic_qber * (1 - r.analytic_qber) / max(r.mc_sifted_count, 1)
-        )
+    for mc, p in rows:
+        se = math.sqrt(p.qber * (1 - p.qber) / max(mc.sifted_count, 1))
         tol = 0.003 + 3 * se
-        in_band = abs(r.mc_qber - 0.024) < tol and abs(r.analytic_qber - 0.024) < 0.003
+        in_band = abs(mc.qber - 0.024) < tol and abs(p.qber - 0.024) < 0.003
         band_ok &= in_band
         details.append(
-            f"{r.loss_db:.0f} dB: MC {100 * r.mc_qber:.2f}% "
-            f"(n={r.mc_sifted_count}), analytic {100 * r.analytic_qber:.2f}%"
+            f"{p.loss_db:.0f} dB: MC {100 * mc.qber:.2f}% "
+            f"(n={mc.sifted_count}), analytic {100 * p.qber:.2f}%"
         )
-    link = LinkParams(source=cfg.source, mzi=mzi, detector=cfg.detector)
-    curve = [bb84_rate_point(link, l) for l in np.arange(0.0, 50.5, 0.5)]
+    curve = [bb84_rate_point(cfg, l) for l in np.arange(0.0, 50.5, 0.5)]
     qbers_beyond = [p.qber for p in curve if p.loss_db >= 30.0]
     rising = all(b > a for a, b in zip(qbers_beyond, qbers_beyond[1:]))
     at_30 = next(p for p in curve if p.loss_db == 30.0)
@@ -212,7 +209,9 @@ def test_criterion_7_decoy_conservativeness():
         y1_true = 1.0 - (1.0 - y0) * (1.0 - eta)
         e1_true = (e_det * eta + 0.5 * y0) / y1_true
         res = decoy_bb84_rate(
-            DecoyInputs(mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0)
+            DecoyInputs(
+                mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, f_ec=1.16
+            )
         )
         ok &= res.y1_bound > 0 and res.e1_bound <= 0.5
         ok &= res.y1_bound <= y1_true * (1 + 1e-9)

@@ -164,6 +164,15 @@ class TestParse:
         cfg = parse_config_text("experiment = phase_voltage\nvoltages = 0.5, -0.5, 0.5\n")
         assert cfg.voltages == [0.5, -0.5, 0.5]
 
+    def test_trials_parsed_exactly(self, tmp_path):
+        # 2**53 + 1 has no float; it is neither rounded nor embedded rounded
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 9007199254740993\n")
+        assert load_config(cfg).trials == 9007199254740993
+        out = tmp_path / "run.csv"
+        assert cli.main(["phase-voltage", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "# trials = 9007199254740993\n" in out.read_text().splitlines(keepends=True)
+
     def test_trials_must_be_integral(self):
         assert parse_config_text("experiment = stability\ntrials = 2e6\n").trials == 2_000_000
         for raw in ("1.9", "inf", "nan"):
@@ -212,13 +221,39 @@ class TestParse:
         same = with_overrides(cfg)
         assert same == cfg
 
-    def test_resolved_items_roundtrip_keys(self):
-        cfg = ExperimentConfig(experiment="bb84_sweep")
-        keys = [k for k, _ in cfg.resolved_items()]
-        assert "experiment" in keys
-        assert "source.mean_photon_number" in keys
-        assert "stability.true_qber" in keys
-        assert len(keys) == len(set(keys))
+    def test_resolved_items_are_the_embedded_header(self):
+        # every line, in order and in the bytes the outputs embed
+        assert ExperimentConfig(experiment="bb84_sweep").resolved_items() == [
+            ("experiment", "bb84_sweep"),
+            ("rng_seed", "12345"),
+            ("trials", "1000000"),
+            ("physical_mode", "False"),
+            ("randomize_blocks", "True"),
+            (
+                "voltages",
+                "-0.5, -0.45, -0.4, -0.35, -0.3, -0.25, -0.2, -0.15, -0.1, -0.05, 0.0, "
+                "0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5",
+            ),
+            ("losses", "0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0"),
+            ("loss_per_km", "0.2"),
+            ("source.clock_rate", "2000000000.0"),
+            ("source.halfwave_voltage", "0.35"),
+            ("source.perturbation_duration", "2.5e-10"),
+            ("source.mean_photon_number", "0.25"),
+            ("mzi.internal_phase", "0.0"),
+            ("mzi.insertion_loss_db", "3.0"),
+            ("mzi.visibility", "1.0"),
+            ("detector.efficiency", "0.14"),
+            ("detector.dark_rate", "150.0"),
+            ("detector.gate_width", "2.5e-10"),
+            ("keyrate.mu", "0.5"),
+            ("keyrate.nu", "0.1"),
+            ("keyrate.f_ec", "1.16"),
+            ("stability.duration", "86400.0"),
+            ("stability.integration_time", "1.0"),
+            ("stability.sifted_rate_bps", "23500.0"),
+            ("stability.true_qber", "0.0241"),
+        ]
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -529,6 +564,9 @@ class TestInputBounds:
             ("dps-sweep", "fiber_km =", "fiber_km must have at least one value"),
             ("dps-sweep", "fiber_km = 0 1\nloss_per_km = -1", "loss_per_km must be finite"),
             ("dps-sweep", "fiber_km = 0 1\nloss_per_km = nan", "loss_per_km must be finite"),
+            ("dps-sweep", "fiber_km = 0 1\nloss_per_km = 0", "fiber_km * loss_per_km must be strictly"),
+            ("dps-sweep", "fiber_km = 0 1e308\nloss_per_km = 10", "fiber_km * loss_per_km must be finite"),
+            ("dps-sweep", "fiber_km = -1 0", "fiber_km must be non-negative"),
             ("phase-voltage", "voltages =\nphysical_mode = true", "voltages must have at least one"),
             (
                 "phase-voltage",

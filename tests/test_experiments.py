@@ -451,11 +451,11 @@ class TestSweeps:
             output_path=str(out),
         )
         rows = experiments.run_sweep(cfg, "bb84")
-        assert [r.loss_db for r in rows] == [0.0, 10.0]
-        for r in rows:
-            se = math.sqrt(r.analytic_qber * (1 - r.analytic_qber) / max(r.mc_sifted_count, 1))
-            assert abs(r.mc_qber - r.analytic_qber) < 5 * se + 1e-9
-            assert r.secure_rate_bps >= 0.0
+        assert [p.loss_db for _, p in rows] == [0.0, 10.0]
+        for mc, p in rows:
+            se = math.sqrt(p.qber * (1 - p.qber) / max(mc.sifted_count, 1))
+            assert abs(mc.qber - p.qber) < 5 * se + 1e-9
+            assert p.secure_rate_bps >= 0.0
         summary = json.loads((tmp_path / "bb84.csv.json").read_text())
         assert summary["protocol"] == "bb84"
         assert len(summary["points"]) == 2
@@ -471,9 +471,9 @@ class TestSweeps:
             mzi=replace(ExperimentConfig().mzi, visibility=0.962),
         )
         rows = experiments.run_sweep(cfg, "dps")
-        r = rows[0]
-        se = math.sqrt(r.analytic_qber * (1 - r.analytic_qber) / max(r.mc_sifted_count, 1))
-        assert abs(r.mc_qber - r.analytic_qber) < 5 * se
+        mc, p = rows[0]
+        se = math.sqrt(p.qber * (1 - p.qber) / max(mc.sifted_count, 1))
+        assert abs(mc.qber - p.qber) < 5 * se
 
     @pytest.mark.parametrize("protocol", ["bb84", "dps"])
     def test_closed_form_honours_internal_phase(self, protocol):
@@ -486,11 +486,11 @@ class TestSweeps:
             rng_seed=7,
             mzi=mzi,
         )
-        (r,) = experiments.run_sweep(cfg, protocol)
+        ((mc, p),) = experiments.run_sweep(cfg, protocol)
         e_det = 0.5 * (1 - 0.952 * math.cos(0.5))
-        assert r.analytic_qber == pytest.approx(e_det, rel=0.02)
-        se = math.sqrt(r.analytic_qber * (1 - r.analytic_qber) / r.mc_sifted_count)
-        assert abs(r.mc_qber - r.analytic_qber) < 5 * se
+        assert p.qber == pytest.approx(e_det, rel=0.02)
+        se = math.sqrt(p.qber * (1 - p.qber) / mc.sifted_count)
+        assert abs(mc.qber - p.qber) < 5 * se
 
     @pytest.mark.parametrize("protocol", ["bb84", "dps"])
     def test_analytic_qber_is_the_closed_form(self, protocol):
@@ -499,11 +499,11 @@ class TestSweeps:
         cfg = replace(load_config(CONFIG_DIR / f"{protocol}_sweep.cfg"), output_path=None)
         mu = cfg.keyrate.mu if protocol == "bb84" else cfg.source.mean_photon_number
         rows = experiments.run_sweep(cfg, protocol)
-        assert [r.loss_db for r in rows] == list(cfg.losses)
-        for r in rows:
-            channel = ChannelParams(r.loss_db)
+        assert [p.loss_db for _, p in rows] == list(cfg.losses)
+        for _, p in rows:
+            channel = ChannelParams(p.loss_db)
             _, qber = expected_gain_qber(protocol, mu, channel, cfg.mzi, cfg.detector)
-            assert r.analytic_qber == qber
+            assert p.qber == qber
 
     def test_unknown_protocol_rejected(self):
         cfg = ExperimentConfig(experiment="bb84_sweep", trials=10)
@@ -520,7 +520,7 @@ class TestSweeps:
         rows = experiments.run_sweep(cfg, "bb84")
         # identical loss would give identical counts only by coincidence;
         # here losses differ, just check both produced clicks
-        assert all(r.mc_sifted_count > 0 for r in rows)
+        assert all(mc.sifted_count > 0 for mc, _ in rows)
 
 
 class TestStability:

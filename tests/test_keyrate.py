@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chirplink import protocols
+from chirplink.config import ExperimentConfig
 from chirplink.errors import PreconditionError
 from chirplink.keyrate import (
     DecoyInputs,
-    LinkParams,
     bb84_rate_point,
     binary_entropy,
     decoy_bb84_rate,
@@ -18,6 +22,8 @@ from chirplink.keyrate import (
 )
 from chirplink.optics import ChannelParams, DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def poisson_link(mu, eta, y0, e_det):
@@ -69,7 +75,9 @@ class TestDecoyBound:
     def inputs_for(eta, y0=7.5e-8, e_det=0.024, mu=0.5, nu=0.1):
         q_mu, e_mu, _, _ = poisson_link(mu, eta, y0, e_det)
         q_nu, e_nu, _, _ = poisson_link(nu, eta, y0, e_det)
-        return DecoyInputs(mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0)
+        return DecoyInputs(
+            mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, f_ec=1.16
+        )
 
     def test_bounds_are_conservative(self):
         # the estimated single-photon yield must never exceed the true one,
@@ -104,9 +112,9 @@ class TestDecoyBound:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(PreconditionError):
-            DecoyInputs(mu=0.1, nu=0.5, q_mu=0.1, q_nu=0.1, e_mu=0.01, e_nu=0.01, y0=0.0)
+            DecoyInputs(mu=0.1, nu=0.5, q_mu=0.1, q_nu=0.1, e_mu=0.01, e_nu=0.01, y0=0.0, f_ec=1.16)
         with pytest.raises(PreconditionError):
-            DecoyInputs(mu=0.5, nu=0.1, q_mu=1.5, q_nu=0.1, e_mu=0.01, e_nu=0.01, y0=0.0)
+            DecoyInputs(mu=0.5, nu=0.1, q_mu=1.5, q_nu=0.1, e_mu=0.01, e_nu=0.01, y0=0.0, f_ec=1.16)
         with pytest.raises(PreconditionError):
             DecoyInputs(mu=0.5, nu=0.1, q_mu=0.1, q_nu=0.1, e_mu=0.01, e_nu=0.01, y0=0.0, f_ec=0.9)
 
@@ -114,76 +122,103 @@ class TestDecoyBound:
 class TestDpsBound:
     def test_zero_error_rate(self):
         # [DERIVED] R/Q at e=0, mu=0.2: 1 - 2*0.2 = 0.6
-        assert dps_rate(1.0, 0.0, 0.2) == pytest.approx(0.6, rel=1e-12)
+        assert dps_rate(1.0, 0.0, 0.2, f_ec=1.16) == pytest.approx(0.6, rel=1e-12)
 
     def test_monotone_decreasing_in_qber(self):
-        rates = [dps_rate(1.0, e, 0.2) for e in np.linspace(0.0, 0.12, 40)]
+        rates = [dps_rate(1.0, e, 0.2, f_ec=1.16) for e in np.linspace(0.0, 0.12, 40)]
         positive = [r for r in rates if r > 0]
         assert all(b < a for a, b in zip(positive, positive[1:]))
 
     def test_threshold_error_rate(self):
         # [DERIVED] secure fraction crosses zero between 6% and 7% at mu = 0.2
-        assert dps_rate(1.0, 0.06, 0.2) > 0.0
-        assert dps_rate(1.0, 0.07, 0.2) == 0.0
+        assert dps_rate(1.0, 0.06, 0.2, f_ec=1.16) > 0.0
+        assert dps_rate(1.0, 0.07, 0.2, f_ec=1.16) == 0.0
 
     def test_pns_penalty_kills_rate_at_half_photon(self):
-        assert dps_rate(1.0, 0.0, 0.5) == 0.0
+        assert dps_rate(1.0, 0.0, 0.5, f_ec=1.16) == 0.0
 
     def test_scales_with_gain(self):
-        assert dps_rate(0.25, 0.02, 0.2) == pytest.approx(0.25 * dps_rate(1.0, 0.02, 0.2), rel=1e-12)
+        full = dps_rate(1.0, 0.02, 0.2, f_ec=1.16)
+        assert dps_rate(0.25, 0.02, 0.2, f_ec=1.16) == pytest.approx(0.25 * full, rel=1e-12)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(PreconditionError):
-            dps_rate(1.5, 0.0, 0.2)
+            dps_rate(1.5, 0.0, 0.2, f_ec=1.16)
         with pytest.raises(PreconditionError):
-            dps_rate(0.5, 0.6, 0.2)
+            dps_rate(0.5, 0.6, 0.2, f_ec=1.16)
 
 
 @pytest.fixture(scope="module")
-def bb84_link():
-    return LinkParams(
+def bb84_cfg():
+    return ExperimentConfig(
         source=SourceConfig(mean_photon_number=0.25),
         mzi=InterferometerParams(visibility=0.952),
     )
 
 
 @pytest.fixture(scope="module")
-def dps_link():
-    return LinkParams(
+def dps_cfg():
+    return ExperimentConfig(
         source=SourceConfig(mean_photon_number=0.2),
         mzi=InterferometerParams(visibility=0.962),
     )
 
 
 class TestRatePoints:
-    def test_bb84_point_consistent_with_parts(self, bb84_link):
-        point = bb84_rate_point(bb84_link, 20.0)
+    def test_bb84_point_consistent_with_parts(self, bb84_cfg):
+        point = bb84_rate_point(bb84_cfg, 20.0)
         q_mu, e_mu = protocols.expected_gain_qber(
-            protocols.BB84, 0.5, ChannelParams(20.0), bb84_link.mzi, bb84_link.detector
+            protocols.BB84, 0.5, ChannelParams(20.0), bb84_cfg.mzi, bb84_cfg.detector
         )
         assert point.qber == pytest.approx(e_mu, rel=1e-12)
         assert point.sifted_rate_bps == pytest.approx(0.5 * q_mu * 1e9, rel=1e-12)
         assert point.secure_rate_bps > 0.0
 
-    def test_dps_point_consistent_with_parts(self, dps_link):
-        point = dps_rate_point(dps_link, 20.0)
+    def test_dps_point_consistent_with_parts(self, dps_cfg):
+        point = dps_rate_point(dps_cfg, 20.0)
         q, e = protocols.expected_gain_qber(
-            protocols.DPS, 0.2, ChannelParams(20.0), dps_link.mzi, dps_link.detector
+            protocols.DPS, 0.2, ChannelParams(20.0), dps_cfg.mzi, dps_cfg.detector
         )
         assert point.qber == pytest.approx(e, rel=1e-12)
         assert point.sifted_rate_bps == pytest.approx(q * 2e9, rel=1e-12)
 
-    def test_bb84_curve_monotone_and_cutoff(self, bb84_link):
+    def test_bb84_curve_monotone_and_cutoff(self, bb84_cfg):
         losses = list(np.arange(0.0, 60.5, 0.5))
-        points = [bb84_rate_point(bb84_link, l) for l in losses]
+        points = [bb84_rate_point(bb84_cfg, l) for l in losses]
         secure = [p.secure_rate_bps for p in points]
         positive = [s for s in secure if s > 0]
         assert all(b < a for a, b in zip(positive, positive[1:]))
         cutoff = max(p.loss_db for p in points if p.secure_rate_bps > 0)
         assert 38.0 <= cutoff <= 45.0
 
-    def test_dps_curve_cutoff(self, dps_link):
+    def test_dps_curve_cutoff(self, dps_cfg):
         losses = list(np.arange(0.0, 60.5, 0.5))
-        points = [dps_rate_point(dps_link, l) for l in losses]
+        points = [dps_rate_point(dps_cfg, l) for l in losses]
         cutoff = max(p.loss_db for p in points if p.secure_rate_bps > 0)
         assert 38.0 <= cutoff <= 45.0
+
+
+class TestRateCurvesScript:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--step-db", "0"], "--step-db must be finite and > 0"),
+            (["--step-db", "nan"], "--step-db must be finite and > 0"),
+            (["--max-loss-db", "inf"], "--max-loss-db must be finite and >= 0"),
+            (["--max-loss-db", "-5"], "--max-loss-db must be finite and >= 0"),
+        ],
+    )
+    def test_bad_option_exit_code(self, tmp_path, args, message):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        outdir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "rate_curves.py"), "--outdir", str(outdir), *args],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not outdir.exists()
