@@ -443,10 +443,11 @@ class TestCli:
             json.loads(summary.read_text(), parse_constant=pytest.fail)
 
     def test_cli_runs_without_scipy(self, tmp_path):
-        # only randomization (KS test) and physical_mode (brentq) import scipy
+        # only randomization (the KS test) imports scipy
         (tmp_path / "stab.cfg").write_text("experiment = stability\nstability.duration = 100\n")
         (tmp_path / "sweep.cfg").write_text("trials = 20000\nlosses = 0, 10\n")
         (tmp_path / "pv.cfg").write_text("experiment = phase_voltage\n")
+        (tmp_path / "pvp.cfg").write_text("experiment = phase_voltage\nphysical_mode = true\n")
         script = textwrap.dedent(
             """
             import sys
@@ -461,6 +462,7 @@ class TestCli:
                 ("bb84-sweep", "sweep.cfg"),
                 ("dps-sweep", "sweep.cfg"),
                 ("phase-voltage", "pv.cfg"),
+                ("phase-voltage", "pvp.cfg"),
             ]:
                 out = command + ".csv"
                 assert chirplink.cli.main([command, "--config", cfg, "--out", out]) == 0
@@ -474,6 +476,7 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bb84-sweep.csv").exists()
+        assert "physical_phase_rad" in (tmp_path / "phase-voltage.csv").read_text()
 
     @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
     @pytest.mark.parametrize("key", ["source.pulse_width", "detector.gate_period", "mzi.delay"])

@@ -12,7 +12,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirplink import experiments, laser
+from chirplink import cli, experiments, laser
 from chirplink.config import ExperimentConfig, StabilityConfig, load_config
 from chirplink.errors import IntegrationDivergedError, PreconditionError
 from chirplink.optics import ChannelParams, InterferometerParams
@@ -128,18 +128,19 @@ class TestCalibration:
         assert runs["calibrate"][0][0] is head and runs["calibrate"][1][0] is tail
         bias = head[0]
         assert tail[0] == bias
-        # the bracket's ends, brentq's steps and the voltages all resume there
+        # the bracket's ends, Brent's steps and the voltages all resume there
         assert all(n == n_tail for _, n in runs["calibrate"][1:] + runs["voltages"])
         assert len(runs["calibrate"]) > 4
-        # 0 V is the reference and +V_pi brentq's last evaluation, so after
+        # 0 V is the reference and +V_pi Brent's last evaluation, so after
         # the calibration only -V_pi and V_pi / 2 are integrated
         levels = [pump[1] for pump, _ in runs["voltages"]]
         assert levels == [bias + scales[0] * -0.35, bias + scales[0] * 0.175]
         assert all(np.ptp(pump) > 0.0 for pump, _ in runs["calibrate"][2:] + runs["voltages"])
         # the head alone, the reference's tail with the bracket's ends (3
-        # runs and a copy of the last: a vector of 4), brentq's steps alone,
-        # then both voltages in one call
-        assert calls["calibrate"] == [(1, 1), (3, 4)] + [(1, 1)] * (len(runs["calibrate"]) - 4)
+        # runs and a copy of the last: a vector of 4), Brent's interpolated
+        # step with the two tolerance steps it may take next (3 and a copy),
+        # its last step one of those, then both voltages in one call
+        assert calls["calibrate"] == [(1, 1), (3, 4), (3, 4)]
         assert calls["voltages"] == [(2, 2)]
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
@@ -147,9 +148,10 @@ class TestCalibration:
         experiments.run_phase_voltage(cfg)
         assert len(runs["calibrate"]) + len(runs["voltages"]) == 2 * len(every)
 
-    def test_default_physical_run_makes_five_calls(self, monkeypatch):
-        # the head, the bracket's ends with the reference's tail, brentq's
-        # two steps, then the 19 voltages it has not met in one call
+    def test_default_physical_run_makes_four_calls(self, monkeypatch):
+        # the head, the bracket's ends with the reference's tail, Brent's
+        # interpolated step with its two tolerance steps (its last step is
+        # one of them), then the 19 voltages it has not met in one call
         widths = []
         batched = laser.integrate_pumps
 
@@ -160,7 +162,7 @@ class TestCalibration:
         monkeypatch.setattr(laser, "integrate_pumps", counting)
         cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
-        assert widths == [1, 4, 1, 1, 20]
+        assert widths == [1, 4, 4, 20]
 
     def test_resumed_phase_equals_whole_window_run(self):
         # the net phase from one integration over the whole window per drive step
@@ -258,8 +260,8 @@ class TestCalibration:
         assert proc.returncode == 0, proc.stderr
         code, peak_kib = proc.stdout.split()
         assert code == "0"
-        # ~250 MiB measured: ~150 MB of pump in the 20-run call, the rest the
-        # interpreter, numpy and scipy; field traces would add ~300 MB
+        # ~200 MiB measured: ~150 MB of pump in the 20-run call, the rest the
+        # interpreter and numpy; field traces would add ~300 MB
         assert int(peak_kib) / 1024 < 300
 
 
@@ -274,6 +276,130 @@ def whole_window_trace(step, duration):
     return laser.integrate(
         quiet, drive, dt=dt, initial_field=complex(math.sqrt(s0), 0.0), initial_carrier=n0
     )
+
+
+def cubic_plus_sine(coefficients, k, amp):
+    c3, c2, c1, c0 = coefficients
+    return lambda x: ((c3 * x + c2) * x + c1) * x + c0 + amp * math.sin(k * x)
+
+
+def root_or_failure(solve, g, a, b, xtol):
+    """The root and the points asked for, or the kind of failure and those points."""
+    asked = []
+
+    def counted(x):
+        asked.append(x)
+        return g(x)
+
+    try:
+        return solve(counted, a, b, xtol), asked
+    except (ValueError, RuntimeError) as exc:
+        text = str(exc)
+        return ("NaN" if "NaN" in text else "sign" if "sign" in text else "no convergence"), asked
+
+
+def scipy_brentq(g, a, b, xtol):
+    from scipy.optimize import brentq
+
+    return brentq(g, a, b, xtol=xtol)
+
+
+def transcribed_brentq(g, a, b, xtol):
+    return experiments._brentq(lambda x, ahead: g(x), a, b, xtol)
+
+
+class TestBrentq:
+    # scipy.optimize.brentq is the oracle: the same double, from the same
+    # points in the same order, or the same failure
+    @given(
+        st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        st.floats(0.0, 20.0),
+        st.floats(0.0, 2.0),
+        st.floats(-5.0, 5.0),
+        st.floats(-10.0, 10.0).filter(lambda w: abs(w) >= 1e-6),
+        st.floats(-14.0, -2.0),
+    )
+    @example((0.0, 0.0, 1.0, 0.0), 0.0, 0.0, 0.0, 1.0, -12.0)  # a root at an end
+    @example((0.0, 0.0, 1.0, -1.0), 0.0, 0.0, 0.0, 1.0, -12.0)  # at the other end
+    @example((0.0, 0.0, 0.0, 1.0), 0.0, 0.0, 0.0, 1.0, -12.0)  # one sign at both ends
+    @example((0.0, 0.0, 1.0, -0.5), 0.0, 0.0, 0.0, 1.0, -12.0)  # the secant hits 0 exactly
+    @example((math.inf, 0.0, 0.0, 0.0), 0.0, 0.0, -1.0, 2.0, -12.0)  # NaN at the bisection
+    @example((1.0, 0.0, 0.0, 0.0), 0.0, 0.0, -1e300, 1.3e300, -14.0)  # 100 iterations
+    @settings(max_examples=300, deadline=None)
+    def test_same_root_as_scipy(self, coefficients, k, amp, a, width, log_xtol):
+        g = cubic_plus_sine(coefficients, k, amp)
+        b, xtol = a + width, 10.0**log_xtol
+        expected = root_or_failure(scipy_brentq, g, a, b, xtol)
+        got = root_or_failure(transcribed_brentq, g, a, b, xtol)
+        assert repr(got) == repr(expected)
+
+    def test_failures_exit_code(self):
+        for g, a, b, message in [
+            (cubic_plus_sine((math.inf, 0.0, 0.0, 0.0), 0.0, 0.0), -1.0, 1.0, "NaN at x = 0.0"),
+            (cubic_plus_sine((1.0, 0.0, 0.0, 0.0), 0.0, 0.0), -1e300, 1.3e300, "100 iterations"),
+        ]:
+            with pytest.raises(PreconditionError, match=message) as failure:
+                transcribed_brentq(g, a, b, 1e-12)
+            assert cli.exit_code_for(failure.value) == 2
+
+    def test_tolerance_steps_asked_ahead(self):
+        # after a step by interpolation or bisection Brent may step by its
+        # tolerance either way; a tolerance step asks for its point alone
+        g = cubic_plus_sine((0.0, 1.0, 0.0, -2.0), 0.0, 0.0)
+        rtol, xtol, requests = 4 * sys.float_info.epsilon, 1e-6, []
+
+        def f(x, ahead):
+            requests.append((x, tuple(ahead)))
+            return g(x)
+
+        root = experiments._brentq(f, 0.0, 2.0, xtol)
+        assert root == scipy_brentq(g, 0.0, 2.0, xtol)
+        assert [x for x, _ in requests[:2]] == [0.0, 2.0]
+        for x, ahead in requests[2:]:
+            tol = (xtol + rtol * abs(x)) / 2
+            assert ahead in [(x + tol, x - tol), ()]
+        assert any(ahead for _, ahead in requests) and any(not ahead for _, ahead in requests[2:])
+
+    @pytest.mark.parametrize("halfwave_voltage", [0.1, 2.0])
+    @pytest.mark.parametrize("duration", [50e-12, 400e-12])
+    def test_calibrated_scale_equals_scipy(self, halfwave_voltage, duration):
+        src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
+        scale = experiments.calibrate_physical_drive_scale(src, experiments._phase_shift(duration))
+        params = laser.LaserParams()
+        guess = 2 * math.pi / (params.linewidth_enhancement * params.gain_compression * duration)
+        guess /= halfwave_voltage
+        phase_shift = experiments._phase_shift(duration)
+        expected = scipy_brentq(
+            lambda s: float(phase_shift(s * halfwave_voltage)) - math.pi,
+            0.2 * guess,
+            5.0 * guess,
+            1e-4 * guess,
+        )
+        assert scale == expected
+
+    def test_diverging_level_ahead_raises_only_when_asked(self):
+        duration = SourceConfig().perturbation_duration
+        phase_shift = experiments._phase_shift(duration)
+        scale = experiments.calibrate_physical_drive_scale(SourceConfig(), phase_shift)
+        huge = scale * 1e6
+        # a calibration whose every step ahead diverges still picks the scale
+        diverging = experiments._phase_shift(duration)
+
+        def looking_ahead(steps, ahead=()):
+            return diverging(steps, [huge, 2 * huge][: len(ahead)])
+
+        assert experiments.calibrate_physical_drive_scale(SourceConfig(), looking_ahead) == scale
+        assert diverging(scale * 0.35) == phase_shift(scale * 0.35)
+        # asked for, the level raises with the whole window's sample and state
+        with pytest.raises(IntegrationDivergedError) as whole:
+            whole_window_trace(huge, duration)
+        with pytest.raises(IntegrationDivergedError) as asked:
+            diverging(huge)
+        assert (asked.value.step_index, asked.value.intensity, asked.value.carrier) == (
+            whole.value.step_index, whole.value.intensity, whole.value.carrier
+        )
+        with pytest.raises(IntegrationDivergedError):
+            diverging([0.1 * scale, 2 * huge])
 
 
 def unit(*angles):

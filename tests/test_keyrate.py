@@ -206,6 +206,7 @@ class TestRateCurvesScript:
             (["--step-db", "nan"], "--step-db must be finite and > 0"),
             (["--max-loss-db", "inf"], "--max-loss-db must be finite and >= 0"),
             (["--max-loss-db", "-5"], "--max-loss-db must be finite and >= 0"),
+            (["--max-loss-db", "1e9", "--step-db", "1e-12"], "at most 10**5 points"),
         ],
     )
     def test_bad_option_exit_code(self, tmp_path, args, message):
