@@ -7,26 +7,4 @@ rates (`keyrate`) and the experiment recipes plus CLI (`experiments`,
 `cli`).
 """
 
-from . import config, experiments, keyrate, laser, optics, protocols, source
-from .errors import (
-    ConfigError,
-    IntegrationDivergedError,
-    PreconditionError,
-    UndefinedPhaseError,
-)
-
-__all__ = [
-    "config",
-    "experiments",
-    "keyrate",
-    "laser",
-    "optics",
-    "protocols",
-    "source",
-    "ConfigError",
-    "IntegrationDivergedError",
-    "PreconditionError",
-    "UndefinedPhaseError",
-]
-
 __version__ = "0.1.0"

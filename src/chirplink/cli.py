@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
-from .config import ExperimentConfig, load_config, with_overrides
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, IntegrationDivergedError, PreconditionError
 from .experiments import (
     run_phase_voltage,
@@ -49,14 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, (ConfigError, PreconditionError)):
-        return EXIT_CONFIG
-    if isinstance(exc, IntegrationDivergedError):
-        return EXIT_DIVERGED
-    raise exc
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     experiment = args.command.replace("-", "_")
@@ -65,12 +58,15 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_config(args.config, experiment)
         else:
             cfg = ExperimentConfig(experiment=experiment)
-        cfg = with_overrides(cfg, seed=args.seed, out=args.out)
+        if args.seed is not None:
+            cfg = replace(cfg, rng_seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, output_path=args.out)
         _RECIPES[args.command](cfg)
-    except (ConfigError, PreconditionError, IntegrationDivergedError) as exc:
+    except IntegrationDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-    except OSError as exc:
+        return EXIT_DIVERGED
+    except (ConfigError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.output_path:

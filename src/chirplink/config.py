@@ -151,18 +151,14 @@ def _check_axis(values: list[float], key: str) -> None:
         raise PreconditionError(f"{key} must be non-negative")
 
 
-_GROUPS = {
-    "source": SourceConfig,
-    "mzi": InterferometerParams,
-    "detector": DetectorParams,
-    "keyrate": KeyRateConfig,
-    "stability": StabilityConfig,
-}
-
 # A '#' starts a comment at the start of a line or after whitespace only.
 _COMMENT = re.compile(r"(^|\s)#.*")
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+
+def _parse_text(raw: str, key: str) -> str:
+    return raw
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -170,6 +166,16 @@ def _parse_bool(raw: str, key: str) -> bool:
         return _BOOL_VALUES[raw.strip().lower()]
     except KeyError:
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
+
+
+def _parse_float(raw: str, key: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: invalid number {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_float_list(raw: str, key: str) -> list[float]:
@@ -194,6 +200,28 @@ def _parse_count(raw: str, key: str) -> int:
     return int(value)
 
 
+# One reader per field annotation; the annotations are strings.
+_READERS = {
+    "str": _parse_text,
+    "str | None": _parse_text,
+    "int": _parse_count,
+    "bool": _parse_bool,
+    "float": _parse_float,
+    "list[float]": _parse_float_list,
+}
+
+# The dataclass-valued fields are the dotted groups.
+_GROUPS = {f.name: type(f.default) for f in fields(ExperimentConfig) if is_dataclass(f.default)}
+
+# Every key and its reader: the top-level fields, each group's fields as
+# group.field, and fiber_km, which parse_config_text turns into losses.
+_KEY_READERS = {
+    **{f.name: _READERS[f.type] for f in fields(ExperimentConfig) if f.name not in _GROUPS},
+    **{f"{group}.{f.name}": _READERS[f.type] for group, cls in _GROUPS.items() for f in fields(cls)},
+    "fiber_km": _parse_float_list,
+}
+
+
 def parse_config_text(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse flat key-value text into a validated ExperimentConfig.
 
@@ -202,7 +230,6 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
     """
     top: dict[str, object] = {}
     groups: dict[str, dict[str, object]] = {name: {} for name in _GROUPS}
-    fiber_km: list[float] | None = None
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.sub("", line, count=1).strip()
@@ -211,44 +238,14 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if "." in key:
-            group, _, name = key.partition(".")
-            if group not in _GROUPS:
-                raise ConfigError(f"unknown key {key!r}")
-            cls = _GROUPS[group]
-            if name not in {f.name for f in fields(cls)}:
-                raise ConfigError(f"unknown key {key!r}")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: invalid number {raw!r}") from None
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {raw!r}")
-            groups[group][name] = value
-        elif key == "experiment":
-            top[key] = raw
-        elif key == "rng_seed":
-            try:
-                top[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"rng_seed: invalid integer {raw!r}") from None
-        elif key == "trials":
-            top[key] = _parse_count(raw, key)
-        elif key == "output_path":
-            top[key] = raw
-        elif key in ("physical_mode", "randomize_blocks"):
-            top[key] = _parse_bool(raw, key)
-        elif key in ("voltages", "losses"):
-            top[key] = _parse_float_list(raw, key)
-        elif key == "fiber_km":
-            fiber_km = _parse_float_list(raw, key)
-        elif key == "loss_per_km":
-            try:
-                top[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"loss_per_km: invalid number {raw!r}") from None
-        else:
+        if key not in _KEY_READERS:
             raise ConfigError(f"unknown key {key!r}")
+        value = _KEY_READERS[key](raw, key)
+        group, _, name = key.rpartition(".")
+        if group:
+            groups[group][name] = value
+        else:
+            top[key] = value
 
     if experiment is not None:
         if "experiment" in top and top["experiment"] != experiment:
@@ -257,15 +254,15 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
             )
         top["experiment"] = experiment
 
+    fiber_km = top.pop("fiber_km", None)
     if fiber_km is not None and "losses" in top:
         raise ConfigError("losses: give either losses or fiber_km, not both")
 
-    kwargs = dict(top)
     try:
         for group, values in groups.items():
             if values:
-                kwargs[group] = _GROUPS[group](**values)
-        cfg = ExperimentConfig(**kwargs)
+                top[group] = _GROUPS[group](**values)
+        cfg = ExperimentConfig(**top)
         if fiber_km is None:
             return cfg
         # the axis in km, then in dB at the loss_per_km the config has checked
@@ -278,19 +275,9 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
 
 
 def load_config(path, experiment: str | None = None) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), experiment)
-
-
-def with_overrides(cfg: ExperimentConfig, seed: int | None = None, out: str | None = None) -> ExperimentConfig:
-    updates = {}
-    if seed is not None:
-        updates["rng_seed"] = seed
-    if out is not None:
-        updates["output_path"] = out
-    if not updates:
-        return cfg
     try:
-        return replace(cfg, **updates)
-    except PreconditionError as exc:
-        raise ConfigError(str(exc)) from exc
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config_text(text, experiment)

@@ -138,9 +138,7 @@ class DriveWaveform:
 
     @classmethod
     def constant(cls, level: float, duration: float, sample_interval: float) -> "DriveWaveform":
-        n = max(2, int(round(duration / sample_interval)) + 1)
-        t = np.arange(n) * sample_interval
-        return cls(t, np.full(n, float(level)))
+        return cls.from_segments([(duration, level)], sample_interval)
 
     @classmethod
     def from_segments(cls, segments, sample_interval: float) -> "DriveWaveform":

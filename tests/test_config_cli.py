@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chirplink import cli
-from chirplink.config import (
-    ExperimentConfig,
-    load_config,
-    parse_config_text,
-    with_overrides,
-)
-from chirplink.errors import ConfigError, IntegrationDivergedError, PreconditionError
+from chirplink.config import ExperimentConfig, load_config, parse_config_text
+from chirplink.errors import ConfigError, PreconditionError
 from chirplink.optics import DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
 
@@ -124,8 +120,8 @@ class TestParse:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("experiment = stability\nrng_seed = -1\n")
-        with pytest.raises(ConfigError):
-            with_overrides(ExperimentConfig(experiment="stability"), seed=-1)
+        with pytest.raises(PreconditionError):
+            replace(ExperimentConfig(experiment="stability"), rng_seed=-1)
 
     def test_stability_without_sifted_bits_rejected(self):
         with pytest.raises(ConfigError):
@@ -173,6 +169,14 @@ class TestParse:
         assert cli.main(["phase-voltage", "--config", str(cfg), "--out", str(out)]) == 0
         assert "# trials = 9007199254740993\n" in out.read_text().splitlines(keepends=True)
 
+    def test_rng_seed_read_like_trials(self, tmp_path):
+        assert parse_config_text("experiment = stability\nrng_seed = 7e0\n").rng_seed == 7
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = stability\nrng_seed = 7.5\n")
+        out = tmp_path / "run.csv"
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_trials_must_be_integral(self):
         assert parse_config_text("experiment = stability\ntrials = 2e6\n").trials == 2_000_000
         for raw in ("1.9", "inf", "nan"):
@@ -213,13 +217,16 @@ class TestParse:
         cfg = load_config(path)
         assert cfg.experiment == path.stem
 
-    def test_with_overrides(self):
-        cfg = ExperimentConfig(experiment="stability")
-        out = with_overrides(cfg, seed=99, out="x.csv")
-        assert out.rng_seed == 99
-        assert out.output_path == "x.csv"
-        same = with_overrides(cfg)
-        assert same == cfg
+    def test_seed_and_out_flags_override_the_file(self, tmp_path):
+        cfg = tmp_path / "stab.cfg"
+        in_file = tmp_path / "file.csv"
+        cfg.write_text(f"stability.duration = 10\nrng_seed = 3\noutput_path = {in_file}\n")
+        assert cli.main(["stability", "--config", str(cfg)]) == 0
+        flagged = tmp_path / "flag.csv"
+        assert cli.main(["stability", "--config", str(cfg), "--seed", "99", "--out", str(flagged)]) == 0
+        assert "# rng_seed = 3\n" in in_file.read_text().splitlines(keepends=True)
+        assert "# rng_seed = 99\n" in flagged.read_text().splitlines(keepends=True)
+        assert json.loads(flagged.with_name("flag.csv.json").read_text())["config"]["rng_seed"] == "99"
 
     def test_resolved_items_are_the_embedded_header(self):
         # every line, in order and in the bytes the outputs embed
@@ -263,12 +270,23 @@ class TestParse:
 
 
 class TestCli:
-    def test_exit_code_mapping(self):
-        assert cli.exit_code_for(ConfigError("x")) == 2
-        assert cli.exit_code_for(PreconditionError("x")) == 2
-        assert cli.exit_code_for(IntegrationDivergedError(step_index=1)) == 3
-        with pytest.raises(KeyError):
-            cli.exit_code_for(KeyError("x"))
+    def test_diverged_run_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "pv.cfg"
+        cfg.write_text("experiment = phase_voltage\nphysical_mode = true\nvoltages = 0, 1e6\n")
+        out = tmp_path / "pv.csv"
+        assert cli.main(["phase-voltage", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "integration diverged" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"trials = 10\xff\n")
+        with pytest.raises(ConfigError, match="bad.cfg: not UTF-8"):
+            load_config(cfg)
+        out = tmp_path / "stab.csv"
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bad.cfg: not UTF-8" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_stability_run_writes_outputs(self, tmp_path):
         cfg = tmp_path / "stab.cfg"

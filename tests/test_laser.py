@@ -668,6 +668,14 @@ class TestValidationAndExport:
         with pytest.raises(PreconditionError, match="sample_interval"):
             laser.DriveWaveform.from_segments([(1e-10, 1.0)], sample_interval)
 
+    @pytest.mark.parametrize(
+        "duration, sample_interval",
+        [(-1.0, 1e-11), (math.inf, 1e-11), (math.nan, 1e-11), (1e-9, 0.0), (4e-12, 1e-11)],
+    )
+    def test_constant_rejects_bad_span(self, duration, sample_interval):
+        with pytest.raises(PreconditionError):
+            laser.DriveWaveform.constant(1.0, duration, sample_interval)
+
     def test_trace_csv_export(self, tmp_path, params):
         drive = laser.DriveWaveform.constant(1.5 * params.threshold_current, 0.5e-9, 1e-11)
         trace = laser.integrate(params, drive, dt=DT)
