@@ -121,6 +121,59 @@ class TestIntegrate:
         assert exc.value.step_index > 0
 
 
+def identity_residual(p, segments, dt):
+    """Net phase of a noiseless run from the bias's stationary state, and its
+    miss from the phase identity, with the integral by the trapezoid rule."""
+    drive = laser.DriveWaveform.from_segments(segments, dt)
+    n0, s0 = laser.stationary_state(p, 2.0 * p.threshold_current)
+    trace = laser.integrate(p, drive, dt=dt, initial_field=complex(math.sqrt(s0)), initial_carrier=n0)
+    s, n = trace.intensity, trace.carrier
+    rate = np.interp(trace.times, drive.times, drive.current) - n / p.carrier_lifetime
+    integral = float(np.sum(rate[1:] + rate[:-1]) / 2.0 * dt)
+    alpha, eps = p.linewidth_enhancement, p.gain_compression
+    identity = alpha / 2.0 * math.log(s[-1] / s[0]) + alpha * eps / 2.0 * (integral - (n[-1] - n[0]))
+    net = float(trace.phase[-1] - trace.phase[0])
+    return net, net - identity
+
+
+class TestPhaseIdentity:
+    """[DERIVED] Without noise or injection, d ln S/dt = Gc - 1/tau_p and
+    dphi/dt = (alpha/2)(Gu - 1/tau_p) with Gu = Gc (1 + eps S), and the
+    carrier equation gives Gc S = J - N/tau_n - dN/dt.  So over [0, T]
+
+        phi(T) - phi(0) = (alpha/2) ln(S(T)/S(0))
+                          + (alpha eps/2) [int (J - N/tau_n) dt - (N(T) - N(0))],
+
+    the integral of the transient and adiabatic chirp (Koch & Bowers,
+    Electron. Lett. 20, 1038 (1984)).  The Heun steps meet it to second
+    order in dt."""
+
+    @staticmethod
+    def halfwave_step(p, t_m):
+        # the drive step whose adiabatic chirp accrues pi over t_m
+        eps = p.gain_compression
+        return 2.0 * math.pi * (1.0 + eps / (p.gain_slope * p.carrier_lifetime)) / (
+            p.linewidth_enhancement * eps * t_m
+        )
+
+    @pytest.mark.parametrize("drive", ["step", "four segments", "sub-threshold", "+V_pi", "-V_pi"])
+    def test_heun_meets_identity_to_second_order(self, quiet, drive):
+        th = quiet.threshold_current
+        bias = 2.0 * th
+        level = {"+V_pi": 1.0, "-V_pi": -1.0}.get(drive, 0.0) * self.halfwave_step(quiet, 250e-12)
+        segments = {
+            "step": [(0.2e-9, bias), (2e-9, 2.5 * th)],
+            "four segments": [(0.5e-9, bias), (1e-9, 3.5 * th), (0.5e-9, 0.8 * th), (1e-9, bias)],
+            "sub-threshold": [(0.5e-9, 0.8 * th), (0.5e-9, 0.5 * th)],
+        }.get(drive, [(0.2e-9, bias), (250e-12, bias + level), (1.5e-9, bias)])
+        (net, coarse), (_, mid), (_, fine) = (
+            identity_residual(quiet, segments, dt) for dt in (2e-13, 1e-13, 0.5e-13)
+        )
+        assert abs(net) > 50.0  # tens of wraps of the phase
+        assert 3.5 < coarse / mid < 4.5 and 3.5 < mid / fine < 4.5
+        assert abs(fine) < 1e-4 * abs(net)
+
+
 @pytest.fixture(scope="module")
 def steady():
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
