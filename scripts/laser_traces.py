@@ -19,8 +19,13 @@ def main() -> None:
     parser.add_argument("--outdir", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=12345)
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--outdir must name a directory: {exc}")
 
     params = laser.LaserParams()
     gs_drive = laser.DriveWaveform.from_segments(

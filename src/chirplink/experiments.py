@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import laser
 from .config import ExperimentConfig
-from .errors import IntegrationDivergedError, PreconditionError
+from .errors import PreconditionError
 from .keyrate import RatePoint, bb84_rate_point, dps_rate_point
 from .optics import ChannelParams, decoder_ports
 from .protocols import BB84, DPS, SiftResult, simulate_bb84, simulate_dps
@@ -85,16 +84,15 @@ def _phase_shift(duration: float):
 
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, the reference.  The
-    returned function takes an array of drive steps, and steps `ahead` that
-    a later call may ask for, and integrates the levels of both that it has
-    not met before in one kernel call (_BATCH_RUNS at most).
+    returned function takes an array of drive steps and integrates the
+    levels it has not met before, _BATCH_RUNS per kernel call.
     Up to sample k0 every run is the reference, as step k0 is the first to
     read the step's pump: the reference steps there alone, once, and every
     level, its own tail too, resumes from its state at k0.  The net phase,
     from the kernel's sign flips, is np.unwrap's over the whole window, bit
-    for bit.  A divergence names the first such level in input order, the
-    reference first, at the sample of the whole window; a level that
-    diverges ahead raises only when a call asks for it.
+    for bit.  A divergence raises at once and names the first diverging
+    level in input order, the reference first, at the sample of the whole
+    window.
     """
     steps = (_PRE + duration + _POST) / _DT
     if not steps <= _MAX_STEPS:
@@ -110,136 +108,60 @@ def _phase_shift(duration: float):
     n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
     k0 = n_pre - 1
     start = head_sum = None  # the reference's state at sample k0 and its corrections to there
-    raw = {}  # by drive level: the net phase before the reference's is subtracted, or the divergence
+    raw = {}  # by drive level: the net phase before the reference's is subtracted
 
     def integrate(levels: list[float], origin: int, n_steps: int, start):
-        """Last fields, flips and divergences (or None) of runs at `levels`, from sample `origin`."""
+        """Last fields and flips of runs at `levels` from sample `origin`; raises the first divergence."""
         levels = levels + levels[-1:] * (len(levels) % 4 == 3)
         pump = np.full((n_steps + 1, len(levels)), bias)
         pump[n_pre - origin : n_pre + n_step - origin] = levels
         field, carrier, diverged, flips = laser.integrate_pumps(
             quiet, pump, _DT, *start, trace=False, flips=True
         )
-        errors = [  # each names the sample in the whole window
-            laser.diverged_error(k + origin, e, n) if k else None
-            for k, e, n in zip(diverged, field, carrier)
-        ]
-        return field, carrier, flips, errors
+        for k, e, n in zip(diverged, field, carrier):
+            if k:  # named by its sample in the whole window
+                raise laser.diverged_error(k + origin, e, n)
+        return field, carrier, flips
 
-    def phase_shift(drive_steps, ahead=()) -> np.ndarray:
+    def phase_shift(drive_steps) -> np.ndarray:
         nonlocal start, head_sum
         levels = bias + np.asarray(drive_steps, dtype=float)
         asked = [bias, *levels.ravel().tolist()]
-        wanted = asked + (bias + np.asarray(ahead, dtype=float)).tolist()
-        new = [level for level in dict.fromkeys(wanted) if level not in raw]
+        new = [level for level in dict.fromkeys(asked) if level not in raw]
         if new and start is None:
-            field, carrier, flips, (error,) = integrate([bias], 0, k0, (complex(math.sqrt(s0)), n0))
-            if error:
-                raise error
+            field, carrier, flips = integrate([bias], 0, k0, (complex(math.sqrt(s0)), n0))
             start, (head_sum,) = (field[0], carrier[0]), _unwrap_corrections(flips, np.zeros(1))
         for i in range(0, len(new), _BATCH_RUNS):
             batch = new[i : i + _BATCH_RUNS]
-            field, _, flips, errors = integrate(batch, k0, n_pre + n_step + n_post - k0, start)
+            field, _, flips = integrate(batch, k0, n_pre + n_step + n_post - k0, start)
             # sample 0 is real and positive, at angle 0; zip drops the copies
             nets = np.angle(field) + _unwrap_corrections(flips, np.full(len(field), head_sum))
-            raw.update(zip(batch, [error or net for net, error in zip(nets.tolist(), errors)]))
-        for level in asked:
-            if isinstance(raw[level], IntegrationDivergedError):
-                raise raw[level]
+            raw.update(zip(batch, nets.tolist()))
         return np.array([raw[level] - raw[bias] for level in asked[1:]]).reshape(levels.shape)
 
     return phase_shift
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """scipy.optimize.brentq(f, xa, xb, xtol)'s root, the same double.
-
-    A transcription of scipy/optimize/Zeros/brentq.c, with its rtol = 4 eps
-    and maxiter = 100.  `f(x, ahead)` returns the function at x and may
-    evaluate the points `ahead` with it: after an interpolated or bisected
-    step to x, those are the two tolerance steps x +- (xtol + rtol |x|) / 2
-    that Brent may take next.  A NaN value, the same sign at both ends, or
-    no convergence in 100 iterations raises PreconditionError.
-    """
-    rtol = 4.0 * sys.float_info.epsilon
-
-    def at(x: float, ahead=()) -> float:
-        fx = f(x, ahead)
-        if math.isnan(fx):
-            raise PreconditionError(f"root search: the function is NaN at x = {x!r}")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre = at(xpre)
-    fcur = at(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise PreconditionError(f"root search: the function has one sign at {xa!r} and {xb!r}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate; where C divides by 0, its infinite step bisects
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-            tol = (xtol + rtol * abs(xcur)) / 2
-            fcur = at(xcur, (xcur + tol, xcur - tol))
-        else:
-            xcur += delta if sbis > 0 else -delta
-            fcur = at(xcur)
-    raise PreconditionError(f"root search: no convergence in 100 iterations, at x = {xcur!r}")
-
-
-def calibrate_physical_drive_scale(source: SourceConfig, phase_shift) -> float:
+def calibrate_physical_drive_scale(source: SourceConfig) -> float:
     """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi.
 
-    `phase_shift` is _phase_shift(source.perturbation_duration).  The
-    bracket's ends are integrated together; Brent then asks for one scale
-    at a time, each with the two tolerance steps it may take next, and
-    `phase_shift` integrates each new one once.  The root is its last
-    evaluation.
+    In closed form, from the integral of the adiabatic and transient chirp
+    (Koch & Bowers, Electron. Lett. 20, 1038 (1984)): once the laser has
+    settled, a step dJ held for t accrues (alpha eps / 2) dS t / tau_p of
+    net phase, and the stationary dS is dJ tau_p / (1 + eps / (g tau_n)).
+    So pi takes dJ = 2 pi (1 + eps / (g tau_n)) / (alpha eps t), where t is
+    the step as _phase_shift integrates it: its count of _DT samples.
     """
-    params = laser.LaserParams()
-    t_m = source.perturbation_duration
-    v_pi = source.halfwave_voltage
-
-    def objective(scale: float, ahead) -> float:
-        return float(phase_shift(scale * v_pi, np.multiply(ahead, v_pi))) - math.pi
-
-    # small-signal adiabatic-chirp estimate as the starting bracket
-    guess = TWO_PI / (params.linewidth_enhancement * params.gain_compression * t_m) / v_pi
-    low, high = 0.2 * guess, 5.0 * guess
-    at_low, at_high = phase_shift(np.array([low, high]) * v_pi) - math.pi
-    if at_low * at_high > 0:
+    p = laser.LaserParams()
+    n_step = round(source.perturbation_duration / _DT)
+    if n_step < 1:
         raise PreconditionError(
-            f"physical_mode: the laser phase at source.halfwave_voltage = {v_pi:g} V does not "
-            f"cross pi for drive scales {low:.3g} to {high:.3g} per volt (phase "
-            f"{at_low + math.pi:+.3g} to {at_high + math.pi:+.3g} rad); "
-            f"source.perturbation_duration = {t_m:g} s must span several {_DT:g} s steps"
+            f"physical_mode: source.perturbation_duration = {source.perturbation_duration:g} s "
+            f"must span at least one {_DT:g} s rate-equation step"
         )
-    return _brentq(objective, low, high, xtol=1e-4 * guess)
+    eps, t_m = p.gain_compression, n_step * _DT
+    step = TWO_PI * (1.0 + eps / (p.gain_slope * p.carrier_lifetime)) / (p.linewidth_enhancement * eps * t_m)
+    return step / source.halfwave_voltage
 
 
 @dataclass(frozen=True)
@@ -257,9 +179,8 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None
     if cfg.physical_mode:
-        # one reference and one memo: a step the calibration integrated costs none
         phase_shift = _phase_shift(cfg.source.perturbation_duration)
-        scale = calibrate_physical_drive_scale(cfg.source, phase_shift)
+        scale = calibrate_physical_drive_scale(cfg.source)
         with np.errstate(over="ignore"):
             steps = scale * voltages
         if not np.isfinite(steps).all():

@@ -517,20 +517,21 @@ class TestCli:
         assert not out.exists()
         assert not out.with_name("sweep.csv.json").exists()
 
-    def test_calibration_bracket_exit_code(self, tmp_path, capsys):
-        # a perturbation shorter than one integration step moves no phase
+    @pytest.mark.parametrize("duration", ["1e-15", "1e-13"])
+    def test_perturbation_under_one_step_exit_code(self, tmp_path, capsys, duration):
+        # a perturbation under half an integration step spans no sample
         cfg = tmp_path / "pv.cfg"
         cfg.write_text(
             "experiment = phase_voltage\n"
             "voltages = 0, 0.35\n"
             "physical_mode = true\n"
-            "source.perturbation_duration = 1e-15\n"
+            f"source.perturbation_duration = {duration}\n"
         )
         out = tmp_path / "pv.csv"
         assert cli.main(["phase-voltage", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "source.perturbation_duration" in err and "source.halfwave_voltage" in err
-        assert not out.exists()
+        assert f"source.perturbation_duration = {duration} s must span at least one" in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_randomization_needs_two_trials_exit_code(self, tmp_path):
         cfg = tmp_path / "rand.cfg"

@@ -73,14 +73,14 @@ class TestCalibration:
     def test_calibrated_scale_hits_pi_at_halfwave(self):
         src = SourceConfig()
         phase_shift = experiments._phase_shift(src.perturbation_duration)
-        scale = experiments.calibrate_physical_drive_scale(src, phase_shift)
+        scale = experiments.calibrate_physical_drive_scale(src)
         phi = float(phase_shift(scale * src.halfwave_voltage))
         assert phi == pytest.approx(math.pi, rel=1e-3)
 
     def test_physical_phase_odd_in_voltage(self):
         src = SourceConfig()
         phase_shift = experiments._phase_shift(src.perturbation_duration)
-        scale = experiments.calibrate_physical_drive_scale(src, phase_shift)
+        scale = experiments.calibrate_physical_drive_scale(src)
         up, down = phase_shift(scale * np.array([0.2, -0.2]))
         assert down == pytest.approx(-up, rel=0.05)
 
@@ -117,52 +117,61 @@ class TestCalibration:
         voltages = [-0.35, 0.0, 0.175, 0.35]
         cfg = ExperimentConfig(experiment="phase_voltage", voltages=voltages, physical_mode=True)
         res = experiments.run_phase_voltage(cfg)
-        every = runs["calibrate"] + runs["voltages"]
+        # the calibration is a closed form: it integrates nothing
+        assert runs["calibrate"] == [] and calls["calibrate"] == [] and len(scales) == 1
+        every = list(runs["voltages"])
         # the constant-pump reference steps to the last sample before the
         # step's pump alone, once, and resumes from there once, in the same
-        # call as the calibration's bracket ends
+        # call as the voltages
         k0 = round(experiments._PRE / experiments._DT) - 1
         window = (experiments._PRE + cfg.source.perturbation_duration + experiments._POST) / experiments._DT
         (head, n_head), (tail, n_tail) = [(pump, n) for pump, n in every if np.ptp(pump) == 0.0]
         assert (n_head, n_tail) == (k0, round(window) - k0)
-        assert runs["calibrate"][0][0] is head and runs["calibrate"][1][0] is tail
+        assert every[0][0] is head and every[1][0] is tail
         bias = head[0]
         assert tail[0] == bias
-        # the bracket's ends, Brent's steps and the voltages all resume there
-        assert all(n == n_tail for _, n in runs["calibrate"][1:] + runs["voltages"])
-        assert len(runs["calibrate"]) > 4
-        # 0 V is the reference and +V_pi Brent's last evaluation, so after
-        # the calibration only -V_pi and V_pi / 2 are integrated
-        levels = [pump[1] for pump, _ in runs["voltages"]]
-        assert levels == [bias + scales[0] * -0.35, bias + scales[0] * 0.175]
-        assert all(np.ptp(pump) > 0.0 for pump, _ in runs["calibrate"][2:] + runs["voltages"])
-        # the head alone, the reference's tail with the bracket's ends (3
-        # runs and a copy of the last: a vector of 4), Brent's interpolated
-        # step with the two tolerance steps it may take next (3 and a copy),
-        # its last step one of those, then both voltages in one call
-        assert calls["calibrate"] == [(1, 1), (3, 4), (3, 4)]
-        assert calls["voltages"] == [(2, 2)]
+        # 0 V is the reference; the other three voltages resume with it
+        assert all(n == n_tail for _, n in every[1:])
+        levels = [pump[1] for pump, _ in every[2:]]
+        assert levels == [bias + scales[0] * v for v in (-0.35, 0.175, 0.35)]
+        assert all(np.ptp(pump) > 0.0 for pump, _ in every[2:])
+        # the head alone, then the reference's tail with the three levels
+        assert calls["voltages"] == [(1, 1), (4, 4)]
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
+        assert res.physical_phase[3] == pytest.approx(math.pi, rel=1e-3)
         # nothing is carried over to the next call
         experiments.run_phase_voltage(cfg)
-        assert len(runs["calibrate"]) + len(runs["voltages"]) == 2 * len(every)
+        assert len(runs["voltages"]) == 2 * len(every) and runs["calibrate"] == []
 
-    def test_default_physical_run_makes_four_calls(self, monkeypatch):
-        # the head, the bracket's ends with the reference's tail, Brent's
-        # interpolated step with its two tolerance steps (its last step is
-        # one of them), then the 19 voltages it has not met in one call
+    def test_default_physical_run_makes_three_calls(self, monkeypatch):
+        # the head, the reference's tail with the first 19 voltages it has
+        # not met, then the 20th voltage alone
         widths = []
         batched = laser.integrate_pumps
 
         def counting(params, pump, *args, **kwargs):
-            widths.append(np.shape(pump)[1])
+            widths.append(np.shape(pump))
             return batched(params, pump, *args, **kwargs)
 
         monkeypatch.setattr(laser, "integrate_pumps", counting)
         cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
-        assert widths == [1, 4, 4, 20]
+        assert [runs for _, runs in widths] == [1, 20, 1]
+        assert sum((rows - 1) * runs for rows, runs in widths) == 184_770
+
+    @pytest.mark.parametrize("halfwave_voltage", [0.1, 0.35, 2.0])
+    @pytest.mark.parametrize(
+        "duration", [0.2e-12, 0.3e-12, 0.5e-12, 1.1e-12, 25.1e-12, 250.09e-12, 1e-9, 19e-9]
+    )
+    def test_calibration_off_the_step_grid(self, halfwave_voltage, duration):
+        # a step is integrated over its count of samples, round(duration / _DT),
+        # which is 1 at 0.3 ps and 126 at 25.1 ps
+        src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
+        scale = experiments.calibrate_physical_drive_scale(src)
+        up, down = experiments._phase_shift(duration)(scale * np.array([1.0, -1.0]) * halfwave_voltage)
+        assert up == pytest.approx(math.pi, rel=1e-3)
+        assert down == pytest.approx(-math.pi, rel=1e-3)
 
     def test_resumed_phase_equals_whole_window_run(self):
         # the net phase from one integration over the whole window per drive step
@@ -181,7 +190,7 @@ class TestCalibration:
             return trace.phase[-1] - trace.phase[0]
 
         phase_shift = experiments._phase_shift(duration)
-        scale = experiments.calibrate_physical_drive_scale(SourceConfig(), phase_shift)
+        scale = experiments.calibrate_physical_drive_scale(SourceConfig())
         reference = whole_window(0.0)
         for volts in (-0.5, -0.35, -0.1, 0.1, 0.35, 0.5):
             step = scale * volts
@@ -203,15 +212,13 @@ class TestCalibration:
         assert len(phases) == 21
         assert (
             hashlib.sha256(phases.tobytes()).hexdigest()
-            == "5d47dcf77c36e00f266038c7a3b5e513ddcb55c2ae033114d067048e52e1826f"
+            == "00a519568c88c8a0f625e04bc56889613874fcd739681983d830f481f8f1174d"
         )
 
     def test_fresh_divergence_names_whole_window_sample(self):
         # the first request steps the reference and its levels from sample 0
         duration = SourceConfig().perturbation_duration
-        scale = experiments.calibrate_physical_drive_scale(
-            SourceConfig(), experiments._phase_shift(duration)
-        )
+        scale = experiments.calibrate_physical_drive_scale(SourceConfig())
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window_trace(scale * 1e6, duration)
         with pytest.raises(IntegrationDivergedError) as fresh:
@@ -224,9 +231,7 @@ class TestCalibration:
     def test_net_phases_do_not_depend_on_grouping(self):
         # more new levels than one call takes, with a repeat and the zero step
         duration = SourceConfig().perturbation_duration
-        scale = experiments.calibrate_physical_drive_scale(
-            SourceConfig(), experiments._phase_shift(duration)
-        )
+        scale = experiments.calibrate_physical_drive_scale(SourceConfig())
         volts = [0.35, -0.2, 0.0, 0.1, -0.5, 0.2, 0.35, 0.05, -0.05, 0.3, -0.35, 0.15]
         volts += [0.025 * i for i in range(-11, 12, 2)]
         steps = scale * np.array(volts)
@@ -276,130 +281,6 @@ def whole_window_trace(step, duration):
     return laser.integrate(
         quiet, drive, dt=dt, initial_field=complex(math.sqrt(s0), 0.0), initial_carrier=n0
     )
-
-
-def cubic_plus_sine(coefficients, k, amp):
-    c3, c2, c1, c0 = coefficients
-    return lambda x: ((c3 * x + c2) * x + c1) * x + c0 + amp * math.sin(k * x)
-
-
-def root_or_failure(solve, g, a, b, xtol):
-    """The root and the points asked for, or the kind of failure and those points."""
-    asked = []
-
-    def counted(x):
-        asked.append(x)
-        return g(x)
-
-    try:
-        return solve(counted, a, b, xtol), asked
-    except (ValueError, RuntimeError) as exc:
-        text = str(exc)
-        return ("NaN" if "NaN" in text else "sign" if "sign" in text else "no convergence"), asked
-
-
-def scipy_brentq(g, a, b, xtol):
-    from scipy.optimize import brentq
-
-    return brentq(g, a, b, xtol=xtol)
-
-
-def transcribed_brentq(g, a, b, xtol):
-    return experiments._brentq(lambda x, ahead: g(x), a, b, xtol)
-
-
-class TestBrentq:
-    # scipy.optimize.brentq is the oracle: the same double, from the same
-    # points in the same order, or the same failure
-    @given(
-        st.tuples(*[st.floats(-3.0, 3.0)] * 4),
-        st.floats(0.0, 20.0),
-        st.floats(0.0, 2.0),
-        st.floats(-5.0, 5.0),
-        st.floats(-10.0, 10.0).filter(lambda w: abs(w) >= 1e-6),
-        st.floats(-14.0, -2.0),
-    )
-    @example((0.0, 0.0, 1.0, 0.0), 0.0, 0.0, 0.0, 1.0, -12.0)  # a root at an end
-    @example((0.0, 0.0, 1.0, -1.0), 0.0, 0.0, 0.0, 1.0, -12.0)  # at the other end
-    @example((0.0, 0.0, 0.0, 1.0), 0.0, 0.0, 0.0, 1.0, -12.0)  # one sign at both ends
-    @example((0.0, 0.0, 1.0, -0.5), 0.0, 0.0, 0.0, 1.0, -12.0)  # the secant hits 0 exactly
-    @example((math.inf, 0.0, 0.0, 0.0), 0.0, 0.0, -1.0, 2.0, -12.0)  # NaN at the bisection
-    @example((1.0, 0.0, 0.0, 0.0), 0.0, 0.0, -1e300, 1.3e300, -14.0)  # 100 iterations
-    @settings(max_examples=300, deadline=None)
-    def test_same_root_as_scipy(self, coefficients, k, amp, a, width, log_xtol):
-        g = cubic_plus_sine(coefficients, k, amp)
-        b, xtol = a + width, 10.0**log_xtol
-        expected = root_or_failure(scipy_brentq, g, a, b, xtol)
-        got = root_or_failure(transcribed_brentq, g, a, b, xtol)
-        assert repr(got) == repr(expected)
-
-    def test_failures_exit_code(self):
-        for g, a, b, message in [
-            (cubic_plus_sine((math.inf, 0.0, 0.0, 0.0), 0.0, 0.0), -1.0, 1.0, "NaN at x = 0.0"),
-            (cubic_plus_sine((1.0, 0.0, 0.0, 0.0), 0.0, 0.0), -1e300, 1.3e300, "100 iterations"),
-        ]:
-            # the CLI reports a PreconditionError with exit code 2
-            with pytest.raises(PreconditionError, match=message):
-                transcribed_brentq(g, a, b, 1e-12)
-
-    def test_tolerance_steps_asked_ahead(self):
-        # after a step by interpolation or bisection Brent may step by its
-        # tolerance either way; a tolerance step asks for its point alone
-        g = cubic_plus_sine((0.0, 1.0, 0.0, -2.0), 0.0, 0.0)
-        rtol, xtol, requests = 4 * sys.float_info.epsilon, 1e-6, []
-
-        def f(x, ahead):
-            requests.append((x, tuple(ahead)))
-            return g(x)
-
-        root = experiments._brentq(f, 0.0, 2.0, xtol)
-        assert root == scipy_brentq(g, 0.0, 2.0, xtol)
-        assert [x for x, _ in requests[:2]] == [0.0, 2.0]
-        for x, ahead in requests[2:]:
-            tol = (xtol + rtol * abs(x)) / 2
-            assert ahead in [(x + tol, x - tol), ()]
-        assert any(ahead for _, ahead in requests) and any(not ahead for _, ahead in requests[2:])
-
-    @pytest.mark.parametrize("halfwave_voltage", [0.1, 2.0])
-    @pytest.mark.parametrize("duration", [50e-12, 400e-12])
-    def test_calibrated_scale_equals_scipy(self, halfwave_voltage, duration):
-        src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
-        scale = experiments.calibrate_physical_drive_scale(src, experiments._phase_shift(duration))
-        params = laser.LaserParams()
-        guess = 2 * math.pi / (params.linewidth_enhancement * params.gain_compression * duration)
-        guess /= halfwave_voltage
-        phase_shift = experiments._phase_shift(duration)
-        expected = scipy_brentq(
-            lambda s: float(phase_shift(s * halfwave_voltage)) - math.pi,
-            0.2 * guess,
-            5.0 * guess,
-            1e-4 * guess,
-        )
-        assert scale == expected
-
-    def test_diverging_level_ahead_raises_only_when_asked(self):
-        duration = SourceConfig().perturbation_duration
-        phase_shift = experiments._phase_shift(duration)
-        scale = experiments.calibrate_physical_drive_scale(SourceConfig(), phase_shift)
-        huge = scale * 1e6
-        # a calibration whose every step ahead diverges still picks the scale
-        diverging = experiments._phase_shift(duration)
-
-        def looking_ahead(steps, ahead=()):
-            return diverging(steps, [huge, 2 * huge][: len(ahead)])
-
-        assert experiments.calibrate_physical_drive_scale(SourceConfig(), looking_ahead) == scale
-        assert diverging(scale * 0.35) == phase_shift(scale * 0.35)
-        # asked for, the level raises with the whole window's sample and state
-        with pytest.raises(IntegrationDivergedError) as whole:
-            whole_window_trace(huge, duration)
-        with pytest.raises(IntegrationDivergedError) as asked:
-            diverging(huge)
-        assert (asked.value.step_index, asked.value.intensity, asked.value.carrier) == (
-            whole.value.step_index, whole.value.intensity, whole.value.carrier
-        )
-        with pytest.raises(IntegrationDivergedError):
-            diverging([0.1 * scale, 2 * huge])
 
 
 def unit(*angles):

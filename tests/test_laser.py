@@ -737,3 +737,27 @@ class TestValidationAndExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,intensity,carrier,phase_rad"
         assert len(lines) == len(trace) + 1
+
+
+class TestLaserTracesScript:
+    def run(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        script = SRC_DIR.parent / "scripts" / "laser_traces.py"
+        return subprocess.run([sys.executable, str(script), *args], env=env, capture_output=True, text=True)
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        outdir = tmp_path / "out"
+        proc = self.run("--outdir", str(outdir), "--seed", "-1")
+        assert proc.returncode == 2
+        assert "--seed must be >= 0" in proc.stderr and "Traceback" not in proc.stderr
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_outdir_on_a_file_exit_code(self, tmp_path, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        proc = self.run("--outdir", str(taken / below))
+        assert proc.returncode == 2
+        assert "--outdir must name a directory" in proc.stderr and "Traceback" not in proc.stderr
+        assert taken.read_text() == "kept\n"
