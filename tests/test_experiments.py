@@ -70,12 +70,18 @@ class TestPhaseVoltage:
 
 
 class TestCalibration:
-    def test_calibrated_scale_hits_pi_at_halfwave(self):
-        src = SourceConfig()
-        phase_shift = experiments._phase_shift(src.perturbation_duration)
+    @pytest.mark.parametrize("halfwave_voltage", [0.1, 0.35, 2.0])
+    @pytest.mark.parametrize(
+        "duration", [0.2e-12, 0.3e-12, 0.5e-12, 1.1e-12, 25.1e-12, 250.09e-12, 1e-9, 19e-9]
+    )
+    def test_calibrated_scale_hits_pi_at_halfwave(self, halfwave_voltage, duration):
+        # on and off the step grid: a step is integrated over its count of
+        # samples, round(duration / _DT), which is 1 at 0.3 ps and 126 at 25.1 ps
+        src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
         scale = experiments.calibrate_physical_drive_scale(src)
-        phi = float(phase_shift(scale * src.halfwave_voltage))
-        assert phi == pytest.approx(math.pi, rel=1e-3)
+        up, down = experiments._phase_shift(duration)(scale * np.array([1.0, -1.0]) * halfwave_voltage)
+        assert up == pytest.approx(math.pi, rel=1e-3)
+        assert down == pytest.approx(-math.pi, rel=1e-3)
 
     def test_physical_phase_odd_in_voltage(self):
         src = SourceConfig()
@@ -159,19 +165,6 @@ class TestCalibration:
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
         assert [runs for _, runs in widths] == [1, 20, 1]
         assert sum((rows - 1) * runs for rows, runs in widths) == 184_770
-
-    @pytest.mark.parametrize("halfwave_voltage", [0.1, 0.35, 2.0])
-    @pytest.mark.parametrize(
-        "duration", [0.2e-12, 0.3e-12, 0.5e-12, 1.1e-12, 25.1e-12, 250.09e-12, 1e-9, 19e-9]
-    )
-    def test_calibration_off_the_step_grid(self, halfwave_voltage, duration):
-        # a step is integrated over its count of samples, round(duration / _DT),
-        # which is 1 at 0.3 ps and 126 at 25.1 ps
-        src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
-        scale = experiments.calibrate_physical_drive_scale(src)
-        up, down = experiments._phase_shift(duration)(scale * np.array([1.0, -1.0]) * halfwave_voltage)
-        assert up == pytest.approx(math.pi, rel=1e-3)
-        assert down == pytest.approx(-math.pi, rel=1e-3)
 
     def test_resumed_phase_equals_whole_window_run(self):
         # the net phase from one integration over the whole window per drive step
