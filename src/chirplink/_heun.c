@@ -11,19 +11,22 @@
  * flush of subnormals or a reordering would change the last bits.  The
  * runs do not interact, so the loop over them vectorizes; vector
  * additions, products, quotients and square roots round as the scalar
- * ones do, so a run gets the same bits at any batch width.
+ * ones do, so a run gets the same bits at any batch width and in every
+ * clone of the entry.
  *
  * Arrays are step-major: a row holds one value of each run.  hr + i hi is
- * 0.5j * alpha as Python computes it.  pump holds n_steps + 1 rows, and
- * inj, when not NULL, n_steps + 1 rows of complex samples as (re, im)
- * pairs.  When xi is not NULL, step k reads the unit normals of its row k
- * of 2 n_runs values, the real parts first.  field (complex) and carrier
- * hold `rows` rows, and sample k is stored in row k % rows: n_steps + 1
- * rows keep the whole trace, 2 rows only the last two samples.  Row 0
- * holds the initial state.  diverged[j] is 0 in; it is set to the sample
- * index k + 1 of the first step whose state is not finite or whose
- * intensity exceeds 1e12, and the run keeps that state in every later
- * sample.
+ * 0.5j * alpha as Python computes it.  pump holds segments of held levels:
+ * its row s is the pump of samples seg_end[s - 1] to seg_end[s] - 1
+ * (seg_end[-1] taken as 0), and the last segment ends at n_steps + 1; a
+ * pump of one row per sample has seg_end[s] = s + 1.  inj, when not NULL,
+ * holds n_steps + 1 rows of complex samples as (re, im) pairs.  When xi is
+ * not NULL, step k reads the unit normals of its row k of 2 n_runs values,
+ * the real parts first.  field (complex) and carrier hold `rows` rows, and
+ * sample k is stored in row k % rows: n_steps + 1 rows keep the whole
+ * trace, 2 rows only the last two samples.  Row 0 holds the initial state.
+ * diverged[j] is 0 in; it is set to the sample index k + 1 of the first
+ * step whose state is not finite or whose intensity exceeds 1e12, and the
+ * run keeps that state in every later sample.
  *
  * When flip_index is not NULL, each step k at which the sign bit of run j's
  * Im E changes appends k * n_runs + j to flip_index and the run's samples k
@@ -123,20 +126,23 @@ static inline __attribute__((always_inline)) uint64_t step(
 static inline __attribute__((always_inline)) long steps(
     long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
     double hr, double hi, double beta, double kappa, double dt, const double *pump,
-    const double *inj, const double *xi, double *field, double *carrier, long rows,
-    long *diverged, long *flip_index, double *flip_before, double *flip_after,
+    const long *seg_end, const double *inj, const double *xi, double *field, double *carrier,
+    long rows, long *diverged, long *flip_index, double *flip_before, double *flip_after,
     const int injected, const int noisy)
 {
     long n_flips = 0;
-    for (long k = 0; k < n_steps; k++) {
-        const double *p0 = pump + k * n_runs, *i0 = injected ? inj + 2 * k * n_runs : 0;
+    for (long k = 0, s = 0; k < n_steps; k++) {
+        /* s and s1 are the segments of samples k and k + 1 */
+        long s1 = s + (k + 1 >= seg_end[s]);
+        const double *i0 = injected ? inj + 2 * k * n_runs : 0;
         const double *x_re = noisy ? xi + 2 * k * n_runs : 0;
         double *e = field + 2 * (k % rows) * n_runs, *e1 = field + 2 * ((k + 1) % rows) * n_runs;
         uint64_t flipped = step(
-            k, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, p0, p0 + n_runs, i0,
-            injected ? i0 + 2 * n_runs : 0, x_re, noisy ? x_re + n_runs : 0, e,
-            carrier + (k % rows) * n_runs, e1, carrier + ((k + 1) % rows) * n_runs, diverged,
+            k, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump + s * n_runs,
+            pump + s1 * n_runs, i0, injected ? i0 + 2 * n_runs : 0, x_re, noisy ? x_re + n_runs : 0,
+            e, carrier + (k % rows) * n_runs, e1, carrier + ((k + 1) % rows) * n_runs, diverged,
             injected, noisy);
+        s = s1;
         /* a sign change is rare: step() ORs the sign bits in its vector
          * loop, and the runs are searched only on a change */
         for (long j = 0; flip_index && flipped && j < n_runs; j++) {
@@ -150,38 +156,38 @@ static inline __attribute__((always_inline)) long steps(
     return n_flips;
 }
 
-#define STEPS(injected, noisy)                                                                 \
-    steps(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump, inj, \
-          xi, field, carrier, rows, diverged, flip_index, flip_before, flip_after, injected,   \
-          noisy)
+#define STEPS(injected, noisy)                                                                \
+    steps(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump,     \
+          seg_end, inj, xi, field, carrier, rows, diverged, flip_index, flip_before,          \
+          flip_after, injected, noisy)
 
-/* The copies with injection, built once, without an AVX2 clone: only
+/* The copies with injection, built once, without vector clones: only
  * laser.integrate injects, one run at a time, which a vector does not speed. */
 __attribute__((noinline)) long chirplink_heun_injected(
     long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
     double hr, double hi, double beta, double kappa, double dt, const double *pump,
-    const double *inj, const double *xi, double *field, double *carrier, long rows,
-    long *diverged, long *flip_index, double *flip_before, double *flip_after)
+    const long *seg_end, const double *inj, const double *xi, double *field, double *carrier,
+    long rows, long *diverged, long *flip_index, double *flip_before, double *flip_after)
 {
     return xi ? STEPS(1, 1) : STEPS(1, 0);
 }
 
 /* The entry.  On x86_64 the copies without injection are built for CPUs
- * with AVX2 (4 runs per instruction) and for the rest; the loader picks
- * the one this CPU can run. */
+ * with AVX-512F (8 runs per instruction), with AVX2 (4) and for the rest
+ * (SSE2, 2); the loader picks the widest this CPU can run. */
 #if defined(__x86_64__)
-__attribute__((target_clones("avx2", "default")))
+__attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
                     double eps, double hr, double hi, double beta, double kappa, double dt,
-                    const double *pump, const double *inj, const double *xi, double *field,
-                    double *carrier, long rows, long *diverged, long *flip_index,
+                    const double *pump, const long *seg_end, const double *inj, const double *xi,
+                    double *field, double *carrier, long rows, long *diverged, long *flip_index,
                     double *flip_before, double *flip_after)
 {
     if (inj)
         return chirplink_heun_injected(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi,
-                                       beta, kappa, dt, pump, inj, xi, field, carrier, rows,
-                                       diverged, flip_index, flip_before, flip_after);
+                                       beta, kappa, dt, pump, seg_end, inj, xi, field, carrier,
+                                       rows, diverged, flip_index, flip_before, flip_after);
     return xi ? STEPS(0, 1) : STEPS(0, 0);
 }
 #undef STEPS

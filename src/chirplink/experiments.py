@@ -49,14 +49,27 @@ def _write_summary(path, cfg: ExperimentConfig, payload: dict) -> None:
 # window of _PRE, the perturbation, then _POST for the laser to settle.
 _DT = 2e-13
 _PRE, _POST = 0.2e-9, 1.5e-9
-# At most this many steps per run: a 20-run kernel call holds its pump, 8
-# bytes per run-step, ~150 MB and ~0.2 s at the cap on one x86_64 core.
+# At most this many steps per run: the physical path keeps no trace and
+# holds each pump as three segments, so the cap bounds the time, not the
+# memory (30 voltages at the cap: ~0.3 s and ~37 MiB on one x86_64 core).
 _MAX_STEPS = 1e6
-# The physical path integrates up to this many drive levels per kernel call.
-# A call costs one run's chain of steps plus a little per AVX2 vector of 4
-# runs, but 3 runs past the last vector cost more than a vector (8751 steps:
-# 0.43 ms for 3 runs, 0.41 for 4), so such a call repeats its last level.
-_BATCH_RUNS = 20
+# The physical path integrates up to this many drive levels per kernel call,
+# so that the default run's 21 voltages go in one call of 3 whole vectors.
+# A call costs about one run's chain of steps plus a little per vector of
+# runs (8751 steps: 1.3-2.0 ms for 24 runs in one call, 1.3-2.1 + 0.5-0.7 ms
+# for 20 and 1).
+_BATCH_RUNS = 24
+# A call of several levels repeats its last one up to whole AVX-512 vectors
+# of 8 runs, as runs past the last whole vector cost more than a vector
+# (8751 steps: 1.8-2.6 ms for 21 runs, 1.3-2.0 for 24).  A lone run is not
+# padded: its scalar chain is the fastest (999 steps: 0.13-0.17 ms, against
+# 0.15-0.18 for 8).
+_LANES = 8
+
+
+def _width(runs: int) -> int:
+    """The runs of a kernel call of `runs` levels, with the copies that pad it."""
+    return runs if runs == 1 else -(-runs // _LANES) * _LANES
 
 
 def _unwrap_corrections(flips, totals: np.ndarray) -> np.ndarray:
@@ -85,7 +98,9 @@ def _phase_shift(duration: float):
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, the reference.  The
     returned function takes an array of drive steps and integrates the
-    levels it has not met before, _BATCH_RUNS per kernel call.
+    levels it has not met before, _BATCH_RUNS per kernel call, each call
+    padded to _width(runs) with copies of its last level.  Each run's pump
+    is three held segments: the bias, the level, the bias.
     Up to sample k0 every run is the reference, as step k0 is the first to
     read the step's pump: the reference steps there alone, once, and every
     level, its own tail too, resumes from its state at k0.  The net phase,
@@ -110,13 +125,13 @@ def _phase_shift(duration: float):
     start = head_sum = None  # the reference's state at sample k0 and its corrections to there
     raw = {}  # by drive level: the net phase before the reference's is subtracted
 
-    def integrate(levels: list[float], origin: int, n_steps: int, start):
-        """Last fields and flips of runs at `levels` from sample `origin`; raises the first divergence."""
-        levels = levels + levels[-1:] * (len(levels) % 4 == 3)
-        pump = np.full((n_steps + 1, len(levels)), bias)
-        pump[n_pre - origin : n_pre + n_step - origin] = levels
+    def integrate(pump: list[list[float]], holds: list[int], origin: int, start):
+        """Last fields and flips of the runs of `pump`, its rows held `holds`
+        samples, from sample `origin`; raises the first divergence."""
+        copies = _width(len(pump[0])) - len(pump[0])
+        pump = [row + row[-1:] * copies for row in pump]
         field, carrier, diverged, flips = laser.integrate_pumps(
-            quiet, pump, _DT, *start, trace=False, flips=True
+            quiet, pump, _DT, *start, trace=False, flips=True, holds=holds
         )
         for k, e, n in zip(diverged, field, carrier):
             if k:  # named by its sample in the whole window
@@ -129,11 +144,14 @@ def _phase_shift(duration: float):
         asked = [bias, *levels.ravel().tolist()]
         new = [level for level in dict.fromkeys(asked) if level not in raw]
         if new and start is None:
-            field, carrier, flips = integrate([bias], 0, k0, (complex(math.sqrt(s0)), n0))
-            start, (head_sum,) = (field[0], carrier[0]), _unwrap_corrections(flips, np.zeros(1))
+            field, carrier, flips = integrate([[bias]], [k0 + 1], 0, (complex(math.sqrt(s0)), n0))
+            # the reference's own corrections: a copy's would add into one total
+            head_sum = _unwrap_corrections(flips, np.zeros(len(field)))[0]
+            start = field[0], carrier[0]
         for i in range(0, len(new), _BATCH_RUNS):
             batch = new[i : i + _BATCH_RUNS]
-            field, _, flips = integrate(batch, k0, n_pre + n_step + n_post - k0, start)
+            ends = [bias] * len(batch)
+            field, _, flips = integrate([ends, batch, ends], [1, n_step, n_post + 1], k0, start)
             # sample 0 is real and positive, at angle 0; zip drops the copies
             nets = np.angle(field) + _unwrap_corrections(flips, np.full(len(field), head_sum))
             raw.update(zip(batch, nets.tolist()))

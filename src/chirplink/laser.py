@@ -252,7 +252,7 @@ def _heun():
         os.rmdir(private)
     kernel.restype = ctypes.c_long
     kernel.argtypes = (
-        [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 5 + [ctypes.c_long]
+        [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 6 + [ctypes.c_long]
         + [ctypes.c_void_p] * 4
     )
     return kernel
@@ -282,12 +282,15 @@ def integrate_pumps(
     injection: np.ndarray | None = None,
     trace: bool = True,
     flips: bool = False,
+    holds=None,
 ):
     """Integrate one run of the rate equations per column of `pump`.
 
-    `pump` holds each run's pump rate at its n_steps + 1 sample times, `dt`
-    apart, as an (n_steps + 1, n_runs) array; the compiled kernel steps all
-    runs together, each with the arithmetic of a run alone.
+    `pump` holds each run's pump rate as an (n_segments, n_runs) array of
+    levels, and `holds` how many samples, `dt` apart, each row is held for:
+    the pump at the n_steps + 1 sample times is np.repeat(pump, holds,
+    axis=0).  Without `holds` each row is one sample.  The compiled kernel
+    steps all runs together, each with the arithmetic of a run alone.
     `initial_field` and `initial_carrier` are each run's state at sample 0,
     or one state for all.  `noise`, (n_steps, 2, n_runs) unit normals, is
     the Langevin term, scaled as in :func:`integrate`; `injection`,
@@ -303,17 +306,24 @@ def integrate_pumps(
     _check_dt(params, dt)
     pump = np.ascontiguousarray(pump, dtype=float)
     if pump.ndim != 2 or pump.size == 0:
-        raise PreconditionError("pump must be an (n_steps + 1, n_runs) array")
+        raise PreconditionError("pump must be an (n_segments, n_runs) array")
     if not np.isfinite(pump).all():
-        raise PreconditionError("pump samples must be finite")
-    n_steps, n_runs = pump.shape[0] - 1, pump.shape[1]
+        raise PreconditionError("pump levels must be finite")
+    if holds is None:
+        seg_end = np.arange(1, len(pump) + 1, dtype=ctypes.c_long)
+    else:
+        holds = np.asarray(holds)
+        if holds.shape != pump.shape[:1] or holds.dtype.kind not in "iu" or (holds < 1).any():
+            raise PreconditionError("holds must be one integer >= 1 per row of pump")
+        seg_end = np.cumsum(holds, dtype=ctypes.c_long)
+    n_steps, n_runs = int(seg_end[-1]) - 1, pump.shape[1]
     if noise is not None:
         noise = np.ascontiguousarray(noise, dtype=float)
         if noise.shape != (n_steps, 2, n_runs):
             raise PreconditionError("noise must be an (n_steps, 2, n_runs) array")
     if injection is not None:
         injection = np.ascontiguousarray(injection, dtype=complex)
-        if injection.shape != pump.shape:
+        if injection.shape != (n_steps + 1, n_runs):
             raise PreconditionError("injection must be an (n_steps + 1, n_runs) array")
 
     # the kernel keeps sample k in row k % rows: all of them, or the last two
@@ -339,7 +349,7 @@ def integrate_pumps(
     index = np.empty(n_steps * n_runs if flips else 0, dtype=ctypes.c_long)
     before, after = np.empty(index.size, dtype=complex), np.empty(index.size, dtype=complex)
     outputs = [a.ctypes.data if flips else None for a in (index, before, after)]
-    inputs = [None if a is None else a.ctypes.data for a in (pump, injection, noise)]
+    inputs = [None if a is None else a.ctypes.data for a in (pump, seg_end, injection, noise)]
     n = _heun()(
         n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, carrier.ctypes.data, rows,
         diverged.ctypes.data, *outputs,

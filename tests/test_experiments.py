@@ -91,21 +91,21 @@ class TestCalibration:
         assert down == pytest.approx(-up, rel=0.05)
 
     def test_physical_mode_integrates_reference_once(self, monkeypatch):
-        # the pump and step count of each run, and the (levels, runs) of
-        # each call, by the stage that made them; a call's runs past its
-        # distinct levels repeat its last one and are not counted as runs
+        # the levels, holds and step count of each run, and the (levels,
+        # runs) of each call, by the stage that made them; a call's runs
+        # past its distinct levels repeat its last one and are not counted
         runs = {"calibrate": [], "voltages": []}
         calls = {"calibrate": [], "voltages": []}
         stage, scales = "voltages", []
         batched, calibrate = laser.integrate_pumps, experiments.calibrate_physical_drive_scale
 
-        def counting(params, pump, *args, **kwargs):
+        def counting(params, pump, *args, holds, **kwargs):
             columns = np.asarray(pump).T
             n = len(np.unique(columns, axis=0))
             assert (columns[n:] == columns[n - 1]).all()
-            runs[stage].extend((column, len(column) - 1) for column in columns[:n])
+            runs[stage].extend((column, list(holds), sum(holds) - 1) for column in columns[:n])
             calls[stage].append((n, len(columns)))
-            result = batched(params, pump, *args, **kwargs)
+            result = batched(params, pump, *args, holds=holds, **kwargs)
             assert result[0].shape == result[1].shape == (len(columns),)  # no traces
             return result
 
@@ -130,19 +130,24 @@ class TestCalibration:
         # step's pump alone, once, and resumes from there once, in the same
         # call as the voltages
         k0 = round(experiments._PRE / experiments._DT) - 1
+        n_step = round(cfg.source.perturbation_duration / experiments._DT)
         window = (experiments._PRE + cfg.source.perturbation_duration + experiments._POST) / experiments._DT
-        (head, n_head), (tail, n_tail) = [(pump, n) for pump, n in every if np.ptp(pump) == 0.0]
+        (head, *_, n_head), (tail, *_, n_tail) = [run for run in every if np.ptp(run[0]) == 0.0]
         assert (n_head, n_tail) == (k0, round(window) - k0)
         assert every[0][0] is head and every[1][0] is tail
         bias = head[0]
-        assert tail[0] == bias
+        # the head is one segment of the bias; every tail holds the bias for
+        # one sample, its level for the step's samples, then the bias again
+        assert every[0][1] == [k0 + 1]
+        assert all(holds == [1, n_step, n_tail - n_step] for _, holds, _ in every[1:])
+        assert (tail == bias).all() and all(column[0] == column[2] == bias for column, *_ in every[1:])
         # 0 V is the reference; the other three voltages resume with it
-        assert all(n == n_tail for _, n in every[1:])
-        levels = [pump[1] for pump, _ in every[2:]]
+        assert all(n == n_tail for *_, n in every[1:])
+        levels = [column[1] for column, *_ in every[2:]]
         assert levels == [bias + scales[0] * v for v in (-0.35, 0.175, 0.35)]
-        assert all(np.ptp(pump) > 0.0 for pump, _ in every[2:])
-        # the head alone, then the reference's tail with the three levels
-        assert calls["voltages"] == [(1, 1), (4, 4)]
+        # the head alone, then the reference's tail with the three levels,
+        # padded to one vector of 8 runs
+        assert calls["voltages"] == [(1, 1), (4, 8)]
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
         assert res.physical_phase[3] == pytest.approx(math.pi, rel=1e-3)
@@ -150,21 +155,25 @@ class TestCalibration:
         experiments.run_phase_voltage(cfg)
         assert len(runs["voltages"]) == 2 * len(every) and runs["calibrate"] == []
 
-    def test_default_physical_run_makes_three_calls(self, monkeypatch):
-        # the head, the reference's tail with the first 19 voltages it has
-        # not met, then the 20th voltage alone
-        widths = []
+    def test_default_physical_run_makes_two_calls(self, monkeypatch):
+        # the head, then the reference's tail with the 20 voltages it has
+        # not met, padded with 3 copies of the last to 3 vectors of 8 runs
+        pumps = []
         batched = laser.integrate_pumps
 
-        def counting(params, pump, *args, **kwargs):
-            widths.append(np.shape(pump))
-            return batched(params, pump, *args, **kwargs)
+        def counting(params, pump, *args, holds, **kwargs):
+            pumps.append((np.asarray(pump), holds))
+            return batched(params, pump, *args, holds=holds, **kwargs)
 
         monkeypatch.setattr(laser, "integrate_pumps", counting)
         cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
-        assert [runs for _, runs in widths] == [1, 20, 1]
-        assert sum((rows - 1) * runs for rows, runs in widths) == 184_770
+        assert [pump.shape[1] for pump, _ in pumps] == [1, 24]
+        levels = pumps[1][0][1]
+        assert len(set(levels.tolist())) == 21 and (levels[21:] == levels[20]).all()
+        run_steps = [sum(holds) - 1 for _, holds in pumps]
+        assert run_steps[0] + 24 * run_steps[1] == 211_023
+        assert run_steps[0] + 21 * run_steps[1] == 184_770
 
     def test_resumed_phase_equals_whole_window_run(self):
         # the net phase from one integration over the whole window per drive step
@@ -221,25 +230,32 @@ class TestCalibration:
             whole.value.step_index, whole.value.intensity, whole.value.carrier
         )
 
-    def test_net_phases_do_not_depend_on_grouping(self):
+    @pytest.mark.parametrize("batch_runs", [1, 3, 5, 8, 24])
+    def test_net_phases_do_not_depend_on_grouping(self, monkeypatch, batch_runs):
         # more new levels than one call takes, with a repeat and the zero step
         duration = SourceConfig().perturbation_duration
         scale = experiments.calibrate_physical_drive_scale(SourceConfig())
         volts = [0.35, -0.2, 0.0, 0.1, -0.5, 0.2, 0.35, 0.05, -0.05, 0.3, -0.35, 0.15]
-        volts += [0.025 * i for i in range(-11, 12, 2)]
+        volts += [0.025 * i for i in range(-11, 12, 2)] + [0.4, -0.4, 0.45, -0.45]
         steps = scale * np.array(volts)
         assert len(set(steps.tolist())) > experiments._BATCH_RUNS
-        at_once = experiments._phase_shift(duration)(steps)
-        phase_shift = experiments._phase_shift(duration)
-        one_at_a_time = np.array([float(phase_shift(step)) for step in steps])
-        phase_shift = experiments._phase_shift(duration)
-        in_two = np.concatenate([phase_shift(steps[:2]), phase_shift(steps[2:])])
-        assert at_once.tobytes() == one_at_a_time.tobytes() == in_two.tobytes()
-        assert at_once[2] == 0.0 and at_once[0] == at_once[6]
+        monkeypatch.setattr(experiments, "_BATCH_RUNS", batch_runs)
+        phases = []
+        # no copies; whole vectors, a lone run alone; 5 copies in every
+        # call, the reference's head too
+        for width in (lambda runs: runs, experiments._width, lambda runs: runs + 5):
+            monkeypatch.setattr(experiments, "_width", width)
+            phases.append(experiments._phase_shift(duration)(steps))
+            phase_shift = experiments._phase_shift(duration)
+            phases.append(np.array([float(phase_shift(step)) for step in steps]))
+            phase_shift = experiments._phase_shift(duration)
+            phases.append(np.concatenate([phase_shift(steps[:2]), phase_shift(steps[2:])]))
+        assert all(phase.tobytes() == phases[0].tobytes() for phase in phases)
+        assert phases[0][2] == 0.0 and phases[0][0] == phases[0][6]
 
     def test_step_cap_peak_memory(self, tmp_path):
         # 30 voltages at a step of 190 ns, 958,500 steps per run: the kernel
-        # calls hold their pumps, 8 bytes per run-step, and no field traces
+        # calls hold no field traces
         volts = " ".join(f"{v:.4f}" for v in np.linspace(-0.5, 0.5, 30))
         (tmp_path / "cap.cfg").write_text(
             "experiment = phase_voltage\nphysical_mode = true\n"
@@ -258,9 +274,26 @@ class TestCalibration:
         assert proc.returncode == 0, proc.stderr
         code, peak_kib = proc.stdout.split()
         assert code == "0"
-        # ~200 MiB measured: ~150 MB of pump in the 20-run call, the rest the
-        # interpreter and numpy; field traces would add ~300 MB
+        # ~38 MiB measured: each pump is three held levels per run, the rest
+        # is the interpreter and numpy; field traces would add ~300 MB
         assert int(peak_kib) / 1024 < 300
+
+    def test_step_cap_pumps_are_segments(self):
+        # 31 levels at a step of 190 ns in calls of 1, 24 and 8 runs: ~37 MiB
+        # measured, the interpreter and numpy; a pump of one row per sample,
+        # 8 bytes per run-step, peaked at ~197 MiB.  The peak is VmHWM, this
+        # process's own: Linux starts ru_maxrss of a spawned process at the
+        # peak of the one that spawned it
+        script = (
+            "import re, numpy as np; from chirplink import experiments; "
+            "experiments._phase_shift(190e-9)(np.linspace(-1e12, 1e12, 30)); "
+            "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 1024 < 80
 
 
 def whole_window_trace(step, duration):

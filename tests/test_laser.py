@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from chirplink import laser
@@ -556,6 +558,79 @@ class TestBatchedKernel:
     def test_bad_dt_rejected(self, quiet, dt):
         with pytest.raises(PreconditionError, match="dt"):
             laser.integrate_pumps(quiet, np.ones((11, 3)), dt, 1e-3, 0.0)
+
+
+# pump levels as multiples of the threshold current: none, which with no
+# carrier spins the phase, so that Im E flips; below, at and above
+# threshold; and one that diverges
+LEVELS = st.sampled_from([0.0, 0.2, 1.0, 2.5, 1e30])
+
+
+@st.composite
+def held_pumps(draw):
+    """(levels, holds) of 1 to 24 runs, each row of levels held >= 1 samples."""
+    width = draw(st.integers(1, 24))
+    holds = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    levels = draw(st.lists(st.lists(LEVELS, min_size=width, max_size=width), min_size=len(holds),
+                           max_size=len(holds)))
+    return np.array(levels) * laser.LaserParams().threshold_current, holds
+
+
+class TestHeldPumps:
+    """A pump of held levels steps as np.repeat(levels, holds, axis=0) does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pump=held_pumps(), noisy=st.booleans(), injected=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # a run at no pump whose Im E flips, and one that diverges in its second segment
+    @example(
+        pump=(np.array([[0.0, 1.0], [0.0, 1e30], [2.5, 0.2]]) * laser.LaserParams().threshold_current,
+              [50, 40, 30]),
+        noisy=False, injected=False, seed=0,
+    )
+    def test_equals_one_row_per_sample(self, params, pump, noisy, injected, seed):
+        levels, holds = pump
+        width, n_steps = levels.shape[1], sum(holds) - 1
+        p = replace(params, spontaneous_fraction=params.spontaneous_fraction if noisy else 0.0)
+        p = replace(p, injection_coupling=5e10 if injected else 0.0)
+        rng = np.random.default_rng(seed)
+        initial = 1e-3 * (rng.standard_normal(width) + 1j * rng.standard_normal(width))
+        carrier = np.where(rng.random(width) < 0.5, 0.0, 900.0)
+        noise = rng.standard_normal((n_steps, 2, width)) if noisy else None
+        inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if injected else None
+        for trace in (True, False):
+            held = laser.integrate_pumps(
+                p, levels, DT, initial, carrier, noise, inj, trace=trace, flips=True, holds=holds
+            )
+            dense = laser.integrate_pumps(
+                p, np.repeat(levels, holds, axis=0), DT, initial, carrier, noise, inj, trace=trace, flips=True
+            )
+            for a, b in zip([*held[:3], *held[3]], [*dense[:3], *dense[3]]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "holds", [[0, 3], [2, -1], [2], [2, 3, 4], [1.0, 2.0], [[1, 2]]],
+        ids=["zero", "negative", "too-few", "too-many", "float", "2-d"],
+    )
+    def test_bad_holds_rejected(self, quiet, holds):
+        with pytest.raises(PreconditionError, match="holds"):
+            laser.integrate_pumps(quiet, np.ones((2, 3)), DT, 1e-3, 0.0, holds=holds)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, quiet, bad):
+        levels = np.full((2, 3), quiet.threshold_current)
+        levels[1, 2] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            laser.integrate_pumps(quiet, levels, DT, 1e-3, 0.0, holds=[4, 5])
+
+    @pytest.mark.parametrize("samples", [8, 10])  # one short of sum(holds) = 9, one past
+    def test_noise_and_injection_follow_the_holds(self, params, samples):
+        levels = np.full((2, 3), params.threshold_current)
+        with pytest.raises(PreconditionError, match="noise"):
+            laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros((samples - 1, 2, 3)), holds=[4, 5])
+        with pytest.raises(PreconditionError, match="injection"):
+            laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, None, np.zeros((samples, 3)), holds=[4, 5])
+        # the shapes of sum(holds) samples pass
+        laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros((8, 2, 3)), np.zeros((9, 3)), holds=[4, 5])
 
 
 def run_fresh(script, cache, cwd=None, **env_vars):
