@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 
 from chirplink.config import ExperimentConfig
-from chirplink.keyrate import bb84_rate_point, dps_rate_point
+from chirplink.keyrate import bb84_rate_points, dps_rate_points
 from chirplink.optics import InterferometerParams
 from chirplink.source import SourceConfig
 
@@ -35,7 +35,7 @@ def main() -> None:
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    losses = list(np.arange(0.0, args.max_loss_db + args.step_db / 2, args.step_db))
+    losses = np.arange(0.0, args.max_loss_db + args.step_db / 2, args.step_db)
 
     bb84_cfg = ExperimentConfig(
         source=SourceConfig(mean_photon_number=0.25),
@@ -46,15 +46,16 @@ def main() -> None:
         mzi=InterferometerParams(visibility=0.962),
     )
 
-    for name, rate_point, cfg in (
-        ("bb84_rate_curve", bb84_rate_point, bb84_cfg),
-        ("dps_rate_curve", dps_rate_point, dps_cfg),
+    for name, rate_points, cfg in (
+        ("bb84_rate_curve", bb84_rate_points, bb84_cfg),
+        ("dps_rate_curve", dps_rate_points, dps_cfg),
     ):
-        points = [rate_point(cfg, loss) for loss in losses]
+        curve = rate_points(cfg, losses)
         path = outdir / f"{name}.csv"
-        data = [[p.loss_db, p.sifted_rate_bps, p.qber, p.secure_rate_bps] for p in points]
+        data = np.column_stack([curve.loss_db, curve.sifted_rate_bps, curve.qber, curve.secure_rate_bps])
         np.savetxt(path, data, delimiter=",", header=HEADER, comments="")
-        cutoff = max((p.loss_db for p in points if p.secure_rate_bps > 0), default=None)
+        secure = curve.loss_db[curve.secure_rate_bps > 0]
+        cutoff = secure[-1].item() if len(secure) else None
         print(f"{path}: secure-rate cutoff at {cutoff} dB")
 
 

@@ -17,26 +17,27 @@ import numpy as np
 from . import laser
 from .config import ExperimentConfig
 from .errors import PreconditionError
-from .keyrate import RatePoint, bb84_rate_point, dps_rate_point
-from .optics import ChannelParams, decoder_ports
-from .protocols import BB84, DPS, SiftResult, simulate_bb84, simulate_dps
+from .keyrate import RatePoint, bb84_rate_points, dps_rate_points
+from .optics import decoder_ports, transmittances
+from .protocols import BB84, DPS, SiftResult, simulate_links
 from .source import SourceConfig, phase_from_voltage
 
 TWO_PI = 2.0 * math.pi
 
 
-def _write_table(path, cfg: ExperimentConfig, header: str, rows: np.ndarray) -> None:
-    # np.savetxt's bytes (fmt "%.18e", delimiter ","), formatted with one %
+def _write_table(path, items: list[tuple[str, str]], header: str, rows: np.ndarray) -> None:
+    # np.savetxt's bytes (fmt "%.18e", delimiter ","), formatted with one %;
+    # items is the config's resolved_items(), one comment line each
     rows = np.atleast_2d(rows)
     row = ",".join(["%.18e"] * rows.shape[1]) + "\n"
-    comments = "".join(f"# {key} = {value}\n" for key, value in cfg.resolved_items())
+    comments = "".join(f"# {key} = {value}\n" for key, value in items)
     with open(path, "w") as fh:
         fh.write(comments + header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def _write_summary(path, cfg: ExperimentConfig, payload: dict) -> None:
+def _write_summary(path, items: list[tuple[str, str]], payload: dict) -> None:
     payload = dict(payload)
-    payload["config"] = dict(cfg.resolved_items())
+    payload["config"] = dict(items)
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
@@ -211,7 +212,7 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         else:
             rows = np.column_stack([voltages, encoder, physical])
             header = "voltage_v,phase_rad,physical_phase_rad"
-        _write_table(cfg.output_path, cfg, header, rows)
+        _write_table(cfg.output_path, cfg.resolved_items(), header, rows)
     return PhaseVoltageResult(voltages, encoder, physical)
 
 
@@ -272,15 +273,16 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     ks = stats.kstest(cross, stats.arcsine(loc=(1.0 - visibility) / 2.0, scale=visibility).cdf)
     res = RandomizationResult(intra, cross, intra_som, float(ks.pvalue))
     if cfg.output_path:
+        items = cfg.resolved_items()
         edges = np.linspace(0.0, 1.0, 51)
         h_intra, _ = np.histogram(intra, bins=edges)
         h_cross, _ = np.histogram(cross, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         rows = np.column_stack([centers, h_intra, h_cross])
-        _write_table(cfg.output_path, cfg, "port0_fraction,intra_count,cross_count", rows)
+        _write_table(cfg.output_path, items, "port0_fraction,intra_count,cross_count", rows)
         _write_summary(
             cfg.output_path + ".json",
-            cfg,
+            items,
             {
                 "intra_std_over_mean": intra_som,
                 "cross_ks_pvalue": float(ks.pvalue),
@@ -295,58 +297,60 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
 
 
 def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[tuple[SiftResult, RatePoint]]:
-    """Per-loss Monte Carlo sift, paired with the analytic point and secure rate."""
-    seeds = np.random.default_rng(cfg.rng_seed).integers(0, 2**63 - 1, size=len(cfg.losses))
+    """Per-loss Monte Carlo sift, paired with the analytic point and secure rate.
+
+    The click model and the analytic curve are computed over the whole loss
+    axis at once; only the Monte Carlo draws run per loss, each from its own
+    seed.
+    """
+    seeds = np.random.default_rng(cfg.rng_seed).integers(0, 2**63 - 1, size=len(cfg.losses)).tolist()
     if protocol == BB84:
         source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
+        n, curve = max(1, cfg.trials // 2), bb84_rate_points(cfg, cfg.losses)
     elif protocol == DPS:
-        source = cfg.source
+        source, n, curve = cfg.source, max(2, cfg.trials), dps_rate_points(cfg, cfg.losses)
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    rows = []
-    for loss, seed in zip(cfg.losses, seeds):
-        channel = ChannelParams(loss)
-        if protocol == BB84:
-            n_pairs = max(1, cfg.trials // 2)
-            mc = simulate_bb84(n_pairs, source, channel, cfg.mzi, cfg.detector, int(seed))
-            point = bb84_rate_point(cfg, loss)
-        else:
-            mc = simulate_dps(max(2, cfg.trials), source, channel, cfg.mzi, cfg.detector, int(seed))
-            point = dps_rate_point(cfg, loss)
-        rows.append((mc, point))
+    sifts = simulate_links(protocol, n, source, transmittances(cfg.losses), cfg.mzi, cfg.detector, seeds)
     if cfg.output_path:
-        table = np.array(
+        items = cfg.resolved_items()
+        table = np.column_stack(
             [
-                [p.loss_db, mc.sifted_rate_bps, mc.qber, p.sifted_rate_bps, p.qber, p.secure_rate_bps]
-                for mc, p in rows
+                curve.loss_db,
+                [mc.sifted_rate_bps for mc in sifts],
+                [mc.qber for mc in sifts],
+                curve.sifted_rate_bps,
+                curve.qber,
+                curve.secure_rate_bps,
             ]
         )
         _write_table(
             cfg.output_path,
-            cfg,
+            items,
             "loss_db,mc_sifted_rate_bps,mc_qber,analytic_sifted_rate_bps,analytic_qber,secure_rate_bps",
             table,
         )
+        columns = zip(cfg.losses, sifts, curve.qber.tolist(), curve.secure_rate_bps.tolist())
         _write_summary(
             cfg.output_path + ".json",
-            cfg,
+            items,
             {
                 "protocol": protocol,
-                "loss_seeds": [int(s) for s in seeds],
+                "loss_seeds": seeds,
                 "points": [
                     {
-                        "loss_db": p.loss_db,
+                        "loss_db": loss,
                         "sifted_count": mc.sifted_count,
                         "error_count": mc.error_count,
                         "mc_qber": mc.qber,
-                        "analytic_qber": p.qber,
-                        "secure_rate_bps": p.secure_rate_bps,
+                        "analytic_qber": qber,
+                        "secure_rate_bps": secure,
                     }
-                    for mc, p in rows
+                    for loss, mc, qber, secure in columns
                 ],
             },
         )
-    return rows
+    return list(zip(sifts, curve.points()))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +375,9 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
     mean = float(np.mean(series))
     std = float(np.std(series))
     if cfg.output_path:
+        items = cfg.resolved_items()
         t = (np.arange(stab.n_bins) + 1) * stab.integration_time
-        _write_table(cfg.output_path, cfg, "time_s,qber", np.column_stack([t, series]))
+        _write_table(cfg.output_path, items, "time_s,qber", np.column_stack([t, series]))
         sigma_model = stab.model_std
         # 40 bins over [min, max]; numpy widens a constant series' range by 0.5
         hist, edges = np.histogram(series, bins=40, density=True)
@@ -384,7 +389,7 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
             overlay = np.exp(-(z**2) / 2.0) / math.sqrt(TWO_PI) / sigma_model
         _write_summary(
             cfg.output_path + ".json",
-            cfg,
+            items,
             {
                 "sample_mean": mean,
                 "sample_std": std,

@@ -15,6 +15,11 @@ individual-attack bound with a photon-number-splitting penalty,
 
 which is positive at e = 0, strictly decreasing in e, and zero at and
 beyond its error threshold.
+
+Both bounds work elementwise, so bb84_rate_points and dps_rate_points
+evaluate a whole loss axis in one array pass; per loss they give the
+bits of a scalar evaluation (math.exp and math.log2 run one number at a
+time, and each expression keeps its order of operations).
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import PreconditionError
-from .optics import ChannelParams
-from .protocols import BB84, DPS, expected_gain_qber, vacuum_yield
+from .optics import transmittances
+from .protocols import BB84, DPS, expected_gain_qber_axis, vacuum_yield
 
 
 def binary_entropy(x):
@@ -46,13 +51,17 @@ def binary_entropy(x):
 
 @dataclass(frozen=True)
 class DecoyInputs:
+    """Inputs of the decoy bound.  The gains, QBERs and vacuum yield are
+    numbers or arrays with one element per loss; every check covers them all.
+    """
+
     mu: float
     nu: float
-    q_mu: float
-    q_nu: float
-    e_mu: float
-    e_nu: float
-    y0: float
+    q_mu: np.ndarray | float
+    q_nu: np.ndarray | float
+    e_mu: np.ndarray | float
+    e_nu: np.ndarray | float
+    y0: np.ndarray | float
     f_ec: float
 
     def __post_init__(self):
@@ -61,8 +70,8 @@ class DecoyInputs:
         if not self.mu * self.nu - self.nu * self.nu > 0.0:
             raise PreconditionError("decoy intensities: mu * nu - nu^2 rounds to 0")
         for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            v = np.asarray(getattr(self, name))
+            if not np.all((0.0 <= v) & (v <= 1.0)):
                 raise PreconditionError(f"{name} must be in [0, 1]")
         if self.f_ec < 1.0:
             raise PreconditionError("f_ec must be >= 1")
@@ -70,48 +79,54 @@ class DecoyInputs:
 
 @dataclass(frozen=True)
 class DecoyRateResult:
-    rate: float
-    y1_bound: float
-    e1_bound: float
+    rate: np.ndarray
+    y1_bound: np.ndarray
+    e1_bound: np.ndarray
 
 
 def decoy_bb84_rate(inputs: DecoyInputs) -> DecoyRateResult:
-    """Vacuum + weak decoy lower bound on the secure fraction per signal."""
+    """Vacuum + weak decoy lower bound on the secure fraction per signal,
+    elementwise.  Where Y1 <= 0 the rate is 0 and the e1 bound 1; where
+    e1 > 1/2 the rate is 0.
+    """
     mu, nu = inputs.mu, inputs.nu
+    # numpy values even for plain-number inputs: a zero y1 * nu then divides
+    # as IEEE does, and the masks below are boolean
+    q_mu, q_nu, e_nu, y0 = map(np.asarray, (inputs.q_mu, inputs.q_nu, inputs.e_nu, inputs.y0))
     y1 = (mu / (mu * nu - nu * nu)) * (
-        inputs.q_nu * math.exp(nu)
-        - inputs.q_mu * math.exp(mu) * nu * nu / (mu * mu)
-        - (mu * mu - nu * nu) / (mu * mu) * inputs.y0
+        q_nu * math.exp(nu)
+        - q_mu * math.exp(mu) * nu * nu / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0
     )
-    if y1 <= 0.0:
-        return DecoyRateResult(0.0, y1, 1.0)
-    e1 = (inputs.e_nu * inputs.q_nu * math.exp(nu) - 0.5 * inputs.y0) / (y1 * nu)
-    e1 = max(e1, 0.0)
-    if e1 > 0.5:
-        return DecoyRateResult(0.0, y1, e1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = (e_nu * q_nu * math.exp(nu) - 0.5 * y0) / (y1 * nu)
+    no_y1 = y1 <= 0.0
+    e1 = np.where(no_y1, 1.0, np.where(e1 < 0.0, 0.0, e1))
+    usable = ~no_y1 & ~(e1 > 0.5)
     q1 = y1 * mu * math.exp(-mu)
-    raw = -inputs.q_mu * inputs.f_ec * binary_entropy(inputs.e_mu) + q1 * (
-        1.0 - binary_entropy(e1)
+    raw = -q_mu * inputs.f_ec * binary_entropy(inputs.e_mu) + q1 * (
+        1.0 - binary_entropy(np.where(usable, e1, 0.0))
     )
     # the bases agree in half of the signals
-    return DecoyRateResult(0.5 * max(0.0, raw), y1, e1)
+    return DecoyRateResult(np.where(usable & (raw > 0.0), 0.5 * raw, 0.0), y1, e1)
 
 
-def dps_rate(gain: float, qber: float, mu: float, f_ec: float) -> float:
-    """Individual-attack DPS secure fraction per pulse."""
-    if not 0.0 <= gain <= 1.0:
+def dps_rate(gain, qber, mu: float, f_ec: float):
+    """Individual-attack DPS secure fraction per pulse, elementwise over gain and qber."""
+    gain, qber = np.asarray(gain, dtype=float), np.asarray(qber, dtype=float)
+    if not np.all((0.0 <= gain) & (gain <= 1.0)):
         raise PreconditionError("gain must be in [0, 1]")
-    if qber > 0.5 or qber < 0.0:
+    if np.any((qber > 0.5) | (qber < 0.0)):
         raise PreconditionError("qber must be in [0, 1/2]")
     if mu < 0.0:
         raise PreconditionError("mu must be >= 0")
     pns = 1.0 - 2.0 * mu
     if pns <= 0.0:
-        return 0.0
-    fraction = -f_ec * binary_entropy(qber) + pns * (
-        1.0 - math.log2(1.0 + 4.0 * qber * (1.0 - qber))
-    )
-    return gain * max(0.0, fraction)
+        return np.zeros(np.broadcast(gain, qber).shape)
+    # math.log2, element by element, as the recorded curves were computed
+    log_term = np.array([math.log2(x) for x in np.ravel(1.0 + 4.0 * qber * (1.0 - qber)).tolist()])
+    fraction = -f_ec * binary_entropy(qber) + pns * (1.0 - log_term.reshape(qber.shape))
+    return gain * np.where(fraction > 0.0, fraction, 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,26 +141,43 @@ class RatePoint:
             raise PreconditionError("secure_rate_bps must be clamped at 0")
 
 
-def bb84_rate_point(cfg: ExperimentConfig, loss_db: float) -> RatePoint:
-    """Analytic BB84 point at keyrate.mu (signal) and keyrate.nu (decoy) per pair."""
-    channel = ChannelParams(loss_db)
+@dataclass(frozen=True)
+class RateCurve:
+    """Analytic rates over a loss axis, one element per loss."""
+
+    loss_db: np.ndarray
+    sifted_rate_bps: np.ndarray
+    qber: np.ndarray
+    secure_rate_bps: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.secure_rate_bps < 0):
+            raise PreconditionError("secure_rate_bps must be clamped at 0")
+
+    def points(self) -> list[RatePoint]:
+        columns = (self.loss_db, self.sifted_rate_bps, self.qber, self.secure_rate_bps)
+        return [RatePoint(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def bb84_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
+    """Analytic BB84 curve at keyrate.mu (signal) and keyrate.nu (decoy) per pair."""
+    transmittance = transmittances(losses)
     mu, nu = cfg.keyrate.mu, cfg.keyrate.nu
-    q_mu, e_mu = expected_gain_qber(BB84, mu, channel, cfg.mzi, cfg.detector)
-    q_nu, e_nu = expected_gain_qber(BB84, nu, channel, cfg.mzi, cfg.detector)
+    q_mu, e_mu = expected_gain_qber_axis(BB84, mu, transmittance, cfg.mzi, cfg.detector)
+    q_nu, e_nu = expected_gain_qber_axis(BB84, nu, transmittance, cfg.mzi, cfg.detector)
     y0 = vacuum_yield(cfg.detector)
     res = decoy_bb84_rate(
         DecoyInputs(mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, f_ec=cfg.keyrate.f_ec)
     )
     pair_rate = cfg.source.clock_rate / 2.0
     sifted = 0.5 * q_mu * pair_rate
-    return RatePoint(loss_db, sifted, e_mu, res.rate * pair_rate)
+    return RateCurve(np.asarray(losses, dtype=float), sifted, e_mu, res.rate * pair_rate)
 
 
-def dps_rate_point(cfg: ExperimentConfig, loss_db: float) -> RatePoint:
-    """Analytic DPS point at source.mean_photon_number per pulse."""
-    channel = ChannelParams(loss_db)
+def dps_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
+    """Analytic DPS curve at source.mean_photon_number per pulse."""
     mu = cfg.source.mean_photon_number
-    q, e = expected_gain_qber(DPS, mu, channel, cfg.mzi, cfg.detector)
-    secure_fraction = dps_rate(q, min(e, 0.5), mu, cfg.keyrate.f_ec)
+    q, e = expected_gain_qber_axis(DPS, mu, transmittances(losses), cfg.mzi, cfg.detector)
+    secure_fraction = dps_rate(q, np.where(0.5 < e, 0.5, e), mu, cfg.keyrate.f_ec)
     clock = cfg.source.clock_rate
-    return RatePoint(loss_db, q * clock, e, secure_fraction * clock)
+    return RateCurve(np.asarray(losses, dtype=float), q * clock, e, secure_fraction * clock)

@@ -34,6 +34,11 @@ class ChannelParams:
         return 10.0 ** (-self.loss_db / 10.0)
 
 
+def transmittances(losses_db) -> np.ndarray:
+    """ChannelParams(loss).transmittance of each loss, as an array."""
+    return np.array([ChannelParams(loss).transmittance for loss in losses_db])
+
+
 @dataclass(frozen=True)
 class InterferometerParams:
     internal_phase: float = 0.0

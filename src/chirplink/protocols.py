@@ -32,6 +32,12 @@ pair's energy interferes in the discarded satellite slots.  The passive
 basis choice is a bookkeeping coin, not an extra optical loss; its
 factor 1/2 enters the sifted rate and the key-rate sift factor, not Q.
 The closed form matches the Monte Carlo's click model up to O((mu eta)^3).
+
+A sweep evaluates both over its whole loss axis at once, one element per
+channel transmittance: the closed form in expected_gain_qber_axis and
+the click model in click_model.  Only the Monte Carlo draws run per
+loss, each from its own generator.  A one-channel call (simulate_bb84,
+expected_gain_qber) is the one-element case of the same functions.
 """
 
 from __future__ import annotations
@@ -72,14 +78,15 @@ def vacuum_yield(det: DetectorParams) -> float:
     return 1.0 - (1.0 - det.dark_probability) ** 2
 
 
-def expected_gain_qber(
+def expected_gain_qber_axis(
     protocol: str,
     mu: float,
-    channel: ChannelParams,
+    transmittance: np.ndarray,
     mzi: InterferometerParams,
     det: DetectorParams,
-) -> tuple[float, float]:
-    """Closed-form gain and QBER of the threshold-detector link model.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form gain and QBER of the threshold-detector link model, one
+    element per channel transmittance; the QBER is 0 where the gain is 0.
 
     For BB84, mu is the mean photon number of the pulse pair and the
     gain is per matched-basis pair; for DPS, mu is per pulse and the
@@ -93,41 +100,63 @@ def expected_gain_qber(
         duty = 1.0
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    eta_tot = channel.transmittance * duty * mzi.loss_factor * det.efficiency
+    eta_tot = np.asarray(transmittance, dtype=float) * duty * mzi.loss_factor * det.efficiency
     y0 = vacuum_yield(det)
     e_det = 0.5 * (1.0 - mzi.visibility * math.cos(mzi.internal_phase))
-    signal = 1.0 - math.exp(-mu * eta_tot)
-    gain = 1.0 - (1.0 - y0) * math.exp(-mu * eta_tot)
-    qber = (e_det * signal + 0.5 * y0) / gain if gain > 0 else 0.0
+    # math.exp, element by element: np.exp rounds some doubles differently,
+    # and the rate curves are recorded with these bits
+    exp = np.array([math.exp(x) for x in (-mu * eta_tot).tolist()])
+    signal = 1.0 - exp
+    gain = 1.0 - (1.0 - y0) * exp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qber = np.where(gain > 0, (e_det * signal + 0.5 * y0) / gain, 0.0)
     return gain, qber
 
 
-def _sample_link(
+def expected_gain_qber(
     protocol: str,
-    n_slots: int,
-    n_pulses: int,
-    config: SourceConfig,
+    mu: float,
     channel: ChannelParams,
     mzi: InterferometerParams,
     det: DetectorParams,
-    rng_seed: int,
+) -> tuple[float, float]:
+    """expected_gain_qber_axis at one channel."""
+    gain, qber = expected_gain_qber_axis(protocol, mu, np.array([channel.transmittance]), mzi, det)
+    return float(gain[0]), float(qber[0])
+
+
+def click_model(
+    mean_photon_number: float,
+    transmittance: np.ndarray,
+    mzi: InterferometerParams,
+    det: DetectorParams,
+) -> np.ndarray:
+    """Click probabilities of a sifted slot, indexed (transmittance, bit, port).
+
+    Both pulses of the slot carry mean_photon_number times the
+    transmittance and differ in phase by bit * pi.
+    """
+    mu = mean_photon_number * np.asarray(transmittance, dtype=float)[:, None]
+    port0, port1 = decoder_ports(mu, mu, np.array([0.0, math.pi]), mzi)
+    return click_probability(np.stack([port0, port1], axis=-1), det)
+
+
+def _sample_link(
+    protocol: str, n_slots: int, n_pulses: int, clicks: list, clock_rate: float, rng_seed: int
 ) -> SiftResult:
     """Sift counts of n_slots slots, drawn class by class from one generator:
     BB84's matched pairs (a fair basis coin per pair), the bit-1 slots, per
     bit the (none, port 0 only, port 1 only, both) split, and the errors
-    among the double clicks (a fair tie coin).
+    among the double clicks (a fair tie coin).  clicks[bit][port] is a row
+    of click_model.
     """
     rng = np.random.default_rng(rng_seed)
     if protocol == BB84:
         n_slots = rng.binomial(n_slots, 0.5)
-    mu = config.mean_photon_number * channel.transmittance
-    port0, port1 = decoder_ports(mu, mu, np.array([0.0, math.pi]), mzi)
-    p0 = click_probability(port0, det)
-    p1 = click_probability(port1, det)
     ones = rng.binomial(n_slots, 0.5)
     sifted = errors = doubles = 0
     for bit, n in ((0, n_slots - ones), (1, ones)):
-        a, b = p0[bit], p1[bit]
+        a, b = clicks[bit]
         _, only0, only1, both = rng.multinomial(
             n, [(1 - a) * (1 - b), a * (1 - b), (1 - a) * b, a * b]
         )
@@ -136,7 +165,39 @@ def _sample_link(
         doubles += int(both)
     errors += int(rng.binomial(doubles, 0.5))
     qber = errors / sifted if sifted else 0.0
-    return SiftResult(sifted, errors, qber, sifted * config.clock_rate / n_pulses)
+    return SiftResult(sifted, errors, qber, sifted * clock_rate / n_pulses)
+
+
+def simulate_links(
+    protocol: str,
+    n: int,
+    config: SourceConfig,
+    transmittance: np.ndarray,
+    mzi: InterferometerParams,
+    det: DetectorParams,
+    rng_seeds: list[int],
+) -> list[SiftResult]:
+    """Monte Carlo link at each transmittance, each drawn from its own seed.
+
+    BB84 sifts the central slots of n pulse pairs' matched-basis pairs, DPS
+    the n - 1 slots of one coherence block of n pulses.  The click model is
+    built once over all transmittances; only the draws run per link.
+    """
+    if protocol == BB84:
+        if n < 1:
+            raise PreconditionError("n_pairs must be >= 1")
+        n_slots, n_pulses = n, 2 * n
+    elif protocol == DPS:
+        if n < 2:
+            raise PreconditionError("n_pulses must be >= 2")
+        n_slots, n_pulses = n - 1, n
+    else:
+        raise PreconditionError(f"unknown protocol {protocol!r}")
+    model = click_model(config.mean_photon_number, transmittance, mzi, det).tolist()
+    return [
+        _sample_link(protocol, n_slots, n_pulses, clicks, config.clock_rate, seed)
+        for clicks, seed in zip(model, rng_seeds, strict=True)
+    ]
 
 
 def simulate_bb84(
@@ -148,9 +209,8 @@ def simulate_bb84(
     rng_seed: int,
 ) -> SiftResult:
     """Monte Carlo BB84 link over the central slots of matched-basis pairs."""
-    if n_pairs < 1:
-        raise PreconditionError("n_pairs must be >= 1")
-    return _sample_link(BB84, n_pairs, 2 * n_pairs, config, channel, mzi, det, rng_seed)
+    (res,) = simulate_links(BB84, n_pairs, config, np.array([channel.transmittance]), mzi, det, [rng_seed])
+    return res
 
 
 def simulate_dps(
@@ -162,6 +222,5 @@ def simulate_dps(
     rng_seed: int,
 ) -> SiftResult:
     """Monte Carlo DPS link over one coherence block: n_pulses - 1 slots."""
-    if n_pulses < 2:
-        raise PreconditionError("n_pulses must be >= 2")
-    return _sample_link(DPS, n_pulses - 1, n_pulses, config, channel, mzi, det, rng_seed)
+    (res,) = simulate_links(DPS, n_pulses, config, np.array([channel.transmittance]), mzi, det, [rng_seed])
+    return res

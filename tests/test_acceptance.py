@@ -20,7 +20,7 @@ from scipy import stats
 
 from chirplink import experiments, keyrate, laser, protocols, source
 from chirplink.config import ExperimentConfig, StabilityConfig
-from chirplink.keyrate import DecoyInputs, bb84_rate_point, decoy_bb84_rate
+from chirplink.keyrate import DecoyInputs, bb84_rate_points, decoy_bb84_rate
 from chirplink.optics import ChannelParams, DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
 
@@ -117,7 +117,7 @@ def test_criterion_4_bb84_sweep():
             f"{p.loss_db:.0f} dB: MC {100 * mc.qber:.2f}% "
             f"(n={mc.sifted_count}), analytic {100 * p.qber:.2f}%"
         )
-    curve = [bb84_rate_point(cfg, l) for l in np.arange(0.0, 50.5, 0.5)]
+    curve = bb84_rate_points(cfg, np.arange(0.0, 50.5, 0.5)).points()
     qbers_beyond = [p.qber for p in curve if p.loss_db >= 30.0]
     rising = all(b > a for a, b in zip(qbers_beyond, qbers_beyond[1:]))
     at_30 = next(p for p in curve if p.loss_db == 30.0)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirplink import experiments, laser
+from chirplink import experiments, laser, protocols
 from chirplink.config import ExperimentConfig, StabilityConfig, load_config
 from chirplink.errors import IntegrationDivergedError, PreconditionError
 from chirplink.optics import ChannelParams, InterferometerParams
@@ -261,10 +262,11 @@ class TestCalibration:
             "experiment = phase_voltage\nphysical_mode = true\n"
             f"source.perturbation_duration = 190e-9\nvoltages = {volts}\n"
         )
+        # the peak is VmHWM, this process's own (see the next test)
         script = (
-            "import resource, chirplink.cli; "
+            "import re, chirplink.cli; "
             "code = chirplink.cli.main(['phase-voltage', '--config', 'cap.cfg']); "
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
@@ -542,6 +544,64 @@ class TestSweeps:
         cfg = ExperimentConfig(experiment="bb84_sweep", trials=10)
         with pytest.raises(PreconditionError):
             experiments.run_sweep(cfg, "cow")
+
+    @pytest.mark.parametrize("protocol", ["bb84", "dps"])
+    @pytest.mark.parametrize(
+        "losses, trials", [([10.0], 1), ([10.0], 100_000), ([0.0, 5.0, 20.0, 3500.0], 100_001)]
+    )
+    def test_draws_are_the_per_loss_simulations(self, tmp_path, protocol, losses, trials):
+        # the sweep's click model over the whole axis draws what one-loss
+        # simulations draw from the same seeds
+        out = tmp_path / "sweep.csv"
+        cfg = replace(
+            ExperimentConfig(experiment=f"{protocol}_sweep"),
+            trials=trials, losses=losses, rng_seed=5, output_path=str(out),
+        )
+        rows = experiments.run_sweep(cfg, protocol)
+        seeds = json.loads((tmp_path / "sweep.csv.json").read_text())["loss_seeds"]
+        if protocol == "bb84":
+            source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
+            simulate, n = protocols.simulate_bb84, max(1, trials // 2)
+        else:
+            source, simulate, n = cfg.source, protocols.simulate_dps, max(2, trials)
+        expected = [
+            simulate(n, source, ChannelParams(loss), cfg.mzi, cfg.detector, seed)
+            for loss, seed in zip(losses, seeds)
+        ]
+        assert [mc for mc, _ in rows] == expected
+
+    @pytest.mark.parametrize("protocol", ["bb84", "dps"])
+    @pytest.mark.parametrize("dark_rate, mu", [(0.0, 0.5), (150.0, 0.2), (1e5, 0.6)])
+    def test_no_stray_warnings(self, tmp_path, protocol, dark_rate, mu):
+        # a transmittance that underflows to 0, dark_rate 0 (gain 0, Y1 0),
+        # e1 > 1/2 and no DPS PNS margin, with every warning an error
+        cfg = replace(
+            ExperimentConfig(experiment=f"{protocol}_sweep"),
+            trials=10_000,
+            losses=[0.0, 40.0, 80.0, 3500.0],
+            source=SourceConfig(mean_photon_number=mu),
+            detector=replace(ExperimentConfig().detector, dark_rate=dark_rate),
+            output_path=str(tmp_path / "sweep.csv"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = experiments.run_sweep(cfg, protocol)
+        if dark_rate == 0.0:
+            assert (rows[-1][1].sifted_rate_bps, rows[-1][1].qber) == (0.0, 0.0)
+        assert all(p.secure_rate_bps >= 0.0 for _, p in rows)
+
+    def test_rate_curves_script_no_stray_warnings(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        script = SRC_DIR.parent / "scripts" / "rate_curves.py"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", str(script), "--outdir", str(tmp_path),
+             "--max-loss-db", "4000", "--step-db", "50"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len((tmp_path / "bb84_rate_curve.csv").read_text().splitlines()) == 1 + 81
 
     def test_per_loss_seeds_differ(self):
         cfg = replace(

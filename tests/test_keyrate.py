@@ -6,19 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirplink import protocols
-from chirplink.config import ExperimentConfig
+from chirplink.config import ExperimentConfig, KeyRateConfig
 from chirplink.errors import PreconditionError
 from chirplink.keyrate import (
     DecoyInputs,
-    bb84_rate_point,
+    bb84_rate_points,
     binary_entropy,
     decoy_bb84_rate,
     dps_rate,
-    dps_rate_point,
+    dps_rate_points,
 )
 from chirplink.optics import ChannelParams, DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
@@ -166,7 +166,7 @@ def dps_cfg():
 
 class TestRatePoints:
     def test_bb84_point_consistent_with_parts(self, bb84_cfg):
-        point = bb84_rate_point(bb84_cfg, 20.0)
+        (point,) = bb84_rate_points(bb84_cfg, [20.0]).points()
         q_mu, e_mu = protocols.expected_gain_qber(
             protocols.BB84, 0.5, ChannelParams(20.0), bb84_cfg.mzi, bb84_cfg.detector
         )
@@ -175,7 +175,7 @@ class TestRatePoints:
         assert point.secure_rate_bps > 0.0
 
     def test_dps_point_consistent_with_parts(self, dps_cfg):
-        point = dps_rate_point(dps_cfg, 20.0)
+        (point,) = dps_rate_points(dps_cfg, [20.0]).points()
         q, e = protocols.expected_gain_qber(
             protocols.DPS, 0.2, ChannelParams(20.0), dps_cfg.mzi, dps_cfg.detector
         )
@@ -184,7 +184,7 @@ class TestRatePoints:
 
     def test_bb84_curve_monotone_and_cutoff(self, bb84_cfg):
         losses = list(np.arange(0.0, 60.5, 0.5))
-        points = [bb84_rate_point(bb84_cfg, l) for l in losses]
+        points = bb84_rate_points(bb84_cfg, losses).points()
         secure = [p.secure_rate_bps for p in points]
         positive = [s for s in secure if s > 0]
         assert all(b < a for a, b in zip(positive, positive[1:]))
@@ -193,7 +193,7 @@ class TestRatePoints:
 
     def test_dps_curve_cutoff(self, dps_cfg):
         losses = list(np.arange(0.0, 60.5, 0.5))
-        points = [dps_rate_point(dps_cfg, l) for l in losses]
+        points = dps_rate_points(dps_cfg, losses).points()
         cutoff = max(p.loss_db for p in points if p.secure_rate_bps > 0)
         assert 38.0 <= cutoff <= 45.0
 
@@ -223,3 +223,203 @@ class TestRateCurvesScript:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not outdir.exists()
+
+
+# ---------------------------------------------------------------------------
+# The axis forms against a Python-float transcription of the per-loss model:
+# math.exp, math.cos and math.log2 on one number at a time, binary_entropy of
+# one number, and the branches as ifs.
+
+
+def ieee_div(a, b):
+    """a / b with IEEE semantics at b == +0.0, where Python raises."""
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) if a else math.nan
+
+
+def oracle_gain_qber(duty, mu, loss, mzi, det):
+    eta_tot = ChannelParams(loss).transmittance * duty * mzi.loss_factor * det.efficiency
+    y0 = 1.0 - (1.0 - det.dark_probability) ** 2
+    e_det = 0.5 * (1.0 - mzi.visibility * math.cos(mzi.internal_phase))
+    signal = 1.0 - math.exp(-mu * eta_tot)
+    gain = 1.0 - (1.0 - y0) * math.exp(-mu * eta_tot)
+    qber = (e_det * signal + 0.5 * y0) / gain if gain > 0 else 0.0
+    return gain, qber
+
+
+def oracle_decoy(mu, nu, q_mu, q_nu, e_mu, e_nu, y0, f_ec):
+    """(rate, y1 bound, e1 bound, the branch taken)."""
+    if not all(0.0 <= v <= 1.0 for v in (q_mu, q_nu, e_mu, e_nu, y0)):
+        raise PreconditionError("decoy inputs must be in [0, 1]")
+    y1 = (mu / (mu * nu - nu * nu)) * (
+        q_nu * math.exp(nu)
+        - q_mu * math.exp(mu) * nu * nu / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0
+    )
+    if y1 <= 0.0:
+        return 0.0, y1, 1.0, "y1 <= 0"
+    e1 = ieee_div(e_nu * q_nu * math.exp(nu) - 0.5 * y0, y1 * nu)
+    branch = "e1 < 0" if e1 < 0.0 else "e1 in [0, 1/2]"
+    e1 = max(e1, 0.0)
+    if e1 > 0.5:
+        return 0.0, y1, e1, "e1 > 1/2"
+    q1 = y1 * mu * math.exp(-mu)
+    raw = -q_mu * f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1))
+    return 0.5 * max(0.0, raw), y1, e1, branch
+
+
+def oracle_bb84_point(cfg, loss):
+    mu, nu = cfg.keyrate.mu, cfg.keyrate.nu
+    q_mu, e_mu = oracle_gain_qber(0.5, mu, loss, cfg.mzi, cfg.detector)
+    q_nu, e_nu = oracle_gain_qber(0.5, nu, loss, cfg.mzi, cfg.detector)
+    y0 = 1.0 - (1.0 - cfg.detector.dark_probability) ** 2
+    rate = oracle_decoy(mu, nu, q_mu, q_nu, e_mu, e_nu, y0, cfg.keyrate.f_ec)[0]
+    pair_rate = cfg.source.clock_rate / 2.0
+    return 0.5 * q_mu * pair_rate, e_mu, rate * pair_rate
+
+
+def oracle_dps_point(cfg, loss):
+    mu, clock = cfg.source.mean_photon_number, cfg.source.clock_rate
+    q, e = oracle_gain_qber(1.0, mu, loss, cfg.mzi, cfg.detector)
+    pns = 1.0 - 2.0 * mu
+    secure = 0.0
+    if pns > 0.0:
+        qber = min(e, 0.5)
+        fraction = -cfg.keyrate.f_ec * binary_entropy(qber) + pns * (
+            1.0 - math.log2(1.0 + 4.0 * qber * (1.0 - qber))
+        )
+        secure = q * max(0.0, fraction)
+    return q * clock, e, secure * clock
+
+
+def link_cfg(mu, nu_frac, f_ec, dps_mu, visibility, internal_phase, dark_rate, efficiency):
+    return ExperimentConfig(
+        source=SourceConfig(mean_photon_number=dps_mu),
+        mzi=InterferometerParams(internal_phase=internal_phase, visibility=visibility),
+        detector=DetectorParams(efficiency=efficiency, dark_rate=dark_rate),
+        keyrate=KeyRateConfig(mu=mu, nu=nu_frac * mu, f_ec=f_ec),
+    )
+
+
+# Each reaches branches that random draws reach only now and then: a dense
+# axis (a few percent of its exps round differently in np.exp); dark_rate 0
+# with a transmittance that underflows to 0 (gain 0, QBER 0, Y1 = 0); dark
+# counts far past the cutoff (e1 > 1/2); 0.5 photons per DPS pulse (no PNS
+# margin).  The e1 < 0 clamp is out of the link model's reach, as
+# e_nu Q_nu >= Y0/2; test_decoy_bound_bit_equal_oracle reaches it.
+LINK_EXAMPLES = [
+    dict(losses=np.arange(0.0, 60.0, 0.25).tolist(), mu=0.5, nu_frac=0.2, f_ec=1.16, dps_mu=0.2,
+         visibility=0.952, internal_phase=0.0, dark_rate=150.0, efficiency=0.14),
+    dict(losses=[0.0, 40.0, 3500.0, 4000.0], mu=0.5, nu_frac=0.2, f_ec=1.16, dps_mu=0.2,
+         visibility=0.952, internal_phase=0.0, dark_rate=0.0, efficiency=0.14),
+    dict(losses=[40.0, 60.0, 80.0, 3500.0], mu=0.5, nu_frac=0.2, f_ec=1.16, dps_mu=0.5,
+         visibility=1.0, internal_phase=0.3, dark_rate=1e5, efficiency=0.14),
+]
+
+# (q_mu, q_nu, e_mu, e_nu, y0) reaching y1 <= 0; e1 < 0, clamped; e1 > 1/2; a
+# positive rate
+DECOY_EXAMPLE_ROWS = [
+    (0.5, 0.01, 0.1, 0.1, 0.0),
+    (0.2, 0.1, 0.05, 0.0, 0.05),
+    (1e-3, 2e-4, 0.3, 0.6, 1e-4),
+    (0.02, 4e-3, 0.03, 0.03, 1e-6),
+]
+
+
+def curve_rows(curve):
+    return np.column_stack([curve.sifted_rate_bps, curve.qber, curve.secure_rate_bps])
+
+
+class TestAxisBits:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        losses=st.lists(st.floats(0.0, 80.0) | st.floats(3000.0, 4000.0), min_size=1, max_size=20),
+        mu=st.floats(0.01, 2.0),
+        nu_frac=st.floats(0.01, 0.99),
+        f_ec=st.floats(1.0, 2.0),
+        dps_mu=st.floats(0.0, 1.0),
+        visibility=st.just(1.0) | st.floats(0.0, 1.0),
+        internal_phase=st.floats(-math.pi, math.pi),
+        dark_rate=st.just(0.0) | st.floats(0.0, 1e7),
+        efficiency=st.floats(0.0, 1.0),
+    )
+    @example(**LINK_EXAMPLES[0])
+    @example(**LINK_EXAMPLES[1])
+    @example(**LINK_EXAMPLES[2])
+    def test_rate_points_bit_equal_oracle(self, losses, **params):
+        cfg = link_cfg(**params)
+        got = dps_rate_points(cfg, losses)
+        want = np.array([oracle_dps_point(cfg, loss) for loss in losses])
+        assert curve_rows(got).tobytes() == want.tobytes()
+        try:
+            want = np.array([oracle_bb84_point(cfg, loss) for loss in losses])
+        except PreconditionError:  # a QBER above 1 at V cos(theta) near -1
+            with pytest.raises(PreconditionError):
+                bb84_rate_points(cfg, losses)
+            return
+        got = bb84_rate_points(cfg, losses)
+        assert curve_rows(got).tobytes() == want.tobytes()
+        assert got.loss_db.tolist() == [float(loss) for loss in losses]
+
+    def test_link_examples_reach_their_branches(self):
+        reached = set()
+        for params in LINK_EXAMPLES:
+            losses = params["losses"]
+            cfg = link_cfg(**{k: v for k, v in params.items() if k != "losses"})
+            mu, nu, f_ec = cfg.keyrate.mu, cfg.keyrate.nu, cfg.keyrate.f_ec
+            y0 = 1.0 - (1.0 - cfg.detector.dark_probability) ** 2
+            for loss in losses:
+                if ChannelParams(loss).transmittance == 0.0:
+                    reached.add("transmittance 0")
+                q_mu, e_mu = oracle_gain_qber(0.5, mu, loss, cfg.mzi, cfg.detector)
+                q_nu, e_nu = oracle_gain_qber(0.5, nu, loss, cfg.mzi, cfg.detector)
+                if q_mu == 0.0:
+                    reached.add("gain 0")
+                reached.add(oracle_decoy(mu, nu, q_mu, q_nu, e_mu, e_nu, y0, f_ec)[3])
+            if cfg.source.mean_photon_number >= 0.5:
+                reached.add("no PNS margin")
+        assert reached == {
+            "transmittance 0", "gain 0", "y1 <= 0", "e1 > 1/2", "e1 in [0, 1/2]", "no PNS margin"
+        }
+
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        mu=st.floats(0.01, 5.0),
+        nu_frac=st.floats(0.001, 0.999),
+        f_ec=st.floats(1.0, 2.0),
+        rows=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 5), min_size=1, max_size=17),
+    )
+    @example(mu=0.5, nu_frac=0.2, f_ec=1.16, rows=DECOY_EXAMPLE_ROWS)
+    def test_decoy_bound_bit_equal_oracle(self, mu, nu_frac, f_ec, rows):
+        nu = nu_frac * mu
+        q_mu, q_nu, e_mu, e_nu, y0 = (np.array(column) for column in zip(*rows))
+        res = decoy_bb84_rate(DecoyInputs(mu, nu, q_mu, q_nu, e_mu, e_nu, y0, f_ec))
+        want = np.array([oracle_decoy(mu, nu, *row, f_ec)[:3] for row in rows])
+        assert np.column_stack([res.rate, res.y1_bound, res.e1_bound]).tobytes() == want.tobytes()
+
+    def test_decoy_example_reaches_every_branch(self):
+        reached = [oracle_decoy(0.5, 0.1, *row, 1.16) for row in DECOY_EXAMPLE_ROWS]
+        assert [r[3] for r in reached] == ["y1 <= 0", "e1 < 0", "e1 > 1/2", "e1 in [0, 1/2]"]
+        assert reached[3][0] > 0.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "ufunc, domain",
+        [
+            (np.exp, st.floats(-750.0, 709.0)),
+            (np.log2, st.floats(0.0, 1e300, exclude_min=True)),
+            (np.cos, st.floats(-1e6, 1e6)),
+        ],
+        ids=["exp", "log2", "cos"],
+    )
+    def test_ufunc_bits_independent_of_position(self, ufunc, domain, data):
+        # the axis forms rest on this: a value gets the same bits alone (0-d)
+        # and at any offset of an array, whatever the SIMD lanes and tails
+        values = np.array(data.draw(st.lists(domain, min_size=17, max_size=17)))
+        alone = np.array([ufunc(np.array(v)) for v in values])
+        for n in range(1, 18):
+            for shift in range(n):
+                assert ufunc(np.roll(values[:n], shift)).tobytes() == np.roll(alone[:n], shift).tobytes()
