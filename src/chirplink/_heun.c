@@ -1,5 +1,5 @@
 /* Fixed-step stochastic Heun integrator of the rate equations of laser.py,
- * for n_runs independent runs stepped together.
+ * for n_runs independent runs.
  *
  * Each run takes the step of the Python loop kept as the oracle in
  * tests/test_laser.py, written out in real arithmetic in the order
@@ -8,11 +8,24 @@
  * sum adds the parts.  The zero terms are kept, so that signed zeros,
  * infinities and NaNs come out as they do in Python.  Build it with
  * -ffp-contract=off and without -ffast-math: a fused multiply-add, a
- * flush of subnormals or a reordering would change the last bits.  The
- * runs do not interact, so the loop over them vectorizes; vector
- * additions, products, quotients and square roots round as the scalar
- * ones do, so a run gets the same bits at any batch width and in every
- * clone of the entry.
+ * flush of subnormals or a reordering would change the last bits.
+ *
+ * Loop order: the runs go in blocks of up to LANES, and a block is stepped
+ * through all of its steps before the next starts, each run's state in a
+ * lane of local arrays.  A block reads a new row of the pump only where a
+ * segment ends, and stores the state only in the rows kept.  Each step is
+ * two loops over the lanes, the predictor and the corrector, which
+ * vectorize; vector additions, products, quotients and square roots round
+ * as the scalar ones do, so a run gets the same bits at any block width
+ * and in every clone.  A block of fewer runs than its width starts its
+ * spare lanes as copies of its last run, and never stores them.  A
+ * lone run, and every run with injection, is stepped alone; a last block
+ * of 2 to 8 runs without noise in a width of 8.
+ *
+ * Shared head: without noise and injection, when every run starts from
+ * the same state (bit for bit) under the same first pump segment, the
+ * runs are one run until that segment's last sample, so run 0 is stepped
+ * alone to there and its state copied to every run.
  *
  * Arrays are step-major: a row holds one value of each run.  hr + i hi is
  * 0.5j * alpha as Python computes it.  pump holds segments of held levels:
@@ -21,18 +34,20 @@
  * pump of one row per sample has seg_end[s] = s + 1.  inj, when not NULL,
  * holds n_steps + 1 rows of complex samples as (re, im) pairs.  When xi is
  * not NULL, step k reads the unit normals of its row k of 2 n_runs values,
- * the real parts first.  field (complex) and carrier hold `rows` rows, and
- * sample k is stored in row k % rows: n_steps + 1 rows keep the whole
- * trace, 2 rows only the last two samples.  Row 0 holds the initial state.
- * diverged[j] is 0 in; it is set to the sample index k + 1 of the first
- * step whose state is not finite or whose intensity exceeds 1e12, and the
- * run keeps that state in every later sample.
+ * the real parts first.  field (complex) and carrier hold the state at
+ * sample 0 in row 0; with trace, sample k is stored in row k, and without,
+ * only the last sample, in row 0.  diverged[j] is 0 in; it is set to the
+ * sample index k + 1 of the first step whose state is not finite or whose
+ * intensity exceeds 1e12, and the run keeps that state in every later
+ * sample.
  *
  * When flip_index is not NULL, each step k at which the sign bit of run j's
  * Im E changes appends k * n_runs + j to flip_index and the run's samples k
- * and k + 1 to flip_before and flip_after (complex), as np.flatnonzero(
- * np.diff(np.signbit(field.imag), axis=0)) orders them; there is room for
- * n_steps * n_runs, and the entry returns the number written.
+ * and k + 1 to flip_before and flip_after (complex); there is room for
+ * n_steps * n_runs, and the entry returns the number written.  A flip of
+ * the shared head is listed once per run.  The list is in the order of
+ * np.flatnonzero(np.diff(np.signbit(field.imag), axis=0)) within a block;
+ * a call of several blocks lists them block after block.
  */
 #include <float.h>
 #include <math.h>
@@ -42,152 +57,240 @@
 /* Hard cap on the photon number used to detect runaway integrations. */
 #define DIVERGENCE_INTENSITY 1e12
 
+/* The widest block: 3 AVX-512 vectors of 8 runs. */
+#define LANES 24
+
 /* The bits of x: the top one is its sign bit. */
 static inline uint64_t bits(double x) { uint64_t u; memcpy(&u, &x, sizeof u); return u; }
 
-/* Step k of every run, from state (e, n) to (e1, n1).  Returns whether the
- * sign bit of some run's Im E changed. */
-static inline __attribute__((always_inline)) uint64_t step(
-    long k, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
-    double hr, double hi, double beta, double kappa, double dt, const double *restrict p0,
-    const double *restrict p1, const double *restrict i0, const double *restrict i1,
-    const double *restrict x_re, const double *restrict x_im, const double *restrict e,
-    const double *restrict n, double *restrict e1, double *restrict n1, long *restrict diverged,
-    const int injected, const int noisy)
+/* The m values at src of a block of width w: src itself when the block is
+ * full, else a copy in buf, whose spare lanes keep what they held. */
+static inline const double *lanes_of(const double *src, double *buf, long m, long w)
 {
-    uint64_t flipped = 0;
-    for (long j = 0; j < n_runs; j++) {
-        double er = e[2 * j], ei = e[2 * j + 1], nc = n[j];
-
-        /* (0.5 (gc - 1/tau_p) + half_alpha_j (gu - 1/tau_p)) * e, de += kappa * inj[k] */
-        double s = er * er + ei * ei;
-        double gu = g * (nc - n_tr);
-        double gc = gu / (1.0 + eps * s);
-        double x = gu - inv_tau_p;
-        double cr = 0.5 * (gc - inv_tau_p) + (hr * x - hi * 0.0);
-        double ci = 0.0 + (hr * 0.0 + hi * x);
-        double d1r = cr * er - ci * ei, d1i = cr * ei + ci * er;
-        double dn1 = p0[j] - nc / tau_n - gc * s;
-        if (injected) {
-            double ir = i0[2 * j], ii = i0[2 * j + 1];
-            d1r = d1r + (kappa * ir - 0.0 * ii);
-            d1i = d1i + (kappa * ii + 0.0 * ir);
-        }
-
-        double nr = 0.0, ni = 0.0;
-        if (noisy) {
-            double amp = sqrt((0.0 > nc ? 0.0 : nc) * beta / tau_n * dt * 0.5);
-            nr = amp * x_re[j];
-            ni = amp * x_im[j];
-        }
-
-        /* ep = e + de1 * dt + noise */
-        double epr = er + (d1r * dt - d1i * 0.0) + nr;
-        double epi = ei + (d1r * 0.0 + d1i * dt) + ni;
-        double np_ = nc + dn1 * dt;
-        double sp = epr * epr + epi * epi;
-        double gup = g * (np_ - n_tr);
-        double gcp = gup / (1.0 + eps * sp);
-        x = gup - inv_tau_p;
-        cr = 0.5 * (gcp - inv_tau_p) + (hr * x - hi * 0.0);
-        ci = 0.0 + (hr * 0.0 + hi * x);
-        double d2r = cr * epr - ci * epi, d2i = cr * epi + ci * epr;
-        double dn2 = p1[j] - np_ / tau_n - gcp * sp;
-        if (injected) {
-            double ir = i1[2 * j], ii = i1[2 * j + 1];
-            d2r = d2r + (kappa * ir - 0.0 * ii);
-            d2i = d2i + (kappa * ii + 0.0 * ir);
-        }
-
-        /* e = e + 0.5 * (de1 + de2) * dt + noise */
-        double sr = d1r + d2r, si = d1i + d2i;
-        double ar = 0.5 * sr - 0.0 * si, ai = 0.5 * si + 0.0 * sr;
-        double er1 = er + (ar * dt - ai * 0.0) + nr;
-        double ei1 = ei + (ar * 0.0 + ai * dt) + ni;
-        double nc1 = nc + 0.5 * (dn1 + dn2) * dt;
-
-        /* An intensity that is NaN, infinite or above the cap, or a carrier
-         * that is not finite, diverges.  The tests are comparisons joined
-         * by &, so that the loop has no branch. */
-        double s1 = er1 * er1 + ei1 * ei1;
-        long live = diverged[j] == 0;
-        long ok = (s1 <= DIVERGENCE_INTENSITY) & (fabs(nc1) <= DBL_MAX);
-        e1[2 * j] = live ? er1 : er;
-        e1[2 * j + 1] = live ? ei1 : ei;
-        n1[j] = live ? nc1 : nc;
-        diverged[j] |= -(live & !ok) & (k + 1);
-        flipped |= bits(e1[2 * j + 1]) ^ bits(ei);
-    }
-    return flipped >> 63;
+    return m == w ? src : memcpy(buf, src, m * sizeof *buf);
 }
 
-/* One copy of the loop for each presence of inj and xi, so that no
- * branch is left inside the loop over runs. */
-static inline __attribute__((always_inline)) long steps(
-    long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
-    double hr, double hi, double beta, double kappa, double dt, const double *pump,
-    const long *seg_end, const double *inj, const double *xi, double *field, double *carrier,
-    long rows, long *diverged, long *flip_index, double *flip_before, double *flip_after,
-    const int injected, const int noisy)
+/* Steps runs j0 to j0 + m - 1 (m <= w <= LANES) from sample k0 to sample
+ * k1, in lanes of width w; returns n_flips plus the flips it appends.  One
+ * copy for each presence of inj and xi and each w, so that no branch is
+ * left inside the loop over lanes. */
+static inline __attribute__((always_inline)) long block(
+    const long w, long m, long j0, long k0, long k1, long n_runs, double tau_n, double inv_tau_p,
+    double g, double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,
+    const double *pump, const long *seg_end, const double *inj, const double *xi,
+    double *restrict field, double *restrict carrier, int trace, long *restrict diverged,
+    long *flip_index, double *flip_before, double *flip_after, long n_flips, const int injected,
+    const int noisy)
 {
-    long n_flips = 0;
-    for (long k = 0, s = 0; k < n_steps; k++) {
-        /* s and s1 are the segments of samples k and k + 1 */
-        long s1 = s + (k + 1 >= seg_end[s]);
-        const double *i0 = injected ? inj + 2 * k * n_runs : 0;
-        const double *x_re = noisy ? xi + 2 * k * n_runs : 0;
-        double *e = field + 2 * (k % rows) * n_runs, *e1 = field + 2 * ((k + 1) % rows) * n_runs;
-        uint64_t flipped = step(
-            k, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump + s * n_runs,
-            pump + s1 * n_runs, i0, injected ? i0 + 2 * n_runs : 0, x_re, noisy ? x_re + n_runs : 0,
-            e, carrier + (k % rows) * n_runs, e1, carrier + ((k + 1) % rows) * n_runs, diverged,
-            injected, noisy);
-        s = s1;
-        /* a sign change is rare: step() ORs the sign bits in its vector
-         * loop, and the runs are searched only on a change */
-        for (long j = 0; flip_index && flipped && j < n_runs; j++) {
-            if ((bits(e[2 * j + 1]) ^ bits(e1[2 * j + 1])) >> 63) {
-                flip_index[n_flips] = k * n_runs + j;
-                memcpy(flip_before + 2 * n_flips, e + 2 * j, 2 * sizeof *e);
-                memcpy(flip_after + 2 * n_flips++, e1 + 2 * j, 2 * sizeof *e1);
+    /* the state of each lane and its E before the step */
+    double er[LANES], ei[LANES], nc[LANES], br[LANES], bi[LANES];
+    /* a short block's copies of its rows of pump and xi, 0 or stale in spare lanes */
+    double pa[LANES], pb[LANES], xa[LANES] = {0}, xb[LANES] = {0};
+    long dv[LANES], s = 0;
+    while (k0 >= seg_end[s])
+        s++;
+    for (long l = 0; l < w; l++) {
+        long j = j0 + (l < m ? l : m - 1), at = (trace ? k0 : 0) * n_runs + j;
+        er[l] = field[2 * at];
+        ei[l] = field[2 * at + 1];
+        nc[l] = carrier[at];
+        dv[l] = diverged[j];
+        pa[l] = pb[l] = pump[s * n_runs + j];
+    }
+    /* the pumps of samples k and k + 1; the latter is reloaded only where a segment ends */
+    const double *p0 = lanes_of(pump + s * n_runs + j0, pa, m, w), *p1 = p0;
+    for (long k = k0; k < k1; k++) {
+        int next = k + 1 >= seg_end[s];
+        if (next)
+            p1 = lanes_of(pump + (s + 1) * n_runs + j0, p0 == pa ? pb : pa, m, w);
+        const double *i0 = injected ? inj + 2 * (k * n_runs + j0) : 0, *i1 = i0 + 2 * n_runs;
+        /* the rows of xi a block reads are far apart: fetch them ahead */
+        for (long l = 0; noisy && k + 8 < k1 && l < m; l += 8) {
+            __builtin_prefetch(xi + 2 * (k + 8) * n_runs + j0 + l);
+            __builtin_prefetch(xi + (2 * (k + 8) + 1) * n_runs + j0 + l);
+        }
+        const double *x_re = noisy ? lanes_of(xi + 2 * k * n_runs + j0, xa, m, w) : 0;
+        const double *x_im = noisy ? lanes_of(xi + (2 * k + 1) * n_runs + j0, xb, m, w) : 0;
+        /* The predictor of every lane, then the corrector of every lane: a
+         * loop of fewer instructions lets the CPU overlap the divisions of
+         * its vector iterations. */
+        double ep_r[LANES], ep_i[LANES], np1[LANES], de1_r[LANES], de1_i[LANES], dn1_[LANES];
+        double noise_r[LANES], noise_i[LANES];
+        for (long l = 0; l < w; l++) {
+            double er_ = er[l], ei_ = ei[l], nc_ = nc[l];
+
+            /* (0.5 (gc - 1/tau_p) + half_alpha_j (gu - 1/tau_p)) * e, de += kappa * inj[k] */
+            double s0 = er_ * er_ + ei_ * ei_;
+            double gu = g * (nc_ - n_tr);
+            double gc = gu / (1.0 + eps * s0);
+            double x = gu - inv_tau_p;
+            double cr = 0.5 * (gc - inv_tau_p) + (hr * x - hi * 0.0);
+            double ci = 0.0 + (hr * 0.0 + hi * x);
+            double d1r = cr * er_ - ci * ei_, d1i = cr * ei_ + ci * er_;
+            double dn1 = p0[l] - nc_ / tau_n - gc * s0;
+            if (injected) {
+                double ir = i0[2 * l], ii = i0[2 * l + 1];
+                d1r = d1r + (kappa * ir - 0.0 * ii);
+                d1i = d1i + (kappa * ii + 0.0 * ir);
             }
+
+            double nr = 0.0, ni = 0.0;
+            if (noisy) {
+                double amp = sqrt((0.0 > nc_ ? 0.0 : nc_) * beta / tau_n * dt * 0.5);
+                nr = amp * x_re[l];
+                ni = amp * x_im[l];
+            }
+
+            /* ep = e + de1 * dt + noise */
+            ep_r[l] = er_ + (d1r * dt - d1i * 0.0) + nr;
+            ep_i[l] = ei_ + (d1r * 0.0 + d1i * dt) + ni;
+            np1[l] = nc_ + dn1 * dt;
+            de1_r[l] = d1r;
+            de1_i[l] = d1i;
+            dn1_[l] = dn1;
+            if (noisy) {
+                noise_r[l] = nr;
+                noise_i[l] = ni;
+            }
+        }
+        uint64_t flipped = 0;
+        for (long l = 0; l < w; l++) {
+            double er_ = er[l], ei_ = ei[l], nc_ = nc[l], epr = ep_r[l], epi = ep_i[l], np_ = np1[l];
+            double d1r = de1_r[l], d1i = de1_i[l], dn1 = dn1_[l];
+            double nr = noisy ? noise_r[l] : 0.0, ni = noisy ? noise_i[l] : 0.0;
+            double sp = epr * epr + epi * epi;
+            double gup = g * (np_ - n_tr);
+            double gcp = gup / (1.0 + eps * sp);
+            double x = gup - inv_tau_p;
+            double cr = 0.5 * (gcp - inv_tau_p) + (hr * x - hi * 0.0);
+            double ci = 0.0 + (hr * 0.0 + hi * x);
+            double d2r = cr * epr - ci * epi, d2i = cr * epi + ci * epr;
+            double dn2 = p1[l] - np_ / tau_n - gcp * sp;
+            if (injected) {
+                double ir = i1[2 * l], ii = i1[2 * l + 1];
+                d2r = d2r + (kappa * ir - 0.0 * ii);
+                d2i = d2i + (kappa * ii + 0.0 * ir);
+            }
+
+            /* e = e + 0.5 * (de1 + de2) * dt + noise */
+            double sr = d1r + d2r, si = d1i + d2i;
+            double ar = 0.5 * sr - 0.0 * si, ai = 0.5 * si + 0.0 * sr;
+            double er1_ = er_ + (ar * dt - ai * 0.0) + nr;
+            double ei1_ = ei_ + (ar * 0.0 + ai * dt) + ni;
+            double nc1 = nc_ + 0.5 * (dn1 + dn2) * dt;
+
+            /* An intensity that is NaN, infinite or above the cap, or a carrier
+             * that is not finite, diverges.  The tests are comparisons joined
+             * by &, so that the loop has no branch. */
+            double s1 = er1_ * er1_ + ei1_ * ei1_;
+            long live = dv[l] == 0;
+            long ok = (s1 <= DIVERGENCE_INTENSITY) & (fabs(nc1) <= DBL_MAX);
+            br[l] = er_;
+            bi[l] = ei_;
+            er[l] = live ? er1_ : er_;
+            ei[l] = live ? ei1_ : ei_;
+            nc[l] = live ? nc1 : nc_;
+            dv[l] |= -(live & !ok) & (k + 1);
+            flipped |= bits(ei[l]) ^ bits(ei_);
+        }
+        p0 = p1;
+        s += next;
+        /* a sign change is rare: the lanes are searched only on a change */
+        for (long l = 0; flip_index && flipped >> 63 && l < m; l++) {
+            if ((bits(bi[l]) ^ bits(ei[l])) >> 63) {
+                flip_index[n_flips] = k * n_runs + j0 + l;
+                flip_before[2 * n_flips] = br[l];
+                flip_before[2 * n_flips + 1] = bi[l];
+                flip_after[2 * n_flips] = er[l];
+                flip_after[2 * n_flips++ + 1] = ei[l];
+            }
+        }
+        /* the rows kept: every sample with trace, else the last in row 0 */
+        for (long l = 0; (trace || k + 1 == k1) && l < m; l++) {
+            long at = (trace ? k + 1 : 0) * n_runs + j0 + l;
+            field[2 * at] = er[l];
+            field[2 * at + 1] = ei[l];
+            carrier[at] = nc[l];
+            diverged[j0 + l] = dv[l];
         }
     }
     return n_flips;
 }
 
-#define STEPS(injected, noisy)                                                                \
-    steps(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump,     \
-          seg_end, inj, xi, field, carrier, rows, diverged, flip_index, flip_before,          \
-          flip_after, injected, noisy)
+#define BLOCK(w, m, injected, noisy)                                                          \
+    block(w, m, j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, \
+          dt, pump, seg_end, inj, xi, field, carrier, trace, diverged, flip_index,             \
+          flip_before, flip_after, n_flips, injected, noisy)
 
-/* The copies with injection, built once, without vector clones: only
- * laser.integrate injects, one run at a time, which a vector does not speed. */
-__attribute__((noinline)) long chirplink_heun_injected(
-    long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr, double eps,
-    double hr, double hi, double beta, double kappa, double dt, const double *pump,
-    const long *seg_end, const double *inj, const double *xi, double *field, double *carrier,
-    long rows, long *diverged, long *flip_index, double *flip_before, double *flip_after)
+#define PARAMS                                                                                \
+    long j0, long k0, long n_steps, long n_runs, double tau_n, double inv_tau_p, double g,    \
+        double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,  \
+        const double *pump, const long *seg_end, const double *inj, const double *xi,        \
+        double *field, double *carrier, int trace, long *diverged, long *flip_index,          \
+        double *flip_before, double *flip_after, long n_flips
+
+#define ARGS(j0, k0, n_steps)                                                                 \
+    j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump,   \
+        seg_end, inj, xi, field, carrier, trace, diverged, flip_index, flip_before,           \
+        flip_after, n_flips
+
+/* Run j0 alone from sample k0 to n_steps: its scalar chain, built once,
+ * without vector clones, which would not speed it. */
+static __attribute__((noinline)) long lone(PARAMS)
 {
-    return xi ? STEPS(1, 1) : STEPS(1, 0);
+    return inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
+               : (xi ? BLOCK(1, 1, 0, 1) : BLOCK(1, 1, 0, 0));
 }
 
-/* The entry.  On x86_64 the copies without injection are built for CPUs
- * with AVX-512F (8 runs per instruction), with AVX2 (4) and for the rest
- * (SSE2, 2); the loader picks the widest this CPU can run. */
+/* Runs j0 to j0 + m - 1 (2 <= m <= LANES) from sample k0 to n_steps, in
+ * lanes, without injection.  On x86_64 it is built for CPUs with AVX-512F
+ * (8 runs per instruction), with AVX2 (4) and for the rest, where the
+ * corrector loop stays scalar (its 64-bit compare needs SSE4.1); the
+ * loader picks the widest this CPU can run. */
 #if defined(__x86_64__)
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
+static long lanes(long m, PARAMS)
+{
+    return xi ? BLOCK(LANES, m, 0, 1) : m <= 8 ? BLOCK(8, m, 0, 0) : BLOCK(LANES, m, 0, 0);
+}
+
+/* The entry, as the top of this file describes it. */
 long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
                     double eps, double hr, double hi, double beta, double kappa, double dt,
                     const double *pump, const long *seg_end, const double *inj, const double *xi,
-                    double *field, double *carrier, long rows, long *diverged, long *flip_index,
+                    double *field, double *carrier, int trace, long *diverged, long *flip_index,
                     double *flip_before, double *flip_after)
 {
-    if (inj)
-        return chirplink_heun_injected(n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi,
-                                       beta, kappa, dt, pump, seg_end, inj, xi, field, carrier,
-                                       rows, diverged, flip_index, flip_before, flip_after);
-    return xi ? STEPS(0, 1) : STEPS(0, 0);
+    /* the shared head: steps 0 to seg_end[0] - 2 read the first segment only */
+    long head = inj || xi ? 0 : seg_end[0] - 1, n_flips = 0;
+    for (long j = 1; head && j < n_runs; j++)
+        if (bits(pump[j]) != bits(pump[0]) || bits(carrier[j]) != bits(carrier[0]) ||
+            bits(field[2 * j]) != bits(field[0]) || bits(field[2 * j + 1]) != bits(field[1]))
+            head = 0;
+    if (head) {
+        n_flips = lone(ARGS(0, 0, head)) * n_runs;
+        /* each flip once per run, from the last, so that none is overwritten */
+        for (long to = n_flips - 1, from; to >= 0; to--) {
+            from = to / n_runs;
+            flip_index[to] = flip_index[from] + to % n_runs;
+            memmove(flip_before + 2 * to, flip_before + 2 * from, 2 * sizeof *flip_before);
+            memmove(flip_after + 2 * to, flip_after + 2 * from, 2 * sizeof *flip_after);
+        }
+        for (long row = 0; row <= (trace ? head : 0); row++)
+            for (long j = 1; j < n_runs; j++) {
+                memcpy(field + 2 * (row * n_runs + j), field + 2 * row * n_runs, 2 * sizeof *field);
+                carrier[row * n_runs + j] = carrier[row * n_runs];
+            }
+        for (long j = 1; j < n_runs; j++)
+            diverged[j] = diverged[0];
+    }
+    for (long j0 = 0, m; j0 < n_runs; j0 += m) {
+        m = inj ? 1 : n_runs - j0 < LANES ? n_runs - j0 : LANES;
+        n_flips = m == 1 ? lone(ARGS(j0, head, n_steps)) : lanes(m, ARGS(j0, head, n_steps));
+    }
+    return n_flips;
 }
-#undef STEPS
+#undef BLOCK
+#undef PARAMS
+#undef ARGS

@@ -52,25 +52,8 @@ _DT = 2e-13
 _PRE, _POST = 0.2e-9, 1.5e-9
 # At most this many steps per run: the physical path keeps no trace and
 # holds each pump as three segments, so the cap bounds the time, not the
-# memory (30 voltages at the cap: ~0.3 s and ~37 MiB on one x86_64 core).
+# memory (30 voltages at the cap: ~0.2 s and ~40 MiB on one x86_64 core).
 _MAX_STEPS = 1e6
-# The physical path integrates up to this many drive levels per kernel call,
-# so that the default run's 21 voltages go in one call of 3 whole vectors.
-# A call costs about one run's chain of steps plus a little per vector of
-# runs (8751 steps: 1.3-2.0 ms for 24 runs in one call, 1.3-2.1 + 0.5-0.7 ms
-# for 20 and 1).
-_BATCH_RUNS = 24
-# A call of several levels repeats its last one up to whole AVX-512 vectors
-# of 8 runs, as runs past the last whole vector cost more than a vector
-# (8751 steps: 1.8-2.6 ms for 21 runs, 1.3-2.0 for 24).  A lone run is not
-# padded: its scalar chain is the fastest (999 steps: 0.13-0.17 ms, against
-# 0.15-0.18 for 8).
-_LANES = 8
-
-
-def _width(runs: int) -> int:
-    """The runs of a kernel call of `runs` levels, with the copies that pad it."""
-    return runs if runs == 1 else -(-runs // _LANES) * _LANES
 
 
 def _unwrap_corrections(flips, totals: np.ndarray) -> np.ndarray:
@@ -93,72 +76,39 @@ def _unwrap_corrections(flips, totals: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _phase_shift(duration: float):
-    """Net phase of a drive step of `duration`, as a function of its heights.
+def _phase_shift(duration: float, drive_steps) -> np.ndarray:
+    """Net phase of a drive step of `duration`, for each height in `drive_steps`.
 
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, the reference.  The
-    returned function takes an array of drive steps and integrates the
-    levels it has not met before, _BATCH_RUNS per kernel call, each call
-    padded to _width(runs) with copies of its last level.  Each run's pump
-    is three held segments: the bias, the level, the bias.
-    Up to sample k0 every run is the reference, as step k0 is the first to
-    read the step's pump: the reference steps there alone, once, and every
-    level, its own tail too, resumes from its state at k0.  The net phase,
-    from the kernel's sign flips, is np.unwrap's over the whole window, bit
-    for bit.  A divergence raises at once and names the first diverging
-    level in input order, the reference first, at the sample of the whole
-    window.
+    reference and each distinct level are the runs of one kernel call, the
+    reference first, each with a pump of three held segments: the bias,
+    the level, the bias.  The runs share the first segment, which the
+    kernel steps once.  The net phase, from the kernel's sign flips, is
+    np.unwrap's over the whole window, bit for bit.  A divergence raises
+    and names the first diverging level in input order, the reference
+    first, at its sample of the window.
     """
-    steps = (_PRE + duration + _POST) / _DT
-    if not steps <= _MAX_STEPS:
-        raise PreconditionError(
-            f"physical_mode: source.perturbation_duration = {duration:g} s asks for {steps:.3g} "
-            f"rate-equation steps of {_DT:g} s per run, more than {_MAX_STEPS:.0e}"
-        )
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)
     # samples of the bias before, of the step and of the bias after it, as
     # DriveWaveform.from_segments counts them; the drive ends on one more
     n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
-    k0 = n_pre - 1
-    start = head_sum = None  # the reference's state at sample k0 and its corrections to there
-    raw = {}  # by drive level: the net phase before the reference's is subtracted
-
-    def integrate(pump: list[list[float]], holds: list[int], origin: int, start):
-        """Last fields and flips of the runs of `pump`, its rows held `holds`
-        samples, from sample `origin`; raises the first divergence."""
-        copies = _width(len(pump[0])) - len(pump[0])
-        pump = [row + row[-1:] * copies for row in pump]
-        field, carrier, diverged, flips = laser.integrate_pumps(
-            quiet, pump, _DT, *start, trace=False, flips=True, holds=holds
-        )
-        for k, e, n in zip(diverged, field, carrier):
-            if k:  # named by its sample in the whole window
-                raise laser.diverged_error(k + origin, e, n)
-        return field, carrier, flips
-
-    def phase_shift(drive_steps) -> np.ndarray:
-        nonlocal start, head_sum
-        levels = bias + np.asarray(drive_steps, dtype=float)
-        asked = [bias, *levels.ravel().tolist()]
-        new = [level for level in dict.fromkeys(asked) if level not in raw]
-        if new and start is None:
-            field, carrier, flips = integrate([[bias]], [k0 + 1], 0, (complex(math.sqrt(s0)), n0))
-            # the reference's own corrections: a copy's would add into one total
-            head_sum = _unwrap_corrections(flips, np.zeros(len(field)))[0]
-            start = field[0], carrier[0]
-        for i in range(0, len(new), _BATCH_RUNS):
-            batch = new[i : i + _BATCH_RUNS]
-            ends = [bias] * len(batch)
-            field, _, flips = integrate([ends, batch, ends], [1, n_step, n_post + 1], k0, start)
-            # sample 0 is real and positive, at angle 0; zip drops the copies
-            nets = np.angle(field) + _unwrap_corrections(flips, np.full(len(field), head_sum))
-            raw.update(zip(batch, nets.tolist()))
-        return np.array([raw[level] - raw[bias] for level in asked[1:]]).reshape(levels.shape)
-
-    return phase_shift
+    levels = bias + np.asarray(drive_steps, dtype=float)
+    runs = list(dict.fromkeys([bias, *levels.ravel().tolist()]))
+    ends = [bias] * len(runs)
+    field, carrier, diverged, flips = laser.integrate_pumps(
+        quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
+        trace=False, flips=True, holds=[n_pre, n_step, n_post + 1],
+    )
+    if diverged.any():
+        j = np.flatnonzero(diverged)[0]
+        raise laser.diverged_error(diverged[j], field[j], carrier[j])
+    # sample 0 is real and positive, at angle 0
+    nets = np.angle(field) + _unwrap_corrections(flips, np.zeros(len(runs)))
+    column = dict(zip(runs, range(len(runs))))
+    return (nets[[column[level] for level in levels.ravel().tolist()]] - nets[0]).reshape(levels.shape)
 
 
 def calibrate_physical_drive_scale(source: SourceConfig) -> float:
@@ -170,12 +120,21 @@ def calibrate_physical_drive_scale(source: SourceConfig) -> float:
     net phase, and the stationary dS is dJ tau_p / (1 + eps / (g tau_n)).
     So pi takes dJ = 2 pi (1 + eps / (g tau_n)) / (alpha eps t), where t is
     the step as _phase_shift integrates it: its count of _DT samples.
+    A step whose window would take more than _MAX_STEPS steps per run, or
+    less than one step of its own, is a config error.
     """
+    duration = source.perturbation_duration
+    steps = (_PRE + duration + _POST) / _DT
+    if not steps <= _MAX_STEPS:
+        raise PreconditionError(
+            f"physical_mode: source.perturbation_duration = {duration:g} s asks for {steps:.3g} "
+            f"rate-equation steps of {_DT:g} s per run, more than {_MAX_STEPS:.0e}"
+        )
     p = laser.LaserParams()
-    n_step = round(source.perturbation_duration / _DT)
+    n_step = round(duration / _DT)
     if n_step < 1:
         raise PreconditionError(
-            f"physical_mode: source.perturbation_duration = {source.perturbation_duration:g} s "
+            f"physical_mode: source.perturbation_duration = {duration:g} s "
             f"must span at least one {_DT:g} s rate-equation step"
         )
     eps, t_m = p.gain_compression, n_step * _DT
@@ -198,13 +157,12 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None
     if cfg.physical_mode:
-        phase_shift = _phase_shift(cfg.source.perturbation_duration)
         scale = calibrate_physical_drive_scale(cfg.source)
         with np.errstate(over="ignore"):
             steps = scale * voltages
         if not np.isfinite(steps).all():
             raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
-        physical = phase_shift(steps)
+        physical = _phase_shift(cfg.source.perturbation_duration, steps)
     if cfg.output_path:
         if physical is None:
             rows = np.column_stack([voltages, encoder])

@@ -68,6 +68,9 @@ _CFLAGS = ("-O2", "-ftree-vectorize", "-fno-math-errno", "-shared", "-fPIC", "-f
 # drawing the noise; smaller blocks cost a call for little work.
 _NOISE_BLOCK_STEPS = 64
 
+# The kernel's integer type, converted from ctypes once.
+_LONG = np.dtype(ctypes.c_long)
+
 
 @dataclass(frozen=True)
 class LaserParams:
@@ -84,6 +87,10 @@ class LaserParams:
     detuning: float = 0.0
 
     def __post_init__(self):
+        # NaN passes every comparison below
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise PreconditionError(f"{name} must be finite, got {value!r}")
         if self.carrier_lifetime <= 0 or self.photon_lifetime <= 0:
             raise PreconditionError("lifetimes must be strictly positive")
         if self.gain_slope <= 0:
@@ -96,10 +103,8 @@ class LaserParams:
             raise PreconditionError("spontaneous_fraction must be in [0, 1]")
         if self.injection_coupling < 0:
             raise PreconditionError("injection_coupling must be >= 0")
-        if not math.isfinite(self.detuning) or abs(self.detuning) > MAX_DETUNING_HZ:
-            raise PreconditionError(
-                f"detuning must be finite and within +/-{MAX_DETUNING_HZ:.0e} Hz"
-            )
+        if abs(self.detuning) > MAX_DETUNING_HZ:
+            raise PreconditionError(f"detuning must be within +/-{MAX_DETUNING_HZ:.0e} Hz")
 
     @property
     def threshold_carrier(self) -> float:
@@ -252,7 +257,7 @@ def _heun():
         os.rmdir(private)
     kernel.restype = ctypes.c_long
     kernel.argtypes = (
-        [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 6 + [ctypes.c_long]
+        [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 6 + [ctypes.c_int]
         + [ctypes.c_void_p] * 4
     )
     return kernel
@@ -290,7 +295,9 @@ def integrate_pumps(
     levels, and `holds` how many samples, `dt` apart, each row is held for:
     the pump at the n_steps + 1 sample times is np.repeat(pump, holds,
     axis=0).  Without `holds` each row is one sample.  The compiled kernel
-    steps all runs together, each with the arithmetic of a run alone.
+    steps the runs in blocks, each with the arithmetic of a run alone;
+    without noise and injection, runs that start from one state under one
+    first row share the steps of that row.
     `initial_field` and `initial_carrier` are each run's state at sample 0,
     or one state for all.  `noise`, (n_steps, 2, n_runs) unit normals, is
     the Langevin term, scaled as in :func:`integrate`; `injection`,
@@ -310,12 +317,12 @@ def integrate_pumps(
     if not np.isfinite(pump).all():
         raise PreconditionError("pump levels must be finite")
     if holds is None:
-        seg_end = np.arange(1, len(pump) + 1, dtype=ctypes.c_long)
+        seg_end = np.arange(1, len(pump) + 1, dtype=_LONG)
     else:
         holds = np.asarray(holds)
         if holds.shape != pump.shape[:1] or holds.dtype.kind not in "iu" or (holds < 1).any():
             raise PreconditionError("holds must be one integer >= 1 per row of pump")
-        seg_end = np.cumsum(holds, dtype=ctypes.c_long)
+        seg_end = holds.cumsum(dtype=_LONG)
     n_steps, n_runs = int(seg_end[-1]) - 1, pump.shape[1]
     if noise is not None:
         noise = np.ascontiguousarray(noise, dtype=float)
@@ -326,11 +333,11 @@ def integrate_pumps(
         if injection.shape != (n_steps + 1, n_runs):
             raise PreconditionError("injection must be an (n_steps + 1, n_runs) array")
 
-    # the kernel keeps sample k in row k % rows: all of them, or the last two
-    rows = n_steps + 1 if trace else 2
+    # every sample, or only row 0: the first sample in, the last out
+    rows = n_steps + 1 if trace else 1
     field, carrier = np.empty((rows, n_runs), dtype=complex), np.empty((rows, n_runs))
     field[0], carrier[0] = initial_field, initial_carrier
-    diverged = np.zeros(n_runs, dtype=ctypes.c_long)
+    diverged = np.zeros(n_runs, dtype=_LONG)
     half_alpha_j = 0.5j * params.linewidth_enhancement
     coefficients = (
         params.carrier_lifetime,
@@ -346,18 +353,20 @@ def integrate_pumps(
     )
     # room for a flip of every run at every step; only the pages written are
     # touched (three arrays: numpy advises huge pages for one of 4 MiB or more)
-    index = np.empty(n_steps * n_runs if flips else 0, dtype=ctypes.c_long)
+    index = np.empty(n_steps * n_runs if flips else 0, dtype=_LONG)
     before, after = np.empty(index.size, dtype=complex), np.empty(index.size, dtype=complex)
     outputs = [a.ctypes.data if flips else None for a in (index, before, after)]
     inputs = [None if a is None else a.ctypes.data for a in (pump, seg_end, injection, noise)]
     n = _heun()(
-        n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, carrier.ctypes.data, rows,
+        n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, carrier.ctypes.data, trace,
         diverged.ctypes.data, *outputs,
     )
     if not trace:
-        field, carrier = field[n_steps % 2], carrier[n_steps % 2]
+        field, carrier = field[0], carrier[0]
     if flips:
-        return field, carrier, diverged, (index[:n], before[:n], after[:n])
+        # the kernel lists them block after block; this is np.flatnonzero's order
+        order = index[:n].argsort(kind="stable")
+        return field, carrier, diverged, (index[order], before[order], after[order])
     return field, carrier, diverged
 
 

@@ -80,34 +80,26 @@ class TestCalibration:
         # samples, round(duration / _DT), which is 1 at 0.3 ps and 126 at 25.1 ps
         src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
         scale = experiments.calibrate_physical_drive_scale(src)
-        up, down = experiments._phase_shift(duration)(scale * np.array([1.0, -1.0]) * halfwave_voltage)
+        up, down = experiments._phase_shift(duration, scale * np.array([1.0, -1.0]) * halfwave_voltage)
         assert up == pytest.approx(math.pi, rel=1e-3)
         assert down == pytest.approx(-math.pi, rel=1e-3)
 
     def test_physical_phase_odd_in_voltage(self):
         src = SourceConfig()
-        phase_shift = experiments._phase_shift(src.perturbation_duration)
         scale = experiments.calibrate_physical_drive_scale(src)
-        up, down = phase_shift(scale * np.array([0.2, -0.2]))
+        up, down = experiments._phase_shift(src.perturbation_duration, scale * np.array([0.2, -0.2]))
         assert down == pytest.approx(-up, rel=0.05)
 
     def test_physical_mode_integrates_reference_once(self, monkeypatch):
-        # the levels, holds and step count of each run, and the (levels,
-        # runs) of each call, by the stage that made them; a call's runs
-        # past its distinct levels repeat its last one and are not counted
-        runs = {"calibrate": [], "voltages": []}
+        # the pump and holds of each kernel call, by the stage that made it
         calls = {"calibrate": [], "voltages": []}
         stage, scales = "voltages", []
         batched, calibrate = laser.integrate_pumps, experiments.calibrate_physical_drive_scale
 
         def counting(params, pump, *args, holds, **kwargs):
-            columns = np.asarray(pump).T
-            n = len(np.unique(columns, axis=0))
-            assert (columns[n:] == columns[n - 1]).all()
-            runs[stage].extend((column, list(holds), sum(holds) - 1) for column in columns[:n])
-            calls[stage].append((n, len(columns)))
+            calls[stage].append((np.array(pump), list(holds)))
             result = batched(params, pump, *args, holds=holds, **kwargs)
-            assert result[0].shape == result[1].shape == (len(columns),)  # no traces
+            assert result[0].shape == result[1].shape == (len(pump[0]),)  # no traces
             return result
 
         def calibrating(*args, **kwargs):
@@ -125,40 +117,29 @@ class TestCalibration:
         cfg = ExperimentConfig(experiment="phase_voltage", voltages=voltages, physical_mode=True)
         res = experiments.run_phase_voltage(cfg)
         # the calibration is a closed form: it integrates nothing
-        assert runs["calibrate"] == [] and calls["calibrate"] == [] and len(scales) == 1
-        every = list(runs["voltages"])
-        # the constant-pump reference steps to the last sample before the
-        # step's pump alone, once, and resumes from there once, in the same
-        # call as the voltages
+        assert calls["calibrate"] == [] and len(scales) == 1
+        # one call over the whole window: the constant-pump reference first,
+        # once, then the three voltages it has not met (0 V is the reference)
+        ((pump, holds),) = calls["voltages"]
         k0 = round(experiments._PRE / experiments._DT) - 1
         n_step = round(cfg.source.perturbation_duration / experiments._DT)
-        window = (experiments._PRE + cfg.source.perturbation_duration + experiments._POST) / experiments._DT
-        (head, *_, n_head), (tail, *_, n_tail) = [run for run in every if np.ptp(run[0]) == 0.0]
-        assert (n_head, n_tail) == (k0, round(window) - k0)
-        assert every[0][0] is head and every[1][0] is tail
-        bias = head[0]
-        # the head is one segment of the bias; every tail holds the bias for
-        # one sample, its level for the step's samples, then the bias again
-        assert every[0][1] == [k0 + 1]
-        assert all(holds == [1, n_step, n_tail - n_step] for _, holds, _ in every[1:])
-        assert (tail == bias).all() and all(column[0] == column[2] == bias for column, *_ in every[1:])
-        # 0 V is the reference; the other three voltages resume with it
-        assert all(n == n_tail for *_, n in every[1:])
-        levels = [column[1] for column, *_ in every[2:]]
-        assert levels == [bias + scales[0] * v for v in (-0.35, 0.175, 0.35)]
-        # the head alone, then the reference's tail with the three levels,
-        # padded to one vector of 8 runs
-        assert calls["voltages"] == [(1, 1), (4, 8)]
+        n_post = round(experiments._POST / experiments._DT)
+        assert holds == [k0 + 1, n_step, n_post + 1]
+        bias = pump[0, 0]
+        # every run holds the bias, its level for the step's samples, then the bias again
+        assert (pump[0] == bias).all() and (pump[2] == bias).all()
+        assert pump[1].tolist() == [bias] + [bias + scales[0] * v for v in (-0.35, 0.175, 0.35)]
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
         assert res.physical_phase[3] == pytest.approx(math.pi, rel=1e-3)
-        # nothing is carried over to the next call
-        experiments.run_phase_voltage(cfg)
-        assert len(runs["voltages"]) == 2 * len(every) and runs["calibrate"] == []
+        # nothing is carried over to the next run: it makes the same call again
+        again = experiments.run_phase_voltage(cfg)
+        assert len(calls["voltages"]) == 2 and calls["calibrate"] == []
+        assert calls["voltages"][1][0].tobytes() == pump.tobytes() and calls["voltages"][1][1] == holds
+        assert again.physical_phase.tobytes() == res.physical_phase.tobytes()
 
-    def test_default_physical_run_makes_two_calls(self, monkeypatch):
-        # the head, then the reference's tail with the 20 voltages it has
-        # not met, padded with 3 copies of the last to 3 vectors of 8 runs
+    def test_default_physical_run_makes_one_call(self, monkeypatch):
+        # the reference and the 20 voltages it has not met, in one call
         pumps = []
         batched = laser.integrate_pumps
 
@@ -169,12 +150,12 @@ class TestCalibration:
         monkeypatch.setattr(laser, "integrate_pumps", counting)
         cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
-        assert [pump.shape[1] for pump, _ in pumps] == [1, 24]
-        levels = pumps[1][0][1]
-        assert len(set(levels.tolist())) == 21 and (levels[21:] == levels[20]).all()
-        run_steps = [sum(holds) - 1 for _, holds in pumps]
-        assert run_steps[0] + 24 * run_steps[1] == 211_023
-        assert run_steps[0] + 21 * run_steps[1] == 184_770
+        ((pump, holds),) = pumps
+        assert pump.shape == (3, 21) and len(set(pump[1].tolist())) == 21
+        assert holds == [1000, 1250, 7501]
+        # the kernel steps the runs' shared first segment once
+        head, n_steps = holds[0] - 1, sum(holds) - 1
+        assert head + 21 * (n_steps - head) == 184_770
 
     def test_resumed_phase_equals_whole_window_run(self):
         # the net phase from one integration over the whole window per drive step
@@ -192,13 +173,16 @@ class TestCalibration:
             )
             return trace.phase[-1] - trace.phase[0]
 
-        phase_shift = experiments._phase_shift(duration)
         scale = experiments.calibrate_physical_drive_scale(SourceConfig())
         reference = whole_window(0.0)
+
+        def phase_shift(step):
+            return experiments._phase_shift(duration, step)
+
         for volts in (-0.5, -0.35, -0.1, 0.1, 0.35, 0.5):
             step = scale * volts
             assert phase_shift(step) == whole_window(step) - reference
-        # ~100 wraps of the phase, nearly all of them in the resumed run
+        # ~100 wraps of the phase, nearly all of them after the shared head
         assert phase_shift(scale * -3.0) == whole_window(scale * -3.0) - reference
         # a diverging run names the sample of the whole window, at the same state
         with pytest.raises(IntegrationDivergedError) as whole:
@@ -225,32 +209,26 @@ class TestCalibration:
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window_trace(scale * 1e6, duration)
         with pytest.raises(IntegrationDivergedError) as fresh:
-            experiments._phase_shift(duration)(scale * np.array([0.1, 1e6, 2e6]))
+            experiments._phase_shift(duration, scale * np.array([0.1, 1e6, 2e6]))
         assert str(fresh.value) == str(whole.value)
         assert (fresh.value.step_index, fresh.value.intensity, fresh.value.carrier) == (
             whole.value.step_index, whole.value.intensity, whole.value.carrier
         )
 
-    @pytest.mark.parametrize("batch_runs", [1, 3, 5, 8, 24])
-    def test_net_phases_do_not_depend_on_grouping(self, monkeypatch, batch_runs):
-        # more new levels than one call takes, with a repeat and the zero step
-        duration = SourceConfig().perturbation_duration
-        scale = experiments.calibrate_physical_drive_scale(SourceConfig())
+    @pytest.mark.parametrize("duration", [0.3e-12, SourceConfig().perturbation_duration])
+    def test_net_phases_do_not_depend_on_grouping(self, duration):
+        # more new levels than one 24-run block of the kernel, with a repeat
+        # and the zero step
+        scale = experiments.calibrate_physical_drive_scale(replace(SourceConfig(), perturbation_duration=duration))
         volts = [0.35, -0.2, 0.0, 0.1, -0.5, 0.2, 0.35, 0.05, -0.05, 0.3, -0.35, 0.15]
         volts += [0.025 * i for i in range(-11, 12, 2)] + [0.4, -0.4, 0.45, -0.45]
         steps = scale * np.array(volts)
-        assert len(set(steps.tolist())) > experiments._BATCH_RUNS
-        monkeypatch.setattr(experiments, "_BATCH_RUNS", batch_runs)
-        phases = []
-        # no copies; whole vectors, a lone run alone; 5 copies in every
-        # call, the reference's head too
-        for width in (lambda runs: runs, experiments._width, lambda runs: runs + 5):
-            monkeypatch.setattr(experiments, "_width", width)
-            phases.append(experiments._phase_shift(duration)(steps))
-            phase_shift = experiments._phase_shift(duration)
-            phases.append(np.array([float(phase_shift(step)) for step in steps]))
-            phase_shift = experiments._phase_shift(duration)
-            phases.append(np.concatenate([phase_shift(steps[:2]), phase_shift(steps[2:])]))
+        assert len(set(steps.tolist())) > 24
+        # all at once, one at a time, and in two calls
+        phases = [experiments._phase_shift(duration, steps)]
+        phases.append(np.array([float(experiments._phase_shift(duration, step)) for step in steps]))
+        phases.append(np.concatenate([experiments._phase_shift(duration, steps[:2]),
+                                      experiments._phase_shift(duration, steps[2:])]))
         assert all(phase.tobytes() == phases[0].tobytes() for phase in phases)
         assert phases[0][2] == 0.0 and phases[0][0] == phases[0][6]
 
@@ -281,14 +259,14 @@ class TestCalibration:
         assert int(peak_kib) / 1024 < 300
 
     def test_step_cap_pumps_are_segments(self):
-        # 31 levels at a step of 190 ns in calls of 1, 24 and 8 runs: ~37 MiB
+        # 31 levels at a step of 190 ns in one call of 31 runs: ~37 MiB
         # measured, the interpreter and numpy; a pump of one row per sample,
         # 8 bytes per run-step, peaked at ~197 MiB.  The peak is VmHWM, this
         # process's own: Linux starts ru_maxrss of a spawned process at the
         # peak of the one that spawned it
         script = (
             "import re, numpy as np; from chirplink import experiments; "
-            "experiments._phase_shift(190e-9)(np.linspace(-1e12, 1e12, 30)); "
+            "experiments._phase_shift(190e-9, np.linspace(-1e12, 1e12, 30)); "
             "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"
         )
         env = dict(os.environ)

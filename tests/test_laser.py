@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +421,9 @@ class TestKernelMatchesOracle:
 
 
 WIDTHS = [1, 3, 4, 5, 8, 13]  # one run, the vector body alone and with a scalar epilogue
+# the kernel steps runs in blocks of 24 lanes, a last block of at most 8 in
+# 8 lanes and a lone run alone: widths about each edge
+BLOCK_WIDTHS = [1, 7, 8, 9, 23, 24, 25, 31, 48, 49]
 
 
 def batch_inputs(params, width, runaway=None):
@@ -506,7 +509,7 @@ class TestBatchedKernel:
             assert (field[k:, j] == field[k, j]).all() and (carrier[k:, j] == carrier[k, j]).all()
             assert last_field[j] == field[k, j] and last_carrier[j] == carrier[k, j]
 
-    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("width", [*range(1, 10), *BLOCK_WIDTHS[4:]])
     @pytest.mark.parametrize("copy", ["plain", "noisy", "injected"])
     def test_flips_are_the_sign_changes_of_the_trace(self, params, width, copy):
         p = replace(params, spontaneous_fraction=params.spontaneous_fraction if copy == "noisy" else 0.0)
@@ -546,6 +549,71 @@ class TestBatchedKernel:
             assert not diverged[:-1].any()
         else:
             assert not diverged.any()
+
+    @pytest.mark.parametrize("width", BLOCK_WIDTHS)
+    @pytest.mark.parametrize("copy", ["plain", "noisy", "injected"])
+    def test_runs_equal_one_run_calls(self, params, width, copy):
+        # each run of a call of several blocks, one of them diverging, as a call of it alone
+        p = replace(params, spontaneous_fraction=params.spontaneous_fraction if copy == "noisy" else 0.0)
+        p = replace(p, injection_coupling=5e10 if copy == "injected" else 0.0)
+        th, n_steps = p.threshold_current, 400
+        levels = [0.0] + [(0.5 + 0.1 * j) * th for j in range(1, width)]
+        if width >= 3:
+            levels[width // 2] = 1e30
+        pump = np.full((n_steps + 1, width), 0.2 * th)
+        pump[100:] = levels
+        initial = np.array([complex(1e-3 * (j + 1), -1e-4 * j) for j in range(width)])
+        carrier = np.where(np.arange(width) == 0, 0.0, 900.0)
+        rng = np.random.default_rng(width)
+        noise = rng.standard_normal((n_steps, 2, width)) if copy == "noisy" else None
+        inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if copy == "injected" else None
+        field, last_carrier, diverged = laser.integrate_pumps(p, pump, DT, initial, carrier, noise, inj, trace=False)
+        assert (diverged > 0).sum() == (width >= 3)
+        for j in range(width):
+            alone = laser.integrate_pumps(
+                p, pump[:, j : j + 1], DT, initial[j], carrier[j],
+                None if noise is None else noise[:, :, j : j + 1], None if inj is None else inj[:, j : j + 1],
+                trace=False,
+            )
+            assert [a.tobytes() for a in alone] == [a[j : j + 1].tobytes() for a in (field, last_carrier, diverged)]
+
+    @pytest.mark.parametrize("width", BLOCK_WIDTHS)
+    def test_shared_head_equals_whole_window_runs(self, quiet, width):
+        # every run starts at no carrier under no pump, so its phase spins and
+        # Im E flips in the shared first segment, then takes its own level
+        th, holds = quiet.threshold_current, [150, 200, 151]
+        levels = np.array([[0.0] * width, [(0.3 + 0.2 * j) * th for j in range(width)], [th] * width])
+        field, carrier, diverged, (index, before, after) = laser.integrate_pumps(
+            quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, flips=True
+        )
+        assert not diverged.any()
+        for j in range(width):
+            drive = laser.DriveWaveform.from_segments(
+                [(holds[0] * DT, levels[0, j]), (holds[1] * DT, levels[1, j]), ((holds[2] - 1) * DT, th)], DT
+            )
+            alone = laser.integrate(quiet, drive, dt=DT, initial_field=1e-3 + 2e-4j, initial_carrier=0.0)
+            column = laser.FieldTrace(alone.times, field[:, j].copy(), carrier[:, j].copy())
+            assert_same_bits(column, alone)
+        expected = np.flatnonzero(np.diff(np.signbit(field.imag), axis=0))
+        k, j = np.divmod(expected, width)
+        assert np.count_nonzero(k < holds[0] - 1) >= 2 * width  # flips of the head, once per run
+        assert np.array_equal(index, expected)
+        assert before.tobytes() == field[k, j].tobytes() and after.tobytes() == field[k + 1, j].tobytes()
+        last = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, trace=False)
+        assert [a.tobytes() for a in last] == [a.tobytes() for a in (field[-1], carrier[-1], diverged)]
+
+    @pytest.mark.parametrize("width", BLOCK_WIDTHS)
+    def test_diverging_head_names_its_sample_in_every_run(self, quiet, width):
+        th, holds = quiet.threshold_current, [150, 200, 151]
+        levels = np.array([[1e30] * width, [(0.3 + 0.2 * j) * th for j in range(width)], [th] * width])
+        field, carrier, diverged = laser.integrate_pumps(quiet, levels, DT, 1e-3, 900.0, holds=holds, trace=False)
+        drive = laser.DriveWaveform.from_segments([(holds[0] * DT, 1e30), (holds[1] * DT, th)], DT)
+        with pytest.raises(IntegrationDivergedError) as alone:
+            laser.integrate(quiet, drive, dt=DT, initial_field=1e-3, initial_carrier=900.0)
+        assert 0 < alone.value.step_index < holds[0]
+        assert (diverged == alone.value.step_index).all()
+        for e, n in zip(field, carrier):
+            assert str(laser.diverged_error(diverged[0], e, n)) == str(alone.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_pump_rejected(self, quiet, bad):
@@ -748,6 +816,14 @@ class TestValidationAndExport:
             laser.LaserParams(spontaneous_fraction=2.0)
         with pytest.raises(PreconditionError):
             laser.LaserParams(detuning=1e12)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(laser.LaserParams)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, name, bad):
+        # NaN passes every range check, and photon_lifetime = nan surfaced
+        # later as a bad dt; each field is named at construction
+        with pytest.raises(PreconditionError, match=f"^{name} must be finite"):
+            laser.LaserParams(**{name: bad})
 
     def test_threshold_current_follows_carrier_lifetime(self):
         params = replace(laser.LaserParams(), carrier_lifetime=2e-9)
