@@ -22,10 +22,10 @@
  * lone run, and every run with injection, is stepped alone; a last block
  * of 2 to 8 runs without noise in a width of 8.
  *
- * Shared head: without noise and injection, when every run starts from
- * the same state (bit for bit) under the same first pump segment, the
- * runs are one run until that segment's last sample, so run 0 is stepped
- * alone to there and its state copied to every run.
+ * Shared head: without noise, injection and trace, when every run starts
+ * from the same state (bit for bit) under the same first pump segment,
+ * the runs are one run until that segment's last sample, so run 0 is
+ * stepped alone to there and its state copied to every run.
  *
  * Arrays are step-major: a row holds one value of each run.  hr + i hi is
  * 0.5j * alpha as Python computes it.  pump holds segments of held levels:
@@ -70,10 +70,10 @@ static inline const double *lanes_of(const double *src, double *buf, long m, lon
     return m == w ? src : memcpy(buf, src, m * sizeof *buf);
 }
 
-/* Steps runs j0 to j0 + m - 1 (m <= w <= LANES) from sample k0 to sample
- * k1, in lanes of width w; returns n_flips plus the flips it appends.  One
- * copy for each presence of inj and xi and each w, so that no branch is
- * left inside the loop over lanes. */
+/* Steps runs j0 to j0 + m - 1 (m <= w <= LANES) from sample k0, whose
+ * state is in row 0, to sample k1, in lanes of width w; returns n_flips
+ * plus the flips it appends.  One copy for each presence of inj and xi and
+ * each w, so that no branch is left inside the loop over lanes. */
 static inline __attribute__((always_inline)) long block(
     const long w, long m, long j0, long k0, long k1, long n_runs, double tau_n, double inv_tau_p,
     double g, double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,
@@ -90,10 +90,10 @@ static inline __attribute__((always_inline)) long block(
     while (k0 >= seg_end[s])
         s++;
     for (long l = 0; l < w; l++) {
-        long j = j0 + (l < m ? l : m - 1), at = (trace ? k0 : 0) * n_runs + j;
-        er[l] = field[2 * at];
-        ei[l] = field[2 * at + 1];
-        nc[l] = carrier[at];
+        long j = j0 + (l < m ? l : m - 1);
+        er[l] = field[2 * j];
+        ei[l] = field[2 * j + 1];
+        nc[l] = carrier[j];
         dv[l] = diverged[j];
         pa[l] = pb[l] = pump[s * n_runs + j];
     }
@@ -263,7 +263,7 @@ long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, d
                     double *flip_before, double *flip_after)
 {
     /* the shared head: steps 0 to seg_end[0] - 2 read the first segment only */
-    long head = inj || xi ? 0 : seg_end[0] - 1, n_flips = 0;
+    long head = inj || xi || trace ? 0 : seg_end[0] - 1, n_flips = 0;
     for (long j = 1; head && j < n_runs; j++)
         if (bits(pump[j]) != bits(pump[0]) || bits(carrier[j]) != bits(carrier[0]) ||
             bits(field[2 * j]) != bits(field[0]) || bits(field[2 * j + 1]) != bits(field[1]))
@@ -277,13 +277,11 @@ long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, d
             memmove(flip_before + 2 * to, flip_before + 2 * from, 2 * sizeof *flip_before);
             memmove(flip_after + 2 * to, flip_after + 2 * from, 2 * sizeof *flip_after);
         }
-        for (long row = 0; row <= (trace ? head : 0); row++)
-            for (long j = 1; j < n_runs; j++) {
-                memcpy(field + 2 * (row * n_runs + j), field + 2 * row * n_runs, 2 * sizeof *field);
-                carrier[row * n_runs + j] = carrier[row * n_runs];
-            }
-        for (long j = 1; j < n_runs; j++)
+        for (long j = 1; j < n_runs; j++) {
+            memcpy(field + 2 * j, field, 2 * sizeof *field);
+            carrier[j] = carrier[0];
             diverged[j] = diverged[0];
+        }
     }
     for (long j0 = 0, m; j0 < n_runs; j0 += m) {
         m = inj ? 1 : n_runs - j0 < LANES ? n_runs - j0 : LANES;

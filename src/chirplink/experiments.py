@@ -17,7 +17,7 @@ import numpy as np
 from . import laser
 from .config import ExperimentConfig
 from .errors import PreconditionError
-from .keyrate import RatePoint, bb84_rate_points, dps_rate_points
+from .keyrate import RateCurve, bb84_rate_points, dps_rate_points
 from .optics import decoder_ports, transmittances
 from .protocols import BB84, DPS, SiftResult, simulate_links
 from .source import SourceConfig, phase_from_voltage
@@ -254,12 +254,12 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
 # rate sweeps
 
 
-def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[tuple[SiftResult, RatePoint]]:
-    """Per-loss Monte Carlo sift, paired with the analytic point and secure rate.
+def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], RateCurve]:
+    """(sifts, curve): a Monte Carlo SiftResult per loss of cfg.losses and the
+    analytic RateCurve over them.
 
-    The click model and the analytic curve are computed over the whole loss
-    axis at once; only the Monte Carlo draws run per loss, each from its own
-    seed.
+    The click model and the curve are computed over the whole loss axis at
+    once; only the Monte Carlo draws run per loss, each from its own seed.
     """
     seeds = np.random.default_rng(cfg.rng_seed).integers(0, 2**63 - 1, size=len(cfg.losses)).tolist()
     if protocol == BB84:
@@ -308,7 +308,7 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> list[tuple[SiftResult, Ra
                 ],
             },
         )
-    return list(zip(sifts, curve.points()))
+    return sifts, curve
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .protocols import BB84, DPS, expected_gain_qber_axis, vacuum_yield
 
 
 def binary_entropy(x):
-    """H2(x) in bits, with H2(0) = H2(1) = 0."""
+    """H2(x) in bits, elementwise, with H2(0) = H2(1) = 0; a number gives a 0-d array."""
     arr = np.asarray(x, dtype=float)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise PreconditionError("binary_entropy argument must be in [0, 1]")
@@ -44,8 +44,6 @@ def binary_entropy(x):
     out = np.zeros_like(arr)
     xv = arr[interior]
     out[interior] = -xv * np.log2(xv) - (1.0 - xv) * np.log2(1.0 - xv)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -130,18 +128,6 @@ def dps_rate(gain, qber, mu: float, f_ec: float):
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    loss_db: float
-    sifted_rate_bps: float
-    qber: float
-    secure_rate_bps: float
-
-    def __post_init__(self):
-        if self.secure_rate_bps < 0:
-            raise PreconditionError("secure_rate_bps must be clamped at 0")
-
-
-@dataclass(frozen=True)
 class RateCurve:
     """Analytic rates over a loss axis, one element per loss."""
 
@@ -153,10 +139,6 @@ class RateCurve:
     def __post_init__(self):
         if np.any(self.secure_rate_bps < 0):
             raise PreconditionError("secure_rate_bps must be clamped at 0")
-
-    def points(self) -> list[RatePoint]:
-        columns = (self.loss_db, self.sifted_rate_bps, self.qber, self.secure_rate_bps)
-        return [RatePoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def bb84_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:

@@ -296,8 +296,8 @@ def integrate_pumps(
     the pump at the n_steps + 1 sample times is np.repeat(pump, holds,
     axis=0).  Without `holds` each row is one sample.  The compiled kernel
     steps the runs in blocks, each with the arithmetic of a run alone;
-    without noise and injection, runs that start from one state under one
-    first row share the steps of that row.
+    without noise, injection and trace, runs that start from one state
+    under one first row share the steps of that row.
     `initial_field` and `initial_carrier` are each run's state at sample 0,
     or one state for all.  `noise`, (n_steps, 2, n_runs) unit normals, is
     the Langevin term, scaled as in :func:`integrate`; `injection`,

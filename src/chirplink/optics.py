@@ -94,12 +94,9 @@ def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
 
 
 def click_probability(mean_photons, det: DetectorParams):
-    """Threshold-detector click probability for a slot of given mean photons."""
+    """Threshold-detector click probability of each slot of given mean photons, as an array."""
     mean_photons = np.asarray(mean_photons, dtype=float)
     if np.any(mean_photons < 0):
         raise PreconditionError("mean_photons must be >= 0")
-    p = 1.0 - (1.0 - det.dark_probability) * np.exp(-mean_photons * det.efficiency)
-    if p.ndim == 0:
-        return float(p)
-    return p
+    return 1.0 - (1.0 - det.dark_probability) * np.exp(-mean_photons * det.efficiency)
 

@@ -36,8 +36,8 @@ The closed form matches the Monte Carlo's click model up to O((mu eta)^3).
 A sweep evaluates both over its whole loss axis at once, one element per
 channel transmittance: the closed form in expected_gain_qber_axis and
 the click model in click_model.  Only the Monte Carlo draws run per
-loss, each from its own generator.  A one-channel call (simulate_bb84,
-expected_gain_qber) is the one-element case of the same functions.
+loss, each from its own generator.  One channel is the one-element case
+of the same functions (expected_gain_qber wraps it for the closed form).
 """
 
 from __future__ import annotations
@@ -198,29 +198,3 @@ def simulate_links(
         _sample_link(protocol, n_slots, n_pulses, clicks, config.clock_rate, seed)
         for clicks, seed in zip(model, rng_seeds, strict=True)
     ]
-
-
-def simulate_bb84(
-    n_pairs: int,
-    config: SourceConfig,
-    channel: ChannelParams,
-    mzi: InterferometerParams,
-    det: DetectorParams,
-    rng_seed: int,
-) -> SiftResult:
-    """Monte Carlo BB84 link over the central slots of matched-basis pairs."""
-    (res,) = simulate_links(BB84, n_pairs, config, np.array([channel.transmittance]), mzi, det, [rng_seed])
-    return res
-
-
-def simulate_dps(
-    n_pulses: int,
-    config: SourceConfig,
-    channel: ChannelParams,
-    mzi: InterferometerParams,
-    det: DetectorParams,
-    rng_seed: int,
-) -> SiftResult:
-    """Monte Carlo DPS link over one coherence block: n_pulses - 1 slots."""
-    (res,) = simulate_links(DPS, n_pulses, config, np.array([channel.transmittance]), mzi, det, [rng_seed])
-    return res

@@ -105,30 +105,30 @@ def test_criterion_4_bb84_sweep():
         rng_seed=7,
         mzi=mzi,
     )
-    rows = experiments.run_sweep(cfg, protocols.BB84)
+    sifts, sweep = experiments.run_sweep(cfg, protocols.BB84)
     details = []
     band_ok = True
-    for mc, p in rows:
-        se = math.sqrt(p.qber * (1 - p.qber) / max(mc.sifted_count, 1))
+    for mc, loss, qber in zip(sifts, sweep.loss_db, sweep.qber, strict=True):
+        se = math.sqrt(qber * (1 - qber) / max(mc.sifted_count, 1))
         tol = 0.003 + 3 * se
-        in_band = abs(mc.qber - 0.024) < tol and abs(p.qber - 0.024) < 0.003
+        in_band = abs(mc.qber - 0.024) < tol and abs(qber - 0.024) < 0.003
         band_ok &= in_band
         details.append(
-            f"{p.loss_db:.0f} dB: MC {100 * mc.qber:.2f}% "
-            f"(n={mc.sifted_count}), analytic {100 * p.qber:.2f}%"
+            f"{loss:.0f} dB: MC {100 * mc.qber:.2f}% "
+            f"(n={mc.sifted_count}), analytic {100 * qber:.2f}%"
         )
-    curve = bb84_rate_points(cfg, np.arange(0.0, 50.5, 0.5)).points()
-    qbers_beyond = [p.qber for p in curve if p.loss_db >= 30.0]
+    curve = bb84_rate_points(cfg, np.arange(0.0, 50.5, 0.5))
+    qbers_beyond = curve.qber[curve.loss_db >= 30.0].tolist()
     rising = all(b > a for a, b in zip(qbers_beyond, qbers_beyond[1:]))
-    at_30 = next(p for p in curve if p.loss_db == 30.0)
-    cutoff = max(p.loss_db for p in curve if p.secure_rate_bps > 0)
-    ok = band_ok and rising and at_30.secure_rate_bps > 0 and 38.0 <= cutoff <= 45.0
+    secure_at_30 = curve.secure_rate_bps[curve.loss_db == 30.0][0]
+    cutoff = curve.loss_db[curve.secure_rate_bps > 0].max()
+    ok = band_ok and rising and secure_at_30 > 0 and 38.0 <= cutoff <= 45.0
     _report(
         "criterion 4 (BB84 sweep)",
         ok,
         "QBER " + "; ".join(details)
         + f"; monotone rise beyond 30 dB: {rising}; secure rate at 30 dB = "
-        f"{at_30.secure_rate_bps:.0f} bps (> 0); cutoff = {cutoff:.1f} dB (in [38, 45])",
+        f"{secure_at_30:.0f} bps (> 0); cutoff = {cutoff:.1f} dB (in [38, 45])",
     )
 
 
@@ -139,13 +139,18 @@ def test_criterion_5_dps_sweep():
     _, base_qber = protocols.expected_gain_qber(
         protocols.DPS, 0.2, ChannelParams(0.0), mzi, det
     )
-    mc = protocols.simulate_dps(2_000_000, src, ChannelParams(0.0), mzi, det, rng_seed=3)
+    at_0 = np.array([ChannelParams(0.0).transmittance])
+    (mc,) = protocols.simulate_links(protocols.DPS, 2_000_000, src, at_0, mzi, det, rng_seeds=[3])
     se = math.sqrt(base_qber * (1 - base_qber) / mc.sifted_count)
     base_ok = abs(base_qber - 0.019) < 0.003 and abs(mc.qber - 0.019) < 0.003 + 3 * se
     km = ChannelParams(100.0 * 0.2)
     db = ChannelParams(20.0)
-    res_km = protocols.simulate_dps(500_000, src, km, mzi, det, rng_seed=5)
-    res_db = protocols.simulate_dps(500_000, src, db, mzi, det, rng_seed=5)
+    (res_km,) = protocols.simulate_links(
+        protocols.DPS, 500_000, src, np.array([km.transmittance]), mzi, det, rng_seeds=[5]
+    )
+    (res_db,) = protocols.simulate_links(
+        protocols.DPS, 500_000, src, np.array([db.transmittance]), mzi, det, rng_seeds=[5]
+    )
     bitwise_ok = res_km == res_db and km.transmittance == db.transmittance
     ok = base_ok and bitwise_ok
     _report(
@@ -287,7 +292,10 @@ def test_criterion_9_monte_carlo_vs_analytic():
     src_b = SourceConfig(mean_photon_number=0.25)
     for loss in (0.0, 10.0, 20.0):
         n_pairs = 1_000_000
-        res = protocols.simulate_bb84(n_pairs, src_b, ChannelParams(loss), mzi_b, det, rng_seed=7)
+        (res,) = protocols.simulate_links(
+            protocols.BB84, n_pairs, src_b, np.array([ChannelParams(loss).transmittance]), mzi_b, det,
+            rng_seeds=[7],
+        )
         gain, qber = protocols.expected_gain_qber(
             protocols.BB84, 0.5, ChannelParams(loss), mzi_b, det
         )
@@ -299,7 +307,10 @@ def test_criterion_9_monte_carlo_vs_analytic():
     src_d = SourceConfig(mean_photon_number=0.2)
     for loss in (0.0, 10.0, 20.0):
         n_pulses = 1_000_000
-        res = protocols.simulate_dps(n_pulses, src_d, ChannelParams(loss), mzi_d, det, rng_seed=3)
+        (res,) = protocols.simulate_links(
+            protocols.DPS, n_pulses, src_d, np.array([ChannelParams(loss).transmittance]), mzi_d, det,
+            rng_seeds=[3],
+        )
         gain, qber = protocols.expected_gain_qber(
             protocols.DPS, 0.2, ChannelParams(loss), mzi_d, det
         )

@@ -463,12 +463,12 @@ class TestSweeps:
             mzi=replace(ExperimentConfig().mzi, visibility=0.952),
             output_path=str(out),
         )
-        rows = experiments.run_sweep(cfg, "bb84")
-        assert [p.loss_db for _, p in rows] == [0.0, 10.0]
-        for mc, p in rows:
-            se = math.sqrt(p.qber * (1 - p.qber) / max(mc.sifted_count, 1))
-            assert abs(mc.qber - p.qber) < 5 * se + 1e-9
-            assert p.secure_rate_bps >= 0.0
+        sifts, curve = experiments.run_sweep(cfg, "bb84")
+        assert curve.loss_db.tolist() == [0.0, 10.0]
+        for mc, qber, secure in zip(sifts, curve.qber, curve.secure_rate_bps, strict=True):
+            se = math.sqrt(qber * (1 - qber) / max(mc.sifted_count, 1))
+            assert abs(mc.qber - qber) < 5 * se + 1e-9
+            assert secure >= 0.0
         summary = json.loads((tmp_path / "bb84.csv.json").read_text())
         assert summary["protocol"] == "bb84"
         assert len(summary["points"]) == 2
@@ -483,10 +483,10 @@ class TestSweeps:
             source=SourceConfig(mean_photon_number=0.2),
             mzi=replace(ExperimentConfig().mzi, visibility=0.962),
         )
-        rows = experiments.run_sweep(cfg, "dps")
-        mc, p = rows[0]
-        se = math.sqrt(p.qber * (1 - p.qber) / max(mc.sifted_count, 1))
-        assert abs(mc.qber - p.qber) < 5 * se
+        sifts, curve = experiments.run_sweep(cfg, "dps")
+        mc, qber = sifts[0], curve.qber[0]
+        se = math.sqrt(qber * (1 - qber) / max(mc.sifted_count, 1))
+        assert abs(mc.qber - qber) < 5 * se
 
     @pytest.mark.parametrize("protocol", ["bb84", "dps"])
     def test_closed_form_honours_internal_phase(self, protocol):
@@ -499,11 +499,12 @@ class TestSweeps:
             rng_seed=7,
             mzi=mzi,
         )
-        ((mc, p),) = experiments.run_sweep(cfg, protocol)
+        (mc,), curve = experiments.run_sweep(cfg, protocol)
+        (qber,) = curve.qber
         e_det = 0.5 * (1 - 0.952 * math.cos(0.5))
-        assert p.qber == pytest.approx(e_det, rel=0.02)
-        se = math.sqrt(p.qber * (1 - p.qber) / mc.sifted_count)
-        assert abs(mc.qber - p.qber) < 5 * se
+        assert qber == pytest.approx(e_det, rel=0.02)
+        se = math.sqrt(qber * (1 - qber) / mc.sifted_count)
+        assert abs(mc.qber - qber) < 5 * se
 
     @pytest.mark.parametrize("protocol", ["bb84", "dps"])
     def test_analytic_qber_is_the_closed_form(self, protocol):
@@ -511,12 +512,12 @@ class TestSweeps:
         # source.mean_photon_number per DPS pulse
         cfg = replace(load_config(CONFIG_DIR / f"{protocol}_sweep.cfg"), output_path=None)
         mu = cfg.keyrate.mu if protocol == "bb84" else cfg.source.mean_photon_number
-        rows = experiments.run_sweep(cfg, protocol)
-        assert [p.loss_db for _, p in rows] == list(cfg.losses)
-        for _, p in rows:
-            channel = ChannelParams(p.loss_db)
+        _, curve = experiments.run_sweep(cfg, protocol)
+        assert curve.loss_db.tolist() == list(cfg.losses)
+        for loss_db, curve_qber in zip(curve.loss_db.tolist(), curve.qber.tolist(), strict=True):
+            channel = ChannelParams(loss_db)
             _, qber = expected_gain_qber(protocol, mu, channel, cfg.mzi, cfg.detector)
-            assert p.qber == qber
+            assert curve_qber == qber
 
     def test_unknown_protocol_rejected(self):
         cfg = ExperimentConfig(experiment="bb84_sweep", trials=10)
@@ -535,18 +536,21 @@ class TestSweeps:
             ExperimentConfig(experiment=f"{protocol}_sweep"),
             trials=trials, losses=losses, rng_seed=5, output_path=str(out),
         )
-        rows = experiments.run_sweep(cfg, protocol)
+        sifts, _ = experiments.run_sweep(cfg, protocol)
         seeds = json.loads((tmp_path / "sweep.csv.json").read_text())["loss_seeds"]
         if protocol == "bb84":
             source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
-            simulate, n = protocols.simulate_bb84, max(1, trials // 2)
+            n = max(1, trials // 2)
         else:
-            source, simulate, n = cfg.source, protocols.simulate_dps, max(2, trials)
+            source, n = cfg.source, max(2, trials)
         expected = [
-            simulate(n, source, ChannelParams(loss), cfg.mzi, cfg.detector, seed)
+            mc
             for loss, seed in zip(losses, seeds)
+            for mc in protocols.simulate_links(
+                protocol, n, source, np.array([ChannelParams(loss).transmittance]), cfg.mzi, cfg.detector, [seed]
+            )
         ]
-        assert [mc for mc, _ in rows] == expected
+        assert sifts == expected
 
     @pytest.mark.parametrize("protocol", ["bb84", "dps"])
     @pytest.mark.parametrize("dark_rate, mu", [(0.0, 0.5), (150.0, 0.2), (1e5, 0.6)])
@@ -563,10 +567,10 @@ class TestSweeps:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = experiments.run_sweep(cfg, protocol)
+            _, curve = experiments.run_sweep(cfg, protocol)
         if dark_rate == 0.0:
-            assert (rows[-1][1].sifted_rate_bps, rows[-1][1].qber) == (0.0, 0.0)
-        assert all(p.secure_rate_bps >= 0.0 for _, p in rows)
+            assert (curve.sifted_rate_bps[-1], curve.qber[-1]) == (0.0, 0.0)
+        assert all(secure >= 0.0 for secure in curve.secure_rate_bps)
 
     def test_rate_curves_script_no_stray_warnings(self, tmp_path):
         env = dict(os.environ)
@@ -588,10 +592,10 @@ class TestSweeps:
             losses=[0.0, 5.0],
             rng_seed=1,
         )
-        rows = experiments.run_sweep(cfg, "bb84")
+        sifts, _ = experiments.run_sweep(cfg, "bb84")
         # identical loss would give identical counts only by coincidence;
         # here losses differ, just check both produced clicks
-        assert all(mc.sifted_count > 0 for mc, _ in rows)
+        assert all(mc.sifted_count > 0 for mc in sifts)
 
 
 class TestStability:

@@ -166,35 +166,36 @@ def dps_cfg():
 
 class TestRatePoints:
     def test_bb84_point_consistent_with_parts(self, bb84_cfg):
-        (point,) = bb84_rate_points(bb84_cfg, [20.0]).points()
+        curve = bb84_rate_points(bb84_cfg, [20.0])
+        (qber,), (sifted,), (secure,) = curve.qber, curve.sifted_rate_bps, curve.secure_rate_bps
         q_mu, e_mu = protocols.expected_gain_qber(
             protocols.BB84, 0.5, ChannelParams(20.0), bb84_cfg.mzi, bb84_cfg.detector
         )
-        assert point.qber == pytest.approx(e_mu, rel=1e-12)
-        assert point.sifted_rate_bps == pytest.approx(0.5 * q_mu * 1e9, rel=1e-12)
-        assert point.secure_rate_bps > 0.0
+        assert qber == pytest.approx(e_mu, rel=1e-12)
+        assert sifted == pytest.approx(0.5 * q_mu * 1e9, rel=1e-12)
+        assert secure > 0.0
 
     def test_dps_point_consistent_with_parts(self, dps_cfg):
-        (point,) = dps_rate_points(dps_cfg, [20.0]).points()
+        curve = dps_rate_points(dps_cfg, [20.0])
+        (qber,), (sifted,) = curve.qber, curve.sifted_rate_bps
         q, e = protocols.expected_gain_qber(
             protocols.DPS, 0.2, ChannelParams(20.0), dps_cfg.mzi, dps_cfg.detector
         )
-        assert point.qber == pytest.approx(e, rel=1e-12)
-        assert point.sifted_rate_bps == pytest.approx(q * 2e9, rel=1e-12)
+        assert qber == pytest.approx(e, rel=1e-12)
+        assert sifted == pytest.approx(q * 2e9, rel=1e-12)
 
     def test_bb84_curve_monotone_and_cutoff(self, bb84_cfg):
         losses = list(np.arange(0.0, 60.5, 0.5))
-        points = bb84_rate_points(bb84_cfg, losses).points()
-        secure = [p.secure_rate_bps for p in points]
-        positive = [s for s in secure if s > 0]
+        curve = bb84_rate_points(bb84_cfg, losses)
+        positive = curve.secure_rate_bps[curve.secure_rate_bps > 0]
         assert all(b < a for a, b in zip(positive, positive[1:]))
-        cutoff = max(p.loss_db for p in points if p.secure_rate_bps > 0)
+        cutoff = curve.loss_db[curve.secure_rate_bps > 0].max()
         assert 38.0 <= cutoff <= 45.0
 
     def test_dps_curve_cutoff(self, dps_cfg):
         losses = list(np.arange(0.0, 60.5, 0.5))
-        points = dps_rate_points(dps_cfg, losses).points()
-        cutoff = max(p.loss_db for p in points if p.secure_rate_bps > 0)
+        curve = dps_rate_points(dps_cfg, losses)
+        cutoff = curve.loss_db[curve.secure_rate_bps > 0].max()
         assert 38.0 <= cutoff <= 45.0
 
 

@@ -580,11 +580,14 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("width", BLOCK_WIDTHS)
     def test_shared_head_equals_whole_window_runs(self, quiet, width):
         # every run starts at no carrier under no pump, so its phase spins and
-        # Im E flips in the shared first segment, then takes its own level
+        # Im E flips in the shared first segment, then takes its own level.
+        # The traced call steps every run through the whole window; the
+        # untraced one steps the shared head once.
         th, holds = quiet.threshold_current, [150, 200, 151]
         levels = np.array([[0.0] * width, [(0.3 + 0.2 * j) * th for j in range(width)], [th] * width])
-        field, carrier, diverged, (index, before, after) = laser.integrate_pumps(
-            quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, flips=True
+        field, carrier, diverged = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds)
+        *last, (index, before, after) = laser.integrate_pumps(
+            quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, trace=False, flips=True
         )
         assert not diverged.any()
         for j in range(width):
@@ -599,7 +602,6 @@ class TestBatchedKernel:
         assert np.count_nonzero(k < holds[0] - 1) >= 2 * width  # flips of the head, once per run
         assert np.array_equal(index, expected)
         assert before.tobytes() == field[k, j].tobytes() and after.tobytes() == field[k + 1, j].tobytes()
-        last = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, trace=False)
         assert [a.tobytes() for a in last] == [a.tobytes() for a in (field[-1], carrier[-1], diverged)]
 
     @pytest.mark.parametrize("width", BLOCK_WIDTHS)

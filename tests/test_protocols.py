@@ -269,8 +269,9 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.25)
         n_pairs = 400_000
         for loss in (0.0, 10.0):
-            res = protocols.simulate_bb84(
-                n_pairs, cfg, ChannelParams(loss), mzi, det, rng_seed=7
+            (res,) = protocols.simulate_links(
+                protocols.BB84, n_pairs, cfg, np.array([ChannelParams(loss).transmittance]), mzi, det,
+                rng_seeds=[7],
             )
             gain, qber = protocols.expected_gain_qber(
                 protocols.BB84, 0.5, ChannelParams(loss), mzi, det
@@ -287,7 +288,9 @@ class TestMonteCarloAgreement:
     def test_dps_matches_analytic(self, det, mzi):
         cfg = source.SourceConfig(mean_photon_number=0.2)
         n_pulses = 400_000
-        res = protocols.simulate_dps(n_pulses, cfg, ChannelParams(10.0), mzi, det, rng_seed=3)
+        (res,) = protocols.simulate_links(
+            protocols.DPS, n_pulses, cfg, np.array([ChannelParams(10.0).transmittance]), mzi, det, rng_seeds=[3]
+        )
         gain, qber = protocols.expected_gain_qber(
             protocols.DPS, 0.2, ChannelParams(10.0), mzi, det
         )
@@ -304,7 +307,9 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.25)
         tracemalloc.start()
         try:
-            res = protocols.simulate_bb84(10**14, cfg, ChannelParams(0.0), mzi, det, rng_seed=9)
+            (res,) = protocols.simulate_links(
+                protocols.BB84, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seeds=[9]
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,7 +320,9 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.2)
         tracemalloc.start()
         try:
-            res = protocols.simulate_dps(10**14, cfg, ChannelParams(0.0), mzi, det, rng_seed=9)
+            (res,) = protocols.simulate_links(
+                protocols.DPS, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seeds=[9]
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,7 +333,11 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.2)
 
         def run(seed):
-            return protocols.simulate_dps(100_000, cfg, ChannelParams(0.0), mzi, det, rng_seed=seed)
+            (res,) = protocols.simulate_links(
+                protocols.DPS, 100_000, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det,
+                rng_seeds=[seed],
+            )
+            return res
 
         assert run(4) == run(4)
         assert run(4) != run(5)
@@ -335,7 +346,9 @@ class TestMonteCarloAgreement:
         # perfect visibility: only a rare dark click in the dark port can err
         cfg = source.SourceConfig(mean_photon_number=0.5)
         mzi = InterferometerParams(visibility=1.0)
-        res = protocols.simulate_dps(200_000, cfg, ChannelParams(0.0), mzi, det, rng_seed=11)
+        (res,) = protocols.simulate_links(
+            protocols.DPS, 200_000, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seeds=[11]
+        )
         assert res.sifted_count > 0
         assert res.error_count == 0
 
@@ -358,15 +371,18 @@ class TestSamplerMatchesOracle:
     det = DetectorParams(efficiency=0.6, dark_rate=2e8)
 
     @pytest.mark.parametrize(
-        "simulate, oracle",
-        [(protocols.simulate_bb84, oracle_bb84), (protocols.simulate_dps, oracle_dps)],
+        "protocol, oracle",
+        [(protocols.BB84, oracle_bb84), (protocols.DPS, oracle_dps)],
         ids=[protocols.BB84, protocols.DPS],
     )
-    def test_same_distribution(self, simulate, oracle):
-        channel = ChannelParams(0.0)
+    def test_same_distribution(self, protocol, oracle):
+        transmittance = np.array([ChannelParams(0.0).transmittance])
         results = [
-            simulate(self.SLOTS, self.cfg, channel, self.mzi, self.det, seed)
+            res
             for seed in range(self.RUNS)
+            for res in protocols.simulate_links(
+                protocol, self.SLOTS, self.cfg, transmittance, self.mzi, self.det, [seed]
+            )
         ]
         ours = np.array([(r.sifted_count, r.error_count) for r in results])
         mu = self.cfg.mean_photon_number
@@ -409,12 +425,13 @@ class TestClosedFormProperty:
             visibility=visibility,
         )
         det = DetectorParams(efficiency=efficiency, dark_rate=dark_rate)
+        transmittance = np.array([channel.transmittance])
         if protocol == protocols.BB84:
-            res = protocols.simulate_bb84(n, cfg, channel, mzi, det, seed)
+            (res,) = protocols.simulate_links(protocol, n, cfg, transmittance, mzi, det, [seed])
             gain, qber = protocols.expected_gain_qber(protocol, 2 * mu, channel, mzi, det)
             p_sift = 0.5 * gain
         else:
-            res = protocols.simulate_dps(n + 1, cfg, channel, mzi, det, seed)
+            (res,) = protocols.simulate_links(protocol, n + 1, cfg, transmittance, mzi, det, [seed])
             gain, qber = protocols.expected_gain_qber(protocol, mu, channel, mzi, det)
             p_sift = gain
         assert within_5_sigma(res.sifted_count, n, p_sift)
