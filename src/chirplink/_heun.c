@@ -9,6 +9,10 @@
  * infinities and NaNs come out as they do in Python.  Build it with
  * -ffp-contract=off and without -ffast-math: a fused multiply-add, a
  * flush of subnormals or a reordering would change the last bits.
+ * laser._heun builds it for the CPU it runs on: with -mavx512f (8 runs
+ * per vector) or -mavx2 (4) where the CPU has it, else with no target
+ * flag, and then on x86_64 the corrector loop stays scalar (its 64-bit
+ * compare needs SSE4.1).
  *
  * Loop order: the runs go in blocks of up to LANES, and a block is stepped
  * through all of its steps before the next starts, each run's state in a
@@ -17,10 +21,8 @@
  * two loops over the lanes, the predictor and the corrector, which
  * vectorize; vector additions, products, quotients and square roots round
  * as the scalar ones do, so a run gets the same bits at any block width
- * and in every clone.  A block of fewer runs than its width starts its
- * spare lanes as copies of its last run, and never stores them.  A
- * lone run, and every run with injection, is stepped alone; a last block
- * of 2 to 8 runs without noise in a width of 8.
+ * and for every target.  A block of fewer runs than its width starts its
+ * spare lanes as copies of its last run, and never stores them.
  *
  * Shared head: without noise, injection and trace, when every run starts
  * from the same state (bit for bit) under the same first pump segment,
@@ -222,36 +224,25 @@ static inline __attribute__((always_inline)) long block(
           dt, pump, seg_end, inj, xi, field, carrier, trace, diverged, flip_index,             \
           flip_before, flip_after, n_flips, injected, noisy)
 
-#define PARAMS                                                                                \
-    long j0, long k0, long n_steps, long n_runs, double tau_n, double inv_tau_p, double g,    \
-        double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,  \
-        const double *pump, const long *seg_end, const double *inj, const double *xi,        \
-        double *field, double *carrier, int trace, long *diverged, long *flip_index,          \
-        double *flip_before, double *flip_after, long n_flips
-
 #define ARGS(j0, k0, n_steps)                                                                 \
     j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump,   \
         seg_end, inj, xi, field, carrier, trace, diverged, flip_index, flip_before,           \
         flip_after, n_flips
 
-/* Run j0 alone from sample k0 to n_steps: its scalar chain, built once,
- * without vector clones, which would not speed it. */
-static __attribute__((noinline)) long lone(PARAMS)
+/* Runs j0 to j0 + m - 1 (m <= LANES) from sample k0 to n_steps: a lone
+ * run, and every run with injection, in one lane; a block of 2 to 8 runs
+ * without noise in 8 lanes; the rest in LANES.  Kept out of line, so that
+ * its copies of block() are built once for the head and the blocks. */
+static __attribute__((noinline)) long steps(
+    long m, long j0, long k0, long n_steps, long n_runs, double tau_n, double inv_tau_p, double g,
+    double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,
+    const double *pump, const long *seg_end, const double *inj, const double *xi, double *field,
+    double *carrier, int trace, long *diverged, long *flip_index, double *flip_before,
+    double *flip_after, long n_flips)
 {
-    return inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
-               : (xi ? BLOCK(1, 1, 0, 1) : BLOCK(1, 1, 0, 0));
-}
-
-/* Runs j0 to j0 + m - 1 (2 <= m <= LANES) from sample k0 to n_steps, in
- * lanes, without injection.  On x86_64 it is built for CPUs with AVX-512F
- * (8 runs per instruction), with AVX2 (4) and for the rest, where the
- * corrector loop stays scalar (its 64-bit compare needs SSE4.1); the
- * loader picks the widest this CPU can run. */
-#if defined(__x86_64__)
-__attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-static long lanes(long m, PARAMS)
-{
+    if (m == 1)
+        return inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
+                   : (xi ? BLOCK(1, 1, 0, 1) : BLOCK(1, 1, 0, 0));
     return xi ? BLOCK(LANES, m, 0, 1) : m <= 8 ? BLOCK(8, m, 0, 0) : BLOCK(LANES, m, 0, 0);
 }
 
@@ -269,7 +260,7 @@ long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, d
             bits(field[2 * j]) != bits(field[0]) || bits(field[2 * j + 1]) != bits(field[1]))
             head = 0;
     if (head) {
-        n_flips = lone(ARGS(0, 0, head)) * n_runs;
+        n_flips = steps(1, ARGS(0, 0, head)) * n_runs;
         /* each flip once per run, from the last, so that none is overwritten */
         for (long to = n_flips - 1, from; to >= 0; to--) {
             from = to / n_runs;
@@ -285,10 +276,7 @@ long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, d
     }
     for (long j0 = 0, m; j0 < n_runs; j0 += m) {
         m = inj ? 1 : n_runs - j0 < LANES ? n_runs - j0 : LANES;
-        n_flips = m == 1 ? lone(ARGS(j0, head, n_steps)) : lanes(m, ARGS(j0, head, n_steps));
+        n_flips = steps(m, ARGS(j0, head, n_steps));
     }
     return n_flips;
 }
-#undef BLOCK
-#undef PARAMS
-#undef ARGS

@@ -109,9 +109,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise PreconditionError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)}"
-            )
+            raise PreconditionError(f"experiment must be one of {', '.join(EXPERIMENTS)}")
         if self.rng_seed < 0:
             raise PreconditionError("rng_seed must be >= 0")
         if not 1 <= self.trials <= MAX_COUNT:

@@ -36,8 +36,7 @@ def _write_table(path, items: list[tuple[str, str]], header: str, rows: np.ndarr
 
 
 def _write_summary(path, items: list[tuple[str, str]], payload: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = dict(items)
+    payload = {**payload, "config": dict(items)}
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
@@ -54,6 +53,9 @@ _PRE, _POST = 0.2e-9, 1.5e-9
 # holds each pump as three segments, so the cap bounds the time, not the
 # memory (30 voltages at the cap: ~0.2 s and ~40 MiB on one x86_64 core).
 _MAX_STEPS = 1e6
+# At most this many run-steps per kernel call: its flip room is 40 bytes
+# per run-step, reserved up front (4 GB of address space at the cap).
+_MAX_RUN_STEPS = 1e8
 
 
 def _unwrap_corrections(flips, totals: np.ndarray) -> np.ndarray:
@@ -87,7 +89,8 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     kernel steps once.  The net phase, from the kernel's sign flips, is
     np.unwrap's over the whole window, bit for bit.  A divergence raises
     and names the first diverging level in input order, the reference
-    first, at its sample of the window.
+    first, at its sample of the window.  More than _MAX_RUN_STEPS
+    run-steps in all is a config error.
     """
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
@@ -97,6 +100,12 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
     levels = bias + np.asarray(drive_steps, dtype=float)
     runs = list(dict.fromkeys([bias, *levels.ravel().tolist()]))
+    if len(runs) * (n_pre + n_step + n_post) > _MAX_RUN_STEPS:
+        raise PreconditionError(
+            f"physical_mode: the voltages at source.perturbation_duration = {duration:g} s ask for "
+            f"{len(runs)} runs of {n_pre + n_step + n_post} rate-equation steps, more than "
+            f"{_MAX_RUN_STEPS:.0e} in all"
+        )
     ends = [bias] * len(runs)
     field, carrier, diverged, flips = laser.integrate_pumps(
         quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
@@ -282,12 +291,8 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], R
                 curve.secure_rate_bps,
             ]
         )
-        _write_table(
-            cfg.output_path,
-            items,
-            "loss_db,mc_sifted_rate_bps,mc_qber,analytic_sifted_rate_bps,analytic_qber,secure_rate_bps",
-            table,
-        )
+        header = "loss_db,mc_sifted_rate_bps,mc_qber,analytic_sifted_rate_bps,analytic_qber,secure_rate_bps"
+        _write_table(cfg.output_path, items, header, table)
         columns = zip(cfg.losses, sifts, curve.qber.tolist(), curve.secure_rate_bps.tolist())
         _write_summary(
             cfg.output_path + ".json",

@@ -209,23 +209,33 @@ def stationary_state(params: LaserParams, drive_level: float) -> tuple[float, fl
     return n, s
 
 
+def _target() -> tuple[str, ...]:
+    """gcc's target flag for this CPU, from /proc/cpuinfo, as _heun.c's top describes."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next((line.split() for line in fh if line.startswith("flags")), [])
+    except OSError:  # no /proc, so no flags
+        flags = []
+    return next(((f"-m{isa}",) for isa in ("avx512f", "avx2") if isa in flags), ())
+
+
 @functools.cache
 def _heun():
-    """The kernel of _heun.c, compiled by gcc on first use.
+    """The kernel of _heun.c, compiled by gcc on first use, once per machine.
 
-    The library is cached under $XDG_CACHE_HOME/chirplink (default
-    ~/.cache/chirplink), named by the sha256 of the source, the gcc
-    command and the machine architecture.  It is written under a
-    temporary name and moved into place, so runs that compile at once do
-    not clash.  Where the cache cannot be written, it is built in a
-    private temporary directory.
+    It is built for this CPU, with _target()'s flag.  The library is cached
+    under $XDG_CACHE_HOME/chirplink (default ~/.cache/chirplink), named by
+    the sha256 of the source, the gcc command with its target flag and the
+    machine architecture.  It is written under a temporary name and moved
+    into place, so runs that compile at once do not clash.  Where the cache
+    cannot be written, it is built in a private temporary directory.
     """
     import hashlib  # here, so that importing chirplink loads no hashlib
 
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
-    command = ["gcc", *_CFLAGS, "-x", "c", "-", "-lm"]
-    # a cache shared between machines of two architectures keeps one of each
+    command = ["gcc", *_CFLAGS, *_target(), "-x", "c", "-", "-lm"]
+    # a cache shared between machines of two architectures or targets keeps one of each
     key = hashlib.sha256(source + " ".join([*command, os.uname().machine]).encode()).hexdigest()[:16]
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "chirplink")
     lib = os.path.join(cache, f"heun-{key}.so")
@@ -256,10 +266,8 @@ def _heun():
         os.remove(lib)
         os.rmdir(private)
     kernel.restype = ctypes.c_long
-    kernel.argtypes = (
-        [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 6 + [ctypes.c_int]
-        + [ctypes.c_void_p] * 4
-    )
+    args = [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 6
+    kernel.argtypes = args + [ctypes.c_int] + [ctypes.c_void_p] * 4
     return kernel
 
 

@@ -258,6 +258,24 @@ class TestCalibration:
         # is the interpreter and numpy; field traces would add ~300 MB
         assert int(peak_kib) / 1024 < 300
 
+    def test_many_voltages_exit_code(self, tmp_path):
+        # 3001 levels of 758,500 steps: the kernel's flip room, 40 bytes per
+        # run-step, would be ~91 GB; it is rejected before anything is built
+        volts = " ".join(repr(v) for v in np.linspace(-0.5, 0.5, 3001).tolist())
+        (tmp_path / "many.cfg").write_text(
+            "experiment = phase_voltage\nphysical_mode = true\n"
+            f"source.perturbation_duration = 1.5e-7\nvoltages = {volts}\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chirplink.cli", "phase-voltage", "--config", "many.cfg"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "voltages" in proc.stderr and "source.perturbation_duration" in proc.stderr
+
     def test_step_cap_pumps_are_segments(self):
         # 31 levels at a step of 190 ns in one call of 31 runs: ~37 MiB
         # measured, the interpreter and numpy; a pump of one row per sample,

@@ -721,7 +721,58 @@ print("subprocess" in sys.modules)
 """
 
 
+def kernel_paths(params):
+    """The bits of each stepping path of the kernel: a lone quiet, noisy and
+    injected run, an 8-lane block (6 runs, one diverging), a noisy 24-lane
+    block and a shared head whose Im E flips, then blocks of 24 and 6."""
+    th, n_steps, rng = params.threshold_current, 400, np.random.default_rng(5)
+    quiet = replace(params, spontaneous_fraction=0.0)
+    one = np.full((n_steps + 1, 1), 1.5 * th)
+    inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, 1)))
+    six = np.full((n_steps + 1, 6), [0.0, 0.5 * th, th, 1e30 * th, 2.0 * th, 3.0 * th])
+    calls = [
+        (quiet, one, None, None),
+        (params, one, rng.standard_normal((n_steps, 2, 1)), None),
+        (replace(quiet, injection_coupling=5e10), one, None, inj),
+        (quiet, six, None, None),
+        (params, np.full((n_steps + 1, 24), 1.5 * th), rng.standard_normal((n_steps, 2, 24)), None),
+    ]
+    runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection, flips=True)
+            for p, pump, noise, injection in calls]
+    levels = np.array([[0.0] * 30, [(0.3 + 0.1 * j) * th for j in range(30)], [th] * 30])
+    runs.append(laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, trace=False, flips=True,
+                                      holds=[150, 200, 151]))
+    assert len(runs[-1][3][0]) >= 2 * 30  # the head's flips, once per run
+    return [a.tobytes() for field, carrier, diverged, flips in runs for a in (field, carrier, diverged, *flips)]
+
+
+@pytest.fixture(scope="class")
+def builds(tmp_path_factory):
+    """({target flags: kernel}, cache) of this CPU's build and a build with
+    no target flag, compiled into one new cache."""
+    cache, kernels = tmp_path_factory.mktemp("cache"), {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        for target in (laser._target(), ()):
+            mp.setattr(laser, "_target", lambda target=target: target)
+            kernels[target] = laser._heun.__wrapped__()
+    return kernels, cache / "chirplink"
+
+
 class TestKernelBuild:
+    def test_library_name_follows_target_flag(self, builds):
+        kernels, cache = builds
+        if len(kernels) == 1:
+            pytest.skip("this CPU's build has no target flag")
+        assert len(list(cache.iterdir())) == 2  # one library per target flag
+
+    def test_untargeted_build_gives_the_same_bits(self, params, builds, monkeypatch):
+        paths = []
+        for kernel in builds[0].values():
+            monkeypatch.setattr(laser, "_heun", lambda kernel=kernel: kernel)
+            paths.append(kernel_paths(params))
+        assert paths[0] == paths[-1]
+
     def test_import_compiles_nothing(self, tmp_path):
         script = (
             "import sys; import chirplink.cli; "
