@@ -43,13 +43,15 @@
  * intensity exceeds 1e12, and the run keeps that state in every later
  * sample.
  *
- * When flip_index is not NULL, each step k at which the sign bit of run j's
- * Im E changes appends k * n_runs + j to flip_index and the run's samples k
- * and k + 1 to flip_before and flip_after (complex); there is room for
- * n_steps * n_runs, and the entry returns the number written.  A flip of
- * the shared head is listed once per run.  The list is in the order of
- * np.flatnonzero(np.diff(np.signbit(field.imag), axis=0)) within a block;
- * a call of several blocks lists them block after block.
+ * When turns is not NULL, turns[j] (0 in) counts the turns of run j: the
+ * steps whose segment from sample k to k + 1 meets the real axis at Re < 0,
+ * +1 where the sign bit of Im E goes from clear to set and -1 the other
+ * way.  These are the steps at which np.unwrap corrects the angle of E, by
+ * about 2 pi times the same sign (a segment that passes within rounding of
+ * 0 aside), so the unwrapped phase of the last sample is its angle plus
+ * 2 pi turns[j].  Such a step changes the sign bit of Im E, so the lanes
+ * are searched only where a bit changed.  The shared head's turns are
+ * copied to every run, as its state is.
  */
 #include <float.h>
 #include <math.h>
@@ -73,16 +75,15 @@ static inline const double *lanes_of(const double *src, double *buf, long m, lon
 }
 
 /* Steps runs j0 to j0 + m - 1 (m <= w <= LANES) from sample k0, whose
- * state is in row 0, to sample k1, in lanes of width w; returns n_flips
- * plus the flips it appends.  One copy for each presence of inj and xi and
- * each w, so that no branch is left inside the loop over lanes. */
-static inline __attribute__((always_inline)) long block(
+ * state is in row 0, to sample k1, in lanes of width w, adding to their
+ * turns.  One copy for each presence of inj and xi and each w, so that no
+ * branch is left inside the loop over lanes. */
+static inline __attribute__((always_inline)) void block(
     const long w, long m, long j0, long k0, long k1, long n_runs, double tau_n, double inv_tau_p,
     double g, double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,
     const double *pump, const long *seg_end, const double *inj, const double *xi,
     double *restrict field, double *restrict carrier, int trace, long *restrict diverged,
-    long *flip_index, double *flip_before, double *flip_after, long n_flips, const int injected,
-    const int noisy)
+    long *restrict turns, const int injected, const int noisy)
 {
     /* the state of each lane and its E before the step */
     double er[LANES], ei[LANES], nc[LANES], br[LANES], bi[LANES];
@@ -198,13 +199,15 @@ static inline __attribute__((always_inline)) long block(
         p0 = p1;
         s += next;
         /* a sign change is rare: the lanes are searched only on a change */
-        for (long l = 0; flip_index && flipped >> 63 && l < m; l++) {
+        for (long l = 0; turns && flipped >> 63 && l < m; l++) {
             if ((bits(bi[l]) ^ bits(ei[l])) >> 63) {
-                flip_index[n_flips] = k * n_runs + j0 + l;
-                flip_before[2 * n_flips] = br[l];
-                flip_before[2 * n_flips + 1] = bi[l];
-                flip_after[2 * n_flips] = er[l];
-                flip_after[2 * n_flips++ + 1] = ei[l];
+                /* the segment meets the real axis at Re < 0: both ends are
+                 * there, or it crosses at x = (br ei - er bi) / (ei - bi) < 0 */
+                int turn = br[l] < 0 && er[l] < 0;
+                if (!turn && !(br[l] >= 0 && er[l] >= 0))
+                    turn = (br[l] * ei[l] - er[l] * bi[l]) / (ei[l] - bi[l]) < 0;
+                if (turn)
+                    turns[j0 + l] += bits(ei[l]) >> 63 ? 1 : -1;
             }
         }
         /* the rows kept: every sample with trace, else the last in row 0 */
@@ -216,67 +219,57 @@ static inline __attribute__((always_inline)) long block(
             diverged[j0 + l] = dv[l];
         }
     }
-    return n_flips;
 }
 
 #define BLOCK(w, m, injected, noisy)                                                          \
     block(w, m, j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, \
-          dt, pump, seg_end, inj, xi, field, carrier, trace, diverged, flip_index,             \
-          flip_before, flip_after, n_flips, injected, noisy)
+          dt, pump, seg_end, inj, xi, field, carrier, trace, diverged, turns, injected, noisy)
 
 #define ARGS(j0, k0, n_steps)                                                                 \
     j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump,   \
-        seg_end, inj, xi, field, carrier, trace, diverged, flip_index, flip_before,           \
-        flip_after, n_flips
+        seg_end, inj, xi, field, carrier, trace, diverged, turns
 
 /* Runs j0 to j0 + m - 1 (m <= LANES) from sample k0 to n_steps: a lone
  * run, and every run with injection, in one lane; a block of 2 to 8 runs
  * without noise in 8 lanes; the rest in LANES.  Kept out of line, so that
  * its copies of block() are built once for the head and the blocks. */
-static __attribute__((noinline)) long steps(
+static __attribute__((noinline)) void steps(
     long m, long j0, long k0, long n_steps, long n_runs, double tau_n, double inv_tau_p, double g,
     double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,
     const double *pump, const long *seg_end, const double *inj, const double *xi, double *field,
-    double *carrier, int trace, long *diverged, long *flip_index, double *flip_before,
-    double *flip_after, long n_flips)
+    double *carrier, int trace, long *diverged, long *turns)
 {
     if (m == 1)
-        return inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
-                   : (xi ? BLOCK(1, 1, 0, 1) : BLOCK(1, 1, 0, 0));
-    return xi ? BLOCK(LANES, m, 0, 1) : m <= 8 ? BLOCK(8, m, 0, 0) : BLOCK(LANES, m, 0, 0);
+        inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
+            : (xi ? BLOCK(1, 1, 0, 1) : BLOCK(1, 1, 0, 0));
+    else
+        xi ? BLOCK(LANES, m, 0, 1) : m <= 8 ? BLOCK(8, m, 0, 0) : BLOCK(LANES, m, 0, 0);
 }
 
 /* The entry, as the top of this file describes it. */
-long chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
+void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
                     double eps, double hr, double hi, double beta, double kappa, double dt,
                     const double *pump, const long *seg_end, const double *inj, const double *xi,
-                    double *field, double *carrier, int trace, long *diverged, long *flip_index,
-                    double *flip_before, double *flip_after)
+                    double *field, double *carrier, int trace, long *diverged, long *turns)
 {
     /* the shared head: steps 0 to seg_end[0] - 2 read the first segment only */
-    long head = inj || xi || trace ? 0 : seg_end[0] - 1, n_flips = 0;
+    long head = inj || xi || trace ? 0 : seg_end[0] - 1;
     for (long j = 1; head && j < n_runs; j++)
         if (bits(pump[j]) != bits(pump[0]) || bits(carrier[j]) != bits(carrier[0]) ||
             bits(field[2 * j]) != bits(field[0]) || bits(field[2 * j + 1]) != bits(field[1]))
             head = 0;
     if (head) {
-        n_flips = steps(1, ARGS(0, 0, head)) * n_runs;
-        /* each flip once per run, from the last, so that none is overwritten */
-        for (long to = n_flips - 1, from; to >= 0; to--) {
-            from = to / n_runs;
-            flip_index[to] = flip_index[from] + to % n_runs;
-            memmove(flip_before + 2 * to, flip_before + 2 * from, 2 * sizeof *flip_before);
-            memmove(flip_after + 2 * to, flip_after + 2 * from, 2 * sizeof *flip_after);
-        }
+        steps(1, ARGS(0, 0, head));
         for (long j = 1; j < n_runs; j++) {
             memcpy(field + 2 * j, field, 2 * sizeof *field);
             carrier[j] = carrier[0];
             diverged[j] = diverged[0];
+            if (turns)
+                turns[j] = turns[0];
         }
     }
     for (long j0 = 0, m; j0 < n_runs; j0 += m) {
         m = inj ? 1 : n_runs - j0 < LANES ? n_runs - j0 : LANES;
-        n_flips = steps(m, ARGS(j0, head, n_steps));
+        steps(m, ARGS(j0, head, n_steps));
     }
-    return n_flips;
 }

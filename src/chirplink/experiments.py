@@ -53,31 +53,6 @@ _PRE, _POST = 0.2e-9, 1.5e-9
 # holds each pump as three segments, so the cap bounds the time, not the
 # memory (30 voltages at the cap: ~0.2 s and ~40 MiB on one x86_64 core).
 _MAX_STEPS = 1e6
-# At most this many run-steps per kernel call: its flip room is 40 bytes
-# per run-step, reserved up front (4 GB of address space at the cap).
-_MAX_RUN_STEPS = 1e8
-
-
-def _unwrap_corrections(flips, totals: np.ndarray) -> np.ndarray:
-    """`totals` plus np.unwrap's corrections at the sign flips of Im E.
-
-    `flips` is integrate_pumps' (index, before, after) of finite samples;
-    totals[index % len(totals)] gets them.  A correction is nonzero only at
-    a jump of more than pi (+0.0 at exactly pi, which leaves a sum as it
-    is), and an angle is in [0, pi] when the sign bit of Im E is clear and
-    in [-pi, -0] when it is set, so such a jump flips that bit.  They are
-    added one at a time in sample order, as np.cumsum adds them.
-    """
-    index, before, after = flips
-    dd = np.angle(after) - np.angle(before)
-    corrected = np.abs(dd) >= math.pi
-    dd, column = dd[corrected], index[corrected] % len(totals)
-    ddmod = np.mod(dd + math.pi, TWO_PI) - math.pi
-    np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (dd > 0))
-    np.add.at(totals, column, ddmod - dd)
-    return totals
-
-
 def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     """Net phase of a drive step of `duration`, for each height in `drive_steps`.
 
@@ -86,11 +61,11 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     reference and each distinct level are the runs of one kernel call, the
     reference first, each with a pump of three held segments: the bias,
     the level, the bias.  The runs share the first segment, which the
-    kernel steps once.  The net phase, from the kernel's sign flips, is
-    np.unwrap's over the whole window, bit for bit.  A divergence raises
+    kernel steps once.  The net phase is np.unwrap's over the whole window:
+    the angle of the last sample plus 2 pi per turn the kernel counts,
+    where np.unwrap adds a correction of about 2 pi.  A divergence raises
     and names the first diverging level in input order, the reference
-    first, at its sample of the window.  More than _MAX_RUN_STEPS
-    run-steps in all is a config error.
+    first, at its sample of the window.
     """
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
@@ -100,22 +75,16 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
     levels = bias + np.asarray(drive_steps, dtype=float)
     runs = list(dict.fromkeys([bias, *levels.ravel().tolist()]))
-    if len(runs) * (n_pre + n_step + n_post) > _MAX_RUN_STEPS:
-        raise PreconditionError(
-            f"physical_mode: the voltages at source.perturbation_duration = {duration:g} s ask for "
-            f"{len(runs)} runs of {n_pre + n_step + n_post} rate-equation steps, more than "
-            f"{_MAX_RUN_STEPS:.0e} in all"
-        )
     ends = [bias] * len(runs)
-    field, carrier, diverged, flips = laser.integrate_pumps(
+    field, carrier, diverged, turns = laser.integrate_pumps(
         quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
-        trace=False, flips=True, holds=[n_pre, n_step, n_post + 1],
+        trace=False, turns=True, holds=[n_pre, n_step, n_post + 1],
     )
     if diverged.any():
         j = np.flatnonzero(diverged)[0]
         raise laser.diverged_error(diverged[j], field[j], carrier[j])
     # sample 0 is real and positive, at angle 0
-    nets = np.angle(field) + _unwrap_corrections(flips, np.zeros(len(runs)))
+    nets = np.angle(field) + TWO_PI * turns
     column = dict(zip(runs, range(len(runs))))
     return (nets[[column[level] for level in levels.ravel().tolist()]] - nets[0]).reshape(levels.shape)
 

@@ -265,9 +265,9 @@ def _heun():
     if private:  # the loaded library stays mapped
         os.remove(lib)
         os.rmdir(private)
-    kernel.restype = ctypes.c_long
+    kernel.restype = None
     args = [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 6
-    kernel.argtypes = args + [ctypes.c_int] + [ctypes.c_void_p] * 4
+    kernel.argtypes = args + [ctypes.c_int] + [ctypes.c_void_p] * 2
     return kernel
 
 
@@ -294,7 +294,7 @@ def integrate_pumps(
     noise: np.ndarray | None = None,
     injection: np.ndarray | None = None,
     trace: bool = True,
-    flips: bool = False,
+    turns: bool = False,
     holds=None,
 ):
     """Integrate one run of the rate equations per column of `pump`.
@@ -315,8 +315,10 @@ def integrate_pumps(
     (n_steps + 1, n_runs) traces, or, where `trace` is false, only the
     state at the last sample.  diverged[j] is 0, or the sample index at
     which run j diverged; the run keeps that state in every later sample,
-    so it is also its last state.  With `flips`, a fourth item holds the
-    sign changes of Im E, (index, before, after), as _heun.c lists them.
+    so it is also its last state.  With `turns`, a fourth item holds each
+    run's signed count of the steps at which E crosses the negative real
+    axis, as _heun.c counts them: its unwrapped phase at the last sample
+    is np.angle(last field) + 2 pi turns[j].
     """
     _check_dt(params, dt)
     pump = np.ascontiguousarray(pump, dtype=float)
@@ -359,22 +361,16 @@ def integrate_pumps(
         params.injection_coupling,
         dt,
     )
-    # room for a flip of every run at every step; only the pages written are
-    # touched (three arrays: numpy advises huge pages for one of 4 MiB or more)
-    index = np.empty(n_steps * n_runs if flips else 0, dtype=_LONG)
-    before, after = np.empty(index.size, dtype=complex), np.empty(index.size, dtype=complex)
-    outputs = [a.ctypes.data if flips else None for a in (index, before, after)]
+    counts = np.zeros(n_runs, dtype=_LONG)
     inputs = [None if a is None else a.ctypes.data for a in (pump, seg_end, injection, noise)]
-    n = _heun()(
+    _heun()(
         n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, carrier.ctypes.data, trace,
-        diverged.ctypes.data, *outputs,
+        diverged.ctypes.data, counts.ctypes.data if turns else None,
     )
     if not trace:
         field, carrier = field[0], carrier[0]
-    if flips:
-        # the kernel lists them block after block; this is np.flatnonzero's order
-        order = index[:n].argsort(kind="stable")
-        return field, carrier, diverged, (index[order], before[order], after[order])
+    if turns:
+        return field, carrier, diverged, counts
     return field, carrier, diverged
 
 

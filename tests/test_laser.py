@@ -426,6 +426,12 @@ WIDTHS = [1, 3, 4, 5, 8, 13]  # one run, the vector body alone and with a scalar
 BLOCK_WIDTHS = [1, 7, 8, 9, 23, 24, 25, 31, 48, 49]
 
 
+def unwrap_turns(field):
+    """np.unwrap's signed count of its 2 pi corrections, down each column of `field`."""
+    angle = np.angle(field)
+    return np.rint((np.unwrap(angle, axis=0) - angle)[-1] / (2.0 * math.pi)).astype(int)
+
+
 def batch_inputs(params, width, runaway=None):
     """Drives sampled at DT, one per run, each with its own level, initial
     field and noise seed; run `runaway` steps to a pump of 1e30 mid-window."""
@@ -530,25 +536,36 @@ class TestBatchedKernel:
         # an injection that turns 0.3 rad per step, so that it spins run 0 too
         inj = np.repeat(0.3 * np.exp(0.3j * np.arange(n_steps + 1))[:, None], width, 1)
         inj = inj if copy == "injected" else None
-        field, _, diverged = laser.integrate_pumps(p, pump, DT, initial, carrier, noise, inj)
-        last_field, _, last_diverged, (index, before, after) = laser.integrate_pumps(
-            p, pump, DT, initial, carrier, noise, inj, trace=False, flips=True
+        # each run's turns, with the trace and without, are np.unwrap's
+        # corrections of the traced angles, counted at the sign changes of Im E
+        field, _, diverged, traced_turns = laser.integrate_pumps(
+            p, pump, DT, initial, carrier, noise, inj, turns=True
+        )
+        last_field, _, last_diverged, turns = laser.integrate_pumps(
+            p, pump, DT, initial, carrier, noise, inj, trace=False, turns=True
         )
         assert last_field.tobytes() == field[-1].tobytes()
         assert last_diverged.tobytes() == diverged.tobytes()
-        expected = np.flatnonzero(np.diff(np.signbit(field.imag), axis=0))
-        assert np.array_equal(index, expected)
-        k, j = np.divmod(expected, width)
-        assert before.tobytes() == field[k, j].tobytes()
-        assert after.tobytes() == field[k + 1, j].tobytes()
-        assert np.count_nonzero(j == 0) > 200
+        assert np.array_equal(turns, unwrap_turns(field)) and np.array_equal(traced_turns, turns)
+        assert abs(turns[0]) > 100
         if width >= 3:
             d = diverged[-1]
             assert 500 < d < n_steps  # mid-call
-            assert (k[j == width - 1] < d).all()  # no flip after its divergence sample
+            assert turns[-1] == unwrap_turns(field[: d + 1, -1:])[0]  # no turn after its divergence sample
             assert not diverged[:-1].any()
         else:
             assert not diverged.any()
+
+    def test_turn_of_a_signed_zero_on_the_negative_real_axis(self, quiet):
+        # without alpha E stays on the real axis, and the first step takes
+        # its Im from -0 to +0: at Re < 0 its angle goes from -pi to pi, which
+        # np.unwrap corrects by -2 pi; at Re > 0 from -0 to 0, which it does not
+        p = replace(quiet, linewidth_enhancement=0.0)
+        pump = np.full((200, 2), p.threshold_current)
+        initial = np.array([complex(-1e-3, -0.0), complex(1e-3, -0.0)])
+        field, _, _, turns = laser.integrate_pumps(p, pump, DT, initial, 900.0, turns=True)
+        assert (field[1:].imag == 0.0).all() and not np.signbit(field[1:].imag).any()
+        assert turns.tolist() == unwrap_turns(field).tolist() == [-1, 0]
 
     @pytest.mark.parametrize("width", BLOCK_WIDTHS)
     @pytest.mark.parametrize("copy", ["plain", "noisy", "injected"])
@@ -586,8 +603,8 @@ class TestBatchedKernel:
         th, holds = quiet.threshold_current, [150, 200, 151]
         levels = np.array([[0.0] * width, [(0.3 + 0.2 * j) * th for j in range(width)], [th] * width])
         field, carrier, diverged = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds)
-        *last, (index, before, after) = laser.integrate_pumps(
-            quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, trace=False, flips=True
+        *last, turns = laser.integrate_pumps(
+            quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, trace=False, turns=True
         )
         assert not diverged.any()
         for j in range(width):
@@ -597,11 +614,8 @@ class TestBatchedKernel:
             alone = laser.integrate(quiet, drive, dt=DT, initial_field=1e-3 + 2e-4j, initial_carrier=0.0)
             column = laser.FieldTrace(alone.times, field[:, j].copy(), carrier[:, j].copy())
             assert_same_bits(column, alone)
-        expected = np.flatnonzero(np.diff(np.signbit(field.imag), axis=0))
-        k, j = np.divmod(expected, width)
-        assert np.count_nonzero(k < holds[0] - 1) >= 2 * width  # flips of the head, once per run
-        assert np.array_equal(index, expected)
-        assert before.tobytes() == field[k, j].tobytes() and after.tobytes() == field[k + 1, j].tobytes()
+        assert (unwrap_turns(field[: holds[0]]) != 0).all()  # turns of the head, copied to every run
+        assert np.array_equal(turns, unwrap_turns(field))
         assert [a.tobytes() for a in last] == [a.tobytes() for a in (field[-1], carrier[-1], diverged)]
 
     @pytest.mark.parametrize("width", BLOCK_WIDTHS)
@@ -669,12 +683,12 @@ class TestHeldPumps:
         inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if injected else None
         for trace in (True, False):
             held = laser.integrate_pumps(
-                p, levels, DT, initial, carrier, noise, inj, trace=trace, flips=True, holds=holds
+                p, levels, DT, initial, carrier, noise, inj, trace=trace, turns=True, holds=holds
             )
             dense = laser.integrate_pumps(
-                p, np.repeat(levels, holds, axis=0), DT, initial, carrier, noise, inj, trace=trace, flips=True
+                p, np.repeat(levels, holds, axis=0), DT, initial, carrier, noise, inj, trace=trace, turns=True
             )
-            for a, b in zip([*held[:3], *held[3]], [*dense[:3], *dense[3]]):
+            for a, b in zip(held, dense):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
@@ -724,7 +738,7 @@ print("subprocess" in sys.modules)
 def kernel_paths(params):
     """The bits of each stepping path of the kernel: a lone quiet, noisy and
     injected run, an 8-lane block (6 runs, one diverging), a noisy 24-lane
-    block and a shared head whose Im E flips, then blocks of 24 and 6."""
+    block and a shared head that turns, then blocks of 24 and 6."""
     th, n_steps, rng = params.threshold_current, 400, np.random.default_rng(5)
     quiet = replace(params, spontaneous_fraction=0.0)
     one = np.full((n_steps + 1, 1), 1.5 * th)
@@ -737,13 +751,13 @@ def kernel_paths(params):
         (quiet, six, None, None),
         (params, np.full((n_steps + 1, 24), 1.5 * th), rng.standard_normal((n_steps, 2, 24)), None),
     ]
-    runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection, flips=True)
+    runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection, turns=True)
             for p, pump, noise, injection in calls]
     levels = np.array([[0.0] * 30, [(0.3 + 0.1 * j) * th for j in range(30)], [th] * 30])
-    runs.append(laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, trace=False, flips=True,
+    runs.append(laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, trace=False, turns=True,
                                       holds=[150, 200, 151]))
-    assert len(runs[-1][3][0]) >= 2 * 30  # the head's flips, once per run
-    return [a.tobytes() for field, carrier, diverged, flips in runs for a in (field, carrier, diverged, *flips)]
+    assert (runs[-1][3] != 0).all()  # every run turns, the head's count copied to each
+    return [a.tobytes() for run in runs for a in run]
 
 
 @pytest.fixture(scope="class")
