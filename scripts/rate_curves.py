@@ -2,7 +2,8 @@
 """Write analytic secure-rate curves for both protocols.
 
 Produces out/bb84_rate_curve.csv and out/dps_rate_curve.csv with columns
-loss_db, sifted_rate_bps, qber, secure_rate_bps.
+loss_db, sifted_rate_bps, qber, secure_rate_bps, for the links of
+scripts/configs/bb84_sweep.cfg and dps_sweep.cfg.
 """
 
 import argparse
@@ -11,11 +12,10 @@ import pathlib
 
 import numpy as np
 
-from chirplink.config import ExperimentConfig
+from chirplink.config import load_config
 from chirplink.keyrate import bb84_rate_points, dps_rate_points
-from chirplink.optics import InterferometerParams
-from chirplink.source import SourceConfig
 
+CONFIGS = pathlib.Path(__file__).resolve().parent / "configs"
 HEADER = "loss_db,sifted_rate_bps,qber,secure_rate_bps"
 
 
@@ -37,21 +37,9 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     losses = np.arange(0.0, args.max_loss_db + args.step_db / 2, args.step_db)
 
-    bb84_cfg = ExperimentConfig(
-        source=SourceConfig(mean_photon_number=0.25),
-        mzi=InterferometerParams(visibility=0.952),
-    )
-    dps_cfg = ExperimentConfig(
-        source=SourceConfig(mean_photon_number=0.2),
-        mzi=InterferometerParams(visibility=0.962),
-    )
-
-    for name, rate_points, cfg in (
-        ("bb84_rate_curve", bb84_rate_points, bb84_cfg),
-        ("dps_rate_curve", dps_rate_points, dps_cfg),
-    ):
-        curve = rate_points(cfg, losses)
-        path = outdir / f"{name}.csv"
+    for name, rate_points in (("bb84", bb84_rate_points), ("dps", dps_rate_points)):
+        curve = rate_points(load_config(CONFIGS / f"{name}_sweep.cfg"), losses)
+        path = outdir / f"{name}_rate_curve.csv"
         data = np.column_stack([curve.loss_db, curve.sifted_rate_bps, curve.qber, curve.secure_rate_bps])
         np.savetxt(path, data, delimiter=",", header=HEADER, comments="")
         secure = curve.loss_db[curve.secure_rate_bps > 0]

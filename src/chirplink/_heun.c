@@ -43,12 +43,12 @@
  * intensity exceeds 1e12, and the run keeps that state in every later
  * sample.
  *
- * When turns is not NULL, turns[j] (0 in) counts the turns of run j: the
- * steps whose segment from sample k to k + 1 meets the real axis at Re < 0,
- * +1 where the sign bit of Im E goes from clear to set and -1 the other
- * way.  These are the steps at which np.unwrap corrects the angle of E, by
- * about 2 pi times the same sign (a segment that passes within rounding of
- * 0 aside), so the unwrapped phase of the last sample is its angle plus
+ * turns is never NULL: turns[j] (0 in) counts the turns of run j, the steps
+ * whose segment from sample k to k + 1 meets the real axis at Re < 0, +1
+ * where the sign bit of Im E goes from clear to set and -1 the other way.
+ * These are the steps at which np.unwrap corrects the angle of E, by about
+ * 2 pi times the same sign (a segment that passes within rounding of 0
+ * aside), so the unwrapped phase of the last sample is its angle plus
  * 2 pi turns[j].  Such a step changes the sign bit of Im E, so the lanes
  * are searched only where a bit changed.  The shared head's turns are
  * copied to every run, as its state is.
@@ -199,7 +199,7 @@ static inline __attribute__((always_inline)) void block(
         p0 = p1;
         s += next;
         /* a sign change is rare: the lanes are searched only on a change */
-        for (long l = 0; turns && flipped >> 63 && l < m; l++) {
+        for (long l = 0; flipped >> 63 && l < m; l++) {
             if ((bits(bi[l]) ^ bits(ei[l])) >> 63) {
                 /* the segment meets the real axis at Re < 0: both ends are
                  * there, or it crosses at x = (br ei - er bi) / (ei - bi) < 0 */
@@ -264,8 +264,7 @@ void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, d
             memcpy(field + 2 * j, field, 2 * sizeof *field);
             carrier[j] = carrier[0];
             diverged[j] = diverged[0];
-            if (turns)
-                turns[j] = turns[0];
+            turns[j] = turns[0];
         }
     }
     for (long j0 = 0, m; j0 < n_runs; j0 += m) {

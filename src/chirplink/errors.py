@@ -16,8 +16,8 @@ class UndefinedPhaseError(RuntimeError):
 class IntegrationDivergedError(RuntimeError):
     """The rate-equation integrator produced a non-finite or runaway state.
 
-    `intensity` and `carrier` are |E|^2 and N at `step_index`; a batched
-    integration also names the first diverging run.
+    `intensity` and `carrier` are |E|^2 and N at `step_index`; an ensemble
+    of two or more runs also names the first diverging run.
     """
 
     def __init__(

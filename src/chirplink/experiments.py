@@ -78,7 +78,7 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     ends = [bias] * len(runs)
     field, carrier, diverged, turns = laser.integrate_pumps(
         quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
-        trace=False, turns=True, holds=[n_pre, n_step, n_post + 1],
+        trace=False, holds=[n_pre, n_step, n_post + 1],
     )
     if diverged.any():
         j = np.flatnonzero(diverged)[0]

@@ -276,15 +276,6 @@ def _check_dt(params: LaserParams, dt: float) -> None:
         raise PreconditionError("dt must be > 0 and <= photon_lifetime / 10")
 
 
-def _sample(params: LaserParams, drive: DriveWaveform, dt: float):
-    """The step times over the drive window and the pump at them."""
-    _check_dt(params, dt)
-    t0 = float(drive.times[0])
-    n_steps = int(math.floor(drive.duration / dt + 1e-9))
-    times = t0 + dt * np.arange(n_steps + 1)
-    return times, np.interp(times, drive.times, drive.current)
-
-
 def integrate_pumps(
     params: LaserParams,
     pump: np.ndarray,
@@ -294,7 +285,6 @@ def integrate_pumps(
     noise: np.ndarray | None = None,
     injection: np.ndarray | None = None,
     trace: bool = True,
-    turns: bool = False,
     holds=None,
 ):
     """Integrate one run of the rate equations per column of `pump`.
@@ -311,14 +301,14 @@ def integrate_pumps(
     the Langevin term, scaled as in :func:`integrate`; `injection`,
     (n_steps + 1, n_runs) complex samples, is added with the coupling.
 
-    Returns (field, carrier, diverged).  field and carrier are the
+    Returns (field, carrier, diverged, turns).  field and carrier are the
     (n_steps + 1, n_runs) traces, or, where `trace` is false, only the
     state at the last sample.  diverged[j] is 0, or the sample index at
     which run j diverged; the run keeps that state in every later sample,
-    so it is also its last state.  With `turns`, a fourth item holds each
-    run's signed count of the steps at which E crosses the negative real
-    axis, as _heun.c counts them: its unwrapped phase at the last sample
-    is np.angle(last field) + 2 pi turns[j].
+    so it is also its last state.  turns[j] is run j's signed count of the
+    steps at which E crosses the negative real axis, as _heun.c counts
+    them: its unwrapped phase at the last sample is
+    np.angle(last field) + 2 pi turns[j].
     """
     _check_dt(params, dt)
     pump = np.ascontiguousarray(pump, dtype=float)
@@ -365,19 +355,55 @@ def integrate_pumps(
     inputs = [None if a is None else a.ctypes.data for a in (pump, seg_end, injection, noise)]
     _heun()(
         n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, carrier.ctypes.data, trace,
-        diverged.ctypes.data, counts.ctypes.data if turns else None,
+        diverged.ctypes.data, counts.ctypes.data,
     )
     if not trace:
         field, carrier = field[0], carrier[0]
-    if turns:
-        return field, carrier, diverged, counts
-    return field, carrier, diverged
+    return field, carrier, diverged, counts
 
 
 def diverged_error(step_index, field, carrier, run_index=None) -> IntegrationDivergedError:
     """The error of a run that diverged at `step_index` in state (field, carrier)."""
     e = complex(field)
     return IntegrationDivergedError(int(step_index), e.real * e.real + e.imag * e.imag, carrier, run_index)
+
+
+def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, injection=None, trace=False):
+    """Step `n_runs` runs from one state under the pump of `drive`, every `dt`.
+
+    The pump and the injection are np.interp of their samples at the step
+    times, the injection turned by the detuning.  With spontaneous_fraction
+    > 0 the noise is one (n_steps, 2, n_runs) array from a generator seeded
+    with `seed`, drawn at once with `trace` (24 bytes a run-step, to the
+    noise's 16), else _NOISE_BLOCK_STEPS steps at a time, the runs resuming
+    at each block's end.  Returns the step times, field and carrier.  A
+    divergence raises for the run that diverges at the earliest sample, the
+    lowest-numbered on a tie, naming it only among several runs.
+    """
+    _check_dt(params, dt)
+    n_steps = int(math.floor(drive.duration / dt + 1e-9))
+    times = float(drive.times[0]) + dt * np.arange(n_steps + 1)
+    pump = np.interp(times, drive.times, drive.current)[:, None]
+    inj = None
+    if injection is not None and params.injection_coupling > 0.0:
+        re, im = (np.interp(times, injection.times, x) for x in (injection.field.real, injection.field.imag))
+        inj = ((re + 1j * im) * np.exp(1j * TWO_PI * params.detuning * (times - times[0])))[:, None]
+    rng = np.random.default_rng(seed) if params.spontaneous_fraction > 0.0 else None
+
+    block = max(1, n_steps if trace else _NOISE_BLOCK_STEPS)
+    field, carrier = complex(initial_field), float(initial_carrier)
+    # a drive shorter than one step is one call of no steps
+    for start in range(0, max(1, n_steps), block):
+        m = min(block, n_steps - start)
+        pumps = np.broadcast_to(pump[start : start + m + 1], (m + 1, n_runs))
+        xi = None if rng is None else rng.standard_normal((m, 2, n_runs))
+        injected = None if inj is None else inj[start : start + m + 1]
+        field, carrier, diverged, _ = integrate_pumps(params, pumps, dt, field, carrier, xi, injected, trace)
+        if diverged.any():  # a later block can only diverge later
+            run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))
+            e, n = (field[-1, run], carrier[-1, run]) if trace else (field[run], carrier[run])
+            raise diverged_error(start + diverged[run], e, n, run if n_runs > 1 else None)
+    return times, field, carrier
 
 
 def integrate(
@@ -395,28 +421,10 @@ def integrate(
     deterministic for a fixed (params, drive, noise_seed, dt).  The
     Langevin term is applied to the field only.
     """
-    times, pump = _sample(params, drive, dt)
-    n_steps = len(times) - 1
-
-    inj = None
-    if injection is not None and params.injection_coupling > 0.0:
-        inj = np.interp(times, injection.times, injection.field.real) + 1j * np.interp(
-            times, injection.times, injection.field.imag
-        )
-        inj = (inj * np.exp(1j * TWO_PI * params.detuning * (times - times[0])))[:, None]
-
-    xi = None
-    if params.spontaneous_fraction > 0.0:
-        xi = np.random.default_rng(noise_seed).standard_normal((n_steps, 2, 1))
-
-    field, carrier, diverged = integrate_pumps(
-        params, pump[:, None], dt, complex(initial_field), float(initial_carrier), xi, inj
+    times, field, carrier = _run(
+        params, drive, 1, noise_seed, dt, initial_field, initial_carrier, injection, trace=True
     )
-    field, carrier = field[:, 0], carrier[:, 0]
-    if diverged[0]:
-        k = diverged[0]
-        raise diverged_error(k, field[k], carrier[k])
-    return FieldTrace(times, field, carrier)
+    return FieldTrace(times, field[:, 0], carrier[:, 0])
 
 
 def integrate_ensemble(
@@ -430,33 +438,14 @@ def integrate_ensemble(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate `n_runs` copies of the rate equations, without injection.
 
-    All runs share the pump; with spontaneous_fraction > 0 each run draws
-    its own Langevin noise from one generator, in the stream order of one
-    (n_steps, 2, n_runs) array.  That array is drawn _NOISE_BLOCK_STEPS
-    steps at a time, and the runs resume from their states at the end of
-    the last block, so the result does not depend on the block size.
-    Returns the final field and the final carrier of each run.  Each run
-    is the kernel of :func:`integrate` fed its own noise, so a noiseless
-    run equals it bit for bit.  A divergence names the run that diverges
-    at the earliest step, the lowest-numbered one on a tie.
+    All runs share the pump, and each draws its own Langevin noise, as
+    :func:`_run` describes.  Returns the final field and the final carrier
+    of each run.  Run j with `rng_seed` s is bit for bit :func:`integrate`
+    fed run j's noise, so one run is integrate(noise_seed=s)'s last sample.
     """
     if n_runs < 1:
         raise PreconditionError("n_runs must be >= 1")
-    times, pump = _sample(params, drive, dt)
-    n_steps = len(times) - 1
-    rng = np.random.default_rng(rng_seed) if params.spontaneous_fraction > 0.0 else None
-
-    block = max(1, min(n_steps, _NOISE_BLOCK_STEPS))
-    field, carrier = np.full(n_runs, complex(initial_field)), np.full(n_runs, float(initial_carrier))
-    for start in range(0, n_steps, block):
-        m = min(block, n_steps - start)
-        pumps = np.broadcast_to(pump[start : start + m + 1, None], (m + 1, n_runs))
-        xi = None if rng is None else rng.standard_normal((m, 2, n_runs))
-        field, carrier, diverged = integrate_pumps(params, pumps, dt, field, carrier, xi, trace=False)
-        if diverged.any():  # a later block can only diverge later
-            run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))
-            raise diverged_error(start + diverged[run], field[run], carrier[run], run)
-    return field, carrier
+    return _run(params, drive, n_runs, rng_seed, dt, initial_field, initial_carrier)[1:]
 
 
 def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[float, float]) -> float:

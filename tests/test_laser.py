@@ -467,7 +467,7 @@ class TestBatchedKernel:
             )
             inj = np.repeat((inj * np.exp(1j * 2.0 * math.pi * p.detuning * times))[:, None], width, 1)
         pump = np.column_stack([drive.current for drive in drives])
-        field, carrier, diverged = laser.integrate_pumps(p, pump, DT, np.array(initial), 900.0, noise, inj)
+        field, carrier, diverged, _ = laser.integrate_pumps(p, pump, DT, np.array(initial), 900.0, noise, inj)
         assert not diverged.any()
         for j, drive in enumerate(drives):
             kwargs = dict(injection=injection, noise_seed=seeds[j], dt=DT, initial_field=initial[j],
@@ -477,7 +477,7 @@ class TestBatchedKernel:
             assert_same_bits(column, alone)
             assert_same_bits(column, oracle_integrate(p, drive, **kwargs))
         # without the traces, the last samples
-        last_field, last_carrier, _ = laser.integrate_pumps(
+        last_field, last_carrier, _, _ = laser.integrate_pumps(
             p, pump, DT, np.array(initial), 900.0, noise, inj, trace=False
         )
         assert last_field.tobytes() == field[-1].tobytes()
@@ -490,8 +490,8 @@ class TestBatchedKernel:
         n_steps = len(drives[0].times) - 1
         noise = np.stack([np.random.default_rng(seed).standard_normal((n_steps, 2)) for seed in seeds], -1)
         pump = np.column_stack([drive.current for drive in drives])
-        field, carrier, diverged = laser.integrate_pumps(params, pump, DT, np.array(initial), 900.0, noise)
-        last_field, last_carrier, _ = laser.integrate_pumps(
+        field, carrier, diverged, _ = laser.integrate_pumps(params, pump, DT, np.array(initial), 900.0, noise)
+        last_field, last_carrier, _, _ = laser.integrate_pumps(
             params, pump, DT, np.array(initial), 900.0, noise, trace=False
         )
         for j, drive in enumerate(drives):
@@ -538,11 +538,9 @@ class TestBatchedKernel:
         inj = inj if copy == "injected" else None
         # each run's turns, with the trace and without, are np.unwrap's
         # corrections of the traced angles, counted at the sign changes of Im E
-        field, _, diverged, traced_turns = laser.integrate_pumps(
-            p, pump, DT, initial, carrier, noise, inj, turns=True
-        )
+        field, _, diverged, traced_turns = laser.integrate_pumps(p, pump, DT, initial, carrier, noise, inj)
         last_field, _, last_diverged, turns = laser.integrate_pumps(
-            p, pump, DT, initial, carrier, noise, inj, trace=False, turns=True
+            p, pump, DT, initial, carrier, noise, inj, trace=False
         )
         assert last_field.tobytes() == field[-1].tobytes()
         assert last_diverged.tobytes() == diverged.tobytes()
@@ -563,7 +561,7 @@ class TestBatchedKernel:
         p = replace(quiet, linewidth_enhancement=0.0)
         pump = np.full((200, 2), p.threshold_current)
         initial = np.array([complex(-1e-3, -0.0), complex(1e-3, -0.0)])
-        field, _, _, turns = laser.integrate_pumps(p, pump, DT, initial, 900.0, turns=True)
+        field, _, _, turns = laser.integrate_pumps(p, pump, DT, initial, 900.0)
         assert (field[1:].imag == 0.0).all() and not np.signbit(field[1:].imag).any()
         assert turns.tolist() == unwrap_turns(field).tolist() == [-1, 0]
 
@@ -584,7 +582,9 @@ class TestBatchedKernel:
         rng = np.random.default_rng(width)
         noise = rng.standard_normal((n_steps, 2, width)) if copy == "noisy" else None
         inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if copy == "injected" else None
-        field, last_carrier, diverged = laser.integrate_pumps(p, pump, DT, initial, carrier, noise, inj, trace=False)
+        field, last_carrier, diverged, turns = laser.integrate_pumps(
+            p, pump, DT, initial, carrier, noise, inj, trace=False
+        )
         assert (diverged > 0).sum() == (width >= 3)
         for j in range(width):
             alone = laser.integrate_pumps(
@@ -592,7 +592,9 @@ class TestBatchedKernel:
                 None if noise is None else noise[:, :, j : j + 1], None if inj is None else inj[:, j : j + 1],
                 trace=False,
             )
-            assert [a.tobytes() for a in alone] == [a[j : j + 1].tobytes() for a in (field, last_carrier, diverged)]
+            assert [a.tobytes() for a in alone] == [
+                a[j : j + 1].tobytes() for a in (field, last_carrier, diverged, turns)
+            ]
 
     @pytest.mark.parametrize("width", BLOCK_WIDTHS)
     def test_shared_head_equals_whole_window_runs(self, quiet, width):
@@ -602,10 +604,8 @@ class TestBatchedKernel:
         # untraced one steps the shared head once.
         th, holds = quiet.threshold_current, [150, 200, 151]
         levels = np.array([[0.0] * width, [(0.3 + 0.2 * j) * th for j in range(width)], [th] * width])
-        field, carrier, diverged = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds)
-        *last, turns = laser.integrate_pumps(
-            quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, trace=False, turns=True
-        )
+        field, carrier, diverged, _ = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds)
+        *last, turns = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds, trace=False)
         assert not diverged.any()
         for j in range(width):
             drive = laser.DriveWaveform.from_segments(
@@ -622,7 +622,9 @@ class TestBatchedKernel:
     def test_diverging_head_names_its_sample_in_every_run(self, quiet, width):
         th, holds = quiet.threshold_current, [150, 200, 151]
         levels = np.array([[1e30] * width, [(0.3 + 0.2 * j) * th for j in range(width)], [th] * width])
-        field, carrier, diverged = laser.integrate_pumps(quiet, levels, DT, 1e-3, 900.0, holds=holds, trace=False)
+        field, carrier, diverged, _ = laser.integrate_pumps(
+            quiet, levels, DT, 1e-3, 900.0, holds=holds, trace=False
+        )
         drive = laser.DriveWaveform.from_segments([(holds[0] * DT, 1e30), (holds[1] * DT, th)], DT)
         with pytest.raises(IntegrationDivergedError) as alone:
             laser.integrate(quiet, drive, dt=DT, initial_field=1e-3, initial_carrier=900.0)
@@ -682,11 +684,9 @@ class TestHeldPumps:
         noise = rng.standard_normal((n_steps, 2, width)) if noisy else None
         inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if injected else None
         for trace in (True, False):
-            held = laser.integrate_pumps(
-                p, levels, DT, initial, carrier, noise, inj, trace=trace, turns=True, holds=holds
-            )
+            held = laser.integrate_pumps(p, levels, DT, initial, carrier, noise, inj, trace=trace, holds=holds)
             dense = laser.integrate_pumps(
-                p, np.repeat(levels, holds, axis=0), DT, initial, carrier, noise, inj, trace=trace, turns=True
+                p, np.repeat(levels, holds, axis=0), DT, initial, carrier, noise, inj, trace=trace
             )
             for a, b in zip(held, dense):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -751,11 +751,10 @@ def kernel_paths(params):
         (quiet, six, None, None),
         (params, np.full((n_steps + 1, 24), 1.5 * th), rng.standard_normal((n_steps, 2, 24)), None),
     ]
-    runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection, turns=True)
+    runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection)
             for p, pump, noise, injection in calls]
     levels = np.array([[0.0] * 30, [(0.3 + 0.1 * j) * th for j in range(30)], [th] * 30])
-    runs.append(laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, trace=False, turns=True,
-                                      holds=[150, 200, 151]))
+    runs.append(laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, trace=False, holds=[150, 200, 151]))
     assert (runs[-1][3] != 0).all()  # every run turns, the head's count copied to each
     return [a.tobytes() for run in runs for a in run]
 
@@ -873,6 +872,44 @@ class TestEnsemble:
         assert batch.value.step_index == alone.value.step_index > 0
         assert "in run 0" in str(batch.value)
         assert "|E|^2 = " in str(alone.value) and ", N = " in str(alone.value)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_noisy_one_run_ends_as_integrate(self, params, seed):
+        # 3500 steps: the ensemble draws the noise in blocks, integrate at once
+        th = params.threshold_current
+        drive = laser.DriveWaveform.from_segments([(0.3e-9, 0.2 * th), (0.4e-9, 3.0 * th)], 1e-11)
+        kwargs = dict(dt=DT, initial_field=1e-3 + 2e-4j, initial_carrier=900.0)
+        (field,), (carrier,) = laser.integrate_ensemble(params, drive, 1, rng_seed=seed, **kwargs)
+        trace = laser.integrate(params, drive, noise_seed=seed, **kwargs)
+        assert field.tobytes() == trace.field[-1].tobytes()
+        assert carrier.tobytes() == trace.carrier[-1].tobytes()
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_one_run_divergence_reads_as_integrate(self, params, noisy):
+        p = params if noisy else replace(params, spontaneous_fraction=0.0)
+        runaway = laser.DriveWaveform(np.arange(101) * 1e-12, np.full(101, 1e30))
+        kwargs = dict(dt=1e-13, initial_field=1e-3)
+        with pytest.raises(IntegrationDivergedError) as one:
+            laser.integrate_ensemble(p, runaway, 1, rng_seed=4, **kwargs)
+        with pytest.raises(IntegrationDivergedError) as alone:
+            laser.integrate(p, runaway, noise_seed=4, **kwargs)
+        assert one.value.run_index is None
+        assert str(one.value) == str(alone.value)
+        assert (one.value.step_index, one.value.intensity, one.value.carrier) == (
+            alone.value.step_index, alone.value.intensity, alone.value.carrier
+        )
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_drive_shorter_than_one_step(self, params, noisy):
+        # 0.1 ps of drive holds no 0.2 ps step: the trace is sample 0, the
+        # ensemble's state the initial one
+        p = params if noisy else replace(params, spontaneous_fraction=0.0)
+        short = laser.DriveWaveform(np.array([5e-12, 5.1e-12]), np.full(2, p.threshold_current))
+        trace = laser.integrate(p, short, dt=DT, initial_field=1e-3j, initial_carrier=900.0)
+        assert trace.times.tolist() == [5e-12]
+        assert trace.field.tolist() == [1e-3j] and trace.carrier.tolist() == [900.0]
+        fields, carriers = laser.integrate_ensemble(p, short, 3, dt=DT, initial_field=1e-3j, initial_carrier=900.0)
+        assert fields.tolist() == [1e-3j] * 3 and carriers.tolist() == [900.0] * 3
 
 
 class TestValidationAndExport:
