@@ -27,13 +27,19 @@ def main() -> None:
     except OSError as exc:
         parser.error(f"--outdir must name a directory: {exc}")
 
+    def export(trace, name):
+        try:
+            laser.export_trace_csv(trace, outdir / name)
+        except OSError as exc:
+            parser.error(f"cannot write {outdir / name}: {exc}")
+
     params = laser.LaserParams()
     gs_drive = laser.DriveWaveform.from_segments(
         [(0.5e-9, 0.2 * params.threshold_current), (3e-9, 3.0 * params.threshold_current)],
         1e-11,
     )
     trace = laser.integrate(params, gs_drive, noise_seed=args.seed)
-    laser.export_trace_csv(trace, outdir / "gain_switched_trace.csv")
+    export(trace, "gain_switched_trace.csv")
     print(f"{outdir / 'gain_switched_trace.csv'}: peak intensity {trace.intensity.max():.2f}")
 
     quiet = replace(params, spontaneous_fraction=0.0)
@@ -52,7 +58,7 @@ def main() -> None:
         initial_field=1j * complex(math.sqrt(s0)),
         initial_carrier=n0,
     )
-    laser.export_trace_csv(slave, outdir / "injection_locked_trace.csv")
+    export(slave, "injection_locked_trace.csv")
     offset = laser.locked_phase_offset(master, slave, (2e-9, 4e-9))
     print(f"{outdir / 'injection_locked_trace.csv'}: locked phase offset {offset:+.4f} rad")
 

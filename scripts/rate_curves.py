@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 
 from chirplink.config import load_config
+from chirplink.experiments import write_table
 from chirplink.keyrate import bb84_rate_points, dps_rate_points
 
 CONFIGS = pathlib.Path(__file__).resolve().parent / "configs"
@@ -34,14 +35,20 @@ def main() -> None:
         parser.error("--max-loss-db / --step-db must be at most 10**5 points")
 
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--outdir must name a directory: {exc}")
     losses = np.arange(0.0, args.max_loss_db + args.step_db / 2, args.step_db)
 
     for name, rate_points in (("bb84", bb84_rate_points), ("dps", dps_rate_points)):
         curve = rate_points(load_config(CONFIGS / f"{name}_sweep.cfg"), losses)
         path = outdir / f"{name}_rate_curve.csv"
         data = np.column_stack([curve.loss_db, curve.sifted_rate_bps, curve.qber, curve.secure_rate_bps])
-        np.savetxt(path, data, delimiter=",", header=HEADER, comments="")
+        try:
+            write_table(path, HEADER, data)
+        except OSError as exc:
+            parser.error(f"cannot write {path}: {exc}")
         secure = curve.loss_db[curve.secure_rate_bps > 0]
         cutoff = secure[-1].item() if len(secure) else None
         print(f"{path}: secure-rate cutoff at {cutoff} dB")

@@ -25,9 +25,9 @@ from .source import SourceConfig, phase_from_voltage
 TWO_PI = 2.0 * math.pi
 
 
-def _write_table(path, items: list[tuple[str, str]], header: str, rows: np.ndarray) -> None:
-    # np.savetxt's bytes (fmt "%.18e", delimiter ","), formatted with one %;
-    # items is the config's resolved_items(), one comment line each
+def write_table(path, header: str, rows: np.ndarray, items=()) -> None:
+    """Write `rows` as np.savetxt's CSV (fmt "%.18e", delimiter ",") under `header`,
+    after one `# key = value` line per item; the rows are formatted with one %."""
     rows = np.atleast_2d(rows)
     row = ",".join(["%.18e"] * rows.shape[1]) + "\n"
     comments = "".join(f"# {key} = {value}\n" for key, value in items)
@@ -35,10 +35,13 @@ def _write_table(path, items: list[tuple[str, str]], header: str, rows: np.ndarr
         fh.write(comments + header + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def _write_summary(path, items: list[tuple[str, str]], payload: dict) -> None:
-    payload = {**payload, "config": dict(items)}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+def _write_outputs(cfg: ExperimentConfig, header: str, rows: np.ndarray, summary: dict | None = None) -> None:
+    # the table, and any summary as output_path + ".json", each with the resolved config
+    items = cfg.resolved_items()
+    write_table(cfg.output_path, header, rows, items)
+    if summary is not None:
+        with open(cfg.output_path + ".json", "w") as fh:
+            fh.write(json.dumps({**summary, "config": dict(items)}, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +151,7 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         else:
             rows = np.column_stack([voltages, encoder, physical])
             header = "voltage_v,phase_rad,physical_phase_rad"
-        _write_table(cfg.output_path, cfg.resolved_items(), header, rows)
+        _write_outputs(cfg, header, rows)
     return PhaseVoltageResult(voltages, encoder, physical)
 
 
@@ -209,16 +212,15 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
     ks = stats.kstest(cross, stats.arcsine(loc=(1.0 - visibility) / 2.0, scale=visibility).cdf)
     res = RandomizationResult(intra, cross, intra_som, float(ks.pvalue))
     if cfg.output_path:
-        items = cfg.resolved_items()
         edges = np.linspace(0.0, 1.0, 51)
         h_intra, _ = np.histogram(intra, bins=edges)
         h_cross, _ = np.histogram(cross, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         rows = np.column_stack([centers, h_intra, h_cross])
-        _write_table(cfg.output_path, items, "port0_fraction,intra_count,cross_count", rows)
-        _write_summary(
-            cfg.output_path + ".json",
-            items,
+        _write_outputs(
+            cfg,
+            "port0_fraction,intra_count,cross_count",
+            rows,
             {
                 "intra_std_over_mean": intra_som,
                 "cross_ks_pvalue": float(ks.pvalue),
@@ -249,7 +251,6 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], R
         raise PreconditionError(f"unknown protocol {protocol!r}")
     sifts = simulate_links(protocol, n, source, transmittances(cfg.losses), cfg.mzi, cfg.detector, seeds)
     if cfg.output_path:
-        items = cfg.resolved_items()
         table = np.column_stack(
             [
                 curve.loss_db,
@@ -261,11 +262,11 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], R
             ]
         )
         header = "loss_db,mc_sifted_rate_bps,mc_qber,analytic_sifted_rate_bps,analytic_qber,secure_rate_bps"
-        _write_table(cfg.output_path, items, header, table)
         columns = zip(cfg.losses, sifts, curve.qber.tolist(), curve.secure_rate_bps.tolist())
-        _write_summary(
-            cfg.output_path + ".json",
-            items,
+        _write_outputs(
+            cfg,
+            header,
+            table,
             {
                 "protocol": protocol,
                 "loss_seeds": seeds,
@@ -307,9 +308,7 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
     mean = float(np.mean(series))
     std = float(np.std(series))
     if cfg.output_path:
-        items = cfg.resolved_items()
         t = (np.arange(stab.n_bins) + 1) * stab.integration_time
-        _write_table(cfg.output_path, items, "time_s,qber", np.column_stack([t, series]))
         sigma_model = stab.model_std
         # 40 bins over [min, max]; numpy widens a constant series' range by 0.5
         hist, edges = np.histogram(series, bins=40, density=True)
@@ -319,9 +318,10 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
         z = (centers - stab.true_qber) / sigma_model
         with np.errstate(over="ignore"):
             overlay = np.exp(-(z**2) / 2.0) / math.sqrt(TWO_PI) / sigma_model
-        _write_summary(
-            cfg.output_path + ".json",
-            items,
+        _write_outputs(
+            cfg,
+            "time_s,qber",
+            np.column_stack([t, series]),
             {
                 "sample_mean": mean,
                 "sample_std": std,

@@ -473,5 +473,7 @@ def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[flo
 
 def export_trace_csv(trace: FieldTrace, path) -> None:
     """Write a trace as CSV with columns time_s, intensity, carrier, phase_rad."""
+    from .experiments import write_table  # here: experiments imports laser
+
     data = np.column_stack([trace.times, trace.intensity, trace.carrier, trace.phase])
-    np.savetxt(path, data, delimiter=",", header="time_s,intensity,carrier,phase_rad", comments="")
+    write_table(path, "time_s,intensity,carrier,phase_rad", data)

@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chirplink import experiments, laser, protocols
 from chirplink.config import ExperimentConfig, StabilityConfig, load_config
@@ -20,6 +23,33 @@ from chirplink.source import SourceConfig, phase_from_voltage
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+# values whose %.18e text is easy to get wrong: NaN, the infinities, both
+# zeros, the smallest and a large subnormal, and doubles near the top
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]
+ASCII_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+class TestWriteTable:
+    @settings(deadline=None)
+    @given(
+        rows=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 300), st.integers(1, 6)),
+            elements=st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()),
+        ),
+        # every table names its columns; np.savetxt writes no line for an empty header
+        header=ASCII_TEXT.filter(bool),
+        items=st.lists(st.tuples(ASCII_TEXT, ASCII_TEXT), max_size=4),
+    )
+    def test_savetxt_bytes_after_the_items(self, tmp_path_factory, rows, header, items):
+        directory = tmp_path_factory.mktemp("table")
+        path, reference = directory / "table.csv", directory / "savetxt.csv"
+        experiments.write_table(path, header, rows, items)
+        np.savetxt(reference, rows, delimiter=",", header=header, comments="")
+        comments = "".join(f"# {key} = {value}\n" for key, value in items)
+        assert path.read_bytes() == comments.encode() + reference.read_bytes()
 
 
 class TestPhaseVoltage:

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirplink import protocols
-from chirplink.config import ExperimentConfig, KeyRateConfig
+from chirplink.config import ExperimentConfig, KeyRateConfig, load_config
 from chirplink.errors import PreconditionError
+from chirplink.experiments import write_table
 from chirplink.keyrate import (
     DecoyInputs,
     bb84_rate_points,
@@ -200,6 +201,12 @@ class TestRatePoints:
 
 
 class TestRateCurvesScript:
+    def run(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        script = ROOT / "scripts" / "rate_curves.py"
+        return subprocess.run([sys.executable, str(script), *args], env=env, capture_output=True, text=True)
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -211,19 +218,44 @@ class TestRateCurvesScript:
         ],
     )
     def test_bad_option_exit_code(self, tmp_path, args, message):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         outdir = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "rate_curves.py"), "--outdir", str(outdir), *args],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        proc = self.run("--outdir", str(outdir), *args)
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_outdir_on_a_file_exit_code(self, tmp_path, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        proc = self.run("--outdir", str(taken / below))
+        assert proc.returncode == 2
+        assert "--outdir must name a directory" in proc.stderr and "Traceback" not in proc.stderr
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", ["bb84_rate_curve.csv", "dps_rate_curve.csv"])
+    def test_directory_at_an_output_path_exit_code(self, tmp_path, name):
+        outdir = tmp_path / "out"
+        (outdir / name).mkdir(parents=True)
+        proc = self.run("--outdir", str(outdir))
+        assert proc.returncode == 2
+        assert f"cannot write {outdir / name}" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_writes_the_curves_of_the_example_links(self, tmp_path):
+        outdir = tmp_path / "out"
+        proc = self.run("--outdir", str(outdir), "--max-loss-db", "1", "--step-db", "0.5")
+        assert proc.returncode == 0, proc.stderr
+        losses = np.array([0.0, 0.5, 1.0])
+        for name, rate_points in (("bb84", bb84_rate_points), ("dps", dps_rate_points)):
+            curve = rate_points(load_config(ROOT / "scripts" / "configs" / f"{name}_sweep.cfg"), losses)
+            expected = tmp_path / f"{name}.csv"
+            write_table(
+                expected,
+                "loss_db,sifted_rate_bps,qber,secure_rate_bps",
+                np.column_stack([curve.loss_db, curve.sifted_rate_bps, curve.qber, curve.secure_rate_bps]),
+            )
+            assert (outdir / f"{name}_rate_curve.csv").read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------

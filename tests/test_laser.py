@@ -992,6 +992,10 @@ class TestValidationAndExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,intensity,carrier,phase_rad"
         assert len(lines) == len(trace) + 1
+        reference = tmp_path / "savetxt.csv"
+        data = np.column_stack([trace.times, trace.intensity, trace.carrier, trace.phase])
+        np.savetxt(reference, data, delimiter=",", header="time_s,intensity,carrier,phase_rad", comments="")
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestLaserTracesScript:
@@ -1016,3 +1020,11 @@ class TestLaserTracesScript:
         assert proc.returncode == 2
         assert "--outdir must name a directory" in proc.stderr and "Traceback" not in proc.stderr
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", ["gain_switched_trace.csv", "injection_locked_trace.csv"])
+    def test_directory_at_an_output_path_exit_code(self, tmp_path, name):
+        outdir = tmp_path / "out"
+        (outdir / name).mkdir(parents=True)
+        proc = self.run("--outdir", str(outdir))
+        assert proc.returncode == 2
+        assert f"cannot write {outdir / name}" in proc.stderr and "Traceback" not in proc.stderr
