@@ -238,10 +238,9 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], R
     """(sifts, curve): a Monte Carlo SiftResult per loss of cfg.losses and the
     analytic RateCurve over them.
 
-    The click model and the curve are computed over the whole loss axis at
-    once; only the Monte Carlo draws run per loss, each from its own seed.
+    The click model, the Monte Carlo draws (one generator seeded with
+    cfg.rng_seed) and the curve are computed over the whole loss axis at once.
     """
-    seeds = np.random.default_rng(cfg.rng_seed).integers(0, 2**63 - 1, size=len(cfg.losses)).tolist()
     if protocol == BB84:
         source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
         n, curve = max(1, cfg.trials // 2), bb84_rate_points(cfg, cfg.losses)
@@ -249,7 +248,7 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], R
         source, n, curve = cfg.source, max(2, cfg.trials), dps_rate_points(cfg, cfg.losses)
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    sifts = simulate_links(protocol, n, source, transmittances(cfg.losses), cfg.mzi, cfg.detector, seeds)
+    sifts = simulate_links(protocol, n, source, transmittances(cfg.losses), cfg.mzi, cfg.detector, cfg.rng_seed)
     if cfg.output_path:
         table = np.column_stack(
             [
@@ -269,7 +268,6 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], R
             table,
             {
                 "protocol": protocol,
-                "loss_seeds": seeds,
                 "points": [
                     {
                         "loss_db": loss,

@@ -60,6 +60,9 @@ EXTINCTION_FLOOR_FRACTION = 1e-3
 # value, only whether a negative argument would set errno.
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_heun.c")
 _CFLAGS = ("-O2", "-ftree-vectorize", "-fno-math-errno", "-shared", "-fPIC", "-ffp-contract=off")
+# A build removes the cache's libraries that no process has built or
+# loaded (a load refreshes the mtime) for this long.
+_STALE_LIBRARY_S = 30 * 86400.0
 
 # integrate_ensemble steps all its runs this many steps per kernel call,
 # with the Langevin noise of those steps drawn at once: 16 bytes of noise
@@ -240,7 +243,12 @@ def _heun():
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "chirplink")
     lib = os.path.join(cache, f"heun-{key}.so")
     private = None
-    if not os.path.exists(lib):
+    if os.path.exists(lib):
+        try:
+            os.utime(lib)
+        except OSError:  # a read-only cache
+            pass
+    else:
         import subprocess  # only to compile
 
         try:
@@ -261,6 +269,15 @@ def _heun():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        if not private:
+            built = os.stat(lib).st_mtime
+            for name in os.listdir(cache):
+                other = os.path.join(cache, name)
+                try:
+                    if name.startswith("heun-") and built - os.stat(other).st_mtime > _STALE_LIBRARY_S:
+                        os.remove(other)
+                except OSError:  # gone already, or not ours to remove
+                    pass
     kernel = ctypes.CDLL(lib).chirplink_heun
     if private:  # the loaded library stays mapped
         os.remove(lib)

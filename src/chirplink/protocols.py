@@ -10,11 +10,11 @@ every interference slot is sifted.
 The Monte Carlo draws counts, not slots, and is exact in distribution:
 after basis matching (Bob's X decoder cancels the basis phase) each
 sifted slot interferes two equal pulses with phase difference bit * pi,
-so within a bit class its outcome (no click, port 0 only, port 1 only,
-both) is i.i.d. categorical, their sums are multinomial, and the fair
-double-click coin makes the errors binomial.  An effect that correlates
-slots (afterpulsing, dead time, a drifting phase) would need per-slot
-draws again.
+so its clicks depend only on its bit, and each slot is independently
+sifted with an error, sifted without one, or not sifted (a fair coin
+settles a double click).  A link's counts are one multinomial draw over
+those three outcomes.  An effect that correlates slots (afterpulsing,
+dead time, a drifting phase) would need per-slot draws again.
 
 The analytic gain/QBER model mirrors the Monte Carlo path:
 
@@ -35,9 +35,10 @@ The closed form matches the Monte Carlo's click model up to O((mu eta)^3).
 
 A sweep evaluates both over its whole loss axis at once, one element per
 channel transmittance: the closed form in expected_gain_qber_axis and
-the click model in click_model.  Only the Monte Carlo draws run per
-loss, each from its own generator.  One channel is the one-element case
-of the same functions (expected_gain_qber wraps it for the closed form).
+the click model in click_model; simulate_links draws every loss's
+counts in one multinomial call from one generator.  One channel is the
+one-element case of the same functions (expected_gain_qber wraps it for
+the closed form).
 """
 
 from __future__ import annotations
@@ -141,33 +142,6 @@ def click_model(
     return click_probability(np.stack([port0, port1], axis=-1), det)
 
 
-def _sample_link(
-    protocol: str, n_slots: int, n_pulses: int, clicks: list, clock_rate: float, rng_seed: int
-) -> SiftResult:
-    """Sift counts of n_slots slots, drawn class by class from one generator:
-    BB84's matched pairs (a fair basis coin per pair), the bit-1 slots, per
-    bit the (none, port 0 only, port 1 only, both) split, and the errors
-    among the double clicks (a fair tie coin).  clicks[bit][port] is a row
-    of click_model.
-    """
-    rng = np.random.default_rng(rng_seed)
-    if protocol == BB84:
-        n_slots = rng.binomial(n_slots, 0.5)
-    ones = rng.binomial(n_slots, 0.5)
-    sifted = errors = doubles = 0
-    for bit, n in ((0, n_slots - ones), (1, ones)):
-        a, b = clicks[bit]
-        _, only0, only1, both = rng.multinomial(
-            n, [(1 - a) * (1 - b), a * (1 - b), (1 - a) * b, a * b]
-        )
-        sifted += int(only0 + only1 + both)
-        errors += int(only0 if bit else only1)
-        doubles += int(both)
-    errors += int(rng.binomial(doubles, 0.5))
-    qber = errors / sifted if sifted else 0.0
-    return SiftResult(sifted, errors, qber, sifted * clock_rate / n_pulses)
-
-
 def simulate_links(
     protocol: str,
     n: int,
@@ -175,26 +149,36 @@ def simulate_links(
     transmittance: np.ndarray,
     mzi: InterferometerParams,
     det: DetectorParams,
-    rng_seeds: list[int],
+    rng_seed: int,
 ) -> list[SiftResult]:
-    """Monte Carlo link at each transmittance, each drawn from its own seed.
+    """Monte Carlo link at each transmittance, all in one multinomial draw
+    from one generator.
 
     BB84 sifts the central slots of n pulse pairs' matched-basis pairs, DPS
-    the n - 1 slots of one coherence block of n pulses.  The click model is
-    built once over all transmittances; only the draws run per link.
+    the n - 1 slots of one coherence block of n pulses.
     """
     if protocol == BB84:
         if n < 1:
             raise PreconditionError("n_pairs must be >= 1")
-        n_slots, n_pulses = n, 2 * n
+        n_slots, n_pulses, match = n, 2 * n, 0.5
     elif protocol == DPS:
         if n < 2:
             raise PreconditionError("n_pulses must be >= 2")
-        n_slots, n_pulses = n - 1, n
+        n_slots, n_pulses, match = n - 1, n, 1.0
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    model = click_model(config.mean_photon_number, transmittance, mzi, det).tolist()
+    clicks = click_model(config.mean_photon_number, transmittance, mzi, det)
+    # a slot errs, is sifted without error, or is not; per bit, the right and the
+    # wrong port click with probability r and w, and a fair coin breaks a tie
+    right, wrong = clicks[:, [0, 1], [0, 1]], clicks[:, [0, 1], [1, 0]]
+    p_error = match * 0.5 * (wrong * (1.0 - right / 2.0)).sum(axis=1)
+    p_correct = match * 0.5 * (right * (1.0 - wrong / 2.0)).sum(axis=1)
+    # >= 0 by construction: 1 - p_error - p_correct is -1e-16 at some certain clicks
+    rest = (1.0 - match) + match * 0.5 * ((1.0 - right) * (1.0 - wrong)).sum(axis=1)
+    p = np.stack([p_error, p_correct, rest], axis=-1)
+    draws = np.random.default_rng(rng_seed).multinomial(n_slots, p)
+    sifted = draws[:, 0] + draws[:, 1]
     return [
-        _sample_link(protocol, n_slots, n_pulses, clicks, config.clock_rate, seed)
-        for clicks, seed in zip(model, rng_seeds, strict=True)
+        SiftResult(k, e, e / k if k else 0.0, k * config.clock_rate / n_pulses)
+        for k, e in zip(sifted.tolist(), draws[:, 0].tolist())
     ]

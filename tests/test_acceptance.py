@@ -140,16 +140,16 @@ def test_criterion_5_dps_sweep():
         protocols.DPS, 0.2, ChannelParams(0.0), mzi, det
     )
     at_0 = np.array([ChannelParams(0.0).transmittance])
-    (mc,) = protocols.simulate_links(protocols.DPS, 2_000_000, src, at_0, mzi, det, rng_seeds=[3])
+    (mc,) = protocols.simulate_links(protocols.DPS, 2_000_000, src, at_0, mzi, det, rng_seed=3)
     se = math.sqrt(base_qber * (1 - base_qber) / mc.sifted_count)
     base_ok = abs(base_qber - 0.019) < 0.003 and abs(mc.qber - 0.019) < 0.003 + 3 * se
     km = ChannelParams(100.0 * 0.2)
     db = ChannelParams(20.0)
     (res_km,) = protocols.simulate_links(
-        protocols.DPS, 500_000, src, np.array([km.transmittance]), mzi, det, rng_seeds=[5]
+        protocols.DPS, 500_000, src, np.array([km.transmittance]), mzi, det, rng_seed=5
     )
     (res_db,) = protocols.simulate_links(
-        protocols.DPS, 500_000, src, np.array([db.transmittance]), mzi, det, rng_seeds=[5]
+        protocols.DPS, 500_000, src, np.array([db.transmittance]), mzi, det, rng_seed=5
     )
     bitwise_ok = res_km == res_db and km.transmittance == db.transmittance
     ok = base_ok and bitwise_ok
@@ -294,7 +294,7 @@ def test_criterion_9_monte_carlo_vs_analytic():
         n_pairs = 1_000_000
         (res,) = protocols.simulate_links(
             protocols.BB84, n_pairs, src_b, np.array([ChannelParams(loss).transmittance]), mzi_b, det,
-            rng_seeds=[7],
+            rng_seed=7,
         )
         gain, qber = protocols.expected_gain_qber(
             protocols.BB84, 0.5, ChannelParams(loss), mzi_b, det
@@ -309,7 +309,7 @@ def test_criterion_9_monte_carlo_vs_analytic():
         n_pulses = 1_000_000
         (res,) = protocols.simulate_links(
             protocols.DPS, n_pulses, src_d, np.array([ChannelParams(loss).transmittance]), mzi_d, det,
-            rng_seeds=[3],
+            rng_seed=3,
         )
         gain, qber = protocols.expected_gain_qber(
             protocols.DPS, 0.2, ChannelParams(loss), mzi_d, det

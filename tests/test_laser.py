@@ -806,6 +806,32 @@ class TestKernelBuild:
         assert second.returncode == 0, second.stderr
         assert second.stdout.strip() == "False"  # loaded, not compiled
 
+    def test_build_removes_stale_libraries(self, tmp_path):
+        # another checkout's library unused for 40 days goes; one in use stays
+        cache = tmp_path / "chirplink"
+        cache.mkdir()
+        stale, fresh = cache / "heun-0000000000000000.so", cache / "heun-1111111111111111.so"
+        for lib in (stale, fresh):
+            lib.write_bytes(b"another checkout's kernel")
+        forty_days_ago = stale.stat().st_mtime - 40 * 86400
+        os.utime(stale, (forty_days_ago, forty_days_ago))
+        proc = run_fresh(INTEGRATE_ONCE, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"  # compiled
+        names = sorted(lib.name for lib in cache.iterdir())
+        assert stale.name not in names and fresh.name in names and len(names) == 2
+
+    def test_load_refreshes_library_mtime(self, builds, monkeypatch):
+        kernels, cache = builds
+        ten_days_ago = min(lib.stat().st_mtime for lib in cache.iterdir()) - 10 * 86400
+        for lib in cache.iterdir():
+            os.utime(lib, (ten_days_ago, ten_days_ago))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent))
+        laser._heun.__wrapped__()  # this CPU's build, loaded from the cache
+        mtimes = sorted(lib.stat().st_mtime for lib in cache.iterdir())
+        assert len(mtimes) == len(kernels)
+        assert mtimes[-1] > ten_days_ago + 9 * 86400
+
     def test_unwritable_cache_builds_in_private_directory(self, tmp_path):
         (tmp_path / "cache").write_text("a file, not a directory")
         (tmp_path / "tmp").mkdir()

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -16,6 +18,7 @@ from chirplink.optics import (
     InterferometerParams,
     click_probability,
     decoder_ports,
+    transmittances,
 )
 
 # Both tails of an exact binomial test at the level of a normal 5-sigma test.
@@ -271,7 +274,7 @@ class TestMonteCarloAgreement:
         for loss in (0.0, 10.0):
             (res,) = protocols.simulate_links(
                 protocols.BB84, n_pairs, cfg, np.array([ChannelParams(loss).transmittance]), mzi, det,
-                rng_seeds=[7],
+                rng_seed=7,
             )
             gain, qber = protocols.expected_gain_qber(
                 protocols.BB84, 0.5, ChannelParams(loss), mzi, det
@@ -289,7 +292,7 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.2)
         n_pulses = 400_000
         (res,) = protocols.simulate_links(
-            protocols.DPS, n_pulses, cfg, np.array([ChannelParams(10.0).transmittance]), mzi, det, rng_seeds=[3]
+            protocols.DPS, n_pulses, cfg, np.array([ChannelParams(10.0).transmittance]), mzi, det, rng_seed=3
         )
         gain, qber = protocols.expected_gain_qber(
             protocols.DPS, 0.2, ChannelParams(10.0), mzi, det
@@ -308,7 +311,7 @@ class TestMonteCarloAgreement:
         tracemalloc.start()
         try:
             (res,) = protocols.simulate_links(
-                protocols.BB84, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seeds=[9]
+                protocols.BB84, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seed=9
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -321,7 +324,7 @@ class TestMonteCarloAgreement:
         tracemalloc.start()
         try:
             (res,) = protocols.simulate_links(
-                protocols.DPS, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seeds=[9]
+                protocols.DPS, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seed=9
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -335,7 +338,7 @@ class TestMonteCarloAgreement:
         def run(seed):
             (res,) = protocols.simulate_links(
                 protocols.DPS, 100_000, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det,
-                rng_seeds=[seed],
+                rng_seed=seed,
             )
             return res
 
@@ -347,7 +350,7 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.5)
         mzi = InterferometerParams(visibility=1.0)
         (res,) = protocols.simulate_links(
-            protocols.DPS, 200_000, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seeds=[11]
+            protocols.DPS, 200_000, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seed=11
         )
         assert res.sifted_count > 0
         assert res.error_count == 0
@@ -381,7 +384,7 @@ class TestSamplerMatchesOracle:
             res
             for seed in range(self.RUNS)
             for res in protocols.simulate_links(
-                protocol, self.SLOTS, self.cfg, transmittance, self.mzi, self.det, [seed]
+                protocol, self.SLOTS, self.cfg, transmittance, self.mzi, self.det, seed
             )
         ]
         ours = np.array([(r.sifted_count, r.error_count) for r in results])
@@ -427,12 +430,96 @@ class TestClosedFormProperty:
         det = DetectorParams(efficiency=efficiency, dark_rate=dark_rate)
         transmittance = np.array([channel.transmittance])
         if protocol == protocols.BB84:
-            (res,) = protocols.simulate_links(protocol, n, cfg, transmittance, mzi, det, [seed])
+            (res,) = protocols.simulate_links(protocol, n, cfg, transmittance, mzi, det, seed)
             gain, qber = protocols.expected_gain_qber(protocol, 2 * mu, channel, mzi, det)
             p_sift = 0.5 * gain
         else:
-            (res,) = protocols.simulate_links(protocol, n + 1, cfg, transmittance, mzi, det, [seed])
+            (res,) = protocols.simulate_links(protocol, n + 1, cfg, transmittance, mzi, det, seed)
             gain, qber = protocols.expected_gain_qber(protocol, mu, channel, mzi, det)
             p_sift = gain
         assert within_5_sigma(res.sifted_count, n, p_sift)
         assert within_5_sigma(res.error_count, res.sifted_count, qber)
+
+
+def slot_law(protocol, clicks):
+    """[DERIVED] (P(sifted), P(sifted with an error)) of one slot, summed
+    exactly over its bit, its port-0 and port-1 clicks and the tie coin.
+    clicks[bit][port] are click_model's probabilities, taken as exact
+    fractions; port 1 reads bit 1, and BB84 sifts the half of the slots
+    whose bases match."""
+    half = Fraction(1, 2)
+    sift = error = Fraction(0)
+    for bit, (p0, p1) in enumerate(clicks):
+        p0, p1 = Fraction(p0), Fraction(p1)
+        for c0, c1, coin in product((0, 1), repeat=3):
+            if c0 or c1:
+                p = half * (p0 if c0 else 1 - p0) * (p1 if c1 else 1 - p1) * half
+                sift += p
+                error += p * ((coin if c0 and c1 else c1) != bit)
+    match = half if protocol == protocols.BB84 else 1
+    return match * sift, match * error
+
+
+class TestOneDraw:
+    SLOTS = 10**15
+
+    # (mean photons per pulse, decoder, detector, losses): TestSamplerMatchesOracle's
+    # link, where double clicks are common, and the example sweeps' links
+    LINKS = {
+        "double-clicks": (
+            4.0,
+            InterferometerParams(internal_phase=0.7, insertion_loss_db=0.0, visibility=0.8),
+            DetectorParams(efficiency=0.6, dark_rate=2e8),
+            [0.0, 3.0],
+        ),
+        "bb84-example": (0.25, InterferometerParams(visibility=0.952), DetectorParams(), [0.0, 10.0, 20.0]),
+        "dps-example": (0.2, InterferometerParams(visibility=0.962), DetectorParams(), [0.0, 10.0, 30.0]),
+    }
+
+    @pytest.mark.parametrize("link", list(LINKS))
+    @pytest.mark.parametrize("protocol", [protocols.BB84, protocols.DPS])
+    def test_draw_follows_the_enumerated_law(self, protocol, link):
+        # at 10**15 slots the standard error of the QBER is ~1e-6 relative,
+        # far below the closed form's error at the double-click link
+        mu, mzi, det, losses = self.LINKS[link]
+        cfg = source.SourceConfig(mean_photon_number=mu)
+        n = self.SLOTS if protocol == protocols.BB84 else self.SLOTS + 1
+        results = protocols.simulate_links(protocol, n, cfg, transmittances(losses), mzi, det, 21)
+        model = protocols.click_model(mu, transmittances(losses), mzi, det).tolist()
+        for res, clicks in zip(results, model, strict=True):
+            p_sift, p_error = slot_law(protocol, clicks)
+            assert within_5_sigma(res.sifted_count, self.SLOTS, float(p_sift))
+            assert within_5_sigma(res.error_count, res.sifted_count, float(p_error / p_sift))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        protocol=st.sampled_from([protocols.BB84, protocols.DPS]),
+        n=st.integers(2, 2**63 - 1),
+        mu=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)),
+        visibility=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        internal_phase=st.one_of(st.sampled_from([-math.pi, math.pi]), st.floats(-math.pi, math.pi)),
+        dark_rate=st.one_of(st.just(0.0), st.floats(0.0, 4e9)),
+        efficiency=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        losses=st.lists(st.one_of(st.just(3500.0), st.floats(0.0, 3500.0)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32),
+    )
+    @example(  # one click certain per bit: 1 - p_error - p_correct is -5.6e-17 here
+        protocol=protocols.DPS, n=10**6, mu=1e6, visibility=1.0, internal_phase=math.pi,
+        dark_rate=1e5, efficiency=1.0, losses=[0.0], seed=0,
+    )
+    def test_counts_stay_in_bounds(
+        self, protocol, n, mu, visibility, internal_phase, dark_rate, efficiency, losses, seed
+    ):
+        # never raises: with a click certain (mu up to 1e6), the not-sifted
+        # rest written as 1 - p_error - p_correct can be -1e-16, and
+        # multinomial refuses a negative probability with a ValueError
+        cfg = source.SourceConfig(mean_photon_number=mu)
+        mzi = InterferometerParams(internal_phase=internal_phase, visibility=visibility)
+        det = DetectorParams(efficiency=efficiency, dark_rate=dark_rate)
+        transmittance = transmittances(losses)
+        results = protocols.simulate_links(protocol, n, cfg, transmittance, mzi, det, seed)
+        slots = n if protocol == protocols.BB84 else n - 1
+        for res, t in zip(results, transmittance.tolist(), strict=True):
+            assert 0 <= res.error_count <= res.sifted_count <= slots
+            if dark_rate == 0.0 and mu * t * efficiency == 0.0:
+                assert res.sifted_count == 0
