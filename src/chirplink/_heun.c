@@ -6,13 +6,16 @@
  * CPython 3.11 evaluates it: a float operand of a complex operation is
  * promoted to (x, 0.0), a product is (ar br - ai bi, ar bi + ai br) and a
  * sum adds the parts.  The zero terms are kept, so that signed zeros,
- * infinities and NaNs come out as they do in Python.  Build it with
- * -ffp-contract=off and without -ffast-math: a fused multiply-add, a
- * flush of subnormals or a reordering would change the last bits.
- * laser._heun builds it for the CPU it runs on: with -mavx512f (8 runs
- * per vector) or -mavx2 (4) where the CPU has it, else with no target
- * flag, and then on x86_64 the corrector loop stays scalar (its 64-bit
- * compare needs SSE4.1).
+ * infinities and NaNs come out as they do in Python.  rates() is the
+ * right-hand side, which the predictor and the corrector both take, as the
+ * oracle's de1 and de2 lines do.  Python's 0.5j * alpha is (0.0, hi) with
+ * hi = 0.5 alpha for every alpha >= 0, so only hi comes in, and the real
+ * part is the literal 0.0.  Build it with -ffp-contract=off and without
+ * -ffast-math: a fused multiply-add, a flush of subnormals or a
+ * reordering would change the last bits.  laser._heun builds it for the
+ * CPU it runs on: with -mavx512f (8 runs per vector) or -mavx2 (4) where
+ * the CPU has it, else with no target flag, and then on x86_64 the
+ * corrector loop stays scalar (its 64-bit compare needs SSE4.1).
  *
  * Loop order: the runs go in blocks of up to LANES, and a block is stepped
  * through all of its steps before the next starts, each run's state in a
@@ -29,17 +32,17 @@
  * the runs are one run until that segment's last sample, so run 0 is
  * stepped alone to there and its state copied to every run.
  *
- * Arrays are step-major: a row holds one value of each run.  hr + i hi is
- * 0.5j * alpha as Python computes it.  pump holds segments of held levels:
- * its row s is the pump of samples seg_end[s - 1] to seg_end[s] - 1
- * (seg_end[-1] taken as 0), and the last segment ends at n_steps + 1; a
- * pump of one row per sample has seg_end[s] = s + 1.  inj, when not NULL,
- * holds n_steps + 1 rows of complex samples as (re, im) pairs.  When xi is
- * not NULL, step k reads the unit normals of its row k of 2 n_runs values,
- * the real parts first.  field (complex) and carrier hold the state at
- * sample 0 in row 0; with trace, sample k is stored in row k, and without,
- * only the last sample, in row 0.  diverged[j] is 0 in; it is set to the
- * sample index k + 1 of the first step whose state is not finite or whose
+ * Arrays are step-major: a row holds one value of each run.  pump holds
+ * segments of held levels: its row s is the pump of samples seg_end[s - 1]
+ * to seg_end[s] - 1 (seg_end[-1] taken as 0), and the last segment ends at
+ * n_steps + 1; a pump of one row per sample has seg_end[s] = s + 1.  inj,
+ * when not NULL, holds n_steps + 1 rows of complex samples as (re, im)
+ * pairs.  When xi is not NULL, step k reads the unit normals of its row k
+ * of 2 n_runs values, the real parts first, as it steps: nothing is
+ * prefetched.  field (complex) and carrier hold the state at sample 0 in
+ * row 0; with trace, sample k is stored in row k, and without, only the
+ * last sample, in row 0.  diverged[j] is 0 in; it is set to the sample
+ * index k + 1 of the first step whose state is not finite or whose
  * intensity exceeds 1e12, and the run keeps that state in every later
  * sample.
  *
@@ -74,13 +77,37 @@ static inline const double *lanes_of(const double *src, double *buf, long m, lon
     return m == w ? src : memcpy(buf, src, m * sizeof *buf);
 }
 
+/* The right-hand side at E = er + i ei, N = n and the pump p, as the
+ * oracle's de and dn lines compute it: de = (0.5 (gc - 1/tau_p) +
+ * half_alpha_j (gu - 1/tau_p)) * e, plus kappa * inj where injected, and
+ * dn = p - n / tau_n - gc s. */
+typedef struct { double er, ei, n; } rate;
+
+static inline __attribute__((always_inline)) rate rates(
+    double er, double ei, double n, double p, const double *inj, double tau_n, double inv_tau_p,
+    double g, double n_tr, double eps, double hi, double kappa, const int injected)
+{
+    double s = er * er + ei * ei;
+    double gu = g * (n - n_tr);
+    double gc = gu / (1.0 + eps * s);
+    double x = gu - inv_tau_p;
+    double cr = 0.5 * (gc - inv_tau_p) + (0.0 * x - hi * 0.0);
+    double ci = 0.0 + (0.0 * 0.0 + hi * x);
+    rate d = {cr * er - ci * ei, cr * ei + ci * er, p - n / tau_n - gc * s};
+    if (injected) {
+        d.er = d.er + (kappa * inj[0] - 0.0 * inj[1]);
+        d.ei = d.ei + (kappa * inj[1] + 0.0 * inj[0]);
+    }
+    return d;
+}
+
 /* Steps runs j0 to j0 + m - 1 (m <= w <= LANES) from sample k0, whose
  * state is in row 0, to sample k1, in lanes of width w, adding to their
  * turns.  One copy for each presence of inj and xi and each w, so that no
  * branch is left inside the loop over lanes. */
 static inline __attribute__((always_inline)) void block(
     const long w, long m, long j0, long k0, long k1, long n_runs, double tau_n, double inv_tau_p,
-    double g, double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,
+    double g, double n_tr, double eps, double hi, double beta, double kappa, double dt,
     const double *pump, const long *seg_end, const double *inj, const double *xi,
     double *restrict field, double *restrict carrier, int trace, long *restrict diverged,
     long *restrict turns, const int injected, const int noisy)
@@ -107,11 +134,6 @@ static inline __attribute__((always_inline)) void block(
         if (next)
             p1 = lanes_of(pump + (s + 1) * n_runs + j0, p0 == pa ? pb : pa, m, w);
         const double *i0 = injected ? inj + 2 * (k * n_runs + j0) : 0, *i1 = i0 + 2 * n_runs;
-        /* the rows of xi a block reads are far apart: fetch them ahead */
-        for (long l = 0; noisy && k + 8 < k1 && l < m; l += 8) {
-            __builtin_prefetch(xi + 2 * (k + 8) * n_runs + j0 + l);
-            __builtin_prefetch(xi + (2 * (k + 8) + 1) * n_runs + j0 + l);
-        }
         const double *x_re = noisy ? lanes_of(xi + 2 * k * n_runs + j0, xa, m, w) : 0;
         const double *x_im = noisy ? lanes_of(xi + (2 * k + 1) * n_runs + j0, xb, m, w) : 0;
         /* The predictor of every lane, then the corrector of every lane: a
@@ -121,21 +143,8 @@ static inline __attribute__((always_inline)) void block(
         double noise_r[LANES], noise_i[LANES];
         for (long l = 0; l < w; l++) {
             double er_ = er[l], ei_ = ei[l], nc_ = nc[l];
-
-            /* (0.5 (gc - 1/tau_p) + half_alpha_j (gu - 1/tau_p)) * e, de += kappa * inj[k] */
-            double s0 = er_ * er_ + ei_ * ei_;
-            double gu = g * (nc_ - n_tr);
-            double gc = gu / (1.0 + eps * s0);
-            double x = gu - inv_tau_p;
-            double cr = 0.5 * (gc - inv_tau_p) + (hr * x - hi * 0.0);
-            double ci = 0.0 + (hr * 0.0 + hi * x);
-            double d1r = cr * er_ - ci * ei_, d1i = cr * ei_ + ci * er_;
-            double dn1 = p0[l] - nc_ / tau_n - gc * s0;
-            if (injected) {
-                double ir = i0[2 * l], ii = i0[2 * l + 1];
-                d1r = d1r + (kappa * ir - 0.0 * ii);
-                d1i = d1i + (kappa * ii + 0.0 * ir);
-            }
+            rate d1 = rates(er_, ei_, nc_, p0[l], i0 + 2 * l, tau_n, inv_tau_p, g, n_tr, eps, hi,
+                            kappa, injected);
 
             double nr = 0.0, ni = 0.0;
             if (noisy) {
@@ -145,12 +154,12 @@ static inline __attribute__((always_inline)) void block(
             }
 
             /* ep = e + de1 * dt + noise */
-            ep_r[l] = er_ + (d1r * dt - d1i * 0.0) + nr;
-            ep_i[l] = ei_ + (d1r * 0.0 + d1i * dt) + ni;
-            np1[l] = nc_ + dn1 * dt;
-            de1_r[l] = d1r;
-            de1_i[l] = d1i;
-            dn1_[l] = dn1;
+            ep_r[l] = er_ + (d1.er * dt - d1.ei * 0.0) + nr;
+            ep_i[l] = ei_ + (d1.er * 0.0 + d1.ei * dt) + ni;
+            np1[l] = nc_ + d1.n * dt;
+            de1_r[l] = d1.er;
+            de1_i[l] = d1.ei;
+            dn1_[l] = d1.n;
             if (noisy) {
                 noise_r[l] = nr;
                 noise_i[l] = ni;
@@ -158,29 +167,17 @@ static inline __attribute__((always_inline)) void block(
         }
         uint64_t flipped = 0;
         for (long l = 0; l < w; l++) {
-            double er_ = er[l], ei_ = ei[l], nc_ = nc[l], epr = ep_r[l], epi = ep_i[l], np_ = np1[l];
-            double d1r = de1_r[l], d1i = de1_i[l], dn1 = dn1_[l];
+            double er_ = er[l], ei_ = ei[l], nc_ = nc[l];
             double nr = noisy ? noise_r[l] : 0.0, ni = noisy ? noise_i[l] : 0.0;
-            double sp = epr * epr + epi * epi;
-            double gup = g * (np_ - n_tr);
-            double gcp = gup / (1.0 + eps * sp);
-            double x = gup - inv_tau_p;
-            double cr = 0.5 * (gcp - inv_tau_p) + (hr * x - hi * 0.0);
-            double ci = 0.0 + (hr * 0.0 + hi * x);
-            double d2r = cr * epr - ci * epi, d2i = cr * epi + ci * epr;
-            double dn2 = p1[l] - np_ / tau_n - gcp * sp;
-            if (injected) {
-                double ir = i1[2 * l], ii = i1[2 * l + 1];
-                d2r = d2r + (kappa * ir - 0.0 * ii);
-                d2i = d2i + (kappa * ii + 0.0 * ir);
-            }
+            rate d2 = rates(ep_r[l], ep_i[l], np1[l], p1[l], i1 + 2 * l, tau_n, inv_tau_p, g, n_tr,
+                            eps, hi, kappa, injected);
 
             /* e = e + 0.5 * (de1 + de2) * dt + noise */
-            double sr = d1r + d2r, si = d1i + d2i;
+            double sr = de1_r[l] + d2.er, si = de1_i[l] + d2.ei;
             double ar = 0.5 * sr - 0.0 * si, ai = 0.5 * si + 0.0 * sr;
             double er1_ = er_ + (ar * dt - ai * 0.0) + nr;
             double ei1_ = ei_ + (ar * 0.0 + ai * dt) + ni;
-            double nc1 = nc_ + 0.5 * (dn1 + dn2) * dt;
+            double nc1 = nc_ + 0.5 * (dn1_[l] + d2.n) * dt;
 
             /* An intensity that is NaN, infinite or above the cap, or a carrier
              * that is not finite, diverges.  The tests are comparisons joined
@@ -221,12 +218,12 @@ static inline __attribute__((always_inline)) void block(
     }
 }
 
-#define BLOCK(w, m, injected, noisy)                                                          \
-    block(w, m, j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, \
+#define BLOCK(w, m, injected, noisy)                                                      \
+    block(w, m, j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hi, beta, kappa, \
           dt, pump, seg_end, inj, xi, field, carrier, trace, diverged, turns, injected, noisy)
 
 #define ARGS(j0, k0, n_steps)                                                                 \
-    j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hr, hi, beta, kappa, dt, pump,   \
+    j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hi, beta, kappa, dt, pump,       \
         seg_end, inj, xi, field, carrier, trace, diverged, turns
 
 /* Runs j0 to j0 + m - 1 (m <= LANES) from sample k0 to n_steps: a lone
@@ -235,9 +232,9 @@ static inline __attribute__((always_inline)) void block(
  * its copies of block() are built once for the head and the blocks. */
 static __attribute__((noinline)) void steps(
     long m, long j0, long k0, long n_steps, long n_runs, double tau_n, double inv_tau_p, double g,
-    double n_tr, double eps, double hr, double hi, double beta, double kappa, double dt,
-    const double *pump, const long *seg_end, const double *inj, const double *xi, double *field,
-    double *carrier, int trace, long *diverged, long *turns)
+    double n_tr, double eps, double hi, double beta, double kappa, double dt, const double *pump,
+    const long *seg_end, const double *inj, const double *xi, double *field, double *carrier,
+    int trace, long *diverged, long *turns)
 {
     if (m == 1)
         inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
@@ -248,9 +245,9 @@ static __attribute__((noinline)) void steps(
 
 /* The entry, as the top of this file describes it. */
 void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
-                    double eps, double hr, double hi, double beta, double kappa, double dt,
-                    const double *pump, const long *seg_end, const double *inj, const double *xi,
-                    double *field, double *carrier, int trace, long *diverged, long *turns)
+                    double eps, double hi, double beta, double kappa, double dt, const double *pump,
+                    const long *seg_end, const double *inj, const double *xi, double *field,
+                    double *carrier, int trace, long *diverged, long *turns)
 {
     /* the shared head: steps 0 to seg_end[0] - 2 read the first segment only */
     long head = inj || xi || trace ? 0 : seg_end[0] - 1;

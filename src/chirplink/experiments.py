@@ -70,7 +70,7 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     and names the first diverging level in input order, the reference
     first, at its sample of the window.
     """
-    quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
+    quiet = laser.LaserParams(spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)
     # samples of the bias before, of the step and of the bias after it, as
@@ -133,7 +133,7 @@ class PhaseVoltageResult:
 def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
     voltages = np.asarray(cfg.voltages, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        encoder = np.array([phase_from_voltage(v, cfg.source) for v in voltages])
+        encoder = phase_from_voltage(voltages, cfg.source)
     if not np.isfinite(encoder).all():
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None

@@ -23,9 +23,10 @@ variance beta * N / tau_n * dt, modelling spontaneous emission into the
 lasing mode.  The drive J is a pump rate in carriers per second; the
 lasing threshold is J_th = N_th / tau_n with N_th = N_tr + 1/(g tau_p).
 
-Default parameters give a relaxation-oscillation frequency of a few GHz,
-typical for a telecom DFB diode; they are illustrative, not fitted to a
-particular device.
+Default parameters give a relaxation-oscillation frequency of 4.62 GHz,
+damped at 10.9 /ns, at twice the threshold current (3.40 GHz and 5.79 /ns
+at 1.5 times), typical for a telecom DFB diode; they are illustrative, not
+fitted to a particular device.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def _heun():
         os.remove(lib)
         os.rmdir(private)
     kernel.restype = None
-    args = [ctypes.c_long] * 2 + [ctypes.c_double] * 10 + [ctypes.c_void_p] * 6
+    args = [ctypes.c_long] * 2 + [ctypes.c_double] * 9 + [ctypes.c_void_p] * 6
     kernel.argtypes = args + [ctypes.c_int] + [ctypes.c_void_p] * 2
     return kernel
 
@@ -355,15 +356,13 @@ def integrate_pumps(
     field, carrier = np.empty((rows, n_runs), dtype=complex), np.empty((rows, n_runs))
     field[0], carrier[0] = initial_field, initial_carrier
     diverged = np.zeros(n_runs, dtype=_LONG)
-    half_alpha_j = 0.5j * params.linewidth_enhancement
     coefficients = (
         params.carrier_lifetime,
         1.0 / params.photon_lifetime,
         params.gain_slope,
         params.transparency_carrier,
         params.gain_compression,
-        half_alpha_j.real,
-        half_alpha_j.imag,
+        0.5 * params.linewidth_enhancement,
         params.spontaneous_fraction,
         params.injection_coupling,
         dt,

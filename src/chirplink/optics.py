@@ -89,7 +89,8 @@ def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
     (exact energy conservation by construction).
     """
     total = mzi.loss_factor * (0.5 * mu_late + 0.5 * mu_early)
-    port0 = 0.5 * total * (1.0 + mzi.visibility * np.cos(dphi + mzi.internal_phase))
+    # capped, as half of a subnormal total can round up and leave port 1 < 0
+    port0 = np.minimum(0.5 * total * (1.0 + mzi.visibility * np.cos(dphi + mzi.internal_phase)), total)
     return port0, total - port0
 
 

@@ -56,5 +56,5 @@ def voltage_to_chirp(voltage: float, config: SourceConfig) -> float:
 
 
 def phase_from_voltage(voltage: float, config: SourceConfig) -> float:
-    """Signed output phase for a voltage perturbation of the default duration."""
+    """Signed output phase for a voltage perturbation of the default duration (elementwise on an array)."""
     return chirp_to_phase(voltage_to_chirp(voltage, config), config.perturbation_duration)

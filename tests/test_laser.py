@@ -176,6 +176,103 @@ class TestPhaseIdentity:
         assert abs(fine) < 1e-4 * abs(net)
 
 
+class TestFMResponse:
+    """[DERIVED] The small-signal FM response (Koch & Bowers, Electron. Lett.
+    20, 1038 (1984)).  About the stationary state, x = (dS, dN) follows
+    dx/dt = A x + (0, dJ), where A is the Jacobian of
+    ((Gc - 1/tau_p) S, J - N/tau_n - Gc S) in (S, N), and the chirp is
+    dphi/dt = (alpha/2) g dN.  So a drive dJ = Re(D e^{2 pi i f t}) gives
+    the chirp Re(H(f) D e^{2 pi i f t}), with
+
+        H(f) = (alpha g / 2) [(2 pi i f - A)^{-1}]_{N,N},
+
+    A's eigenvalues are the relaxation oscillation, and H(0) t_m is the net
+    phase of a settled drive step of length t_m per unit of step."""
+
+    FREQS = [0.1e9, 0.5e9, 1e9, 2e9, 5e9, 10e9]
+    BIASES = [1.5, 2.0]  # times J_th
+    DRIVE = 1e-3  # the sinusoid's amplitude, times the bias
+
+    @staticmethod
+    def jacobian(p, bias):
+        """A at the fixed point of the raw equations, from LaserParams' fields."""
+        n, s = fixed_point_oracle(p, bias * p.threshold_current)
+        g, eps = p.gain_slope, p.gain_compression
+        d = 1.0 + eps * s
+        gc = g * (n - p.transparency_carrier) / d
+        dgc_ds, dgc_dn = -eps * gc / d, g / d
+        return np.array([
+            [gc - 1.0 / p.photon_lifetime + s * dgc_ds, s * dgc_dn],
+            [-(gc + s * dgc_ds), -1.0 / p.carrier_lifetime - s * dgc_dn],
+        ])
+
+    @staticmethod
+    def transfer(p, a, f):
+        resolvent = np.linalg.inv(2j * math.pi * f * np.eye(2) - a)
+        return p.linewidth_enhancement * p.gain_slope / 2.0 * resolvent[1, 1]
+
+    def response(self, p, dt):
+        """{(bias, f): the chirp's complex amplitude over the drive's}, fitted
+        over whole periods after 2 ns from the stationary state: one kernel
+        call for 0.1 GHz, fitted over its 10 ns period, and one for the rest,
+        over 2 ns."""
+        out = {}
+        for freqs, fit in (([0.1e9], 10e-9), (self.FREQS[1:], 2e-9)):
+            k0, n_fit = round(2e-9 / dt), round(fit / dt)
+            t = dt * np.arange(k0 + n_fit + 1)
+            runs = [(b, f) for b in self.BIASES for f in freqs]
+            biases = np.array([b * p.threshold_current for b, _ in runs])
+            pump = biases + self.DRIVE * biases * np.sin(2 * math.pi * np.outer(t, [f for _, f in runs]))
+            states = np.array([laser.stationary_state(p, bias) for bias in biases])
+            field, _, diverged, _ = laser.integrate_pumps(p, pump, dt, np.sqrt(states[:, 1]) + 0j, states[:, 0])
+            assert not diverged.any()
+            # each step's mean chirp, from the field's turn over the step; a
+            # step's mean of a sinusoid at f is sinc(f dt) times its midpoint value
+            chirp = np.angle(field[k0 + 1 :] * field[k0:-1].conj()) / dt
+            mid = t[k0:-1] + dt / 2.0
+            for j, ((b, f), bias) in enumerate(zip(runs, biases)):
+                amplitude = 2.0 / n_fit * np.sum(chirp[:, j] * np.exp(-2j * math.pi * f * mid)) / np.sinc(f * dt)
+                out[b, f] = amplitude / (-1j * self.DRIVE * bias)  # d sin(w t) = Re(-i d e^{i w t})
+        return out
+
+    def test_chirp_follows_the_transfer_function(self, quiet):
+        # Tolerance: 1e-4 of |H| at dt = 2e-13, on amplitude and phase at
+        # once.  The discretisation part dominates it (up to 7.8e-5 here, at
+        # 5 GHz and 2 J_th); the drive's nonlinearity and the 2 ns of
+        # transient leave ~1e-6.  So the misses at dt, dt/2 and dt/4 differ
+        # by about 4x from one halving to the next.
+        coarse, mid, fine = (self.response(quiet, dt) for dt in (2e-13, 1e-13, 0.5e-13))
+        for b in self.BIASES:
+            a = self.jacobian(quiet, b)
+            for f in self.FREQS:
+                h = self.transfer(quiet, a, f)
+                assert abs(coarse[b, f] / h - 1.0) < 1e-4, (b, f)
+                assert 3.5 < abs(coarse[b, f] - mid[b, f]) / abs(mid[b, f] - fine[b, f]) < 4.5, (b, f)
+
+    def test_zero_frequency_is_the_drive_calibration(self, quiet):
+        from chirplink import experiments
+        from chirplink.source import SourceConfig
+
+        cfg = SourceConfig()
+        per_unit_drive = math.pi / (experiments.calibrate_physical_drive_scale(cfg) * cfg.halfwave_voltage)
+        t_m = round(cfg.perturbation_duration / DT) * DT  # the step as the physical path integrates it
+        for b in self.BIASES:
+            h0 = self.transfer(quiet, self.jacobian(quiet, b), 0.0)
+            assert h0.imag == 0.0
+            assert h0.real * t_m == pytest.approx(per_unit_drive, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "bias, frequency, damping", [(2.0, "4.62 GHz", "10.9 /ns"), (1.5, "3.40 GHz", "5.79 /ns")]
+    )
+    def test_docstring_states_the_relaxation_oscillation(self, quiet, bias, frequency, damping):
+        # A's eigenvalues are -damping +- 2 pi i f_R
+        eigenvalue = max(np.linalg.eigvals(self.jacobian(quiet, bias)), key=lambda z: z.imag)
+        assert f"{eigenvalue.imag / (2.0 * math.pi) / 1e9:.2f} GHz" == frequency
+        assert f"{-eigenvalue.real / 1e9:.3g} /ns" == damping
+        doc = " ".join(laser.__doc__.split())
+        assert frequency in doc and damping in doc
+
+
 @pytest.fixture(scope="module")
 def steady():
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
@@ -715,6 +812,105 @@ class TestHeldPumps:
             laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, None, np.zeros((samples, 3)), holds=[4, 5])
         # the shapes of sum(holds) samples pass
         laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros((8, 2, 3)), np.zeros((9, 3)), holds=[4, 5])
+
+
+# the field's parts and the unit normals: signed zeros, subnormals, tiny
+# values whose squares underflow, 1, and values whose squares pass the cap
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1.0, -1.0, 1e150, -1e150]
+EDGE = st.sampled_from(EDGES)
+# a run's (Re E, Im E, N, pump level in J_th, first step's two normals), and
+# calls of a lone run, of 2 to 8 runs and of 9 to 24
+EDGE_RUN = st.tuples(EDGE, EDGE, st.sampled_from([0.0, -0.0, -5.0, 1e3, 1e300]), LEVELS, EDGE, EDGE)
+EDGE_CALLS = st.one_of(*(st.lists(EDGE_RUN, min_size=a, max_size=b) for a, b in ((1, 1), (2, 8), (9, 24))))
+
+
+def rule_turns(field):
+    """The turns of a traced column as _heun.c's header defines them, in IEEE doubles."""
+    turns = 0
+    with np.errstate(all="ignore"):
+        for b, e in zip(field[:-1], field[1:]):
+            if np.signbit(b.imag) != np.signbit(e.imag):
+                turn = b.real < 0 and e.real < 0
+                if not turn and not (b.real >= 0 and e.real >= 0):
+                    turn = (b.real * e.imag - e.real * b.imag) / (e.imag - b.imag) < 0
+                turns += (1 if np.signbit(e.imag) else -1) if turn else 0
+    return turns
+
+
+class TestEdgeStates:
+    """integrate_pumps and oracle_integrate agree run by run from states at
+    the edges of the doubles, where many runs diverge at their first step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=EDGE_CALLS,
+        n_steps=st.integers(1, 40),
+        alpha=st.sampled_from([0.0, 3.0]),  # 0 makes (0.5j * alpha).imag +0.0 too
+        noisy=st.booleans(),
+        injected=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a carrier of -0.0 makes the noise amplitude sqrt(-0.0) = -0.0, whose
+    # sign a zero part of E takes
+    @example(runs=[(-0.0, -5e-324, -0.0, 0.0, 0.0, 0.0)], n_steps=1, alpha=3.0, noisy=True, injected=False, seed=0)
+    def test_runs_equal_the_oracle(self, params, runs, n_steps, alpha, noisy, injected, seed):
+        p = replace(params, linewidth_enhancement=alpha, injection_coupling=5e10 if injected else 0.0,
+                    spontaneous_fraction=params.spontaneous_fraction if noisy else 0.0)
+        runs, width = np.array(runs), len(runs)
+        initial = runs[:, :2].copy().view(complex)[:, 0]  # keeps the sign of every zero part
+        carriers, levels = runs[:, 2], runs[:, 3] * p.threshold_current
+        rng = np.random.default_rng(seed)
+        noise = None
+        if noisy:
+            noise = rng.choice(EDGES, (n_steps, 2, width))
+            noise[0] = runs[:, 4:].T
+        times = DT * np.arange(n_steps + 1)
+        masters = [laser.FieldTrace(times, 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n_steps + 1)), 0.0 * times)
+                   for _ in range(width)] if injected else [None] * width
+        inj = None
+        if injected:  # the samples oracle_integrate takes from each master
+            inj = np.column_stack([
+                (np.interp(times, m.times, m.field.real) + 1j * np.interp(times, m.times, m.field.imag))
+                * np.exp(1j * 2.0 * math.pi * p.detuning * times) for m in masters
+            ])
+        pump = np.repeat(levels[None], n_steps + 1, 0)
+        field, carrier, diverged, turns = laser.integrate_pumps(p, pump, DT, initial, carriers, noise, inj)
+        # without the trace, and with the pump held, where runs may share a head
+        last = laser.integrate_pumps(p, levels[None], DT, initial, carriers, noise, inj, trace=False,
+                                     holds=[n_steps + 1])
+        assert [a.tobytes() for a in last] == [a.tobytes() for a in (field[-1], carrier[-1], diverged, turns)]
+
+        def oracle(j, steps):
+            drive = laser.DriveWaveform(times[: steps + 1], pump[: steps + 1, j])
+            xi = None if noise is None else noise[:steps, :, j]
+            return oracle_integrate(p, drive, masters[j], dt=DT, initial_field=complex(initial[j]),
+                                    initial_carrier=float(carriers[j]), xi=xi)
+
+        for j in range(width):
+            try:
+                trace = oracle(j, n_steps)
+            except IntegrationDivergedError as exc:
+                k = exc.step_index
+                assert diverged[j] == k
+                before = (initial[j : j + 1], carriers[j : j + 1])  # samples 0 to k - 1
+                if k > 1:
+                    trace = oracle(j, k - 1)
+                    before = (trace.field, trace.carrier)
+                assert (field[:k, j].tobytes(), carrier[:k, j].tobytes()) == tuple(a.tobytes() for a in before)
+                # the run keeps the state it diverged at, whose |E|^2 and N the error names
+                assert (field[k:, j].tobytes(), carrier[k:, j].tobytes()) == (
+                    np.repeat(field[k, j], n_steps + 1 - k).tobytes(),
+                    np.repeat(carrier[k, j], n_steps + 1 - k).tobytes(),
+                )
+                error = laser.diverged_error(k, field[k, j], carrier[k, j])
+                assert np.array([error.intensity, error.carrier]).tobytes() == np.array(
+                    [exc.intensity, exc.carrier]).tobytes()
+                assert turns[j] == rule_turns(np.append(before[0], field[k, j]))
+            else:
+                assert diverged[j] == 0
+                assert field[:, j].tobytes() == trace.field.tobytes()
+                assert carrier[:, j].tobytes() == trace.carrier.tobytes()
+                assert turns[j] == rule_turns(trace.field)
 
 
 def run_fresh(script, cache, cwd=None, **env_vars):

@@ -50,6 +50,13 @@ class TestInterferometer:
         port0, _ = optics.decoder_ports(0.25, 0.25, math.pi / 2, mzi)
         assert port0 == pytest.approx(0.25, rel=1e-9)
 
+    def test_subnormal_pulses_leave_both_ports_non_negative(self):
+        # 3 dB of loss leaves a total of 3 units of the least subnormal; half
+        # of it rounds up to 2, so port 0 at full visibility would take 4
+        mzi = optics.InterferometerParams(visibility=1.0)
+        port0, port1 = optics.decoder_ports(3e-323, 3e-323, 0.0, mzi)
+        assert (port0, port1) == (1.5e-323, 0.0)
+
     @given(
         phases=st.lists(st.floats(0.0, 2 * math.pi - 1e-9), min_size=2, max_size=8),
         mu=st.floats(0.0, 10.0),
