@@ -5,12 +5,14 @@
  * tests/test_laser.py, written out in real arithmetic in the order
  * CPython 3.11 evaluates it: a float operand of a complex operation is
  * promoted to (x, 0.0), a product is (ar br - ai bi, ar bi + ai br) and a
- * sum adds the parts.  The zero terms are kept, so that signed zeros,
- * infinities and NaNs come out as they do in Python.  rates() is the
- * right-hand side, which the predictor and the corrector both take, as the
- * oracle's de1 and de2 lines do.  Python's 0.5j * alpha is (0.0, hi) with
- * hi = 0.5 alpha for every alpha >= 0, so only hi comes in, and the real
- * part is the literal 0.0.  Build it with -ffp-contract=off and without
+ * sum adds the parts.  Python's 0.5j * alpha is (0.0, hi) with hi = 0.5
+ * alpha >= +0.0, so only hi comes in.  Each zero term of the promotion
+ * kept changes some bit the oracle gives for an accepted input, and
+ * tests/test_laser.py pins each (test_zero_terms_that_stay).  Gone:
+ * hi * 0.0, which is +0.0; 0.0 * 0.0, as 0.0 + (0.0 * 0.0 + y) is 0.0 + y;
+ * and 0.0 * sr in ai, which turns ai only from -0.0 to +0.0 where ar >=
+ * +0.0 masks it, or to NaN where Im E is NaN anyway (the step diverges,
+ * with the same intensity).  Build it with -ffp-contract=off and without
  * -ffast-math: a fused multiply-add, a flush of subnormals or a
  * reordering would change the last bits.  laser._heun builds it for the
  * CPU it runs on: with -mavx512f (8 runs per vector) or -mavx2 (4) where
@@ -91,8 +93,8 @@ static inline __attribute__((always_inline)) rate rates(
     double gu = g * (n - n_tr);
     double gc = gu / (1.0 + eps * s);
     double x = gu - inv_tau_p;
-    double cr = 0.5 * (gc - inv_tau_p) + (0.0 * x - hi * 0.0);
-    double ci = 0.0 + (0.0 * 0.0 + hi * x);
+    double cr = 0.5 * (gc - inv_tau_p) + 0.0 * x;
+    double ci = 0.0 + hi * x;
     rate d = {cr * er - ci * ei, cr * ei + ci * er, p - n / tau_n - gc * s};
     if (injected) {
         d.er = d.er + (kappa * inj[0] - 0.0 * inj[1]);
@@ -174,7 +176,7 @@ static inline __attribute__((always_inline)) void block(
 
             /* e = e + 0.5 * (de1 + de2) * dt + noise */
             double sr = de1_r[l] + d2.er, si = de1_i[l] + d2.ei;
-            double ar = 0.5 * sr - 0.0 * si, ai = 0.5 * si + 0.0 * sr;
+            double ar = 0.5 * sr - 0.0 * si, ai = 0.5 * si;
             double er1_ = er_ + (ar * dt - ai * 0.0) + nr;
             double ei1_ = ei_ + (ar * 0.0 + ai * dt) + ni;
             double nc1 = nc_ + 0.5 * (dn1_[l] + d2.n) * dt;

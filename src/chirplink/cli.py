@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per experiment recipe.
+"""Command-line front end: one command per experiment recipe.
 
 Exit codes: 0 success, 2 configuration error (or no gcc to build the
 laser integrator), 3 numerical divergence.
@@ -25,7 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-# each subcommand runs the experiment of its name with "_" for "-"
+# each command runs the experiment of its name with "_" for "-"
 _RECIPES = {
     "phase-voltage": run_phase_voltage,
     "randomization": run_randomization,
@@ -41,12 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chirplink",
         description="Simulate the phase-chirp QKD light source and its BB84/DPS links.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _RECIPES:
-        p = sub.add_parser(command, help=f"run the {command.replace('-', ' ')} experiment")
-        p.add_argument("--config", help="flat key-value configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override rng_seed")
-        p.add_argument("--out", default=None, help="override output_path")
+    parser.add_argument("command", choices=_RECIPES, help="the experiment to run")
+    parser.add_argument("--config", help="flat key-value configuration file")
+    parser.add_argument("--seed", type=int, default=None, help="override rng_seed")
+    parser.add_argument("--out", default=None, help="override output_path")
     return parser
 
 

@@ -223,7 +223,7 @@ _KEY_READERS = {
 def parse_config_text(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse flat key-value text into a validated ExperimentConfig.
 
-    `experiment`, when given (e.g. from a CLI subcommand), must agree
+    `experiment`, when given (e.g. from the CLI's command), must agree
     with any experiment key present in the file.
     """
     top: dict[str, object] = {}

@@ -312,6 +312,14 @@ class TestCli:
         assert cli.main(["stability", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_options_before_the_recipe_name(self, tmp_path):
+        cfg = tmp_path / "stab.cfg"
+        cfg.write_text("experiment = stability\nstability.duration = 50\n")
+        after, before = tmp_path / "after.csv", tmp_path / "before.csv"
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(after)]) == 0
+        assert cli.main(["--config", str(cfg), "--out", str(before), "stability"]) == 0
+        assert before.read_bytes() == after.read_bytes()
+
     def test_seed_changes_output(self, tmp_path):
         cfg = tmp_path / "stab.cfg"
         cfg.write_text("experiment = stability\nstability.duration = 50\n")

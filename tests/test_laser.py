@@ -837,6 +837,33 @@ def rule_turns(field):
     return turns
 
 
+# Each zero term of CPython's promotion that _heun.c keeps, and a run that
+# shows it: without the term a sample of the kernel's has a zero of the
+# other sign than oracle_integrate's.  (term, LaserParams fields, dt, E, N,
+# pump at each sample, the unit normals of each step, the master's samples
+# or None.)  The carrier max's sign is the @example of
+# test_runs_equal_the_oracle.  N = 2000 is the threshold carrier, where
+# Gc = Gu = 1/tau_p at E = 0, and a kappa of 5e-324 rounds kappa times a
+# master's part to a signed zero.
+ZERO_TERMS = [
+    ("cr: + 0.0 * x", dict(photon_lifetime=1.7e308, transparency_carrier=0.0, gain_slope=1.0, linewidth_enhancement=0.0),
+     DT, (-0.0, 2e-7), 1 / 1.7e308, [1.0, 1.0], [(-0.0, 1.0)], None),
+    ("ci: 0.0 +", dict(linewidth_enhancement=0.0), DT, (-0.0, -0.0), 2000.0, [0.0, 0.0], [(0.3, -0.0)], None),
+    ("predictor: - d1.ei * 0.0", dict(photon_lifetime=1.7e308, transparency_carrier=0.0, gain_compression=1e300,
+                                     linewidth_enhancement=1e-150), 2e-163, (-0.0, 2.4e-17), 6.6e-51, [0.0, 0.0], [(-0.0, 0.0)], None),
+    ("predictor: d1.er * 0.0 +", dict(linewidth_enhancement=0.0), DT, (-0.0, -0.0), 2000.0, [4e12, 0.0], [(-1.0, -0.0)], None),
+    ("corrector: - 0.0 * si", dict(injection_coupling=5e-324), DT, (0.0, -0.0), 0.0, [0.0, 0.0], [(0.0, -0.0)],
+     [(-1.0, 0.0), (0.0, -1.0)]),
+    ("corrector: - ai * 0.0", dict(linewidth_enhancement=0.0, injection_coupling=5e10), DT, (-0.0, 1.0), 0.0, [0.0, 0.0],
+     [(-0.0, 0.0)], [(0.0, 0.0), (-5e-324, 0.0)]),
+    ("corrector: ar * 0.0 +", {}, DT, (-0.0, -0.0), 2000.0, [0.0, 0.0], [(0.0, -0.0)], None),
+    ("injection: - 0.0 * inj[1]", dict(injection_coupling=5e-324), DT, (-0.0, 0.0), 2000.0, [2e12, 2e12, 0.0],
+     [(-0.0, 0.0), (-0.0, 0.0)], [(-1.0, 0.0), (-1e-5, 0.0), (-1e-310, -1e-310)]),
+    ("injection: + 0.0 * inj[0]", dict(linewidth_enhancement=0.0, injection_coupling=5e-324), DT, (-1.0, -0.0), 4000.0,
+     [0.0, 0.0], [(0.0, -0.0)], [(0.0, -1e-5), (0.0, -0.3)]),
+]
+
+
 class TestEdgeStates:
     """integrate_pumps and oracle_integrate agree run by run from states at
     the edges of the doubles, where many runs diverge at their first step."""
@@ -911,6 +938,24 @@ class TestEdgeStates:
                 assert field[:, j].tobytes() == trace.field.tobytes()
                 assert carrier[:, j].tobytes() == trace.carrier.tobytes()
                 assert turns[j] == rule_turns(trace.field)
+
+    @pytest.mark.parametrize("term, fields, dt, e0, n0, pump, xi, master", ZERO_TERMS, ids=[c[0] for c in ZERO_TERMS])
+    def test_zero_terms_that_stay(self, params, term, fields, dt, e0, n0, pump, xi, master):
+        p = replace(params, **fields)
+        times, pump = dt * np.arange(len(pump)), np.array(pump)
+        initial = np.array(e0).view(complex)  # keeps the sign of each zero part
+        noise = np.array(xi)[:, :, None]
+        inj = None
+        if master is not None:  # the samples oracle_integrate takes from the master
+            master = laser.FieldTrace(times, np.array(master).view(complex)[:, 0], 0.0 * times)
+            inj = ((np.interp(times, times, master.field.real) + 1j * np.interp(times, times, master.field.imag))
+                   * np.exp(1j * 2.0 * math.pi * p.detuning * times))[:, None]
+        field, carrier, diverged, _ = laser.integrate_pumps(p, pump[:, None], dt, initial, n0, noise, inj)
+        trace = oracle_integrate(p, laser.DriveWaveform(times, pump), master, dt=dt, initial_field=complex(initial[0]),
+                                 initial_carrier=n0, xi=noise[:, :, 0])
+        assert diverged[0] == 0
+        assert field[:, 0].tobytes() == trace.field.tobytes()
+        assert carrier[:, 0].tobytes() == trace.carrier.tobytes()
 
 
 def run_fresh(script, cache, cwd=None, **env_vars):
