@@ -32,7 +32,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import PreconditionError
 from .optics import transmittances
-from .protocols import BB84, DPS, expected_gain_qber_axis, vacuum_yield
+from .protocols import gain_qber, link_law, vacuum_yield
 
 
 def binary_entropy(x):
@@ -141,12 +141,13 @@ class RateCurve:
             raise PreconditionError("secure_rate_bps must be clamped at 0")
 
 
-def bb84_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
-    """Analytic BB84 curve at keyrate.mu (signal) and keyrate.nu (decoy) per pair."""
-    transmittance = transmittances(losses)
+def bb84_rate_points(cfg: ExperimentConfig, losses, laws=None) -> RateCurve:
+    """Analytic BB84 curve at keyrate.mu (signal) and keyrate.nu (decoy) per pair;
+    `laws`, where the caller has them, are the link_law rows of both over the losses."""
     mu, nu = cfg.keyrate.mu, cfg.keyrate.nu
-    q_mu, e_mu = expected_gain_qber_axis(BB84, mu, transmittance, cfg.mzi, cfg.detector)
-    q_nu, e_nu = expected_gain_qber_axis(BB84, nu, transmittance, cfg.mzi, cfg.detector)
+    if laws is None:
+        laws = link_law(np.array([[mu / 2.0], [nu / 2.0]]), transmittances(losses), cfg.mzi, cfg.detector)
+    (q_mu, q_nu), (e_mu, e_nu) = gain_qber(laws)
     y0 = vacuum_yield(cfg.detector)
     res = decoy_bb84_rate(
         DecoyInputs(mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, f_ec=cfg.keyrate.f_ec)
@@ -156,10 +157,13 @@ def bb84_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
     return RateCurve(np.asarray(losses, dtype=float), sifted, e_mu, res.rate * pair_rate)
 
 
-def dps_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
-    """Analytic DPS curve at source.mean_photon_number per pulse."""
+def dps_rate_points(cfg: ExperimentConfig, losses, laws=None) -> RateCurve:
+    """Analytic DPS curve at source.mean_photon_number per pulse; `laws`, where
+    the caller has them, are its one link_law row over the losses."""
     mu = cfg.source.mean_photon_number
-    q, e = expected_gain_qber_axis(DPS, mu, transmittances(losses), cfg.mzi, cfg.detector)
+    if laws is None:
+        laws = link_law(np.array([[mu]]), transmittances(losses), cfg.mzi, cfg.detector)
+    (q,), (e,) = gain_qber(laws)
     secure_fraction = dps_rate(q, np.where(0.5 < e, 0.5, e), mu, cfg.keyrate.f_ec)
     clock = cfg.source.clock_rate
     return RateCurve(np.asarray(losses, dtype=float), q * clock, e, secure_fraction * clock)

@@ -31,12 +31,14 @@ class ChannelParams:
 
     @property
     def transmittance(self) -> float:
-        return 10.0 ** (-self.loss_db / 10.0)
+        return float(transmittances([self.loss_db])[0])
 
 
 def transmittances(losses_db) -> np.ndarray:
-    """ChannelParams(loss).transmittance of each loss, as an array."""
-    return np.array([ChannelParams(loss).transmittance for loss in losses_db])
+    """Power transmittance 10 ** (-loss / 10) of each loss in dB, as an array."""
+    if any(loss < 0 for loss in losses_db):
+        raise PreconditionError("loss_db must be >= 0")
+    return np.array([10.0 ** (-loss / 10.0) for loss in losses_db])
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,11 @@ def decoder_ports(mu_late, mu_early, dphi, mzi: InterferometerParams):
 def click_probability(mean_photons, det: DetectorParams):
     """Threshold-detector click probability of each slot of given mean photons, as an array."""
     mean_photons = np.asarray(mean_photons, dtype=float)
-    if np.any(mean_photons < 0):
+    if (mean_photons < 0).any():
         raise PreconditionError("mean_photons must be >= 0")
-    return 1.0 - (1.0 - det.dark_probability) * np.exp(-mean_photons * det.efficiency)
+    # math.exp, element by element: np.exp's bits depend on the SIMD level numpy dispatches to
+    from math import exp
 
+    no_dark, efficiency = 1.0 - det.dark_probability, det.efficiency
+    clicks = [1.0 - no_dark * exp(-x * efficiency) for x in mean_photons.ravel().tolist()]
+    return np.array(clicks).reshape(mean_photons.shape)

@@ -16,29 +16,16 @@ settles a double click).  A link's counts are one multinomial draw over
 those three outcomes.  An effect that correlates slots (afterpulsing,
 dead time, a drifting phase) would need per-slot draws again.
 
-The analytic gain/QBER model mirrors the Monte Carlo path:
-
-    Q = 1 - (1 - Y0) exp(-mu * eta_tot)
-    E = [e_det (1 - exp(-mu * eta_tot)) + Y0/2] / Q
-
-with e_det = (1 - V cos theta)/2 for the decoder's internal phase theta,
-Y0 = 1 - (1 - p_dark)^2 (two detectors), and
-
-    BB84: mu = mean photons per pair,  eta_tot = T_ch * 1/2 * L_mzi * eta_det
-    DPS:  mu = mean photons per pulse, eta_tot = T_ch * L_mzi * eta_det
-
-The BB84 factor 1/2 is the pair-geometry duty factor: half of the
-pair's energy interferes in the discarded satellite slots.  The passive
-basis choice is a bookkeeping coin, not an extra optical loss; its
-factor 1/2 enters the sifted rate and the key-rate sift factor, not Q.
-The closed form matches the Monte Carlo's click model up to O((mu eta)^3).
-
-A sweep evaluates both over its whole loss axis at once, one element per
-channel transmittance: the closed form in expected_gain_qber_axis and
-the click model in click_model; simulate_links draws every loss's
-counts in one multinomial call from one generator.  One channel is the
-one-element case of the same functions (expected_gain_qber wraps it for
-the closed form).
+The draw and the analytic curve read one law: link_law gives, at each
+channel transmittance, the chance that a matched-basis slot is sifted
+with an error (p_error), sifted without one (p_correct) or not sifted,
+from the decoder's port intensities and the detectors' click
+probabilities.  simulate_links draws every loss's counts from it, scaled
+by the chance that the bases match (1/2 for BB84, 1 for DPS), in one
+multinomial call; the gain is Q = p_error + p_correct and the QBER
+E = p_error / Q.  For BB84, mu is the pulse pair's mean photon number,
+so each pulse carries mu/2 and half of the pair's energy interferes in
+the discarded satellite slots; for DPS, mu is per pulse.
 """
 
 from __future__ import annotations
@@ -56,7 +43,6 @@ from .optics import (
     click_probability,
     decoder_ports,
 )
-from .source import SourceConfig
 
 BB84 = "bb84"
 DPS = "dps"
@@ -79,6 +65,41 @@ def vacuum_yield(det: DetectorParams) -> float:
     return 1.0 - (1.0 - det.dark_probability) ** 2
 
 
+def link_law(
+    mean_photon_number: float | np.ndarray,
+    transmittance: np.ndarray,
+    mzi: InterferometerParams,
+    det: DetectorParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_error, p_correct, rest): the chance that a matched-basis slot is
+    sifted with an error, sifted without one, or not sifted, one element
+    per channel transmittance (and one row per mean photon number, if
+    given as a column).
+
+    Both pulses of the slot carry mean_photon_number times the
+    transmittance and differ in phase by bit * pi.  Per bit, the right
+    and the wrong port click with probability r and w, and a fair coin
+    breaks a tie.
+    """
+    mu = mean_photon_number * np.asarray(transmittance, dtype=float)
+    (r0, w0), (w1, r1) = decoder_ports(mu, mu, 0.0, mzi), decoder_ports(mu, mu, math.pi, mzi)
+    clicks = click_probability(np.stack([r0, r1, w0, w1]), det)
+    r, w = clicks[:2], clicks[2:]
+    # summed over the two bits; rest >= 0 by construction, where
+    # 1 - p_error - p_correct is -1e-16 at some certain clicks
+    error, correct, rest = w * (1.0 - r / 2.0), r * (1.0 - w / 2.0), (1.0 - r) * (1.0 - w)
+    return 0.5 * (error[0] + error[1]), 0.5 * (correct[0] + correct[1]), 0.5 * (rest[0] + rest[1])
+
+
+def gain_qber(law) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and QBER of a matched-basis slot under a link_law; the QBER is 0
+    where the gain is 0."""
+    p_error, p_correct, _ = law
+    gain = p_error + p_correct
+    # p_error is 0 where the gain is
+    return gain, p_error / np.where(gain > 0, gain, 1.0)
+
+
 def expected_gain_qber_axis(
     protocol: str,
     mu: float,
@@ -86,32 +107,16 @@ def expected_gain_qber_axis(
     mzi: InterferometerParams,
     det: DetectorParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form gain and QBER of the threshold-detector link model, one
-    element per channel transmittance; the QBER is 0 where the gain is 0.
-
-    For BB84, mu is the mean photon number of the pulse pair and the
-    gain is per matched-basis pair; for DPS, mu is per pulse and the
-    gain is per interference slot.
-    """
+    """gain_qber of the link_law at each channel transmittance: for BB84, mu is
+    the pulse pair's mean photon number and the gain is per matched-basis
+    pair; for DPS, mu is per pulse and the gain is per interference slot."""
     if mu < 0:
         raise PreconditionError("mu must be >= 0")
     if protocol == BB84:
-        duty = 0.5
-    elif protocol == DPS:
-        duty = 1.0
-    else:
+        mu = mu / 2.0
+    elif protocol != DPS:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    eta_tot = np.asarray(transmittance, dtype=float) * duty * mzi.loss_factor * det.efficiency
-    y0 = vacuum_yield(det)
-    e_det = 0.5 * (1.0 - mzi.visibility * math.cos(mzi.internal_phase))
-    # math.exp, element by element: np.exp rounds some doubles differently,
-    # and the rate curves are recorded with these bits
-    exp = np.array([math.exp(x) for x in (-mu * eta_tot).tolist()])
-    signal = 1.0 - exp
-    gain = 1.0 - (1.0 - y0) * exp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qber = np.where(gain > 0, (e_det * signal + 0.5 * y0) / gain, 0.0)
-    return gain, qber
+    return gain_qber(link_law(mu, transmittance, mzi, det))
 
 
 def expected_gain_qber(
@@ -126,33 +131,9 @@ def expected_gain_qber(
     return float(gain[0]), float(qber[0])
 
 
-def click_model(
-    mean_photon_number: float,
-    transmittance: np.ndarray,
-    mzi: InterferometerParams,
-    det: DetectorParams,
-) -> np.ndarray:
-    """Click probabilities of a sifted slot, indexed (transmittance, bit, port).
-
-    Both pulses of the slot carry mean_photon_number times the
-    transmittance and differ in phase by bit * pi.
-    """
-    mu = mean_photon_number * np.asarray(transmittance, dtype=float)[:, None]
-    port0, port1 = decoder_ports(mu, mu, np.array([0.0, math.pi]), mzi)
-    return click_probability(np.stack([port0, port1], axis=-1), det)
-
-
-def simulate_links(
-    protocol: str,
-    n: int,
-    config: SourceConfig,
-    transmittance: np.ndarray,
-    mzi: InterferometerParams,
-    det: DetectorParams,
-    rng_seed: int,
-) -> list[SiftResult]:
-    """Monte Carlo link at each transmittance, all in one multinomial draw
-    from one generator.
+def simulate_links(protocol: str, n: int, clock_rate: float, law, rng_seed: int) -> list[SiftResult]:
+    """Monte Carlo link at each transmittance of a link_law, all in one
+    multinomial draw from one generator.
 
     BB84 sifts the central slots of n pulse pairs' matched-basis pairs, DPS
     the n - 1 slots of one coherence block of n pulses.
@@ -167,18 +148,11 @@ def simulate_links(
         n_slots, n_pulses, match = n - 1, n, 1.0
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    clicks = click_model(config.mean_photon_number, transmittance, mzi, det)
-    # a slot errs, is sifted without error, or is not; per bit, the right and the
-    # wrong port click with probability r and w, and a fair coin breaks a tie
-    right, wrong = clicks[:, [0, 1], [0, 1]], clicks[:, [0, 1], [1, 0]]
-    p_error = match * 0.5 * (wrong * (1.0 - right / 2.0)).sum(axis=1)
-    p_correct = match * 0.5 * (right * (1.0 - wrong / 2.0)).sum(axis=1)
-    # >= 0 by construction: 1 - p_error - p_correct is -1e-16 at some certain clicks
-    rest = (1.0 - match) + match * 0.5 * ((1.0 - right) * (1.0 - wrong)).sum(axis=1)
-    p = np.stack([p_error, p_correct, rest], axis=-1)
+    p_error, p_correct, rest = law
+    p = np.stack([match * p_error, match * p_correct, (1.0 - match) + match * rest], axis=-1)
     draws = np.random.default_rng(rng_seed).multinomial(n_slots, p)
     sifted = draws[:, 0] + draws[:, 1]
     return [
-        SiftResult(k, e, e / k if k else 0.0, k * config.clock_rate / n_pulses)
+        SiftResult(k, e, e / k if k else 0.0, k * clock_rate / n_pulses)
         for k, e in zip(sifted.tolist(), draws[:, 0].tolist())
     ]

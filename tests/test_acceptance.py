@@ -33,6 +33,12 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+def simulate_links(protocol, n, cfg, transmittance, mzi, det, rng_seed):
+    """protocols.simulate_links over the link law of cfg's pulses."""
+    law = protocols.link_law(cfg.mean_photon_number, transmittance, mzi, det)
+    return protocols.simulate_links(protocol, n, cfg.clock_rate, law, rng_seed)
+
+
 def test_criterion_1_halfwave_calibration():
     t0 = time.perf_counter()
     voltages = list(np.round(np.arange(-0.5, 0.501, 0.05), 10))
@@ -140,15 +146,15 @@ def test_criterion_5_dps_sweep():
         protocols.DPS, 0.2, ChannelParams(0.0), mzi, det
     )
     at_0 = np.array([ChannelParams(0.0).transmittance])
-    (mc,) = protocols.simulate_links(protocols.DPS, 2_000_000, src, at_0, mzi, det, rng_seed=3)
+    (mc,) = simulate_links(protocols.DPS, 2_000_000, src, at_0, mzi, det, rng_seed=3)
     se = math.sqrt(base_qber * (1 - base_qber) / mc.sifted_count)
     base_ok = abs(base_qber - 0.019) < 0.003 and abs(mc.qber - 0.019) < 0.003 + 3 * se
     km = ChannelParams(100.0 * 0.2)
     db = ChannelParams(20.0)
-    (res_km,) = protocols.simulate_links(
+    (res_km,) = simulate_links(
         protocols.DPS, 500_000, src, np.array([km.transmittance]), mzi, det, rng_seed=5
     )
-    (res_db,) = protocols.simulate_links(
+    (res_db,) = simulate_links(
         protocols.DPS, 500_000, src, np.array([db.transmittance]), mzi, det, rng_seed=5
     )
     bitwise_ok = res_km == res_db and km.transmittance == db.transmittance
@@ -292,7 +298,7 @@ def test_criterion_9_monte_carlo_vs_analytic():
     src_b = SourceConfig(mean_photon_number=0.25)
     for loss in (0.0, 10.0, 20.0):
         n_pairs = 1_000_000
-        (res,) = protocols.simulate_links(
+        (res,) = simulate_links(
             protocols.BB84, n_pairs, src_b, np.array([ChannelParams(loss).transmittance]), mzi_b, det,
             rng_seed=7,
         )
@@ -307,7 +313,7 @@ def test_criterion_9_monte_carlo_vs_analytic():
     src_d = SourceConfig(mean_photon_number=0.2)
     for loss in (0.0, 10.0, 20.0):
         n_pulses = 1_000_000
-        (res,) = protocols.simulate_links(
+        (res,) = simulate_links(
             protocols.DPS, n_pulses, src_d, np.array([ChannelParams(loss).transmittance]), mzi_d, det,
             rng_seed=3,
         )

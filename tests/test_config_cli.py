@@ -554,7 +554,7 @@ class TestCli:
 
 
 class TestInputBounds:
-    """Inputs the count sampler or the closed form cannot take exit with code 2."""
+    """Inputs the count sampler or the analytic curve cannot take exit with code 2."""
 
     @pytest.mark.parametrize(
         "command, lines, message",

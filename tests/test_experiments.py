@@ -541,13 +541,11 @@ class TestSweeps:
         )
         sifts, _ = experiments.run_sweep(cfg, protocol)
         if protocol == "bb84":
-            source = replace(cfg.source, mean_photon_number=cfg.keyrate.mu / 2.0)
-            n = max(1, trials // 2)
+            mu, n = cfg.keyrate.mu / 2.0, max(1, trials // 2)
         else:
-            source, n = cfg.source, max(2, trials)
-        expected = protocols.simulate_links(
-            protocol, n, source, transmittances(losses), cfg.mzi, cfg.detector, cfg.rng_seed
-        )
+            mu, n = cfg.source.mean_photon_number, max(2, trials)
+        law = protocols.link_law(mu, transmittances(losses), cfg.mzi, cfg.detector)
+        expected = protocols.simulate_links(protocol, n, cfg.source.clock_rate, law, cfg.rng_seed)
         assert sifts == expected
 
     @pytest.mark.parametrize("protocol", ["bb84", "dps"])

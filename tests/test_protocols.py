@@ -29,6 +29,12 @@ def within_5_sigma(k, n, p):
     return min(stats.binom.cdf(k, n, p), stats.binom.sf(k - 1, n, p)) > TAIL_5_SIGMA
 
 
+def simulate_links(protocol, n, cfg, transmittance, mzi, det, rng_seed):
+    """protocols.simulate_links over the link law of cfg's pulses."""
+    law = protocols.link_law(cfg.mean_photon_number, transmittance, mzi, det)
+    return protocols.simulate_links(protocol, n, cfg.clock_rate, law, rng_seed)
+
+
 @pytest.fixture(scope="module")
 def det():
     return DetectorParams()
@@ -230,16 +236,34 @@ class TestAnalyticModel:
         assert protocols.vacuum_yield(det) == pytest.approx(7.49999986e-8, rel=1e-6)
 
     def test_gain_qber_against_poisson_oracle(self, det, mzi):
+        # The Poisson expansion is the textbook closed form (Ma, Qi, Zhao & Lo,
+        # PRA 72, 012326 (2005)), an approximation of the law.  [DERIVED] With
+        # x = mu eta, x_r = (1 - e) x and x_w = e x on the right and the wrong
+        # port, dark probability d and d' = 1 - d, both gains are
+        # 1 - d'^2 exp(-x), and the law's error numerator
+        # (1 - d' exp(-x_w)) (1 + d' exp(-x_r)) / 2 exceeds the textbook's
+        # e (1 - exp(-x)) + Y0/2 by D = D0 - d (exp(-x_r) - exp(-x_w)) / 2
+        # - d (2 - d) (1 - exp(-x)) / 2.  D0, the d = 0 part, and its first
+        # two derivatives are 0 at x = 0, its third is e (1 - e) (1 - 2e) / 2
+        # there, and its fourth is within [-1, 1] for x >= 0.  So
+        # |D| <= e (1 - e) |1 - 2e| x^3 / 12 + x^4 / 24 + 3 d x / 2, and the
+        # QBERs differ by at most |D| / Q.
+        d = det.dark_probability
+        e = 0.5 * (1 - mzi.visibility)
         for protocol, mu, duty in ((protocols.BB84, 0.5, 0.5), (protocols.DPS, 0.2, 1.0)):
             for loss in (0.0, 10.0, 20.0, 30.0):
                 ch = ChannelParams(loss)
                 gain, qber = protocols.expected_gain_qber(protocol, mu, ch, mzi, det)
                 eta = ch.transmittance * duty * mzi.loss_factor * det.efficiency
-                g_ref, e_ref = poisson_gain_qber(
-                    mu, eta, protocols.vacuum_yield(det), 0.5 * (1 - mzi.visibility)
-                )
+                g_ref, e_ref = poisson_gain_qber(mu, eta, protocols.vacuum_yield(det), e)
+                x = mu * eta
+                bound = (e * (1 - e) * abs(1 - 2 * e) * x**3 / 12 + x**4 / 24 + 1.5 * d * x) / g_ref
+                # 1e-9 relative covers rounding: a click probability near
+                # 1 - exp(-x) cancels to ~1e-16 / x relative
                 assert gain == pytest.approx(g_ref, rel=1e-9)
-                assert qber == pytest.approx(e_ref, rel=1e-9)
+                assert abs(qber - e_ref) <= bound + 1e-9 * e_ref
+                if loss == 0.0:  # the bound is tight enough to see the third-order gap
+                    assert abs(qber - e_ref) > bound / 4
 
     def test_qber_limits(self, det, mzi):
         # at zero loss the dark-count term is negligible: QBER -> (1-V)/2 * signal/gain
@@ -272,7 +296,7 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.25)
         n_pairs = 400_000
         for loss in (0.0, 10.0):
-            (res,) = protocols.simulate_links(
+            (res,) = simulate_links(
                 protocols.BB84, n_pairs, cfg, np.array([ChannelParams(loss).transmittance]), mzi, det,
                 rng_seed=7,
             )
@@ -291,7 +315,7 @@ class TestMonteCarloAgreement:
     def test_dps_matches_analytic(self, det, mzi):
         cfg = source.SourceConfig(mean_photon_number=0.2)
         n_pulses = 400_000
-        (res,) = protocols.simulate_links(
+        (res,) = simulate_links(
             protocols.DPS, n_pulses, cfg, np.array([ChannelParams(10.0).transmittance]), mzi, det, rng_seed=3
         )
         gain, qber = protocols.expected_gain_qber(
@@ -310,7 +334,7 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.25)
         tracemalloc.start()
         try:
-            (res,) = protocols.simulate_links(
+            (res,) = simulate_links(
                 protocols.BB84, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seed=9
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -323,7 +347,7 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.2)
         tracemalloc.start()
         try:
-            (res,) = protocols.simulate_links(
+            (res,) = simulate_links(
                 protocols.DPS, 10**14, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seed=9
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -336,7 +360,7 @@ class TestMonteCarloAgreement:
         cfg = source.SourceConfig(mean_photon_number=0.2)
 
         def run(seed):
-            (res,) = protocols.simulate_links(
+            (res,) = simulate_links(
                 protocols.DPS, 100_000, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det,
                 rng_seed=seed,
             )
@@ -349,7 +373,7 @@ class TestMonteCarloAgreement:
         # perfect visibility: only a rare dark click in the dark port can err
         cfg = source.SourceConfig(mean_photon_number=0.5)
         mzi = InterferometerParams(visibility=1.0)
-        (res,) = protocols.simulate_links(
+        (res,) = simulate_links(
             protocols.DPS, 200_000, cfg, np.array([ChannelParams(0.0).transmittance]), mzi, det, rng_seed=11
         )
         assert res.sifted_count > 0
@@ -383,7 +407,7 @@ class TestSamplerMatchesOracle:
         results = [
             res
             for seed in range(self.RUNS)
-            for res in protocols.simulate_links(
+            for res in simulate_links(
                 protocol, self.SLOTS, self.cfg, transmittance, self.mzi, self.det, seed
             )
         ]
@@ -398,23 +422,30 @@ class TestSamplerMatchesOracle:
             assert p > 1e-3, f"{name}: two-sample KS p = {p:.2e}"
 
 
+# Pulses in a day at a 2 GHz clock.
+DAY_OF_PULSES = 86_400 * 2 * 10**9
+
+
 class TestClosedFormProperty:
-    # The closed form treats double clicks to first order, so it departs from
-    # the click model by O((mu eta)^3) plus dark-click cross terms.  With at
-    # most 0.25 photons per pulse, efficiency <= 0.15 and dark probability
-    # <= 2.5e-7 that gap stays below one standard error up to 10^9 slots.
+    # The analytic gain and QBER are read off the law the Monte Carlo draws
+    # from, so the two agree within 5 sigma at every accepted input, up to a
+    # day of pulses.
     @settings(deadline=None)
     @given(
         protocol=st.sampled_from([protocols.BB84, protocols.DPS]),
-        n=st.integers(1, 10**9),
-        mu=st.floats(0.0, 0.25),
+        n=st.integers(1, DAY_OF_PULSES),
+        mu=st.floats(0.0, 10.0),
         visibility=st.floats(0.0, 1.0),
         internal_phase=st.floats(-math.pi, math.pi),
-        dark_rate=st.floats(0.0, 1000.0),
-        efficiency=st.floats(0.0, 0.15),
-        insertion_loss_db=st.floats(0.0, 10.0),
+        dark_rate=st.floats(0.0, 4e9),
+        efficiency=st.floats(0.0, 1.0),
+        insertion_loss_db=st.floats(0.0, 30.0),
         loss_db=st.floats(0.0, 60.0),
         seed=st.integers(0, 2**32),
+    )
+    @example(  # the textbook closed form's QBER is 1.2e-3 relative low here: z ~ 430
+        protocol=protocols.BB84, n=DAY_OF_PULSES // 2, mu=0.25, visibility=0.952, internal_phase=0.0,
+        dark_rate=150.0, efficiency=0.5, insertion_loss_db=0.0, loss_db=0.0, seed=0,
     )
     def test_monte_carlo_matches_closed_form(
         self, protocol, n, mu, visibility, internal_phase, dark_rate, efficiency,
@@ -430,23 +461,28 @@ class TestClosedFormProperty:
         det = DetectorParams(efficiency=efficiency, dark_rate=dark_rate)
         transmittance = np.array([channel.transmittance])
         if protocol == protocols.BB84:
-            (res,) = protocols.simulate_links(protocol, n, cfg, transmittance, mzi, det, seed)
+            (res,) = simulate_links(protocol, n, cfg, transmittance, mzi, det, seed)
             gain, qber = protocols.expected_gain_qber(protocol, 2 * mu, channel, mzi, det)
             p_sift = 0.5 * gain
         else:
-            (res,) = protocols.simulate_links(protocol, n + 1, cfg, transmittance, mzi, det, seed)
+            (res,) = simulate_links(protocol, n + 1, cfg, transmittance, mzi, det, seed)
             gain, qber = protocols.expected_gain_qber(protocol, mu, channel, mzi, det)
             p_sift = gain
         assert within_5_sigma(res.sifted_count, n, p_sift)
         assert within_5_sigma(res.error_count, res.sifted_count, qber)
 
 
-def slot_law(protocol, clicks):
-    """[DERIVED] (P(sifted), P(sifted with an error)) of one slot, summed
-    exactly over its bit, its port-0 and port-1 clicks and the tie coin.
-    clicks[bit][port] are click_model's probabilities, taken as exact
-    fractions; port 1 reads bit 1, and BB84 sifts the half of the slots
-    whose bases match."""
+def slot_clicks(mu, transmittance, mzi, det):
+    """clicks[bit][port]: the click probabilities of a slot whose two pulses
+    carry mu times the transmittance and differ in phase by bit * pi."""
+    m = mu * transmittance
+    return [click_probability(decoder_ports(m, m, dphi, mzi), det).tolist() for dphi in (0.0, math.pi)]
+
+
+def slot_law(clicks):
+    """[DERIVED] (P(sifted), P(sifted with an error)) of a matched-basis slot,
+    summed exactly over its bit, its port-0 and port-1 clicks and the tie
+    coin.  clicks[bit][port] are taken as exact fractions; port 1 reads bit 1."""
     half = Fraction(1, 2)
     sift = error = Fraction(0)
     for bit, (p0, p1) in enumerate(clicks):
@@ -456,8 +492,7 @@ def slot_law(protocol, clicks):
                 p = half * (p0 if c0 else 1 - p0) * (p1 if c1 else 1 - p1) * half
                 sift += p
                 error += p * ((coin if c0 and c1 else c1) != bit)
-    match = half if protocol == protocols.BB84 else 1
-    return match * sift, match * error
+    return sift, error
 
 
 class TestOneDraw:
@@ -480,16 +515,54 @@ class TestOneDraw:
     @pytest.mark.parametrize("protocol", [protocols.BB84, protocols.DPS])
     def test_draw_follows_the_enumerated_law(self, protocol, link):
         # at 10**15 slots the standard error of the QBER is ~1e-6 relative,
-        # far below the closed form's error at the double-click link
+        # far below the textbook closed form's error at the double-click link
         mu, mzi, det, losses = self.LINKS[link]
         cfg = source.SourceConfig(mean_photon_number=mu)
         n = self.SLOTS if protocol == protocols.BB84 else self.SLOTS + 1
-        results = protocols.simulate_links(protocol, n, cfg, transmittances(losses), mzi, det, 21)
-        model = protocols.click_model(mu, transmittances(losses), mzi, det).tolist()
-        for res, clicks in zip(results, model, strict=True):
-            p_sift, p_error = slot_law(protocol, clicks)
-            assert within_5_sigma(res.sifted_count, self.SLOTS, float(p_sift))
+        results = simulate_links(protocol, n, cfg, transmittances(losses), mzi, det, 21)
+        # BB84 sifts the half of the slots whose bases match
+        match = Fraction(1, 2) if protocol == protocols.BB84 else 1
+        for res, t in zip(results, transmittances(losses).tolist(), strict=True):
+            p_sift, p_error = slot_law(slot_clicks(mu, t, mzi, det))
+            assert within_5_sigma(res.sifted_count, self.SLOTS, float(match * p_sift))
             assert within_5_sigma(res.error_count, res.sifted_count, float(p_error / p_sift))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        protocol=st.sampled_from([protocols.BB84, protocols.DPS]),
+        mu=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)),
+        visibility=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        internal_phase=st.floats(-math.pi, math.pi),
+        # 0, or a dark click probability from 2.5e-13 up to 1: the law's
+        # arithmetic then stays clear of subnormal products
+        dark_rate=st.one_of(st.just(0.0), st.floats(1e-3, 4e9)),
+        efficiency=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        insertion_loss_db=st.floats(0.0, 30.0),
+        losses=st.lists(st.one_of(st.just(3500.0), st.floats(0.0, 3500.0)), min_size=1, max_size=6),
+    )
+    @example(  # the efficiency-0.5 link, where the textbook QBER is 1.2e-3 relative low
+        protocol=protocols.BB84, mu=0.5, visibility=0.952, internal_phase=0.0, dark_rate=150.0,
+        efficiency=0.5, insertion_loss_db=0.0, losses=[0.0, 10.0, 20.0],
+    )
+    def test_axis_is_the_enumerated_law(
+        self, protocol, mu, visibility, internal_phase, dark_rate, efficiency, insertion_loss_db, losses
+    ):
+        # the analytic gain and QBER are the exact sums over the clicks the
+        # law reads, up to its roundings, each within u = 2**-53 relative and
+        # so within one ulp: 4 on the way to the gain and 8 to the QBER, and
+        # one ulp to spare for the second-order terms
+        mzi = InterferometerParams(
+            internal_phase=internal_phase, insertion_loss_db=insertion_loss_db, visibility=visibility
+        )
+        det = DetectorParams(efficiency=efficiency, dark_rate=dark_rate)
+        transmittance = transmittances(losses)
+        gain, qber = protocols.expected_gain_qber_axis(protocol, mu, transmittance, mzi, det)
+        pulse_mu = mu / 2.0 if protocol == protocols.BB84 else mu
+        for g, e, t in zip(gain.tolist(), qber.tolist(), transmittance.tolist(), strict=True):
+            p_sift, p_error = slot_law(slot_clicks(pulse_mu, t, mzi, det))
+            want_e = p_error / p_sift if p_sift else Fraction(0)
+            assert abs(Fraction(g) - p_sift) <= 5 * Fraction(math.ulp(float(p_sift)))
+            assert abs(Fraction(e) - want_e) <= 9 * Fraction(math.ulp(float(want_e)))
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -517,7 +590,7 @@ class TestOneDraw:
         mzi = InterferometerParams(internal_phase=internal_phase, visibility=visibility)
         det = DetectorParams(efficiency=efficiency, dark_rate=dark_rate)
         transmittance = transmittances(losses)
-        results = protocols.simulate_links(protocol, n, cfg, transmittance, mzi, det, seed)
+        results = simulate_links(protocol, n, cfg, transmittance, mzi, det, seed)
         slots = n if protocol == protocols.BB84 else n - 1
         for res, t in zip(results, transmittance.tolist(), strict=True):
             assert 0 <= res.error_count <= res.sifted_count <= slots
