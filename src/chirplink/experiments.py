@@ -18,8 +18,8 @@ from . import laser
 from .config import ExperimentConfig
 from .errors import PreconditionError
 from .keyrate import RateCurve, bb84_rate_points, dps_rate_points
-from .optics import decoder_ports, transmittances
-from .protocols import BB84, DPS, SiftResult, link_law, simulate_links
+from .optics import decoder_ports
+from .protocols import BB84, DPS, SiftResult, simulate_links
 from .source import SourceConfig, phase_from_voltage
 
 TWO_PI = 2.0 * math.pi
@@ -238,22 +238,18 @@ def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], R
     """(sifts, curve): a Monte Carlo SiftResult per loss of cfg.losses and the
     analytic RateCurve over them.
 
-    The link law at each photon number per pulse (BB84's signal and decoy, or
-    DPS's one), the Monte Carlo draws (one generator seeded with
-    cfg.rng_seed) and the curve are computed over the whole loss axis at
-    once; the draws and the curve read the same law at the signal.
+    The curve evaluates the link law over the whole loss axis at once, and
+    the Monte Carlo draws every loss's counts, from one generator seeded
+    with cfg.rng_seed, from the curve's law at the signal.
     """
     if protocol == BB84:
         n, rate_points = max(1, cfg.trials // 2), bb84_rate_points
-        intensities = [[cfg.keyrate.mu / 2.0], [cfg.keyrate.nu / 2.0]]
     elif protocol == DPS:
-        n, rate_points, intensities = max(2, cfg.trials), dps_rate_points, [[cfg.source.mean_photon_number]]
+        n, rate_points = max(2, cfg.trials), dps_rate_points
     else:
         raise PreconditionError(f"unknown protocol {protocol!r}")
-    # one row per intensity, the signal's first
-    laws = link_law(np.array(intensities), transmittances(cfg.losses), cfg.mzi, cfg.detector)
-    curve = rate_points(cfg, cfg.losses, laws)
-    sifts = simulate_links(protocol, n, cfg.source.clock_rate, [p[0] for p in laws], cfg.rng_seed)
+    curve = rate_points(cfg, cfg.losses)
+    sifts = simulate_links(protocol, n, cfg.source.clock_rate, curve.law, cfg.rng_seed)
     if cfg.output_path:
         table = np.column_stack(
             [

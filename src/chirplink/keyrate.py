@@ -8,8 +8,8 @@ The BB84 bound is the standard two-decoy (vacuum + weak) result:
     Q1  = Y1 * mu * exp(-mu)
     R   = 1/2 * max(0, -Q_mu f_ec H2(E_mu) + Q1 (1 - H2(e1)))
 
-The DPS secure fraction is pluggable; the default transcribes the
-individual-attack bound with a photon-number-splitting penalty,
+The DPS secure fraction transcribes the individual-attack bound with a
+photon-number-splitting penalty,
 
     R = Q * max(0, -f_ec H2(e) + (1 - 2 mu) (1 - log2(1 + 4 e (1 - e))))
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, KeyRateConfig
 from .errors import PreconditionError
 from .optics import transmittances
 from .protocols import gain_qber, link_law, vacuum_yield
@@ -47,50 +47,21 @@ def binary_entropy(x):
     return out
 
 
-@dataclass(frozen=True)
-class DecoyInputs:
-    """Inputs of the decoy bound.  The gains, QBERs and vacuum yield are
-    numbers or arrays with one element per loss; every check covers them all.
+def decoy_bb84_rate(keyrate: KeyRateConfig, q_mu, q_nu, e_mu, e_nu, y0):
+    """(rate, y1, e1): the vacuum + weak decoy lower bound on the secure fraction
+    per signal and the single-photon yield and error bounds, elementwise over
+    numbers or per-loss arrays.  Where Y1 <= 0 the rate is 0 and e1 is 1; where
+    e1 > 1/2 the rate is 0.  KeyRateConfig has checked mu, nu and f_ec.
     """
-
-    mu: float
-    nu: float
-    q_mu: np.ndarray | float
-    q_nu: np.ndarray | float
-    e_mu: np.ndarray | float
-    e_nu: np.ndarray | float
-    y0: np.ndarray | float
-    f_ec: float
-
-    def __post_init__(self):
-        if not 0.0 < self.nu < self.mu:
-            raise PreconditionError("decoy intensities must satisfy 0 < nu < mu")
-        if not self.mu * self.nu - self.nu * self.nu > 0.0:
-            raise PreconditionError("decoy intensities: mu * nu - nu^2 rounds to 0")
-        for name in ("q_mu", "q_nu", "e_mu", "e_nu", "y0"):
-            v = np.asarray(getattr(self, name))
-            if not np.all((0.0 <= v) & (v <= 1.0)):
-                raise PreconditionError(f"{name} must be in [0, 1]")
-        if self.f_ec < 1.0:
-            raise PreconditionError("f_ec must be >= 1")
-
-
-@dataclass(frozen=True)
-class DecoyRateResult:
-    rate: np.ndarray
-    y1_bound: np.ndarray
-    e1_bound: np.ndarray
-
-
-def decoy_bb84_rate(inputs: DecoyInputs) -> DecoyRateResult:
-    """Vacuum + weak decoy lower bound on the secure fraction per signal,
-    elementwise.  Where Y1 <= 0 the rate is 0 and the e1 bound 1; where
-    e1 > 1/2 the rate is 0.
-    """
-    mu, nu = inputs.mu, inputs.nu
-    # numpy values even for plain-number inputs: a zero y1 * nu then divides
-    # as IEEE does, and the masks below are boolean
-    q_mu, q_nu, e_nu, y0 = map(np.asarray, (inputs.q_mu, inputs.q_nu, inputs.e_nu, inputs.y0))
+    mu, nu = keyrate.mu, keyrate.nu
+    if not mu * nu - nu * nu > 0.0:
+        raise PreconditionError("decoy intensities: mu * nu - nu^2 rounds to 0")
+    # numpy values even for plain numbers: a zero y1 * nu then divides as
+    # IEEE does, and the masks below are boolean
+    q_mu, q_nu, e_mu, e_nu, y0 = values = [np.asarray(v) for v in (q_mu, q_nu, e_mu, e_nu, y0)]
+    for name, v in zip(("q_mu", "q_nu", "e_mu", "e_nu", "y0"), values):
+        if not np.all((0.0 <= v) & (v <= 1.0)):
+            raise PreconditionError(f"{name} must be in [0, 1]")
     y1 = (mu / (mu * nu - nu * nu)) * (
         q_nu * math.exp(nu)
         - q_mu * math.exp(mu) * nu * nu / (mu * mu)
@@ -102,11 +73,11 @@ def decoy_bb84_rate(inputs: DecoyInputs) -> DecoyRateResult:
     e1 = np.where(no_y1, 1.0, np.where(e1 < 0.0, 0.0, e1))
     usable = ~no_y1 & ~(e1 > 0.5)
     q1 = y1 * mu * math.exp(-mu)
-    raw = -q_mu * inputs.f_ec * binary_entropy(inputs.e_mu) + q1 * (
+    raw = -q_mu * keyrate.f_ec * binary_entropy(e_mu) + q1 * (
         1.0 - binary_entropy(np.where(usable, e1, 0.0))
     )
     # the bases agree in half of the signals
-    return DecoyRateResult(np.where(usable & (raw > 0.0), 0.5 * raw, 0.0), y1, e1)
+    return np.where(usable & (raw > 0.0), 0.5 * raw, 0.0), y1, e1
 
 
 def dps_rate(gain, qber, mu: float, f_ec: float):
@@ -129,41 +100,40 @@ def dps_rate(gain, qber, mu: float, f_ec: float):
 
 @dataclass(frozen=True)
 class RateCurve:
-    """Analytic rates over a loss axis, one element per loss."""
+    """Analytic rates over a loss axis, one element per loss, and the link
+    law at the signal, (p_error, p_correct, rest), they were computed from."""
 
     loss_db: np.ndarray
     sifted_rate_bps: np.ndarray
     qber: np.ndarray
     secure_rate_bps: np.ndarray
+    law: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
         if np.any(self.secure_rate_bps < 0):
             raise PreconditionError("secure_rate_bps must be clamped at 0")
 
 
-def bb84_rate_points(cfg: ExperimentConfig, losses, laws=None) -> RateCurve:
-    """Analytic BB84 curve at keyrate.mu (signal) and keyrate.nu (decoy) per pair;
-    `laws`, where the caller has them, are the link_law rows of both over the losses."""
-    mu, nu = cfg.keyrate.mu, cfg.keyrate.nu
-    if laws is None:
-        laws = link_law(np.array([[mu / 2.0], [nu / 2.0]]), transmittances(losses), cfg.mzi, cfg.detector)
-    (q_mu, q_nu), (e_mu, e_nu) = gain_qber(laws)
-    y0 = vacuum_yield(cfg.detector)
-    res = decoy_bb84_rate(
-        DecoyInputs(mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, f_ec=cfg.keyrate.f_ec)
+def bb84_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
+    """Analytic BB84 curve at keyrate.mu (signal) and keyrate.nu (decoy) per
+    pair, each pulse carrying half of its pair's photons; one link_law call
+    gives the signal's row and the decoy's."""
+    keyrate = cfg.keyrate
+    laws = link_law(
+        np.array([[keyrate.mu / 2.0], [keyrate.nu / 2.0]]), transmittances(losses), cfg.mzi, cfg.detector
     )
+    (q_mu, q_nu), (e_mu, e_nu) = gain_qber(laws)
+    rate, _, _ = decoy_bb84_rate(keyrate, q_mu, q_nu, e_mu, e_nu, vacuum_yield(cfg.detector))
     pair_rate = cfg.source.clock_rate / 2.0
     sifted = 0.5 * q_mu * pair_rate
-    return RateCurve(np.asarray(losses, dtype=float), sifted, e_mu, res.rate * pair_rate)
+    return RateCurve(np.asarray(losses, dtype=float), sifted, e_mu, rate * pair_rate, tuple(p[0] for p in laws))
 
 
-def dps_rate_points(cfg: ExperimentConfig, losses, laws=None) -> RateCurve:
-    """Analytic DPS curve at source.mean_photon_number per pulse; `laws`, where
-    the caller has them, are its one link_law row over the losses."""
+def dps_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
+    """Analytic DPS curve at source.mean_photon_number per pulse."""
     mu = cfg.source.mean_photon_number
-    if laws is None:
-        laws = link_law(np.array([[mu]]), transmittances(losses), cfg.mzi, cfg.detector)
-    (q,), (e,) = gain_qber(laws)
+    law = link_law(mu, transmittances(losses), cfg.mzi, cfg.detector)
+    q, e = gain_qber(law)
     secure_fraction = dps_rate(q, np.where(0.5 < e, 0.5, e), mu, cfg.keyrate.f_ec)
     clock = cfg.source.clock_rate
-    return RateCurve(np.asarray(losses, dtype=float), q * clock, e, secure_fraction * clock)
+    return RateCurve(np.asarray(losses, dtype=float), q * clock, e, secure_fraction * clock, law)

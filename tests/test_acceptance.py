@@ -19,8 +19,8 @@ import pytest
 from scipy import stats
 
 from chirplink import experiments, keyrate, laser, protocols, source
-from chirplink.config import ExperimentConfig, StabilityConfig
-from chirplink.keyrate import DecoyInputs, bb84_rate_points, decoy_bb84_rate
+from chirplink.config import ExperimentConfig, KeyRateConfig, StabilityConfig
+from chirplink.keyrate import bb84_rate_points, decoy_bb84_rate
 from chirplink.optics import ChannelParams, DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
 
@@ -219,16 +219,12 @@ def test_criterion_7_decoy_conservativeness():
         q_nu, e_nu = poisson(nu, eta)
         y1_true = 1.0 - (1.0 - y0) * (1.0 - eta)
         e1_true = (e_det * eta + 0.5 * y0) / y1_true
-        res = decoy_bb84_rate(
-            DecoyInputs(
-                mu=mu, nu=nu, q_mu=q_mu, q_nu=q_nu, e_mu=e_mu, e_nu=e_nu, y0=y0, f_ec=1.16
-            )
-        )
-        ok &= res.y1_bound > 0 and res.e1_bound <= 0.5
-        ok &= res.y1_bound <= y1_true * (1 + 1e-9)
-        ok &= res.e1_bound >= e1_true * (1 - 1e-9)
-        margins.append(f"{loss:.0f} dB: Y1 {res.y1_bound:.3e} <= {y1_true:.3e}, "
-                       f"e1 {res.e1_bound:.4f} >= {e1_true:.4f}")
+        _, y1, e1 = decoy_bb84_rate(KeyRateConfig(mu=mu, nu=nu, f_ec=1.16), q_mu, q_nu, e_mu, e_nu, y0)
+        ok &= y1 > 0 and e1 <= 0.5
+        ok &= y1 <= y1_true * (1 + 1e-9)
+        ok &= e1 >= e1_true * (1 - 1e-9)
+        margins.append(f"{loss:.0f} dB: Y1 {y1:.3e} <= {y1_true:.3e}, "
+                       f"e1 {e1:.4f} >= {e1_true:.4f}")
     _report("criterion 7 (decoy bound conservativeness)", ok, "; ".join(margins))
 
 

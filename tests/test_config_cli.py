@@ -567,6 +567,7 @@ class TestInputBounds:
             ("bb84-sweep", "trials = 4e19", "trials must be in"),
             ("dps-sweep", "trials = 1e19", "trials must be in"),
             ("bb84-sweep", "keyrate.mu = 1000\nkeyrate.nu = 1", "keyrate.mu must be <="),
+            ("bb84-sweep", "keyrate.mu = 1e-323\nkeyrate.nu = 5e-324", "rounds to 0"),
             ("stability", "stability.sifted_rate_bps = 1e19", "sifted bits"),
             (
                 "stability",

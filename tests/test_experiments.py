@@ -112,6 +112,23 @@ class TestCalibration:
         assert up == pytest.approx(math.pi, rel=1e-3)
         assert down == pytest.approx(-math.pi, rel=1e-3)
 
+    def test_physical_phase_error_is_second_order(self, monkeypatch):
+        # [DERIVED] Heun's method is second order: each halving of the step
+        # quarters the error against the closed-form phase pi V / V_pi, and
+        # Richardson's (4 phi(dt / 2) - phi(dt)) / 3 cancels that error's
+        # leading term
+        cfg = ExperimentConfig(experiment="phase_voltage", physical_mode=True)
+        volts = np.array([v for v in cfg.voltages if v != 0.0])
+        exact = math.pi * volts / cfg.source.halfwave_voltage
+        phases = []
+        for dt in (2e-13, 1e-13, 5e-14):
+            monkeypatch.setattr(experiments, "_DT", dt)
+            phases.append(experiments.run_phase_voltage(replace(cfg, voltages=volts.tolist())).physical_phase)
+        errors = [phase - exact for phase in phases]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert np.all(np.abs(coarse / fine - 4.0) <= 0.3)
+        assert np.abs((4.0 * phases[2] - phases[1]) / 3.0 - exact).max() <= 1e-6
+
     def test_physical_phase_odd_in_voltage(self):
         src = SourceConfig()
         scale = experiments.calibrate_physical_drive_scale(src)
