@@ -39,14 +39,15 @@
  * to seg_end[s] - 1 (seg_end[-1] taken as 0), and the last segment ends at
  * n_steps + 1; a pump of one row per sample has seg_end[s] = s + 1.  inj,
  * when not NULL, holds n_steps + 1 rows of complex samples as (re, im)
- * pairs.  When xi is not NULL, step k reads the unit normals of its row k
- * of 2 n_runs values, the real parts first, as it steps: nothing is
- * prefetched.  field (complex) and carrier hold the state at sample 0 in
- * row 0; with trace, sample k is stored in row k, and without, only the
- * last sample, in row 0.  diverged[j] is 0 in; it is set to the sample
- * index k + 1 of the first step whose state is not finite or whose
- * intensity exceeds 1e12, and the run keeps that state in every later
- * sample.
+ * pairs.  When xi is not NULL, its bit i % 64 of word i / 64 is Langevin
+ * increment i, +1.0 where set and -1.0 where clear; step k of run j reads
+ * increments 2 k n_runs + j (Re E) and (2 k + 1) n_runs + j (Im E) as it
+ * steps: nothing is prefetched.  field (complex) and carrier hold the
+ * state at sample 0 in row 0; with trace, sample k is stored in row k,
+ * and without, only the last sample, in row 0.  diverged[j] is 0 in; it
+ * is set to the sample index k + 1 of the first step whose state is not
+ * finite or whose intensity exceeds 1e12, and the run keeps that state in
+ * every later sample.
  *
  * turns is never NULL: turns[j] (0 in) counts the turns of run j, the steps
  * whose segment from sample k to k + 1 meets the real axis at Re < 0, +1
@@ -110,14 +111,14 @@ static inline __attribute__((always_inline)) rate rates(
 static inline __attribute__((always_inline)) void block(
     const long w, long m, long j0, long k0, long k1, long n_runs, double tau_n, double inv_tau_p,
     double g, double n_tr, double eps, double hi, double beta, double kappa, double dt,
-    const double *pump, const long *seg_end, const double *inj, const double *xi,
+    const double *pump, const long *seg_end, const double *inj, const uint64_t *xi,
     double *restrict field, double *restrict carrier, int trace, long *restrict diverged,
     long *restrict turns, const int injected, const int noisy)
 {
     /* the state of each lane and its E before the step */
     double er[LANES], ei[LANES], nc[LANES], br[LANES], bi[LANES];
-    /* a short block's copies of its rows of pump and xi, 0 or stale in spare lanes */
-    double pa[LANES], pb[LANES], xa[LANES] = {0}, xb[LANES] = {0};
+    /* a short block's copies of its rows of pump, stale in spare lanes */
+    double pa[LANES], pb[LANES];
     long dv[LANES], s = 0;
     while (k0 >= seg_end[s])
         s++;
@@ -136,8 +137,6 @@ static inline __attribute__((always_inline)) void block(
         if (next)
             p1 = lanes_of(pump + (s + 1) * n_runs + j0, p0 == pa ? pb : pa, m, w);
         const double *i0 = injected ? inj + 2 * (k * n_runs + j0) : 0, *i1 = i0 + 2 * n_runs;
-        const double *x_re = noisy ? lanes_of(xi + 2 * k * n_runs + j0, xa, m, w) : 0;
-        const double *x_im = noisy ? lanes_of(xi + (2 * k + 1) * n_runs + j0, xb, m, w) : 0;
         /* The predictor of every lane, then the corrector of every lane: a
          * loop of fewer instructions lets the CPU overlap the divisions of
          * its vector iterations. */
@@ -150,9 +149,11 @@ static inline __attribute__((always_inline)) void block(
 
             double nr = 0.0, ni = 0.0;
             if (noisy) {
+                /* the run's bits of Re and Im; a spare lane reads the block's last run's */
+                long i = 2 * k * n_runs + j0 + (l < m ? l : m - 1), j = i + n_runs;
                 double amp = sqrt((0.0 > nc_ ? 0.0 : nc_) * beta / tau_n * dt * 0.5);
-                nr = amp * x_re[l];
-                ni = amp * x_im[l];
+                nr = amp * (xi[i >> 6] >> (i & 63) & 1 ? 1.0 : -1.0);
+                ni = amp * (xi[j >> 6] >> (j & 63) & 1 ? 1.0 : -1.0);
             }
 
             /* ep = e + de1 * dt + noise */
@@ -235,7 +236,7 @@ static inline __attribute__((always_inline)) void block(
 static __attribute__((noinline)) void steps(
     long m, long j0, long k0, long n_steps, long n_runs, double tau_n, double inv_tau_p, double g,
     double n_tr, double eps, double hi, double beta, double kappa, double dt, const double *pump,
-    const long *seg_end, const double *inj, const double *xi, double *field, double *carrier,
+    const long *seg_end, const double *inj, const uint64_t *xi, double *field, double *carrier,
     int trace, long *diverged, long *turns)
 {
     if (m == 1)
@@ -248,7 +249,7 @@ static __attribute__((noinline)) void steps(
 /* The entry, as the top of this file describes it. */
 void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
                     double eps, double hi, double beta, double kappa, double dt, const double *pump,
-                    const long *seg_end, const double *inj, const double *xi, double *field,
+                    const long *seg_end, const double *inj, const uint64_t *xi, double *field,
                     double *carrier, int trace, long *diverged, long *turns)
 {
     /* the shared head: steps 0 to seg_end[0] - 2 read the first segment only */

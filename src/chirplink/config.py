@@ -274,7 +274,7 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
 
 def load_config(path, experiment: str | None = None) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a Windows editor's byte-order mark
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

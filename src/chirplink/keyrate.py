@@ -62,12 +62,12 @@ def decoy_bb84_rate(keyrate: KeyRateConfig, q_mu, q_nu, e_mu, e_nu, y0):
     for name, v in zip(("q_mu", "q_nu", "e_mu", "e_nu", "y0"), values):
         if not np.all((0.0 <= v) & (v <= 1.0)):
             raise PreconditionError(f"{name} must be in [0, 1]")
-    y1 = (mu / (mu * nu - nu * nu)) * (
-        q_nu * math.exp(nu)
-        - q_mu * math.exp(mu) * nu * nu / (mu * mu)
-        - (mu * mu - nu * nu) / (mu * mu) * y0
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y1 = (mu / (mu * nu - nu * nu)) * (
+            q_nu * math.exp(nu)
+            - q_mu * math.exp(mu) * nu * nu / (mu * mu)
+            - (mu * mu - nu * nu) / (mu * mu) * y0
+        )
         e1 = (e_nu * q_nu * math.exp(nu) - 0.5 * y0) / (y1 * nu)
     no_y1 = y1 <= 0.0
     e1 = np.where(no_y1, 1.0, np.where(e1 < 0.0, 0.0, e1))

@@ -18,10 +18,14 @@ produces a nonzero net frequency shift under a drive perturbation held
 at steady state (adiabatic chirp); with the fully clamped form the net
 phase over any return-to-steady excursion integrates to exactly zero.
 
-F(t) is a complex circular Gaussian Langevin term with per-step
-variance beta * N / tau_n * dt, modelling spontaneous emission into the
-lasing mode.  The drive J is a pump rate in carriers per second; the
-lasing threshold is J_th = N_th / tau_n with N_th = N_tr + 1/(g tau_p).
+F(t), spontaneous emission into the lasing mode, has per-step variance
+beta * N / tau_n * dt from two-point increments: +1 or -1 with equal odds
+(mean 0, variance 1) in each quadrature, the raw bits of a PCG64
+generator, a quarter of a byte per run-step.  They keep the scheme's weak
+order 1 (Kloeden & Platen, Numerical Solution of SDEs, ch. 14), and no
+host's floating-point library changes them.  The drive J is a pump rate
+in carriers per second; the lasing threshold is J_th = N_th / tau_n with
+N_th = N_tr + 1/(g tau_p).
 
 Default parameters give a relaxation-oscillation frequency of 4.62 GHz,
 damped at 10.9 /ns, at twice the threshold current (3.40 GHz and 5.79 /ns
@@ -64,13 +68,6 @@ _CFLAGS = ("-O2", "-ftree-vectorize", "-fno-math-errno", "-shared", "-fPIC", "-f
 # A build removes the cache's libraries that no process has built or
 # loaded (a load refreshes the mtime) for this long.
 _STALE_LIBRARY_S = 30 * 86400.0
-
-# integrate_ensemble steps all its runs this many steps per kernel call,
-# with the Langevin noise of those steps drawn at once: 16 bytes of noise
-# and 8 of pump per step and run, 1.5 MB for 1000 runs.  At 1000 runs x
-# 5000 steps, blocks of 16 to 512 steps take the same time, most of it
-# drawing the noise; smaller blocks cost a call for little work.
-_NOISE_BLOCK_STEPS = 64
 
 # The kernel's integer type, converted from ctypes once.
 _LONG = np.dtype(ctypes.c_long)
@@ -315,9 +312,12 @@ def integrate_pumps(
     without noise, injection and trace, runs that start from one state
     under one first row share the steps of that row.
     `initial_field` and `initial_carrier` are each run's state at sample 0,
-    or one state for all.  `noise`, (n_steps, 2, n_runs) unit normals, is
-    the Langevin term, scaled as in :func:`integrate`; `injection`,
-    (n_steps + 1, n_runs) complex samples, is added with the coupling.
+    or one state for all.  `noise`, ceil(2 n_steps n_runs / 64) uint64
+    words, packs the Langevin term's increments, scaled as in
+    :func:`integrate`: bit i % 64 of word i // 64 is +1.0 where set, -1.0
+    where clear, and i = (2 k + c) n_runs + j is run j's at step k, of Re E
+    (c = 0) or Im E (c = 1).  `injection`, (n_steps + 1, n_runs) complex
+    samples, is added with the coupling.
 
     Returns (field, carrier, diverged, turns).  field and carrier are the
     (n_steps + 1, n_runs) traces, or, where `trace` is false, only the
@@ -343,9 +343,9 @@ def integrate_pumps(
         seg_end = holds.cumsum(dtype=_LONG)
     n_steps, n_runs = int(seg_end[-1]) - 1, pump.shape[1]
     if noise is not None:
-        noise = np.ascontiguousarray(noise, dtype=float)
-        if noise.shape != (n_steps, 2, n_runs):
-            raise PreconditionError("noise must be an (n_steps, 2, n_runs) array")
+        noise = np.ascontiguousarray(noise)
+        if noise.dtype != np.uint64 or noise.shape != (-(-2 * n_steps * n_runs // 64),):
+            raise PreconditionError("noise must be ceil(2 n_steps n_runs / 64) uint64 words")
     if injection is not None:
         injection = np.ascontiguousarray(injection, dtype=complex)
         if injection.shape != (n_steps + 1, n_runs):
@@ -388,37 +388,35 @@ def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, inject
     """Step `n_runs` runs from one state under the pump of `drive`, every `dt`.
 
     The pump and the injection are np.interp of their samples at the step
-    times, the injection turned by the detuning.  With spontaneous_fraction
-    > 0 the noise is one (n_steps, 2, n_runs) array from a generator seeded
-    with `seed`, drawn at once with `trace` (24 bytes a run-step, to the
-    noise's 16), else _NOISE_BLOCK_STEPS steps at a time, the runs resuming
-    at each block's end.  Returns the step times, field and carrier.  A
-    divergence raises for the run that diverges at the earliest sample, the
-    lowest-numbered on a tie, naming it only among several runs.
+    times, the injection turned by the detuning; the kernel holds each
+    level of the pump for its stretch of equal samples.  With
+    spontaneous_fraction > 0 the noise is the first ceil(2 n_steps n_runs
+    / 64) raw words of a PCG64 generator seeded with `seed`.  Returns the
+    step times, field and carrier.  A divergence raises for the run that
+    diverges at the earliest sample, the lowest-numbered on a tie, naming
+    it only among several runs.
     """
     _check_dt(params, dt)
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
     times = float(drive.times[0]) + dt * np.arange(n_steps + 1)
-    pump = np.interp(times, drive.times, drive.current)[:, None]
+    pump = np.interp(times, drive.times, drive.current)
+    # a segment starts at each sample whose bits differ from the last one's
+    bits = pump.view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    pumps = np.broadcast_to(pump[starts, None], (len(starts), n_runs))
     inj = None
     if injection is not None and params.injection_coupling > 0.0:
         re, im = (np.interp(times, injection.times, x) for x in (injection.field.real, injection.field.imag))
         inj = ((re + 1j * im) * np.exp(1j * TWO_PI * params.detuning * (times - times[0])))[:, None]
-    rng = np.random.default_rng(seed) if params.spontaneous_fraction > 0.0 else None
-
-    block = max(1, n_steps if trace else _NOISE_BLOCK_STEPS)
-    field, carrier = complex(initial_field), float(initial_carrier)
-    # a drive shorter than one step is one call of no steps
-    for start in range(0, max(1, n_steps), block):
-        m = min(block, n_steps - start)
-        pumps = np.broadcast_to(pump[start : start + m + 1], (m + 1, n_runs))
-        xi = None if rng is None else rng.standard_normal((m, 2, n_runs))
-        injected = None if inj is None else inj[start : start + m + 1]
-        field, carrier, diverged, _ = integrate_pumps(params, pumps, dt, field, carrier, xi, injected, trace)
-        if diverged.any():  # a later block can only diverge later
-            run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))
-            e, n = (field[-1, run], carrier[-1, run]) if trace else (field[run], carrier[run])
-            raise diverged_error(start + diverged[run], e, n, run if n_runs > 1 else None)
+    words = -(-2 * n_steps * n_runs // 64)
+    xi = np.random.default_rng(seed).bit_generator.random_raw(words) if params.spontaneous_fraction else None
+    field, carrier, diverged, _ = integrate_pumps(
+        params, pumps, dt, initial_field, initial_carrier, xi, inj, trace, np.diff(starts, append=len(pump))
+    )
+    if diverged.any():
+        run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))
+        e, n = (field[-1, run], carrier[-1, run]) if trace else (field[run], carrier[run])
+        raise diverged_error(diverged[run], e, n, run if n_runs > 1 else None)
     return times, field, carrier
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -268,6 +269,12 @@ class TestParse:
         cfg = load_config(path, "stability")
         assert cfg.rng_seed == 3
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as a Windows editor saves the file
+        path = tmp_path / "bb84_sweep.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + (CONFIG_DIR / "bb84_sweep.cfg").read_bytes())
+        assert load_config(path) == load_config(CONFIG_DIR / "bb84_sweep.cfg")
+
 
 class TestCli:
     def test_diverged_run_exit_code(self, tmp_path, capsys):
@@ -382,6 +389,21 @@ class TestCli:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].startswith("loss_db,")
         assert len(lines) == 3
+
+    def test_overflowing_decoy_bound_runs_without_warnings(self, tmp_path):
+        # q_mu e^mu nu^2 overflows to inf at mu = 700: no single-photon
+        # yield, so a secure rate of 0
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "experiment = bb84_sweep\ntrials = 20000\nlosses = 0\nmzi.visibility = 0.952\n"
+            "keyrate.mu = 700\nkeyrate.nu = 600\n"
+        )
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bb84-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0].endswith(",secure_rate_bps") and float(lines[1].split(",")[-1]) == 0.0
 
     def test_negative_seed_exit_code(self, tmp_path):
         cfg = tmp_path / "neg.cfg"

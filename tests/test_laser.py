@@ -331,8 +331,8 @@ class TestBitPins:
         th = params.threshold_current
         drive = laser.DriveWaveform.from_segments([(0.5e-9, 0.2 * th), (3e-9, 3.0 * th)], 1e-11)
         trace = laser.integrate(params, drive, noise_seed=12345, dt=DT)
-        assert sha256(trace.field) == "0205ce88769d2c66baff6e31196412fef40f8f7ae72449c57f99d7d1e9e10f2d"
-        assert sha256(trace.carrier) == "80d33eb9845533e0150da10c6975fbad84783419d5259b4ca848d3d876fec195"
+        assert sha256(trace.field) == "6d9b7e1316cb767efe986da58a014cc871b6aced110712f8519390c81ca66f88"
+        assert sha256(trace.carrier) == "ba2fe41e429a0ddfb0d67466f95690ebd5db5ac7722fbe42fe247a2f00ecba2a"
 
     def test_injection_locked_noisy_slave(self, params, steady):
         assert sha256(steady.field) == "f10db547000e53439842237fb428899e29e6fad6fec456affb2453de7654edf7"
@@ -347,8 +347,32 @@ class TestBitPins:
             initial_field=1j * complex(math.sqrt(s0)),
             initial_carrier=n0,
         )
-        assert sha256(slave.field) == "cdd5038820ad7e15b9957536ce730354616cb070cc9557f90b82579d28ff635b"
-        assert sha256(slave.carrier) == "4e42df0736e1a8b1edadc8a514739b5d8ad08fd67fc84b25bfa521a7ce65fe8c"
+        assert sha256(slave.field) == "3684940e224ba5bcc9e587e08d12f7c0e06178036c06cef16fd4bdfb71bbfc0f"
+        assert sha256(slave.carrier) == "48361b769775aea23da72459275cbd238551aeb6a3314cc2e5cf1293d30ee95c"
+
+
+def noise_words(rng, n_steps, n_runs):
+    """The words of Langevin bits integrate_pumps takes, as laser._run draws them from `rng`."""
+    return rng.bit_generator.random_raw(-(-2 * n_steps * n_runs // 64))
+
+
+def increments(words, n_steps, n_runs):
+    """The (n_steps, 2, n_runs) increments of packed noise words: bit
+    (2 k + c) n_runs + j, bit i being bit i % 64 of word i // 64, is
+    [k, c, j], +1.0 where it is set and -1.0 where clear."""
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return np.where(bits.ravel()[: 2 * n_steps * n_runs] == 1, 1.0, -1.0).reshape(n_steps, 2, n_runs)
+
+
+def pack(xi):
+    """The noise words of (n_steps, 2, n_runs) increments of +-1.0: the inverse of increments()."""
+    bits = np.append(np.ravel(xi) > 0, np.zeros(-np.size(xi) % 64, bool)).reshape(-1, 64)
+    return (bits.astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def seeded_increments(seed, n_steps, n_runs=1):
+    """The increments of integrate_ensemble(rng_seed=seed), or integrate(noise_seed=seed)'s for one run."""
+    return increments(noise_words(np.random.default_rng(seed), n_steps, n_runs), n_steps, n_runs)
 
 
 def oracle_integrate(params, drive, injection=None, noise_seed=0, dt=DT,
@@ -356,8 +380,8 @@ def oracle_integrate(params, drive, injection=None, noise_seed=0, dt=DT,
     """The stochastic Heun step in Python complex arithmetic, step by step.
 
     This is the loop the compiled kernel replaced; the kernel must give the
-    same bits.  `xi`, an (n_steps, 2) array of unit normals, replaces the
-    noise drawn from `noise_seed`.
+    same bits.  `xi`, an (n_steps, 2) array of increments of +-1.0,
+    replaces the increments drawn from `noise_seed`.
     """
     t0 = float(drive.times[0])
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
@@ -380,7 +404,7 @@ def oracle_integrate(params, drive, injection=None, noise_seed=0, dt=DT,
     half_alpha_j = 0.5j * params.linewidth_enhancement
     beta = params.spontaneous_fraction
     if beta > 0.0 and xi is None:
-        xi = np.random.default_rng(noise_seed).standard_normal((n_steps, 2))
+        xi = seeded_increments(noise_seed, n_steps)[:, :, 0]
     if beta > 0.0:
         xi_re, xi_im = xi[:, 0].tolist(), xi[:, 1].tolist()
 
@@ -472,38 +496,34 @@ class TestKernelMatchesOracle:
         n_runs = 5
         fields, carriers = laser.integrate_ensemble(params, drive, n_runs, rng_seed=3)
         n_steps = int(math.floor(drive.duration / DT + 1e-9))
-        xi = np.random.default_rng(3).standard_normal((n_steps, 2, n_runs))
+        xi = seeded_increments(3, n_steps, n_runs)
         for run in (0, 3):
             trace = oracle_integrate(params, drive, initial_field=0j, xi=xi[:, :, run])
             assert fields[run].tobytes() == trace.field[-1].tobytes()
             assert carriers[run].tobytes() == trace.carrier[-1].tobytes()
 
-    @pytest.mark.parametrize("block", [1, 7, 256])
-    def test_noise_blocks_keep_results(self, params, monkeypatch, block):
-        # drawing the noise a few steps at a time gives the one-array result
+    @pytest.mark.parametrize("n_runs", [5, 24, 30])  # a short block of 24 lanes, a full one, both
+    def test_ensemble_runs_equal_one_run_calls(self, params, n_runs):
+        # run j of an ensemble is a one-run call fed run j's increments: no
+        # bit depends on the block of lanes the kernel steps it in
         th = params.threshold_current
         drive = laser.DriveWaveform.from_segments([(0.3e-9, 0.2 * th), (0.1e-9, 3.0 * th)], 1e-11)
-        monkeypatch.setattr(laser, "_NOISE_BLOCK_STEPS", 10**9)
-        whole = laser.integrate_ensemble(params, drive, 5, rng_seed=3)
-        runaway = laser.DriveWaveform(np.arange(11) * 1e-13, np.zeros(11))
-        kwargs = dict(dt=1e-13, initial_field=0j, initial_carrier=4e6)
-        with pytest.raises(IntegrationDivergedError) as whole_diverged:
-            laser.integrate_ensemble(params, runaway, 6, rng_seed=5, **kwargs)
-        monkeypatch.setattr(laser, "_NOISE_BLOCK_STEPS", block)
-        blocked = laser.integrate_ensemble(params, drive, 5, rng_seed=3)
-        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
-        with pytest.raises(IntegrationDivergedError) as blocked_diverged:
-            laser.integrate_ensemble(params, runaway, 6, rng_seed=5, **kwargs)
-        assert blocked_diverged.value.run_index == whole_diverged.value.run_index
-        assert blocked_diverged.value.step_index == whole_diverged.value.step_index
-        assert str(blocked_diverged.value) == str(whole_diverged.value)
+        fields, carriers = laser.integrate_ensemble(params, drive, n_runs, rng_seed=3)
+        n_steps = int(math.floor(drive.duration / DT + 1e-9))
+        pump = np.interp(DT * np.arange(n_steps + 1), drive.times, drive.current)[:, None]
+        xi = seeded_increments(3, n_steps, n_runs)
+        for j in range(n_runs):
+            alone = laser.integrate_pumps(params, pump, DT, 0j, 0.0, pack(xi[:, :, j : j + 1]), trace=False)
+            assert [a.tobytes() for a in alone[:3]] == [fields[j : j + 1].tobytes(), carriers[j : j + 1].tobytes(),
+                                                         np.zeros(1, alone[2].dtype).tobytes()]
 
     def test_ensemble_divergence_names_earliest_run(self, params):
-        # at this carrier the noise decides the step at which a run crosses
-        # the intensity cap, and run 0 crosses it later than another run
+        # at this carrier the first increments decide the step at which a run
+        # crosses the intensity cap: run 0's (-1, -1) all but cancels this
+        # field, so it crosses it a step later than another run
         drive = laser.DriveWaveform(np.arange(11) * 1e-13, np.zeros(11))
-        kwargs = dict(dt=1e-13, initial_field=0j, initial_carrier=4e6)
-        xi = np.random.default_rng(5).standard_normal((10, 2, 6))
+        kwargs = dict(dt=1e-13, initial_field=6e-4 - 3e-4j, initial_carrier=4e6)
+        xi = seeded_increments(5, 10, 6)
         alone = []
         for run in range(6):
             with pytest.raises(IntegrationDivergedError) as exc:
@@ -556,7 +576,7 @@ class TestBatchedKernel:
         times = DT * np.arange(n_steps + 1)
         noise = inj = injection = None
         if noisy:
-            noise = np.stack([np.random.default_rng(seed).standard_normal((n_steps, 2)) for seed in seeds], -1)
+            noise = pack(np.concatenate([seeded_increments(seed, n_steps) for seed in seeds], -1))
         if injected:  # the samples integrate() takes from the master's trace
             injection = steady
             inj = np.interp(times, steady.times, steady.field.real) + 1j * np.interp(
@@ -585,7 +605,7 @@ class TestBatchedKernel:
         runaway = width // 2
         drives, initial, seeds = batch_inputs(params, width, runaway)
         n_steps = len(drives[0].times) - 1
-        noise = np.stack([np.random.default_rng(seed).standard_normal((n_steps, 2)) for seed in seeds], -1)
+        noise = pack(np.concatenate([seeded_increments(seed, n_steps) for seed in seeds], -1))
         pump = np.column_stack([drive.current for drive in drives])
         field, carrier, diverged, _ = laser.integrate_pumps(params, pump, DT, np.array(initial), 900.0, noise)
         last_field, last_carrier, _, _ = laser.integrate_pumps(
@@ -629,7 +649,7 @@ class TestBatchedKernel:
         initial = np.array([complex(1e-3 * (j + 1), -1e-4 * j) for j in range(width)])
         carrier = np.where(np.arange(width) == 0, 0.0, 900.0)
         rng = np.random.default_rng(width)
-        noise = rng.standard_normal((n_steps, 2, width)) if copy == "noisy" else None
+        noise = noise_words(rng, n_steps, width) if copy == "noisy" else None
         # an injection that turns 0.3 rad per step, so that it spins run 0 too
         inj = np.repeat(0.3 * np.exp(0.3j * np.arange(n_steps + 1))[:, None], width, 1)
         inj = inj if copy == "injected" else None
@@ -677,7 +697,7 @@ class TestBatchedKernel:
         initial = np.array([complex(1e-3 * (j + 1), -1e-4 * j) for j in range(width)])
         carrier = np.where(np.arange(width) == 0, 0.0, 900.0)
         rng = np.random.default_rng(width)
-        noise = rng.standard_normal((n_steps, 2, width)) if copy == "noisy" else None
+        noise = noise_words(rng, n_steps, width) if copy == "noisy" else None
         inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if copy == "injected" else None
         field, last_carrier, diverged, turns = laser.integrate_pumps(
             p, pump, DT, initial, carrier, noise, inj, trace=False
@@ -686,7 +706,8 @@ class TestBatchedKernel:
         for j in range(width):
             alone = laser.integrate_pumps(
                 p, pump[:, j : j + 1], DT, initial[j], carrier[j],
-                None if noise is None else noise[:, :, j : j + 1], None if inj is None else inj[:, j : j + 1],
+                None if noise is None else pack(increments(noise, n_steps, width)[:, :, j : j + 1]),
+                None if inj is None else inj[:, j : j + 1],
                 trace=False,
             )
             assert [a.tobytes() for a in alone] == [
@@ -778,7 +799,7 @@ class TestHeldPumps:
         rng = np.random.default_rng(seed)
         initial = 1e-3 * (rng.standard_normal(width) + 1j * rng.standard_normal(width))
         carrier = np.where(rng.random(width) < 0.5, 0.0, 900.0)
-        noise = rng.standard_normal((n_steps, 2, width)) if noisy else None
+        noise = noise_words(rng, n_steps, width) if noisy else None
         inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if injected else None
         for trace in (True, False):
             held = laser.integrate_pumps(p, levels, DT, initial, carrier, noise, inj, trace=trace, holds=holds)
@@ -805,22 +826,28 @@ class TestHeldPumps:
 
     @pytest.mark.parametrize("samples", [8, 10])  # one short of sum(holds) = 9, one past
     def test_noise_and_injection_follow_the_holds(self, params, samples):
-        levels = np.full((2, 3), params.threshold_current)
+        # 40 runs: 2 n_steps n_runs bits fill 9, 10 and 12 words at 7, 8 and 9 steps
+        levels = np.full((2, 40), params.threshold_current)
         with pytest.raises(PreconditionError, match="noise"):
-            laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros((samples - 1, 2, 3)), holds=[4, 5])
+            laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros({8: 9, 10: 12}[samples], np.uint64),
+                                  holds=[4, 5])
         with pytest.raises(PreconditionError, match="injection"):
-            laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, None, np.zeros((samples, 3)), holds=[4, 5])
-        # the shapes of sum(holds) samples pass
-        laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros((8, 2, 3)), np.zeros((9, 3)), holds=[4, 5])
+            laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, None, np.zeros((samples, 40)), holds=[4, 5])
+        # the shapes of sum(holds) samples pass, and noise must be words
+        inputs = np.zeros(10, np.uint64), np.zeros((9, 40))
+        laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, *inputs, holds=[4, 5])
+        with pytest.raises(PreconditionError, match="noise"):
+            laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros(10), holds=[4, 5])
 
 
-# the field's parts and the unit normals: signed zeros, subnormals, tiny
-# values whose squares underflow, 1, and values whose squares pass the cap
+# the field's parts: signed zeros, subnormals, tiny values whose squares
+# underflow, 1, and values whose squares pass the cap
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1.0, -1.0, 1e150, -1e150]
 EDGE = st.sampled_from(EDGES)
-# a run's (Re E, Im E, N, pump level in J_th, first step's two normals), and
-# calls of a lone run, of 2 to 8 runs and of 9 to 24
-EDGE_RUN = st.tuples(EDGE, EDGE, st.sampled_from([0.0, -0.0, -5.0, 1e3, 1e300]), LEVELS, EDGE, EDGE)
+SIGN = st.sampled_from([1.0, -1.0])
+# a run's (Re E, Im E, N, pump level in J_th, first step's two increments),
+# and calls of a lone run, of 2 to 8 runs and of 9 to 24
+EDGE_RUN = st.tuples(EDGE, EDGE, st.sampled_from([0.0, -0.0, -5.0, 1e3, 1e300]), LEVELS, SIGN, SIGN)
 EDGE_CALLS = st.one_of(*(st.lists(EDGE_RUN, min_size=a, max_size=b) for a, b in ((1, 1), (2, 8), (9, 24))))
 
 
@@ -840,27 +867,34 @@ def rule_turns(field):
 # Each zero term of CPython's promotion that _heun.c keeps, and a run that
 # shows it: without the term a sample of the kernel's has a zero of the
 # other sign than oracle_integrate's.  (term, LaserParams fields, dt, E, N,
-# pump at each sample, the unit normals of each step, the master's samples
-# or None.)  The carrier max's sign is the @example of
-# test_runs_equal_the_oracle.  N = 2000 is the threshold carrier, where
-# Gc = Gu = 1/tau_p at E = 0, and a kappa of 5e-324 rounds kappa times a
-# master's part to a signed zero.
+# pump at each sample, the increments of each step, the master's samples
+# or None.)  A Langevin kick is a signed zero where its amplitude is a
+# zero, at a carrier <= 0 or where a spontaneous_fraction of 5e-324 makes
+# the amplitude's square underflow; the increment gives it its sign.  The
+# carrier max's sign is the @example of test_runs_equal_the_oracle.
+# N = 2000 is the threshold carrier, where Gc = Gu = 1/tau_p at E = 0, and
+# a kappa of 5e-324 rounds kappa times a master's part to a signed zero.
 ZERO_TERMS = [
-    ("cr: + 0.0 * x", dict(photon_lifetime=1.7e308, transparency_carrier=0.0, gain_slope=1.0, linewidth_enhancement=0.0),
-     DT, (-0.0, 2e-7), 1 / 1.7e308, [1.0, 1.0], [(-0.0, 1.0)], None),
-    ("ci: 0.0 +", dict(linewidth_enhancement=0.0), DT, (-0.0, -0.0), 2000.0, [0.0, 0.0], [(0.3, -0.0)], None),
+    ("cr: + 0.0 * x", dict(photon_lifetime=1.7e308, transparency_carrier=0.0, gain_slope=1.0, linewidth_enhancement=0.0,
+                           spontaneous_fraction=5e-324), DT, (-0.0, 2e-7), 1 / 1.7e308, [1.0, 1.0], [(-1.0, 1.0)], None),
+    ("ci: 0.0 +", dict(linewidth_enhancement=0.0, injection_coupling=5e-324, spontaneous_fraction=5e-324), DT,
+     (-1e-300, -0.0), 2000.0, [0.0, 0.0], [(1.0, -1.0)], [(-1e-310, -1e-310), (-1e300, -1e-310)]),
     ("predictor: - d1.ei * 0.0", dict(photon_lifetime=1.7e308, transparency_carrier=0.0, gain_compression=1e300,
-                                     linewidth_enhancement=1e-150), 2e-163, (-0.0, 2.4e-17), 6.6e-51, [0.0, 0.0], [(-0.0, 0.0)], None),
-    ("predictor: d1.er * 0.0 +", dict(linewidth_enhancement=0.0), DT, (-0.0, -0.0), 2000.0, [4e12, 0.0], [(-1.0, -0.0)], None),
-    ("corrector: - 0.0 * si", dict(injection_coupling=5e-324), DT, (0.0, -0.0), 0.0, [0.0, 0.0], [(0.0, -0.0)],
+                                     linewidth_enhancement=1e-150, spontaneous_fraction=5e-324), 2e-163, (-0.0, 2.4e-17),
+     6.6e-51, [0.0, 0.0], [(-1.0, 1.0)], None),
+    ("predictor: d1.er * 0.0 +", dict(photon_lifetime=1.7e308, transparency_carrier=0.0, linewidth_enhancement=0.0,
+                                     spontaneous_fraction=5e-324), DT, (-5e-324, -0.0), 6.6e-51, [2e12, 4e12],
+     [(1.0, -1.0)], None),
+    ("corrector: - 0.0 * si", dict(injection_coupling=5e-324), DT, (0.0, -0.0), 0.0, [0.0, 0.0], [(1.0, -1.0)],
      [(-1.0, 0.0), (0.0, -1.0)]),
     ("corrector: - ai * 0.0", dict(linewidth_enhancement=0.0, injection_coupling=5e10), DT, (-0.0, 1.0), 0.0, [0.0, 0.0],
-     [(-0.0, 0.0)], [(0.0, 0.0), (-5e-324, 0.0)]),
-    ("corrector: ar * 0.0 +", {}, DT, (-0.0, -0.0), 2000.0, [0.0, 0.0], [(0.0, -0.0)], None),
-    ("injection: - 0.0 * inj[1]", dict(injection_coupling=5e-324), DT, (-0.0, 0.0), 2000.0, [2e12, 2e12, 0.0],
-     [(-0.0, 0.0), (-0.0, 0.0)], [(-1.0, 0.0), (-1e-5, 0.0), (-1e-310, -1e-310)]),
-    ("injection: + 0.0 * inj[0]", dict(linewidth_enhancement=0.0, injection_coupling=5e-324), DT, (-1.0, -0.0), 4000.0,
-     [0.0, 0.0], [(0.0, -0.0)], [(0.0, -1e-5), (0.0, -0.3)]),
+     [(-1.0, 1.0)], [(0.0, 0.0), (-5e-324, 0.0)]),
+    ("corrector: ar * 0.0 +", dict(spontaneous_fraction=5e-324), DT, (-0.0, -0.0), 2000.0, [0.0, 0.0], [(1.0, -1.0)],
+     None),
+    ("injection: - 0.0 * inj[1]", dict(injection_coupling=5e-324, spontaneous_fraction=5e-324), DT, (-0.0, 0.0), 2000.0,
+     [2e12, 2e12, 0.0], [(-1.0, 1.0), (-1.0, 1.0)], [(-1.0, 0.0), (-1e-5, 0.0), (-1e-310, -1e-310)]),
+    ("injection: + 0.0 * inj[0]", dict(linewidth_enhancement=0.0, injection_coupling=5e-324, spontaneous_fraction=5e-324),
+     DT, (-1.0, -0.0), 4000.0, [0.0, 0.0], [(1.0, -1.0)], [(0.0, -1e-5), (0.0, -0.3)]),
 ]
 
 
@@ -879,7 +913,7 @@ class TestEdgeStates:
     )
     # a carrier of -0.0 makes the noise amplitude sqrt(-0.0) = -0.0, whose
     # sign a zero part of E takes
-    @example(runs=[(-0.0, -5e-324, -0.0, 0.0, 0.0, 0.0)], n_steps=1, alpha=3.0, noisy=True, injected=False, seed=0)
+    @example(runs=[(-0.0, -5e-324, -0.0, 0.0, 1.0, 1.0)], n_steps=1, alpha=3.0, noisy=True, injected=False, seed=0)
     def test_runs_equal_the_oracle(self, params, runs, n_steps, alpha, noisy, injected, seed):
         p = replace(params, linewidth_enhancement=alpha, injection_coupling=5e10 if injected else 0.0,
                     spontaneous_fraction=params.spontaneous_fraction if noisy else 0.0)
@@ -887,10 +921,11 @@ class TestEdgeStates:
         initial = runs[:, :2].copy().view(complex)[:, 0]  # keeps the sign of every zero part
         carriers, levels = runs[:, 2], runs[:, 3] * p.threshold_current
         rng = np.random.default_rng(seed)
-        noise = None
+        xi = noise = None
         if noisy:
-            noise = rng.choice(EDGES, (n_steps, 2, width))
-            noise[0] = runs[:, 4:].T
+            xi = rng.choice([1.0, -1.0], (n_steps, 2, width))
+            xi[0] = runs[:, 4:].T
+            noise = pack(xi)
         times = DT * np.arange(n_steps + 1)
         masters = [laser.FieldTrace(times, 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n_steps + 1)), 0.0 * times)
                    for _ in range(width)] if injected else [None] * width
@@ -909,9 +944,8 @@ class TestEdgeStates:
 
         def oracle(j, steps):
             drive = laser.DriveWaveform(times[: steps + 1], pump[: steps + 1, j])
-            xi = None if noise is None else noise[:steps, :, j]
             return oracle_integrate(p, drive, masters[j], dt=DT, initial_field=complex(initial[j]),
-                                    initial_carrier=float(carriers[j]), xi=xi)
+                                    initial_carrier=float(carriers[j]), xi=None if xi is None else xi[:steps, :, j])
 
         for j in range(width):
             try:
@@ -944,15 +978,15 @@ class TestEdgeStates:
         p = replace(params, **fields)
         times, pump = dt * np.arange(len(pump)), np.array(pump)
         initial = np.array(e0).view(complex)  # keeps the sign of each zero part
-        noise = np.array(xi)[:, :, None]
+        xi = np.array(xi)
         inj = None
         if master is not None:  # the samples oracle_integrate takes from the master
             master = laser.FieldTrace(times, np.array(master).view(complex)[:, 0], 0.0 * times)
             inj = ((np.interp(times, times, master.field.real) + 1j * np.interp(times, times, master.field.imag))
                    * np.exp(1j * 2.0 * math.pi * p.detuning * times))[:, None]
-        field, carrier, diverged, _ = laser.integrate_pumps(p, pump[:, None], dt, initial, n0, noise, inj)
+        field, carrier, diverged, _ = laser.integrate_pumps(p, pump[:, None], dt, initial, n0, pack(xi), inj)
         trace = oracle_integrate(p, laser.DriveWaveform(times, pump), master, dt=dt, initial_field=complex(initial[0]),
-                                 initial_carrier=n0, xi=noise[:, :, 0])
+                                 initial_carrier=n0, xi=xi)
         assert diverged[0] == 0
         assert field[:, 0].tobytes() == trace.field.tobytes()
         assert carrier[:, 0].tobytes() == trace.carrier.tobytes()
@@ -987,10 +1021,10 @@ def kernel_paths(params):
     six = np.full((n_steps + 1, 6), [0.0, 0.5 * th, th, 1e30 * th, 2.0 * th, 3.0 * th])
     calls = [
         (quiet, one, None, None),
-        (params, one, rng.standard_normal((n_steps, 2, 1)), None),
+        (params, one, noise_words(rng, n_steps, 1), None),
         (replace(quiet, injection_coupling=5e10), one, None, inj),
         (quiet, six, None, None),
-        (params, np.full((n_steps + 1, 24), 1.5 * th), rng.standard_normal((n_steps, 2, 24)), None),
+        (params, np.full((n_steps + 1, 24), 1.5 * th), noise_words(rng, n_steps, 24), None),
     ]
     runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection)
             for p, pump, noise, injection in calls]
@@ -1090,6 +1124,102 @@ class TestKernelBuild:
         assert "needs gcc" in proc.stderr and "Traceback" not in proc.stderr
 
 
+class TestIncrements:
+    """[DERIVED] The Langevin increments laser._run draws are +-1.0 with
+    equal odds, independent across steps, runs and quadratures: the mean 0,
+    variance 1 and zero correlations of the unit normals they stand in for
+    (Kloeden & Platen, Numerical Solution of SDEs, ch. 14)."""
+
+    def test_moments_of_the_drawn_increments(self, params, monkeypatch):
+        drawn, integrate_pumps = [], laser.integrate_pumps
+
+        def recording(*args, **kwargs):
+            drawn.append(args[5])  # the noise words
+            return integrate_pumps(*args, **kwargs)
+
+        monkeypatch.setattr(laser, "integrate_pumps", recording)
+        n_steps, n_runs = 2048, 1024  # 2^22 increments
+        drive = laser.DriveWaveform.constant(2.0 * params.threshold_current, n_steps * DT, DT)
+        laser.integrate_ensemble(params, drive, n_runs, rng_seed=2024)
+        (words,) = drawn
+        assert words.dtype == np.uint64 and words.shape == (2**22 // 64,)
+        xi = increments(words, n_steps, n_runs)
+        assert np.array_equal(np.unique(xi), [-1.0, 1.0])  # so every square is 1
+
+        def within_5_sigma(products):  # the mean of n independent +-1 values has sd 1/sqrt(n)
+            return abs(products.mean()) < 5.0 / math.sqrt(products.size)
+
+        assert within_5_sigma(xi[:, 0]) and within_5_sigma(xi[:, 1])  # Re and Im
+        assert within_5_sigma(xi[:, 0] * xi[:, 1])
+        assert within_5_sigma(xi[1:] * xi[:-1])  # lag 1 in steps
+        assert within_5_sigma(xi[:, :, 1:] * xi[:, :, :-1])  # neighbouring runs, neighbouring bits
+
+
+def gaussian_ensemble(params, drive, n_runs, seed, dt, initial_field, initial_carrier):
+    """oracle_integrate's step without injection, vectorized over runs and fed
+    unit normals: the Gaussian-increment reference of the two-point
+    increments.  Returns each run's last field and carrier."""
+    n_steps = int(math.floor(drive.duration / dt + 1e-9))
+    pump = np.interp(float(drive.times[0]) + dt * np.arange(n_steps + 1), drive.times, drive.current)
+    tau_n, inv_tau_p, g = params.carrier_lifetime, 1.0 / params.photon_lifetime, params.gain_slope
+    n_tr, eps, beta = params.transparency_carrier, params.gain_compression, params.spontaneous_fraction
+    half_alpha_j = 0.5j * params.linewidth_enhancement
+    rng = np.random.default_rng(seed)
+    e, n = np.full(n_runs, complex(initial_field)), np.full(n_runs, float(initial_carrier))
+    for k in range(n_steps):
+        xi = rng.standard_normal((2, n_runs))
+        s = e.real * e.real + e.imag * e.imag
+        gu = g * (n - n_tr)
+        gc = gu / (1.0 + eps * s)
+        de1 = (0.5 * (gc - inv_tau_p) + half_alpha_j * (gu - inv_tau_p)) * e
+        dn1 = pump[k] - n / tau_n - gc * s
+        amp = np.sqrt(np.maximum(n, 0.0) * beta / tau_n * dt * 0.5)
+        noise = amp * xi[0] + 1j * (amp * xi[1])
+        ep = e + de1 * dt + noise
+        np_ = n + dn1 * dt
+        sp = ep.real * ep.real + ep.imag * ep.imag
+        gup = g * (np_ - n_tr)
+        gcp = gup / (1.0 + eps * sp)
+        de2 = (0.5 * (gcp - inv_tau_p) + half_alpha_j * (gup - inv_tau_p)) * ep
+        dn2 = pump[k + 1] - np_ / tau_n - gcp * sp
+        e = e + 0.5 * (de1 + de2) * dt + noise
+        n = n + 0.5 * (dn1 + dn2) * dt
+    return e, n
+
+
+class TestGaussianReference:
+    """Two-point increments keep the ensemble statistics of Gaussian ones.
+    4000 runs from the stationary state at 2 J_th diffuse for 1 ns, to a
+    phase variance near 0.24 rad^2 about a mean phase that drifts by about
+    -2 rad.  At held-out seeds, the kernel's runs and gaussian_ensemble's
+    agree in mean intensity, phase variance and |<exp(i phi)>|, each
+    difference within 4 of its standard errors."""
+
+    def test_ensemble_statistics(self, params):
+        bias = 2.0 * params.threshold_current
+        n0, s0 = laser.stationary_state(params, bias)
+        drive = laser.DriveWaveform.constant(bias, 1e-9, 1e-11)
+        kwargs = dict(dt=DT, initial_field=complex(math.sqrt(s0)), initial_carrier=n0)
+        n_runs = 4000
+        two_point, _ = laser.integrate_ensemble(params, drive, n_runs, rng_seed=1605, **kwargs)
+        gaussian, _ = gaussian_ensemble(params, drive, n_runs, 4594, **kwargs)
+
+        def statistics(field):
+            """(value, standard error) of <S>, var phi and |<exp(i phi)>|."""
+            s, mean = np.abs(field) ** 2, np.mean(field / np.abs(field))
+            phi = np.angle(field * np.conj(mean))  # about the circular mean, so that none wraps
+            dev = phi - phi.mean()
+            return [
+                (s.mean(), s.std() / math.sqrt(n_runs)),
+                (dev.var(), math.sqrt((np.mean(dev**4) - dev.var() ** 2) / n_runs)),
+                (abs(mean), np.cos(phi).std() / math.sqrt(n_runs)),
+            ]
+
+        for (a, se_a), (b, se_b) in zip(statistics(two_point), statistics(gaussian)):
+            assert abs(a - b) < 4.0 * math.hypot(se_a, se_b), (a, b)
+        assert statistics(two_point)[1][0] > 0.1  # the phases have diffused
+
+
 class TestEnsemble:
     def test_unseeded_phases_spread(self):
         params = laser.LaserParams()
@@ -1142,7 +1272,6 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_noisy_one_run_ends_as_integrate(self, params, seed):
-        # 3500 steps: the ensemble draws the noise in blocks, integrate at once
         th = params.threshold_current
         drive = laser.DriveWaveform.from_segments([(0.3e-9, 0.2 * th), (0.4e-9, 3.0 * th)], 1e-11)
         kwargs = dict(dt=DT, initial_field=1e-3 + 2e-4j, initial_carrier=900.0)
