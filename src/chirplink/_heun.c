@@ -29,25 +29,19 @@
  * and for every target.  A block of fewer runs than its width starts its
  * spare lanes as copies of its last run, and never stores them.
  *
- * Shared head: without noise, injection and trace, when every run starts
- * from the same state (bit for bit) under the same first pump segment,
- * the runs are one run until that segment's last sample, so run 0 is
- * stepped alone to there and its state copied to every run.
- *
  * Arrays are step-major: a row holds one value of each run.  pump holds
  * segments of held levels: its row s is the pump of samples seg_end[s - 1]
  * to seg_end[s] - 1 (seg_end[-1] taken as 0), and the last segment ends at
- * n_steps + 1; a pump of one row per sample has seg_end[s] = s + 1.  inj,
- * when not NULL, holds n_steps + 1 rows of complex samples as (re, im)
- * pairs.  When xi is not NULL, its bit i % 64 of word i / 64 is Langevin
- * increment i, +1.0 where set and -1.0 where clear; step k of run j reads
- * increments 2 k n_runs + j (Re E) and (2 k + 1) n_runs + j (Im E) as it
- * steps: nothing is prefetched.  field (complex) and carrier hold the
- * state at sample 0 in row 0; with trace, sample k is stored in row k,
- * and without, only the last sample, in row 0.  diverged[j] is 0 in; it
- * is set to the sample index k + 1 of the first step whose state is not
- * finite or whose intensity exceeds 1e12, and the run keeps that state in
- * every later sample.
+ * n_steps + 1.  inj, when not NULL, holds n_steps + 1 rows of complex
+ * samples as (re, im) pairs.  When xi is not NULL, its bit i % 64 of word
+ * i / 64 is Langevin increment i, +1.0 where set and -1.0 where clear;
+ * step k of run j reads increments 2 k n_runs + j (Re E) and (2 k + 1)
+ * n_runs + j (Im E) as it steps: nothing is prefetched.  field (complex)
+ * and carrier hold the state at sample 0 in row 0; with trace, sample k is
+ * stored in row k, and without, only the last sample, in row 0.
+ * diverged[j] is 0 in; it is set to the sample index k + 1 of the first
+ * step whose state is not finite or whose intensity exceeds 1e12, and the
+ * run keeps that state in every later sample.
  *
  * turns is never NULL: turns[j] (0 in) counts the turns of run j, the steps
  * whose segment from sample k to k + 1 meets the real axis at Re < 0, +1
@@ -56,8 +50,7 @@
  * 2 pi times the same sign (a segment that passes within rounding of 0
  * aside), so the unwrapped phase of the last sample is its angle plus
  * 2 pi turns[j].  Such a step changes the sign bit of Im E, so the lanes
- * are searched only where a bit changed.  The shared head's turns are
- * copied to every run, as its state is.
+ * are searched only where a bit changed.
  */
 #include <float.h>
 #include <math.h>
@@ -104,12 +97,12 @@ static inline __attribute__((always_inline)) rate rates(
     return d;
 }
 
-/* Steps runs j0 to j0 + m - 1 (m <= w <= LANES) from sample k0, whose
- * state is in row 0, to sample k1, in lanes of width w, adding to their
- * turns.  One copy for each presence of inj and xi and each w, so that no
- * branch is left inside the loop over lanes. */
+/* Steps runs j0 to j0 + m - 1 (m <= w <= LANES) from sample 0, whose
+ * state is in row 0, to sample n_steps, in lanes of width w, adding to
+ * their turns.  One copy for each presence of inj and xi and each w, so
+ * that no branch is left inside the loop over lanes. */
 static inline __attribute__((always_inline)) void block(
-    const long w, long m, long j0, long k0, long k1, long n_runs, double tau_n, double inv_tau_p,
+    const long w, long m, long j0, long n_steps, long n_runs, double tau_n, double inv_tau_p,
     double g, double n_tr, double eps, double hi, double beta, double kappa, double dt,
     const double *pump, const long *seg_end, const double *inj, const uint64_t *xi,
     double *restrict field, double *restrict carrier, int trace, long *restrict diverged,
@@ -120,19 +113,17 @@ static inline __attribute__((always_inline)) void block(
     /* a short block's copies of its rows of pump, stale in spare lanes */
     double pa[LANES], pb[LANES];
     long dv[LANES], s = 0;
-    while (k0 >= seg_end[s])
-        s++;
     for (long l = 0; l < w; l++) {
         long j = j0 + (l < m ? l : m - 1);
         er[l] = field[2 * j];
         ei[l] = field[2 * j + 1];
         nc[l] = carrier[j];
         dv[l] = diverged[j];
-        pa[l] = pb[l] = pump[s * n_runs + j];
+        pa[l] = pb[l] = pump[j];
     }
     /* the pumps of samples k and k + 1; the latter is reloaded only where a segment ends */
-    const double *p0 = lanes_of(pump + s * n_runs + j0, pa, m, w), *p1 = p0;
-    for (long k = k0; k < k1; k++) {
+    const double *p0 = lanes_of(pump + j0, pa, m, w), *p1 = p0;
+    for (long k = 0; k < n_steps; k++) {
         int next = k + 1 >= seg_end[s];
         if (next)
             p1 = lanes_of(pump + (s + 1) * n_runs + j0, p0 == pa ? pb : pa, m, w);
@@ -211,7 +202,7 @@ static inline __attribute__((always_inline)) void block(
             }
         }
         /* the rows kept: every sample with trace, else the last in row 0 */
-        for (long l = 0; (trace || k + 1 == k1) && l < m; l++) {
+        for (long l = 0; (trace || k + 1 == n_steps) && l < m; l++) {
             long at = (trace ? k + 1 : 0) * n_runs + j0 + l;
             field[2 * at] = er[l];
             field[2 * at + 1] = ei[l];
@@ -221,54 +212,24 @@ static inline __attribute__((always_inline)) void block(
     }
 }
 
-#define BLOCK(w, m, injected, noisy)                                                      \
-    block(w, m, j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hi, beta, kappa, \
-          dt, pump, seg_end, inj, xi, field, carrier, trace, diverged, turns, injected, noisy)
+#define BLOCK(w, m, injected, noisy)                                                   \
+    block(w, m, j0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hi, beta, kappa, dt, \
+          pump, seg_end, inj, xi, field, carrier, trace, diverged, turns, injected, noisy)
 
-#define ARGS(j0, k0, n_steps)                                                                 \
-    j0, k0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hi, beta, kappa, dt, pump,       \
-        seg_end, inj, xi, field, carrier, trace, diverged, turns
-
-/* Runs j0 to j0 + m - 1 (m <= LANES) from sample k0 to n_steps: a lone
- * run, and every run with injection, in one lane; a block of 2 to 8 runs
- * without noise in 8 lanes; the rest in LANES.  Kept out of line, so that
- * its copies of block() are built once for the head and the blocks. */
-static __attribute__((noinline)) void steps(
-    long m, long j0, long k0, long n_steps, long n_runs, double tau_n, double inv_tau_p, double g,
-    double n_tr, double eps, double hi, double beta, double kappa, double dt, const double *pump,
-    const long *seg_end, const double *inj, const uint64_t *xi, double *field, double *carrier,
-    int trace, long *diverged, long *turns)
-{
-    if (m == 1)
-        inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
-            : (xi ? BLOCK(1, 1, 0, 1) : BLOCK(1, 1, 0, 0));
-    else
-        xi ? BLOCK(LANES, m, 0, 1) : m <= 8 ? BLOCK(8, m, 0, 0) : BLOCK(LANES, m, 0, 0);
-}
-
-/* The entry, as the top of this file describes it. */
+/* The entry, as the top of this file describes it: a lone run, and every
+ * run with injection, in one lane; a block of 2 to 8 runs without noise in
+ * 8 lanes; the rest in LANES. */
 void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
                     double eps, double hi, double beta, double kappa, double dt, const double *pump,
                     const long *seg_end, const double *inj, const uint64_t *xi, double *field,
                     double *carrier, int trace, long *diverged, long *turns)
 {
-    /* the shared head: steps 0 to seg_end[0] - 2 read the first segment only */
-    long head = inj || xi || trace ? 0 : seg_end[0] - 1;
-    for (long j = 1; head && j < n_runs; j++)
-        if (bits(pump[j]) != bits(pump[0]) || bits(carrier[j]) != bits(carrier[0]) ||
-            bits(field[2 * j]) != bits(field[0]) || bits(field[2 * j + 1]) != bits(field[1]))
-            head = 0;
-    if (head) {
-        steps(1, ARGS(0, 0, head));
-        for (long j = 1; j < n_runs; j++) {
-            memcpy(field + 2 * j, field, 2 * sizeof *field);
-            carrier[j] = carrier[0];
-            diverged[j] = diverged[0];
-            turns[j] = turns[0];
-        }
-    }
     for (long j0 = 0, m; j0 < n_runs; j0 += m) {
         m = inj ? 1 : n_runs - j0 < LANES ? n_runs - j0 : LANES;
-        steps(m, ARGS(j0, head, n_steps));
+        if (m == 1)
+            inj ? (xi ? BLOCK(1, 1, 1, 1) : BLOCK(1, 1, 1, 0))
+                : (xi ? BLOCK(1, 1, 0, 1) : BLOCK(1, 1, 0, 0));
+        else
+            xi ? BLOCK(LANES, m, 0, 1) : m <= 8 ? BLOCK(8, m, 0, 0) : BLOCK(LANES, m, 0, 0);
     }
 }

@@ -49,9 +49,10 @@ def _write_outputs(cfg: ExperimentConfig, header: str, rows: np.ndarray, summary
 
 
 # The physical path steps the rate equations at this interval, for a
-# window of _PRE, the perturbation, then _POST for the laser to settle.
+# window of one sample of the bias, the perturbation, then _POST for the
+# laser to settle.
 _DT = 2e-13
-_PRE, _POST = 0.2e-9, 1.5e-9
+_POST = 1.5e-9
 # At most this many steps per run: the physical path keeps no trace and
 # holds each pump as three segments, so the cap bounds the time, not the
 # memory (30 voltages at the cap: ~0.2 s and ~40 MiB on one x86_64 core).
@@ -62,26 +63,28 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, the reference.  The
     reference and each distinct level are the runs of one kernel call, the
-    reference first, each with a pump of three held segments: the bias,
-    the level, the bias.  The runs share the first segment, which the
-    kernel steps once.  The net phase is np.unwrap's over the whole window:
-    the angle of the last sample plus 2 pi per turn the kernel counts,
-    where np.unwrap adds a correction of about 2 pi.  A divergence raises
-    and names the first diverging level in input order, the reference
-    first, at its sample of the window.
+    reference first, each with a pump of three held segments: one sample
+    of the bias, the level, the bias.  The bias sample is the pump of the
+    step's first Heun predictor, so the trapezoidal steps hold the level
+    for the step's count of samples, the t of the closed form in
+    calibrate_physical_drive_scale.  The net phase is np.unwrap's over the
+    whole window: the angle of the last sample plus 2 pi per turn the
+    kernel counts, where np.unwrap adds a correction of about 2 pi.  A
+    divergence raises and names the first diverging level in input order,
+    the reference first, at its sample of the window.
     """
     quiet = laser.LaserParams(spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)
-    # samples of the bias before, of the step and of the bias after it, as
+    # samples of the step and of the bias after it, as
     # DriveWaveform.from_segments counts them; the drive ends on one more
-    n_pre, n_step, n_post = (int(round(t / _DT)) for t in (_PRE, duration, _POST))
+    n_step, n_post = (int(round(t / _DT)) for t in (duration, _POST))
     levels = bias + np.asarray(drive_steps, dtype=float)
     runs = list(dict.fromkeys([bias, *levels.ravel().tolist()]))
     ends = [bias] * len(runs)
     field, carrier, diverged, turns = laser.integrate_pumps(
         quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
-        trace=False, holds=[n_pre, n_step, n_post + 1],
+        trace=False, holds=[1, n_step, n_post + 1],
     )
     if diverged.any():
         j = np.flatnonzero(diverged)[0]
@@ -105,7 +108,7 @@ def calibrate_physical_drive_scale(source: SourceConfig) -> float:
     less than one step of its own, is a config error.
     """
     duration = source.perturbation_duration
-    steps = (_PRE + duration + _POST) / _DT
+    steps = (duration + _POST) / _DT
     if not steps <= _MAX_STEPS:
         raise PreconditionError(
             f"physical_mode: source.perturbation_duration = {duration:g} s asks for {steps:.3g} "

@@ -300,17 +300,16 @@ def integrate_pumps(
     noise: np.ndarray | None = None,
     injection: np.ndarray | None = None,
     trace: bool = True,
-    holds=None,
+    *,
+    holds,
 ):
     """Integrate one run of the rate equations per column of `pump`.
 
     `pump` holds each run's pump rate as an (n_segments, n_runs) array of
     levels, and `holds` how many samples, `dt` apart, each row is held for:
     the pump at the n_steps + 1 sample times is np.repeat(pump, holds,
-    axis=0).  Without `holds` each row is one sample.  The compiled kernel
-    steps the runs in blocks, each with the arithmetic of a run alone;
-    without noise, injection and trace, runs that start from one state
-    under one first row share the steps of that row.
+    axis=0).  The compiled kernel steps the runs in blocks, each with the
+    arithmetic of a run alone.
     `initial_field` and `initial_carrier` are each run's state at sample 0,
     or one state for all.  `noise`, ceil(2 n_steps n_runs / 64) uint64
     words, packs the Langevin term's increments, scaled as in
@@ -334,13 +333,10 @@ def integrate_pumps(
         raise PreconditionError("pump must be an (n_segments, n_runs) array")
     if not np.isfinite(pump).all():
         raise PreconditionError("pump levels must be finite")
-    if holds is None:
-        seg_end = np.arange(1, len(pump) + 1, dtype=_LONG)
-    else:
-        holds = np.asarray(holds)
-        if holds.shape != pump.shape[:1] or holds.dtype.kind not in "iu" or (holds < 1).any():
-            raise PreconditionError("holds must be one integer >= 1 per row of pump")
-        seg_end = holds.cumsum(dtype=_LONG)
+    holds = np.asarray(holds)
+    if holds.shape != pump.shape[:1] or holds.dtype.kind not in "iu" or (holds < 1).any():
+        raise PreconditionError("holds must be one integer >= 1 per row of pump")
+    seg_end = holds.cumsum(dtype=_LONG)
     n_steps, n_runs = int(seg_end[-1]) - 1, pump.shape[1]
     if noise is not None:
         noise = np.ascontiguousarray(noise)
@@ -411,7 +407,8 @@ def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, inject
     words = -(-2 * n_steps * n_runs // 64)
     xi = np.random.default_rng(seed).bit_generator.random_raw(words) if params.spontaneous_fraction else None
     field, carrier, diverged, _ = integrate_pumps(
-        params, pumps, dt, initial_field, initial_carrier, xi, inj, trace, np.diff(starts, append=len(pump))
+        params, pumps, dt, initial_field, initial_carrier, xi, inj, trace,
+        holds=np.diff(starts, append=len(pump)),
     )
     if diverged.any():
         run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))

@@ -36,8 +36,10 @@ class SourceConfig:
             raise PreconditionError("halfwave_voltage must be positive")
         if self.perturbation_duration <= 0:
             raise PreconditionError("perturbation_duration must be positive")
-        if 2.0 * self.halfwave_voltage * self.perturbation_duration == 0.0:
-            raise PreconditionError("halfwave_voltage * perturbation_duration underflows to 0")
+        # voltage_to_chirp's 1 / product: a subnormal product is not 0, but its reciprocal is inf
+        product = 2.0 * self.halfwave_voltage * self.perturbation_duration
+        if product == 0.0 or math.isinf(1.0 / product):
+            raise PreconditionError("1 / (2 halfwave_voltage * perturbation_duration) overflows")
         if self.mean_photon_number < 0:
             raise PreconditionError("mean_photon_number must be >= 0")
 

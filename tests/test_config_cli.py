@@ -621,6 +621,13 @@ class TestInputBounds:
             ("dps-sweep", "fiber_km = 0 1e308\nloss_per_km = 10", "fiber_km * loss_per_km must be finite"),
             ("dps-sweep", "fiber_km = -1 0", "fiber_km must be non-negative"),
             ("phase-voltage", "voltages =\nphysical_mode = true", "voltages must have at least one"),
+            # 2 * 0.35 * 1e-310 is subnormal, so not 0, and its reciprocal
+            # overflows: the source is rejected, not the voltage 0
+            (
+                "phase-voltage",
+                "voltages = 0.0\nsource.perturbation_duration = 1e-310",
+                "1 / (2 halfwave_voltage * perturbation_duration) overflows",
+            ),
             (
                 "phase-voltage",
                 "physical_mode = true\nsource.perturbation_duration = 1e-3",

@@ -166,10 +166,9 @@ class TestCalibration:
         # one call over the whole window: the constant-pump reference first,
         # once, then the three voltages it has not met (0 V is the reference)
         ((pump, holds),) = calls["voltages"]
-        k0 = round(experiments._PRE / experiments._DT) - 1
         n_step = round(cfg.source.perturbation_duration / experiments._DT)
         n_post = round(experiments._POST / experiments._DT)
-        assert holds == [k0 + 1, n_step, n_post + 1]
+        assert holds == [1, n_step, n_post + 1]
         bias = pump[0, 0]
         # every run holds the bias, its level for the step's samples, then the bias again
         assert (pump[0] == bias).all() and (pump[2] == bias).all()
@@ -197,10 +196,8 @@ class TestCalibration:
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
         ((pump, holds),) = pumps
         assert pump.shape == (3, 21) and len(set(pump[1].tolist())) == 21
-        assert holds == [1000, 1250, 7501]
-        # the kernel steps the runs' shared first segment once
-        head, n_steps = holds[0] - 1, sum(holds) - 1
-        assert head + 21 * (n_steps - head) == 184_770
+        assert holds == [1, 1250, 7501]
+        assert 21 * (sum(holds) - 1) == 183_771
 
     def test_resumed_phase_equals_whole_window_run(self):
         # the net phase from one integration over the whole window per drive
@@ -228,9 +225,8 @@ class TestCalibration:
             assert phase_shift(step) == net - reference[0]
             tolerance = (abs(turns) + abs(reference[2])) * 2e-14
             assert abs(phase_shift(step) - (unwrapped - reference[1])) <= tolerance
-        # ~200 sign changes of Im E, nearly all of them after the shared
-        # head, and 5 turns, against the reference's 9
-        assert whole_window(scale * -3.0)[2] == 5 and reference[2] == 9
+        # ~200 sign changes of Im E, and 4 turns, against the reference's 8
+        assert whole_window(scale * -3.0)[2] == 4 and reference[2] == 8
         # a diverging run names the sample of the whole window, at the same state
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window(scale * 1e6)
@@ -246,7 +242,7 @@ class TestCalibration:
         assert len(phases) == 21
         assert (
             hashlib.sha256(phases.tobytes()).hexdigest()
-            == "00a519568c88c8a0f625e04bc56889613874fcd739681983d830f481f8f1174d"
+            == "c5695d75ad5aed3ce7eaa68cc102bdc5640968650985516ba8315e57755f62de"
         )
 
     def test_fresh_divergence_names_whole_window_sample(self):
@@ -353,11 +349,11 @@ class TestCalibration:
 
 def whole_window_trace(step, duration):
     """One integration of the noiseless laser over the whole window of a drive step."""
-    dt, pre, post = experiments._DT, experiments._PRE, experiments._POST
+    dt, post = experiments._DT, experiments._POST
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)
-    segments = [(pre, bias), (duration, bias + step), (post, bias)]
+    segments = [(dt, bias), (duration, bias + step), (post, bias)]
     drive = laser.DriveWaveform.from_segments(segments, dt)
     return laser.integrate(
         quiet, drive, dt=dt, initial_field=complex(math.sqrt(s0), 0.0), initial_carrier=n0

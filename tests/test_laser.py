@@ -13,10 +13,15 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from chirplink import laser
-from chirplink.errors import IntegrationDivergedError, PreconditionError
+from chirplink.errors import IntegrationDivergedError, PreconditionError, UndefinedPhaseError
 
 DT = 2e-13
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def per_sample(pump):
+    """The holds of a pump with one row per sample: each row held once."""
+    return np.ones(len(pump), dtype=int)
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +229,9 @@ class TestFMResponse:
             biases = np.array([b * p.threshold_current for b, _ in runs])
             pump = biases + self.DRIVE * biases * np.sin(2 * math.pi * np.outer(t, [f for _, f in runs]))
             states = np.array([laser.stationary_state(p, bias) for bias in biases])
-            field, _, diverged, _ = laser.integrate_pumps(p, pump, dt, np.sqrt(states[:, 1]) + 0j, states[:, 0])
+            field, _, diverged, _ = laser.integrate_pumps(
+                p, pump, dt, np.sqrt(states[:, 1]) + 0j, states[:, 0], holds=per_sample(pump)
+            )
             assert not diverged.any()
             # each step's mean chirp, from the field's turn over the step; a
             # step's mean of a sinusoid at f is sinc(f dt) times its midpoint value
@@ -296,6 +303,27 @@ class TestLockedPhaseOffset:
     def test_empty_window_rejected(self, steady):
         with pytest.raises(PreconditionError):
             laser.locked_phase_offset(steady, steady, (2e-9, 1e-9))
+
+    @staticmethod
+    def hand_trace(field):
+        """A FieldTrace of `field` sampled every 1 ns from 0."""
+        field = np.asarray(field, dtype=complex)
+        return laser.FieldTrace(1e-9 * np.arange(len(field)), field, np.zeros(len(field)))
+
+    def test_window_between_samples_rejected(self):
+        lit = self.hand_trace([1.0, 1.0, 1.0])
+        with pytest.raises(PreconditionError, match="window contains no samples"):
+            laser.locked_phase_offset(lit, lit, (0.2e-9, 0.8e-9))
+
+    @pytest.mark.parametrize("dark_one", ["slave", "master"])
+    def test_extinguished_field_in_window_is_undefined(self, dark_one):
+        # at 2 ns the intensity is 1e-4 of the peak, under the floor of 1e-3
+        lit, dark = self.hand_trace([1.0] * 5), self.hand_trace([1.0, 1.0, 1e-2, 1.0, 1.0])
+        master, slave = (lit, dark) if dark_one == "slave" else (dark, lit)
+        with pytest.raises(UndefinedPhaseError, match=f"{dark_one} extinguished inside window"):
+            laser.locked_phase_offset(master, slave, (1e-9, 3e-9))
+        # a window that leaves out the dip reads a defined phase
+        assert laser.locked_phase_offset(master, slave, (3e-9, 4e-9)) == 0.0
 
     def test_injection_locked_offset_plateau(self, steady):
         quiet = replace(
@@ -513,7 +541,9 @@ class TestKernelMatchesOracle:
         pump = np.interp(DT * np.arange(n_steps + 1), drive.times, drive.current)[:, None]
         xi = seeded_increments(3, n_steps, n_runs)
         for j in range(n_runs):
-            alone = laser.integrate_pumps(params, pump, DT, 0j, 0.0, pack(xi[:, :, j : j + 1]), trace=False)
+            alone = laser.integrate_pumps(
+                params, pump, DT, 0j, 0.0, pack(xi[:, :, j : j + 1]), trace=False, holds=per_sample(pump)
+            )
             assert [a.tobytes() for a in alone[:3]] == [fields[j : j + 1].tobytes(), carriers[j : j + 1].tobytes(),
                                                          np.zeros(1, alone[2].dtype).tobytes()]
 
@@ -584,7 +614,9 @@ class TestBatchedKernel:
             )
             inj = np.repeat((inj * np.exp(1j * 2.0 * math.pi * p.detuning * times))[:, None], width, 1)
         pump = np.column_stack([drive.current for drive in drives])
-        field, carrier, diverged, _ = laser.integrate_pumps(p, pump, DT, np.array(initial), 900.0, noise, inj)
+        field, carrier, diverged, _ = laser.integrate_pumps(
+            p, pump, DT, np.array(initial), 900.0, noise, inj, holds=per_sample(pump)
+        )
         assert not diverged.any()
         for j, drive in enumerate(drives):
             kwargs = dict(injection=injection, noise_seed=seeds[j], dt=DT, initial_field=initial[j],
@@ -595,7 +627,7 @@ class TestBatchedKernel:
             assert_same_bits(column, oracle_integrate(p, drive, **kwargs))
         # without the traces, the last samples
         last_field, last_carrier, _, _ = laser.integrate_pumps(
-            p, pump, DT, np.array(initial), 900.0, noise, inj, trace=False
+            p, pump, DT, np.array(initial), 900.0, noise, inj, trace=False, holds=per_sample(pump)
         )
         assert last_field.tobytes() == field[-1].tobytes()
         assert last_carrier.tobytes() == carrier[-1].tobytes()
@@ -607,9 +639,11 @@ class TestBatchedKernel:
         n_steps = len(drives[0].times) - 1
         noise = pack(np.concatenate([seeded_increments(seed, n_steps) for seed in seeds], -1))
         pump = np.column_stack([drive.current for drive in drives])
-        field, carrier, diverged, _ = laser.integrate_pumps(params, pump, DT, np.array(initial), 900.0, noise)
+        field, carrier, diverged, _ = laser.integrate_pumps(
+            params, pump, DT, np.array(initial), 900.0, noise, holds=per_sample(pump)
+        )
         last_field, last_carrier, _, _ = laser.integrate_pumps(
-            params, pump, DT, np.array(initial), 900.0, noise, trace=False
+            params, pump, DT, np.array(initial), 900.0, noise, trace=False, holds=per_sample(pump)
         )
         for j, drive in enumerate(drives):
             kwargs = dict(noise_seed=seeds[j], dt=DT, initial_field=initial[j], initial_carrier=900.0)
@@ -655,9 +689,11 @@ class TestBatchedKernel:
         inj = inj if copy == "injected" else None
         # each run's turns, with the trace and without, are np.unwrap's
         # corrections of the traced angles, counted at the sign changes of Im E
-        field, _, diverged, traced_turns = laser.integrate_pumps(p, pump, DT, initial, carrier, noise, inj)
+        field, _, diverged, traced_turns = laser.integrate_pumps(
+            p, pump, DT, initial, carrier, noise, inj, holds=per_sample(pump)
+        )
         last_field, _, last_diverged, turns = laser.integrate_pumps(
-            p, pump, DT, initial, carrier, noise, inj, trace=False
+            p, pump, DT, initial, carrier, noise, inj, trace=False, holds=per_sample(pump)
         )
         assert last_field.tobytes() == field[-1].tobytes()
         assert last_diverged.tobytes() == diverged.tobytes()
@@ -678,7 +714,7 @@ class TestBatchedKernel:
         p = replace(quiet, linewidth_enhancement=0.0)
         pump = np.full((200, 2), p.threshold_current)
         initial = np.array([complex(-1e-3, -0.0), complex(1e-3, -0.0)])
-        field, _, _, turns = laser.integrate_pumps(p, pump, DT, initial, 900.0)
+        field, _, _, turns = laser.integrate_pumps(p, pump, DT, initial, 900.0, holds=per_sample(pump))
         assert (field[1:].imag == 0.0).all() and not np.signbit(field[1:].imag).any()
         assert turns.tolist() == unwrap_turns(field).tolist() == [-1, 0]
 
@@ -700,7 +736,7 @@ class TestBatchedKernel:
         noise = noise_words(rng, n_steps, width) if copy == "noisy" else None
         inj = 0.3 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n_steps + 1, width))) if copy == "injected" else None
         field, last_carrier, diverged, turns = laser.integrate_pumps(
-            p, pump, DT, initial, carrier, noise, inj, trace=False
+            p, pump, DT, initial, carrier, noise, inj, trace=False, holds=per_sample(pump)
         )
         assert (diverged > 0).sum() == (width >= 3)
         for j in range(width):
@@ -709,6 +745,7 @@ class TestBatchedKernel:
                 None if noise is None else pack(increments(noise, n_steps, width)[:, :, j : j + 1]),
                 None if inj is None else inj[:, j : j + 1],
                 trace=False,
+                holds=per_sample(pump),
             )
             assert [a.tobytes() for a in alone] == [
                 a[j : j + 1].tobytes() for a in (field, last_carrier, diverged, turns)
@@ -718,8 +755,7 @@ class TestBatchedKernel:
     def test_shared_head_equals_whole_window_runs(self, quiet, width):
         # every run starts at no carrier under no pump, so its phase spins and
         # Im E flips in the shared first segment, then takes its own level.
-        # The traced call steps every run through the whole window; the
-        # untraced one steps the shared head once.
+        # The traced and the untraced call give each run its bits alone.
         th, holds = quiet.threshold_current, [150, 200, 151]
         levels = np.array([[0.0] * width, [(0.3 + 0.2 * j) * th for j in range(width)], [th] * width])
         field, carrier, diverged, _ = laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, holds=holds)
@@ -732,7 +768,7 @@ class TestBatchedKernel:
             alone = laser.integrate(quiet, drive, dt=DT, initial_field=1e-3 + 2e-4j, initial_carrier=0.0)
             column = laser.FieldTrace(alone.times, field[:, j].copy(), carrier[:, j].copy())
             assert_same_bits(column, alone)
-        assert (unwrap_turns(field[: holds[0]]) != 0).all()  # turns of the head, copied to every run
+        assert (unwrap_turns(field[: holds[0]]) != 0).all()  # every run turns in the shared first segment
         assert np.array_equal(turns, unwrap_turns(field))
         assert [a.tobytes() for a in last] == [a.tobytes() for a in (field[-1], carrier[-1], diverged)]
 
@@ -756,12 +792,12 @@ class TestBatchedKernel:
         pump = np.full((11, 3), quiet.threshold_current)
         pump[5, 1] = bad
         with pytest.raises(PreconditionError, match="finite"):
-            laser.integrate_pumps(quiet, pump, DT, 1e-3, 0.0)
+            laser.integrate_pumps(quiet, pump, DT, 1e-3, 0.0, holds=per_sample(pump))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-13, math.nan, 1e-12])
     def test_bad_dt_rejected(self, quiet, dt):
         with pytest.raises(PreconditionError, match="dt"):
-            laser.integrate_pumps(quiet, np.ones((11, 3)), dt, 1e-3, 0.0)
+            laser.integrate_pumps(quiet, np.ones((11, 3)), dt, 1e-3, 0.0, holds=per_sample(range(11)))
 
 
 # pump levels as multiples of the threshold current: none, which with no
@@ -804,7 +840,8 @@ class TestHeldPumps:
         for trace in (True, False):
             held = laser.integrate_pumps(p, levels, DT, initial, carrier, noise, inj, trace=trace, holds=holds)
             dense = laser.integrate_pumps(
-                p, np.repeat(levels, holds, axis=0), DT, initial, carrier, noise, inj, trace=trace
+                p, np.repeat(levels, holds, axis=0), DT, initial, carrier, noise, inj, trace=trace,
+                holds=per_sample(range(n_steps + 1)),
             )
             for a, b in zip(held, dense):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -936,8 +973,10 @@ class TestEdgeStates:
                 * np.exp(1j * 2.0 * math.pi * p.detuning * times) for m in masters
             ])
         pump = np.repeat(levels[None], n_steps + 1, 0)
-        field, carrier, diverged, turns = laser.integrate_pumps(p, pump, DT, initial, carriers, noise, inj)
-        # without the trace, and with the pump held, where runs may share a head
+        field, carrier, diverged, turns = laser.integrate_pumps(
+            p, pump, DT, initial, carriers, noise, inj, holds=per_sample(pump)
+        )
+        # without the trace, and with the pump held
         last = laser.integrate_pumps(p, levels[None], DT, initial, carriers, noise, inj, trace=False,
                                      holds=[n_steps + 1])
         assert [a.tobytes() for a in last] == [a.tobytes() for a in (field[-1], carrier[-1], diverged, turns)]
@@ -984,7 +1023,9 @@ class TestEdgeStates:
             master = laser.FieldTrace(times, np.array(master).view(complex)[:, 0], 0.0 * times)
             inj = ((np.interp(times, times, master.field.real) + 1j * np.interp(times, times, master.field.imag))
                    * np.exp(1j * 2.0 * math.pi * p.detuning * times))[:, None]
-        field, carrier, diverged, _ = laser.integrate_pumps(p, pump[:, None], dt, initial, n0, pack(xi), inj)
+        field, carrier, diverged, _ = laser.integrate_pumps(
+            p, pump[:, None], dt, initial, n0, pack(xi), inj, holds=per_sample(pump)
+        )
         trace = oracle_integrate(p, laser.DriveWaveform(times, pump), master, dt=dt, initial_field=complex(initial[0]),
                                  initial_carrier=n0, xi=xi)
         assert diverged[0] == 0
@@ -1013,7 +1054,8 @@ print("subprocess" in sys.modules)
 def kernel_paths(params):
     """The bits of each stepping path of the kernel: a lone quiet, noisy and
     injected run, an 8-lane block (6 runs, one diverging), a noisy 24-lane
-    block and a shared head that turns, then blocks of 24 and 6."""
+    block, and blocks of 24 and 6 runs that share a first segment, in which
+    each turns."""
     th, n_steps, rng = params.threshold_current, 400, np.random.default_rng(5)
     quiet = replace(params, spontaneous_fraction=0.0)
     one = np.full((n_steps + 1, 1), 1.5 * th)
@@ -1026,11 +1068,11 @@ def kernel_paths(params):
         (quiet, six, None, None),
         (params, np.full((n_steps + 1, 24), 1.5 * th), noise_words(rng, n_steps, 24), None),
     ]
-    runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection)
+    runs = [laser.integrate_pumps(p, pump, DT, 1e-3 + 2e-4j, 900.0, noise, injection, holds=per_sample(pump))
             for p, pump, noise, injection in calls]
     levels = np.array([[0.0] * 30, [(0.3 + 0.1 * j) * th for j in range(30)], [th] * 30])
     runs.append(laser.integrate_pumps(quiet, levels, DT, 1e-3 + 2e-4j, 0.0, trace=False, holds=[150, 200, 151]))
-    assert (runs[-1][3] != 0).all()  # every run turns, the head's count copied to each
+    assert (runs[-1][3] != 0).all()  # every run turns
     return [a.tobytes() for run in runs for a in run]
 
 
