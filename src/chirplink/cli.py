@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, IntegrationDivergedError, PreconditionError
+from .errors import IntegrationDivergedError, PreconditionError
 from .experiments import (
     run_phase_voltage,
     run_randomization,
@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, PreconditionError, OSError) as exc:
+    except (PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.output_path:

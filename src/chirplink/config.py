@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .errors import ConfigError, PreconditionError
+from .errors import PreconditionError
 from .optics import DetectorParams, InterferometerParams
 from .source import SourceConfig
 
@@ -163,16 +163,16 @@ def _parse_bool(raw: str, key: str) -> bool:
     try:
         return _BOOL_VALUES[raw.strip().lower()]
     except KeyError:
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
+        raise PreconditionError(f"{key}: expected a boolean, got {raw!r}") from None
 
 
 def _parse_float(raw: str, key: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: invalid number {raw!r}") from None
+        raise PreconditionError(f"{key}: invalid number {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {raw!r}")
+        raise PreconditionError(f"{key} must be finite, got {raw!r}")
     return value
 
 
@@ -180,7 +180,7 @@ def _parse_float_list(raw: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+        raise PreconditionError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
 
 
 def _parse_count(raw: str, key: str) -> int:
@@ -192,9 +192,9 @@ def _parse_count(raw: str, key: str) -> int:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: invalid integer {raw!r}") from None
+        raise PreconditionError(f"{key}: invalid integer {raw!r}") from None
     if not value.is_integer():
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
+        raise PreconditionError(f"{key}: expected an integer, got {raw!r}")
     return int(value)
 
 
@@ -224,7 +224,8 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
     """Parse flat key-value text into a validated ExperimentConfig.
 
     `experiment`, when given (e.g. from the CLI's command), must agree
-    with any experiment key present in the file.
+    with any experiment key present in the file.  Every refusal, of the
+    text or of a value's range, is a PreconditionError.
     """
     top: dict[str, object] = {}
     groups: dict[str, dict[str, object]] = {name: {} for name in _GROUPS}
@@ -234,10 +235,10 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
+            raise PreconditionError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEY_READERS:
-            raise ConfigError(f"unknown key {key!r}")
+            raise PreconditionError(f"unknown key {key!r}")
         value = _KEY_READERS[key](raw, key)
         group, _, name = key.rpartition(".")
         if group:
@@ -247,29 +248,26 @@ def parse_config_text(text: str, experiment: str | None = None) -> ExperimentCon
 
     if experiment is not None:
         if "experiment" in top and top["experiment"] != experiment:
-            raise ConfigError(
+            raise PreconditionError(
                 f"experiment: file says {top['experiment']!r} but {experiment!r} was requested"
             )
         top["experiment"] = experiment
 
     fiber_km = top.pop("fiber_km", None)
     if fiber_km is not None and "losses" in top:
-        raise ConfigError("losses: give either losses or fiber_km, not both")
+        raise PreconditionError("losses: give either losses or fiber_km, not both")
 
-    try:
-        for group, values in groups.items():
-            if values:
-                top[group] = _GROUPS[group](**values)
-        cfg = ExperimentConfig(**top)
-        if fiber_km is None:
-            return cfg
-        # the axis in km, then in dB at the loss_per_km the config has checked
-        _check_axis(fiber_km, "fiber_km")
-        losses = [km * cfg.loss_per_km for km in fiber_km]
-        _check_axis(losses, "fiber_km * loss_per_km")
-        return replace(cfg, losses=losses)
-    except PreconditionError as exc:
-        raise ConfigError(str(exc)) from exc
+    for group, values in groups.items():
+        if values:
+            top[group] = _GROUPS[group](**values)
+    cfg = ExperimentConfig(**top)
+    if fiber_km is None:
+        return cfg
+    # the axis in km, then in dB at the loss_per_km the config has checked
+    _check_axis(fiber_km, "fiber_km")
+    losses = [km * cfg.loss_per_km for km in fiber_km]
+    _check_axis(losses, "fiber_km * loss_per_km")
+    return replace(cfg, losses=losses)
 
 
 def load_config(path, experiment: str | None = None) -> ExperimentConfig:
@@ -277,5 +275,5 @@ def load_config(path, experiment: str | None = None) -> ExperimentConfig:
         with open(path, encoding="utf-8-sig") as fh:  # drops a Windows editor's byte-order mark
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise PreconditionError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_config_text(text, experiment)

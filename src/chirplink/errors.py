@@ -1,16 +1,9 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator: one per failure exit code
+of the CLI, 2 for a refusal and 3 for a runaway integration."""
 
 
 class PreconditionError(ValueError):
-    """An operation was called with arguments outside its contract."""
-
-
-class ConfigError(ValueError):
-    """An experiment configuration failed validation."""
-
-
-class UndefinedPhaseError(RuntimeError):
-    """Phase was requested over a span where the field is extinguished."""
+    """An operation or a configuration was given input outside its contract."""
 
 
 class IntegrationDivergedError(RuntimeError):

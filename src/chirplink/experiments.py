@@ -22,8 +22,6 @@ from .optics import decoder_ports
 from .protocols import BB84, DPS, SiftResult, simulate_links
 from .source import SourceConfig, phase_from_voltage
 
-TWO_PI = 2.0 * math.pi
-
 
 def write_table(path, header: str, rows: np.ndarray, items=()) -> None:
     """Write `rows` as np.savetxt's CSV (fmt "%.18e", delimiter ",") under `header`,
@@ -90,7 +88,7 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
         j = np.flatnonzero(diverged)[0]
         raise laser.diverged_error(diverged[j], field[j], carrier[j])
     # sample 0 is real and positive, at angle 0
-    nets = np.angle(field) + TWO_PI * turns
+    nets = np.angle(field) + math.tau * turns
     column = dict(zip(runs, range(len(runs))))
     return (nets[[column[level] for level in levels.ravel().tolist()]] - nets[0]).reshape(levels.shape)
 
@@ -122,7 +120,7 @@ def calibrate_physical_drive_scale(source: SourceConfig) -> float:
             f"must span at least one {_DT:g} s rate-equation step"
         )
     eps, t_m = p.gain_compression, n_step * _DT
-    step = TWO_PI * (1.0 + eps / (p.gain_slope * p.carrier_lifetime)) / (p.linewidth_enhancement * eps * t_m)
+    step = math.tau * (1.0 + eps / (p.gain_slope * p.carrier_lifetime)) / (p.linewidth_enhancement * eps * t_m)
     return step / source.halfwave_voltage
 
 
@@ -193,7 +191,7 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
             "or rounding leaves the port fractions too few values to resolve the arcsine law"
         )
     if cfg.randomize_blocks:
-        phases = np.random.default_rng(cfg.rng_seed).uniform(0.0, TWO_PI, n_blocks)
+        phases = np.random.default_rng(cfg.rng_seed).uniform(0.0, math.tau, n_blocks)
     else:
         phases = np.zeros(n_blocks)
     mu = cfg.source.mean_photon_number
@@ -319,7 +317,7 @@ def run_stability(cfg: ExperimentConfig) -> StabilityResult:
         # overflows the density is 0, as scipy returns it
         z = (centers - stab.true_qber) / sigma_model
         with np.errstate(over="ignore"):
-            overlay = np.exp(-(z**2) / 2.0) / math.sqrt(TWO_PI) / sigma_model
+            overlay = np.exp(-(z**2) / 2.0) / math.sqrt(math.tau) / sigma_model
         _write_outputs(
             cfg,
             "time_s,qber",

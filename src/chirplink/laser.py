@@ -45,9 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, PreconditionError, UndefinedPhaseError
-
-TWO_PI = 2.0 * math.pi
+from .errors import IntegrationDivergedError, PreconditionError
 
 # Injection detuning beyond this is outside the validity window of the
 # single-mode locking model.
@@ -403,7 +401,7 @@ def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, inject
     inj = None
     if injection is not None and params.injection_coupling > 0.0:
         re, im = (np.interp(times, injection.times, x) for x in (injection.field.real, injection.field.imag))
-        inj = ((re + 1j * im) * np.exp(1j * TWO_PI * params.detuning * (times - times[0])))[:, None]
+        inj = ((re + 1j * im) * np.exp(1j * math.tau * params.detuning * (times - times[0])))[:, None]
     words = -(-2 * n_steps * n_runs // 64)
     xi = np.random.default_rng(seed).bit_generator.random_raw(words) if params.spontaneous_fraction else None
     field, carrier, diverged, _ = integrate_pumps(
@@ -460,7 +458,11 @@ def integrate_ensemble(
 
 
 def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[float, float]) -> float:
-    """Circular mean of slave - master phase over a time window, in (-pi, pi]."""
+    """Circular mean of slave - master phase over a time window, in (-pi, pi].
+
+    A window without samples, or one where the master or the slave is
+    extinguished, is refused with a PreconditionError.
+    """
     t0, t1 = window
     if not t1 > t0:
         raise PreconditionError("window must have positive duration")
@@ -469,16 +471,16 @@ def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[flo
         raise PreconditionError("window contains no samples")
     times = slave.times[sel]
     if np.min(slave.intensity[sel]) < slave.extinction_floor:
-        raise UndefinedPhaseError("slave extinguished inside window")
+        raise PreconditionError("slave extinguished inside window")
     m_int = np.interp(times, master.times, master.intensity)
     if np.min(m_int) < master.extinction_floor:
-        raise UndefinedPhaseError("master extinguished inside window")
+        raise PreconditionError("master extinguished inside window")
     m_phase = np.interp(times, master.times, master.phase)
     diff = slave.phase[sel] - m_phase
     mean = np.mean(np.exp(1j * diff))
     offset = cmath.phase(complex(mean))
     if offset <= -math.pi:
-        offset += TWO_PI
+        offset += math.tau
     return offset
 
 

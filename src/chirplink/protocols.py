@@ -100,25 +100,6 @@ def gain_qber(law) -> tuple[np.ndarray, np.ndarray]:
     return gain, p_error / np.where(gain > 0, gain, 1.0)
 
 
-def expected_gain_qber_axis(
-    protocol: str,
-    mu: float,
-    transmittance: np.ndarray,
-    mzi: InterferometerParams,
-    det: DetectorParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """gain_qber of the link_law at each channel transmittance: for BB84, mu is
-    the pulse pair's mean photon number and the gain is per matched-basis
-    pair; for DPS, mu is per pulse and the gain is per interference slot."""
-    if mu < 0:
-        raise PreconditionError("mu must be >= 0")
-    if protocol == BB84:
-        mu = mu / 2.0
-    elif protocol != DPS:
-        raise PreconditionError(f"unknown protocol {protocol!r}")
-    return gain_qber(link_law(mu, transmittance, mzi, det))
-
-
 def expected_gain_qber(
     protocol: str,
     mu: float,
@@ -126,8 +107,16 @@ def expected_gain_qber(
     mzi: InterferometerParams,
     det: DetectorParams,
 ) -> tuple[float, float]:
-    """expected_gain_qber_axis at one channel."""
-    gain, qber = expected_gain_qber_axis(protocol, mu, np.array([channel.transmittance]), mzi, det)
+    """gain_qber of the link_law at the channel's transmittance: for BB84, mu
+    is the pulse pair's mean photon number and the gain is per matched-basis
+    pair; for DPS, mu is per pulse and the gain is per interference slot."""
+    if mu < 0:
+        raise PreconditionError("mu must be >= 0")
+    if protocol == BB84:
+        mu = mu / 2.0
+    elif protocol != DPS:
+        raise PreconditionError(f"unknown protocol {protocol!r}")
+    gain, qber = gain_qber(link_law(mu, np.array([channel.transmittance]), mzi, det))
     return float(gain[0]), float(qber[0])
 
 

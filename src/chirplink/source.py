@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class SourceConfig:
@@ -48,7 +46,7 @@ def chirp_to_phase(delta_nu: float, t_m: float) -> float:
     """Signed phase step accrued by a chirp delta_nu held for t_m seconds."""
     if t_m <= 0:
         raise PreconditionError("t_m must be positive")
-    return TWO_PI * delta_nu * t_m
+    return math.tau * delta_nu * t_m
 
 
 def voltage_to_chirp(voltage: float, config: SourceConfig) -> float:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chirplink import cli
 from chirplink.config import ExperimentConfig, load_config, parse_config_text
-from chirplink.errors import ConfigError, PreconditionError
+from chirplink.errors import PreconditionError
 from chirplink.optics import DetectorParams, InterferometerParams
 from chirplink.source import SourceConfig
 
@@ -77,33 +77,33 @@ class TestParse:
         assert cfg.stability.duration == 3600.0
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = stability\nbogus = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = stability\nmzi.bogus = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = stability\nbogus.visibility = 1\n")
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("just words\n")
 
     def test_bad_number_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = stability\nmzi.visibility = abc\n")
 
     def test_invariant_violation_becomes_config_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = stability\ndetector.efficiency = 1.5\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = bb84_sweep\nlosses = 10, 5\n")
 
     def test_unknown_experiment_rejected(self):
-        with pytest.raises((ConfigError, PreconditionError)):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = b92\n")
 
     def test_experiment_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = stability\n", experiment="bb84_sweep")
 
     def test_fiber_km_converts_to_losses(self):
@@ -113,19 +113,19 @@ class TestParse:
         assert cfg.losses == [0.0, 10.0, 20.0]
 
     def test_fiber_km_and_losses_conflict(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text(
                 "experiment = dps_sweep\nlosses = 0, 10\nfiber_km = 0, 50\n"
             )
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text("experiment = stability\nrng_seed = -1\n")
         with pytest.raises(PreconditionError):
             replace(ExperimentConfig(experiment="stability"), rng_seed=-1)
 
     def test_stability_without_sifted_bits_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(PreconditionError):
             parse_config_text(
                 "experiment = stability\n"
                 "stability.sifted_rate_bps = 1\n"
@@ -144,17 +144,17 @@ class TestParse:
     @pytest.mark.parametrize("key", ["losses", "fiber_km"])
     @pytest.mark.parametrize("axis", BAD_AXES)
     def test_bad_sweep_axis_rejected(self, key, axis):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(PreconditionError, match=key):
             parse_config_text(f"experiment = dps_sweep\n{key} = {axis}\n")
 
     @pytest.mark.parametrize("qber", ["0", "1", "0.0", "1.5"])
     def test_true_qber_must_be_inside_unit_interval(self, qber):
-        with pytest.raises(ConfigError, match=r"true_qber must be in \(0, 1\)"):
+        with pytest.raises(PreconditionError, match=r"true_qber must be in \(0, 1\)"):
             parse_config_text(f"experiment = stability\nstability.true_qber = {qber}\n")
 
     @pytest.mark.parametrize("voltages", ["nan", "0, inf", "-inf, 0.1", "0.1, nan, 0.2"])
     def test_voltages_must_be_finite(self, voltages):
-        with pytest.raises(ConfigError, match="voltages must be finite"):
+        with pytest.raises(PreconditionError, match="voltages must be finite"):
             parse_config_text(f"experiment = phase_voltage\nvoltages = {voltages}\n")
 
     def test_voltages_need_not_be_ordered(self):
@@ -181,7 +181,7 @@ class TestParse:
     def test_trials_must_be_integral(self):
         assert parse_config_text("experiment = stability\ntrials = 2e6\n").trials == 2_000_000
         for raw in ("1.9", "inf", "nan"):
-            with pytest.raises(ConfigError, match="trials"):
+            with pytest.raises(PreconditionError, match="trials"):
                 parse_config_text(f"experiment = stability\ntrials = {raw}\n")
 
     @given(
@@ -288,7 +288,7 @@ class TestCli:
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"trials = 10\xff\n")
-        with pytest.raises(ConfigError, match="bad.cfg: not UTF-8"):
+        with pytest.raises(PreconditionError, match="bad.cfg: not UTF-8"):
             load_config(cfg)
         out = tmp_path / "stab.csv"
         assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == 2
@@ -607,6 +607,13 @@ class TestInputBounds:
                 "stability.integration_time = 2\nstability.duration = 2",
                 "sifted bits",
             ),
+            (
+                "stability",
+                "stability.true_qber = 5e-324\nstability.sifted_rate_bps = 2",
+                "model std is 0",
+            ),
+            ("stability", "trials = abc", "invalid integer"),
+            ("bb84-sweep", "losses = 1, x", "expected comma-separated numbers"),
             ("randomization", "source.mean_photon_number = 0", "no light reaches the decoder"),
             ("randomization", "trials = 1e18", "trials must be at most"),
             ("randomization", "mzi.visibility = 0", "mzi.visibility"),

@@ -14,6 +14,7 @@ from chirplink.config import ExperimentConfig, KeyRateConfig, load_config
 from chirplink.errors import PreconditionError
 from chirplink.experiments import write_table
 from chirplink.keyrate import (
+    RateCurve,
     bb84_rate_points,
     binary_entropy,
     decoy_bb84_rate,
@@ -147,6 +148,8 @@ class TestDpsBound:
             dps_rate(1.5, 0.0, 0.2, f_ec=1.16)
         with pytest.raises(PreconditionError):
             dps_rate(0.5, 0.6, 0.2, f_ec=1.16)
+        with pytest.raises(PreconditionError, match="mu must be >= 0"):
+            dps_rate(0.5, 0.0, -0.1, f_ec=1.16)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +201,11 @@ class TestRatePoints:
         curve = dps_rate_points(dps_cfg, losses)
         cutoff = curve.loss_db[curve.secure_rate_bps > 0].max()
         assert 38.0 <= cutoff <= 45.0
+
+    def test_negative_secure_rate_rejected(self, dps_cfg):
+        curve = dps_rate_points(dps_cfg, [0.0, 10.0])
+        with pytest.raises(PreconditionError, match="secure_rate_bps must be clamped at 0"):
+            RateCurve(curve.loss_db, curve.sifted_rate_bps, curve.qber, np.array([1.0, -1e-300]), curve.law)
 
 
 class TestRateCurvesScript:

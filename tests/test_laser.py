@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from chirplink import laser
-from chirplink.errors import IntegrationDivergedError, PreconditionError, UndefinedPhaseError
+from chirplink.errors import IntegrationDivergedError, PreconditionError
 
 DT = 2e-13
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +62,18 @@ class TestIntegrate:
         assert s_ref == pytest.approx(1.9607843137, rel=1e-6)
         assert trace.carrier[-1] == pytest.approx(n_ref, rel=1e-3)
         assert trace.intensity[-1] == pytest.approx(s_ref, rel=1e-3)
+
+    def test_below_threshold_fixed_point_is_dark(self, quiet):
+        # [DERIVED] below threshold the lasing branch's photon number is
+        # negative, so the fixed point is |E|^2 = 0 with dN/dt = J - N / tau_n
+        # = 0, that is N = J tau_n
+        drive_level = 0.5 * quiet.threshold_current
+        n0, s0 = laser.stationary_state(quiet, drive_level)
+        assert (n0, s0) == (drive_level * quiet.carrier_lifetime, 0.0)
+        drive = laser.DriveWaveform.constant(drive_level, 1e-9, 1e-11)
+        trace = laser.integrate(quiet, drive, dt=DT, initial_field=0j, initial_carrier=n0)
+        assert not trace.intensity.any()
+        assert trace.carrier == pytest.approx(np.full(len(trace), n0), rel=1e-13)
 
     def test_zero_drive_decays_to_spontaneous_floor(self, params):
         drive = laser.DriveWaveform.constant(0.0, 5e-9, 1e-11)
@@ -320,7 +332,7 @@ class TestLockedPhaseOffset:
         # at 2 ns the intensity is 1e-4 of the peak, under the floor of 1e-3
         lit, dark = self.hand_trace([1.0] * 5), self.hand_trace([1.0, 1.0, 1e-2, 1.0, 1.0])
         master, slave = (lit, dark) if dark_one == "slave" else (dark, lit)
-        with pytest.raises(UndefinedPhaseError, match=f"{dark_one} extinguished inside window"):
+        with pytest.raises(PreconditionError, match=f"{dark_one} extinguished inside window"):
             laser.locked_phase_offset(master, slave, (1e-9, 3e-9))
         # a window that leaves out the dip reads a defined phase
         assert laser.locked_phase_offset(master, slave, (3e-9, 4e-9)) == 0.0
@@ -792,6 +804,11 @@ class TestBatchedKernel:
         pump = np.full((11, 3), quiet.threshold_current)
         pump[5, 1] = bad
         with pytest.raises(PreconditionError, match="finite"):
+            laser.integrate_pumps(quiet, pump, DT, 1e-3, 0.0, holds=per_sample(pump))
+
+    @pytest.mark.parametrize("pump", [np.ones(3), np.ones((0, 3)), np.ones((3, 0))], ids=["1-d", "no-rows", "no-runs"])
+    def test_pump_not_a_matrix_rejected(self, quiet, pump):
+        with pytest.raises(PreconditionError, match=r"pump must be an \(n_segments, n_runs\) array"):
             laser.integrate_pumps(quiet, pump, DT, 1e-3, 0.0, holds=per_sample(pump))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-13, math.nan, 1e-12])
@@ -1295,6 +1312,12 @@ class TestEnsemble:
         assert np.array_equal(fields, np.full(3, trace.field[-1]))
         assert np.array_equal(carriers, np.full(3, trace.carrier[-1]))
 
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_no_runs_rejected(self, quiet, n_runs):
+        drive = laser.DriveWaveform.constant(2.0 * quiet.threshold_current, 0.2e-9, 1e-11)
+        with pytest.raises(PreconditionError, match="n_runs must be >= 1"):
+            laser.integrate_ensemble(quiet, drive, n_runs, dt=DT)
+
     def test_drive_rejects_2d_current(self):
         with pytest.raises(PreconditionError):
             laser.DriveWaveform(np.arange(3) * 1e-11, np.ones((3, 2)))
@@ -1358,6 +1381,15 @@ class TestValidationAndExport:
             laser.LaserParams(spontaneous_fraction=2.0)
         with pytest.raises(PreconditionError):
             laser.LaserParams(detuning=1e12)
+        for name, value, message in [
+            ("gain_slope", 0.0, "gain_slope must be strictly positive"),
+            ("gain_slope", -1e-9, "gain_slope must be strictly positive"),
+            ("gain_compression", -1e-9, "gain_compression must be non-negative"),
+            ("linewidth_enhancement", -0.5, "linewidth_enhancement must be >= 0"),
+            ("injection_coupling", -1.0, "injection_coupling must be >= 0"),
+        ]:
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                laser.LaserParams(**{name: value})
 
     @pytest.mark.parametrize("name", [f.name for f in fields(laser.LaserParams)])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1378,6 +1410,9 @@ class TestValidationAndExport:
             laser.DriveWaveform(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 1.0]))
         with pytest.raises(PreconditionError):
             laser.DriveWaveform(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        for times, current in (([0.0, 1.0, 2.0], [1.0, math.nan, 1.0]), ([0.0, math.inf], [1.0, 1.0])):
+            with pytest.raises(PreconditionError, match="drive samples must be finite"):
+                laser.DriveWaveform(np.array(times), np.array(current))
 
     @pytest.mark.parametrize(
         "segments",

@@ -24,6 +24,10 @@ class TestChannel:
     def test_negative_loss_rejected(self):
         with pytest.raises(PreconditionError):
             optics.ChannelParams(-1.0)
+        with pytest.raises(PreconditionError, match="loss_per_km must be >= 0"):
+            optics.ChannelParams(1.0, loss_per_km=-0.2)
+        with pytest.raises(PreconditionError, match="loss_db must be >= 0"):
+            optics.transmittances([0.0, 10.0, -1e-9])
 
 
 class TestInterferometer:

@@ -223,6 +223,11 @@ class TestSifting:
         )
         assert dps_sift(symbols, record) == (3, 0)
 
+    @pytest.mark.parametrize("sifted, errors", [(3, 4), (0, 1), (3, -1)])
+    def test_sift_result_errors_within_sifted(self, sifted, errors):
+        with pytest.raises(PreconditionError, match=r"error_count must be within \[0, sifted_count\]"):
+            protocols.SiftResult(sifted, errors, 0.0, 0.0)
+
     def test_dps_sift_slot_bounds(self):
         symbols = DpsSymbols(np.array([0]))
         record = ClickRecord(np.array([2]), np.array([True]), np.array([False]))
@@ -282,6 +287,15 @@ class TestAnalyticModel:
         )
         assert 0.0 < gain <= 1.0
         assert 0.0 <= qber <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize(
+        "protocol, mu, message",
+        [(protocols.BB84, -0.1, "mu must be >= 0"), (protocols.DPS, -1e-300, "mu must be >= 0"),
+         ("b92", 0.5, "unknown protocol 'b92'")],
+    )
+    def test_bad_inputs_rejected(self, det, mzi, protocol, mu, message):
+        with pytest.raises(PreconditionError, match=message):
+            protocols.expected_gain_qber(protocol, mu, ChannelParams(10.0), mzi, det)
 
     def test_gain_monotone_in_loss(self, det, mzi):
         gains = [
@@ -556,13 +570,23 @@ class TestOneDraw:
         )
         det = DetectorParams(efficiency=efficiency, dark_rate=dark_rate)
         transmittance = transmittances(losses)
-        gain, qber = protocols.expected_gain_qber_axis(protocol, mu, transmittance, mzi, det)
         pulse_mu = mu / 2.0 if protocol == protocols.BB84 else mu
+        gain, qber = protocols.gain_qber(protocols.link_law(pulse_mu, transmittance, mzi, det))
         for g, e, t in zip(gain.tolist(), qber.tolist(), transmittance.tolist(), strict=True):
             p_sift, p_error = slot_law(slot_clicks(pulse_mu, t, mzi, det))
             want_e = p_error / p_sift if p_sift else Fraction(0)
             assert abs(Fraction(g) - p_sift) <= 5 * Fraction(math.ulp(float(p_sift)))
             assert abs(Fraction(e) - want_e) <= 9 * Fraction(math.ulp(float(want_e)))
+
+    @pytest.mark.parametrize(
+        "protocol, n, message",
+        [(protocols.BB84, 0, "n_pairs must be >= 1"), (protocols.DPS, 1, "n_pulses must be >= 2"),
+         ("b92", 10, "unknown protocol 'b92'")],
+    )
+    def test_bad_link_rejected(self, det, mzi, protocol, n, message):
+        cfg = source.SourceConfig()
+        with pytest.raises(PreconditionError, match=message):
+            simulate_links(protocol, n, cfg, transmittances([0.0]), mzi, det, 0)
 
     @settings(deadline=None, max_examples=200)
     @given(
