@@ -26,8 +26,9 @@
  * two loops over the lanes, the predictor and the corrector, which
  * vectorize; vector additions, products, quotients and square roots round
  * as the scalar ones do, so a run gets the same bits at any block width
- * and for every target.  A block of fewer runs than its width starts its
- * spare lanes as copies of its last run, and never stores them.
+ * and for every target.  Every lane of a block is a run or, in a block of
+ * fewer runs than its width, a copy of its last run: its state, its pump
+ * and its noise bits.  A spare lane is never stored.
  *
  * Arrays are step-major: a row holds one value of each run.  pump holds
  * segments of held levels: its row s is the pump of samples seg_end[s - 1]
@@ -66,13 +67,6 @@
 /* The bits of x: the top one is its sign bit. */
 static inline uint64_t bits(double x) { uint64_t u; memcpy(&u, &x, sizeof u); return u; }
 
-/* The m values at src of a block of width w: src itself when the block is
- * full, else a copy in buf, whose spare lanes keep what they held. */
-static inline const double *lanes_of(const double *src, double *buf, long m, long w)
-{
-    return m == w ? src : memcpy(buf, src, m * sizeof *buf);
-}
-
 /* The right-hand side at E = er + i ei, N = n and the pump p, as the
  * oracle's de and dn lines compute it: de = (0.5 (gc - 1/tau_p) +
  * half_alpha_j (gu - 1/tau_p)) * e, plus kappa * inj where injected, and
@@ -110,8 +104,8 @@ static inline __attribute__((always_inline)) void block(
 {
     /* the state of each lane and its E before the step */
     double er[LANES], ei[LANES], nc[LANES], br[LANES], bi[LANES];
-    /* a short block's copies of its rows of pump, stale in spare lanes */
-    double pa[LANES], pb[LANES];
+    /* the pumps of samples k and k + 1; the latter is reloaded only where a segment ends */
+    double p0[LANES], p1[LANES];
     long dv[LANES], s = 0;
     for (long l = 0; l < w; l++) {
         long j = j0 + (l < m ? l : m - 1);
@@ -119,14 +113,12 @@ static inline __attribute__((always_inline)) void block(
         ei[l] = field[2 * j + 1];
         nc[l] = carrier[j];
         dv[l] = diverged[j];
-        pa[l] = pb[l] = pump[j];
+        p0[l] = p1[l] = pump[j];
     }
-    /* the pumps of samples k and k + 1; the latter is reloaded only where a segment ends */
-    const double *p0 = lanes_of(pump + j0, pa, m, w), *p1 = p0;
     for (long k = 0; k < n_steps; k++) {
         int next = k + 1 >= seg_end[s];
-        if (next)
-            p1 = lanes_of(pump + (s + 1) * n_runs + j0, p0 == pa ? pb : pa, m, w);
+        for (long l = 0; next && l < w; l++)
+            p1[l] = pump[(s + 1) * n_runs + j0 + (l < m ? l : m - 1)];
         const double *i0 = injected ? inj + 2 * (k * n_runs + j0) : 0, *i1 = i0 + 2 * n_runs;
         /* The predictor of every lane, then the corrector of every lane: a
          * loop of fewer instructions lets the CPU overlap the divisions of
@@ -187,7 +179,8 @@ static inline __attribute__((always_inline)) void block(
             dv[l] |= -(live & !ok) & (k + 1);
             flipped |= bits(ei[l]) ^ bits(ei_);
         }
-        p0 = p1;
+        if (next)
+            memcpy(p0, p1, sizeof p0);
         s += next;
         /* a sign change is rare: the lanes are searched only on a change */
         for (long l = 0; flipped >> 63 && l < m; l++) {

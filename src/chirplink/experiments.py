@@ -60,7 +60,7 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
 
     The noiseless laser starts at its stationary state at the bias; the
     phase is taken relative to the unperturbed laser, the reference.  The
-    reference and each distinct level are the runs of one kernel call, the
+    reference and each level are the runs of one kernel call, the
     reference first, each with a pump of three held segments: one sample
     of the bias, the level, the bias.  The bias sample is the pump of the
     step's first Heun predictor, so the trapezoidal steps hold the level
@@ -78,7 +78,7 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
     # DriveWaveform.from_segments counts them; the drive ends on one more
     n_step, n_post = (int(round(t / _DT)) for t in (duration, _POST))
     levels = bias + np.asarray(drive_steps, dtype=float)
-    runs = list(dict.fromkeys([bias, *levels.ravel().tolist()]))
+    runs = np.append(bias, levels)
     ends = [bias] * len(runs)
     field, carrier, diverged, turns = laser.integrate_pumps(
         quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
@@ -89,8 +89,7 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
         raise laser.diverged_error(diverged[j], field[j], carrier[j])
     # sample 0 is real and positive, at angle 0
     nets = np.angle(field) + math.tau * turns
-    column = dict(zip(runs, range(len(runs))))
-    return (nets[[column[level] for level in levels.ravel().tolist()]] - nets[0]).reshape(levels.shape)
+    return (nets[1:] - nets[0]).reshape(levels.shape)
 
 
 def calibrate_physical_drive_scale(source: SourceConfig) -> float:

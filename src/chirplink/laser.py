@@ -182,10 +182,6 @@ class FieldTrace:
     def intensity(self) -> np.ndarray:
         return np.abs(self.field) ** 2
 
-    @property
-    def extinction_floor(self) -> float:
-        return EXTINCTION_FLOOR_FRACTION * float(np.max(self.intensity))
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -470,10 +466,10 @@ def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[flo
     if not np.any(sel):
         raise PreconditionError("window contains no samples")
     times = slave.times[sel]
-    if np.min(slave.intensity[sel]) < slave.extinction_floor:
+    if np.min(slave.intensity[sel]) < EXTINCTION_FLOOR_FRACTION * float(np.max(slave.intensity)):
         raise PreconditionError("slave extinguished inside window")
     m_int = np.interp(times, master.times, master.intensity)
-    if np.min(m_int) < master.extinction_floor:
+    if np.min(m_int) < EXTINCTION_FLOOR_FRACTION * float(np.max(master.intensity)):
         raise PreconditionError("master extinguished inside window")
     m_phase = np.interp(times, master.times, master.phase)
     diff = slave.phase[sel] - m_phase

@@ -164,7 +164,7 @@ class TestCalibration:
         # the calibration is a closed form: it integrates nothing
         assert calls["calibrate"] == [] and len(scales) == 1
         # one call over the whole window: the constant-pump reference first,
-        # once, then the three voltages it has not met (0 V is the reference)
+        # once, then one run per voltage, 0 V a copy of the reference
         ((pump, holds),) = calls["voltages"]
         n_step = round(cfg.source.perturbation_duration / experiments._DT)
         n_post = round(experiments._POST / experiments._DT)
@@ -172,7 +172,8 @@ class TestCalibration:
         bias = pump[0, 0]
         # every run holds the bias, its level for the step's samples, then the bias again
         assert (pump[0] == bias).all() and (pump[2] == bias).all()
-        assert pump[1].tolist() == [bias] + [bias + scales[0] * v for v in (-0.35, 0.175, 0.35)]
+        assert pump[1].tolist() == [bias] + [bias + scales[0] * v for v in voltages]
+        assert pump[:, 2].tolist() == pump[:, 0].tolist()
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
         assert res.physical_phase[3] == pytest.approx(math.pi, rel=1e-3)
@@ -183,7 +184,7 @@ class TestCalibration:
         assert again.physical_phase.tobytes() == res.physical_phase.tobytes()
 
     def test_default_physical_run_makes_one_call(self, monkeypatch):
-        # the reference and the 20 voltages it has not met, in one call
+        # the reference and each of the 21 voltages, 0 V among them, in one call
         pumps = []
         batched = laser.integrate_pumps
 
@@ -195,11 +196,11 @@ class TestCalibration:
         cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
         ((pump, holds),) = pumps
-        assert pump.shape == (3, 21) and len(set(pump[1].tolist())) == 21
+        assert pump.shape == (3, 22) and len(set(pump[1].tolist())) == 21
         assert holds == [1, 1250, 7501]
-        assert 21 * (sum(holds) - 1) == 183_771
+        assert 22 * (sum(holds) - 1) == 192_522
 
-    def test_resumed_phase_equals_whole_window_run(self):
+    def test_net_phase_equals_whole_window_run(self):
         # the net phase from one integration over the whole window per drive
         # step: the angle of its last sample plus 2 pi per correction of
         # np.unwrap, bit for bit, and np.unwrap's own sum of the corrections,

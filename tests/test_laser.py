@@ -825,8 +825,9 @@ LEVELS = st.sampled_from([0.0, 0.2, 1.0, 2.5, 1e30])
 
 @st.composite
 def held_pumps(draw):
-    """(levels, holds) of 1 to 24 runs, each row of levels held >= 1 samples."""
-    width = draw(st.integers(1, 24))
+    """(levels, holds) of 1 to 49 runs, each row of levels held >= 1 samples:
+    one to three blocks of the kernel, the last of them full or short."""
+    width = draw(st.integers(1, 49))
     holds = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))
     levels = draw(st.lists(st.lists(LEVELS, min_size=width, max_size=width), min_size=len(holds),
                            max_size=len(holds)))
@@ -843,6 +844,13 @@ class TestHeldPumps:
         pump=(np.array([[0.0, 1.0], [0.0, 1e30], [2.5, 0.2]]) * laser.LaserParams().threshold_current,
               [50, 40, 30]),
         noisy=False, injected=False, seed=0,
+    )
+    # 33 runs, 24 then 9 in a block of 24 whose spare lanes copy the last run,
+    # which starts at no pump and (at seed 2) no carrier, so its phase spins
+    @example(
+        pump=(np.array([[1.0] * 32 + [0.0], [0.2] * 32 + [2.5], [2.5] * 32 + [1.0]])
+              * laser.LaserParams().threshold_current, [50, 40, 30]),
+        noisy=False, injected=False, seed=2,
     )
     def test_equals_one_row_per_sample(self, params, pump, noisy, injected, seed):
         levels, holds = pump
