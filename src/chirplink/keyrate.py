@@ -16,10 +16,9 @@ photon-number-splitting penalty,
 which is positive at e = 0, strictly decreasing in e, and zero at and
 beyond its error threshold.
 
-Both bounds work elementwise, so bb84_rate_points and dps_rate_points
-evaluate a whole loss axis in one array pass; per loss they give the
-bits of a scalar evaluation (math.exp and math.log2 run one number at a
-time, and each expression keeps its order of operations).
+Both bounds take one link's numbers as Python floats, so bb84_rate_points
+and dps_rate_points call them once per loss.  math.exp and math.log2 run
+one number at a time, whatever SIMD level numpy dispatches to.
 """
 
 from __future__ import annotations
@@ -35,67 +34,59 @@ from .optics import transmittances
 from .protocols import gain_qber, link_law, vacuum_yield
 
 
-def binary_entropy(x):
-    """H2(x) in bits, elementwise, with H2(0) = H2(1) = 0; a number gives a 0-d array."""
-    arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
+def binary_entropy(x: float) -> float:
+    """H2(x) in bits, with H2(0) = H2(1) = 0 (and 0 for NaN)."""
+    if x < 0.0 or x > 1.0:
         raise PreconditionError("binary_entropy argument must be in [0, 1]")
-    interior = (arr > 0.0) & (arr < 1.0)
-    out = np.zeros_like(arr)
-    xv = arr[interior]
-    out[interior] = -xv * np.log2(xv) - (1.0 - xv) * np.log2(1.0 - xv)
-    return out
+    if not 0.0 < x < 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def decoy_bb84_rate(keyrate: KeyRateConfig, q_mu, q_nu, e_mu, e_nu, y0):
-    """(rate, y1, e1): the vacuum + weak decoy lower bound on the secure fraction
-    per signal and the single-photon yield and error bounds, elementwise over
-    numbers or per-loss arrays.  Where Y1 <= 0 the rate is 0 and e1 is 1; where
-    e1 > 1/2 the rate is 0.  KeyRateConfig has checked mu, nu and f_ec.
+def decoy_bb84_rate(keyrate: KeyRateConfig, q_mu: float, q_nu: float, e_mu: float, e_nu: float, y0: float):
+    """(rate, y1, e1): the vacuum + weak decoy lower bound on the secure
+    fraction per signal and the single-photon yield and error bounds of one
+    link.  Where Y1 <= 0 the rate is 0 and e1 is 1; where e1 > 1/2 the rate
+    is 0.  KeyRateConfig has checked mu, nu and f_ec.
     """
     mu, nu = keyrate.mu, keyrate.nu
     if not mu * nu - nu * nu > 0.0:
         raise PreconditionError("decoy intensities: mu * nu - nu^2 rounds to 0")
-    # numpy values even for plain numbers: a zero y1 * nu then divides as
-    # IEEE does, and the masks below are boolean
-    q_mu, q_nu, e_mu, e_nu, y0 = values = [np.asarray(v) for v in (q_mu, q_nu, e_mu, e_nu, y0)]
-    for name, v in zip(("q_mu", "q_nu", "e_mu", "e_nu", "y0"), values):
-        if not np.all((0.0 <= v) & (v <= 1.0)):
+    for name, v in zip(("q_mu", "q_nu", "e_mu", "e_nu", "y0"), (q_mu, q_nu, e_mu, e_nu, y0)):
+        if not 0.0 <= v <= 1.0:
             raise PreconditionError(f"{name} must be in [0, 1]")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y1 = (mu / (mu * nu - nu * nu)) * (
-            q_nu * math.exp(nu)
-            - q_mu * math.exp(mu) * nu * nu / (mu * mu)
-            - (mu * mu - nu * nu) / (mu * mu) * y0
-        )
-        e1 = (e_nu * q_nu * math.exp(nu) - 0.5 * y0) / (y1 * nu)
-    no_y1 = y1 <= 0.0
-    e1 = np.where(no_y1, 1.0, np.where(e1 < 0.0, 0.0, e1))
-    usable = ~no_y1 & ~(e1 > 0.5)
-    q1 = y1 * mu * math.exp(-mu)
-    raw = -q_mu * keyrate.f_ec * binary_entropy(e_mu) + q1 * (
-        1.0 - binary_entropy(np.where(usable, e1, 0.0))
+    y1 = (mu / (mu * nu - nu * nu)) * (
+        q_nu * math.exp(nu)
+        - q_mu * math.exp(mu) * nu * nu / (mu * mu)
+        - (mu * mu - nu * nu) / (mu * mu) * y0
     )
+    if y1 <= 0.0:
+        return 0.0, y1, 1.0
+    num, den = e_nu * q_nu * math.exp(nu) - 0.5 * y0, y1 * nu
+    # IEEE division where y1 * nu underflows to 0: +-inf, or NaN for 0 / 0
+    e1 = num / den if den else math.copysign(math.inf, num) if num else math.nan
+    if e1 < 0.0:
+        e1 = 0.0
+    if e1 > 0.5:
+        return 0.0, y1, e1
+    raw = -q_mu * keyrate.f_ec * binary_entropy(e_mu) + y1 * mu * math.exp(-mu) * (1.0 - binary_entropy(e1))
     # the bases agree in half of the signals
-    return np.where(usable & (raw > 0.0), 0.5 * raw, 0.0), y1, e1
+    return (0.5 * raw if raw > 0.0 else 0.0), y1, e1
 
 
-def dps_rate(gain, qber, mu: float, f_ec: float):
-    """Individual-attack DPS secure fraction per pulse, elementwise over gain and qber."""
-    gain, qber = np.asarray(gain, dtype=float), np.asarray(qber, dtype=float)
-    if not np.all((0.0 <= gain) & (gain <= 1.0)):
+def dps_rate(gain: float, qber: float, mu: float, f_ec: float) -> float:
+    """Individual-attack DPS secure fraction per pulse of one link."""
+    if not 0.0 <= gain <= 1.0:
         raise PreconditionError("gain must be in [0, 1]")
-    if np.any((qber > 0.5) | (qber < 0.0)):
+    if qber > 0.5 or qber < 0.0:
         raise PreconditionError("qber must be in [0, 1/2]")
     if mu < 0.0:
         raise PreconditionError("mu must be >= 0")
     pns = 1.0 - 2.0 * mu
     if pns <= 0.0:
-        return np.zeros(np.broadcast(gain, qber).shape)
-    # math.log2, element by element, as the recorded curves were computed
-    log_term = np.array([math.log2(x) for x in np.ravel(1.0 + 4.0 * qber * (1.0 - qber)).tolist()])
-    fraction = -f_ec * binary_entropy(qber) + pns * (1.0 - log_term.reshape(qber.shape))
-    return gain * np.where(fraction > 0.0, fraction, 0.0)
+        return 0.0
+    fraction = -f_ec * binary_entropy(qber) + pns * (1.0 - math.log2(1.0 + 4.0 * qber * (1.0 - qber)))
+    return gain * (fraction if fraction > 0.0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,9 @@ def bb84_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
         np.array([[keyrate.mu / 2.0], [keyrate.nu / 2.0]]), transmittances(losses), cfg.mzi, cfg.detector
     )
     (q_mu, q_nu), (e_mu, e_nu) = gain_qber(laws)
-    rate, _, _ = decoy_bb84_rate(keyrate, q_mu, q_nu, e_mu, e_nu, vacuum_yield(cfg.detector))
+    y0 = vacuum_yield(cfg.detector)
+    links = np.array([q_mu, q_nu, e_mu, e_nu]).T.tolist()
+    rate = np.array([decoy_bb84_rate(keyrate, *link, y0)[0] for link in links])
     pair_rate = cfg.source.clock_rate / 2.0
     sifted = 0.5 * q_mu * pair_rate
     return RateCurve(np.asarray(losses, dtype=float), sifted, e_mu, rate * pair_rate, tuple(p[0] for p in laws))
@@ -134,6 +127,7 @@ def dps_rate_points(cfg: ExperimentConfig, losses) -> RateCurve:
     mu = cfg.source.mean_photon_number
     law = link_law(mu, transmittances(losses), cfg.mzi, cfg.detector)
     q, e = gain_qber(law)
-    secure_fraction = dps_rate(q, np.where(0.5 < e, 0.5, e), mu, cfg.keyrate.f_ec)
+    f_ec = cfg.keyrate.f_ec
+    fraction = np.array([dps_rate(g, min(qber, 0.5), mu, f_ec) for g, qber in zip(q.tolist(), e.tolist())])
     clock = cfg.source.clock_rate
-    return RateCurve(np.asarray(losses, dtype=float), q * clock, e, secure_fraction * clock, law)
+    return RateCurve(np.asarray(losses, dtype=float), q * clock, e, fraction * clock, law)

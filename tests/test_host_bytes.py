@@ -1,12 +1,16 @@
 """The link outputs are one set of bytes on every x86-64 host.
 
-The sweeps and the rate curves take their exponentials with math.exp one
-number at a time, so neither the SIMD level numpy dispatches to nor
-glibc's CPU-specific variants of its functions can move a bit of them.
-Each setting below runs both sweeps and scripts/rate_curves.py in a fresh
-process with the example configs and must write the bytes of a run
-without it.  A setting whose features the host already lacks is skipped:
-numpy refuses to disable X86_V2, its baseline, so no setting goes below it.
+The sweeps and the rate curves take math.exp, math.log2 and 10.0 ** one
+number at a time, plus np.cos, so the SIMD level numpy dispatches to
+cannot move a bit of them: np.cos is glibc's cos and gave the same bits
+at every numpy level (none of 400,000 arguments differed).  glibc's
+CPU-specific variants do move a last bit of these functions on some
+arguments (np.cos on 305 of those 400,000 with AVX2 and FMA off), but on
+none that these links read.  Each setting below runs both sweeps with the
+example configs, the BB84 sweep also at LINK, and scripts/rate_curves.py
+in a fresh process and must write the bytes of a run without it.  A
+setting whose features the host already lacks is skipped: numpy refuses
+to disable X86_V2, its baseline, so no setting goes below it.
 """
 
 import os
@@ -28,25 +32,37 @@ SETTINGS = {
 
 OUTPUTS = (
     "bb84_sweep.csv", "bb84_sweep.csv.json", "dps_sweep.csv", "dps_sweep.csv.json",
-    "bb84_rate_curve.csv", "dps_rate_curve.csv",
+    "bb84_link.csv", "bb84_link.csv.json", "bb84_rate_curve.csv", "dps_rate_curve.csv",
 )
+
+# bb84_sweep.cfg at a link whose 5 dB secure_rate_bps took another last bit
+# below X86_V4 while binary_entropy took numpy's log2
+LINK = """
+mzi.visibility = 0.9043223583492934
+detector.efficiency = 0.24195728925293025
+detector.dark_rate = 84.19215930651093
+"""
 
 SCRIPT = """
 import runpy, sys
 from chirplink import cli
 root = sys.argv[1]
-for name in ("bb84_sweep", "dps_sweep"):
-    command = name.replace("_", "-")
-    if cli.main([command, "--config", f"{root}/scripts/configs/{name}.cfg", "--out", f"{name}.csv"]):
-        sys.exit(f"{command} failed")
+for command, config, out in (
+    ("bb84-sweep", f"{root}/scripts/configs/bb84_sweep.cfg", "bb84_sweep.csv"),
+    ("dps-sweep", f"{root}/scripts/configs/dps_sweep.cfg", "dps_sweep.csv"),
+    ("bb84-sweep", "bb84_link.cfg", "bb84_link.csv"),
+):
+    if cli.main([command, "--config", config, "--out", out]):
+        sys.exit(f"{command} --config {config} failed")
 sys.argv = ["rate_curves.py", "--outdir", "."]
 runpy.run_path(f"{root}/scripts/rate_curves.py", run_name="__main__")
 """
 
 
 def link_outputs(outdir, setting=None):
-    """The six link outputs' bytes, written in a fresh process under `setting`."""
+    """The eight link outputs' bytes, written in a fresh process under `setting`."""
     outdir.mkdir()
+    (outdir / "bb84_link.cfg").write_text((ROOT / "scripts" / "configs" / "bb84_sweep.cfg").read_text() + LINK)
     env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.update(setting or {})

@@ -907,9 +907,15 @@ class TestHeldPumps:
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1.0, -1.0, 1e150, -1e150]
 EDGE = st.sampled_from(EDGES)
 SIGN = st.sampled_from([1.0, -1.0])
-# a run's (Re E, Im E, N, pump level in J_th, first step's two increments),
-# and calls of a lone run, of 2 to 8 runs and of 9 to 24
-EDGE_RUN = st.tuples(EDGE, EDGE, st.sampled_from([0.0, -0.0, -5.0, 1e3, 1e300]), LEVELS, SIGN, SIGN)
+ZERO = st.sampled_from([0.0, -0.0])
+CARRIER = st.sampled_from([0.0, -0.0, -5.0, 1e3, 1e300])
+# a run's (Re E, Im E, N, pump level in J_th, first step's two increments):
+# from the edges, or in about half of the runs from E = (+-0, +-0) at the
+# threshold carrier, where Gc = Gu = 1/tau_p; and calls of a lone run, of
+# 2 to 8 runs and of 9 to 24
+EDGE_RUN = st.one_of(
+    st.tuples(EDGE, EDGE, CARRIER, LEVELS, SIGN, SIGN), st.tuples(ZERO, ZERO, st.just(2000.0), LEVELS, SIGN, SIGN)
+)
 EDGE_CALLS = st.one_of(*(st.lists(EDGE_RUN, min_size=a, max_size=b) for a, b in ((1, 1), (2, 8), (9, 24))))
 
 
@@ -964,21 +970,24 @@ class TestEdgeStates:
     """integrate_pumps and oracle_integrate agree run by run from states at
     the edges of the doubles, where many runs diverge at their first step."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(
         runs=EDGE_CALLS,
         n_steps=st.integers(1, 40),
         alpha=st.sampled_from([0.0, 3.0]),  # 0 makes (0.5j * alpha).imag +0.0 too
-        noisy=st.booleans(),
-        injected=st.booleans(),
+        # (spontaneous_fraction, injection_coupling): quiet, noisy, injected,
+        # both, and both at 5e-324, which rounds every Langevin kick and kappa
+        # times every master part to a signed zero
+        scales=st.sampled_from([(0.0, 0.0), (1e-4, 0.0), (0.0, 5e10), (1e-4, 5e10), (5e-324, 5e-324)]),
         seed=st.integers(0, 2**32 - 1),
     )
     # a carrier of -0.0 makes the noise amplitude sqrt(-0.0) = -0.0, whose
     # sign a zero part of E takes
-    @example(runs=[(-0.0, -5e-324, -0.0, 0.0, 1.0, 1.0)], n_steps=1, alpha=3.0, noisy=True, injected=False, seed=0)
-    def test_runs_equal_the_oracle(self, params, runs, n_steps, alpha, noisy, injected, seed):
-        p = replace(params, linewidth_enhancement=alpha, injection_coupling=5e10 if injected else 0.0,
-                    spontaneous_fraction=params.spontaneous_fraction if noisy else 0.0)
+    @example(runs=[(-0.0, -5e-324, -0.0, 0.0, 1.0, 1.0)], n_steps=1, alpha=3.0, scales=(1e-4, 0.0), seed=0)
+    def test_runs_equal_the_oracle(self, params, runs, n_steps, alpha, scales, seed):
+        beta, kappa = scales
+        p = replace(params, linewidth_enhancement=alpha, spontaneous_fraction=beta, injection_coupling=kappa)
+        noisy, injected = beta > 0.0, kappa > 0.0
         runs, width = np.array(runs), len(runs)
         initial = runs[:, :2].copy().view(complex)[:, 0]  # keeps the sign of every zero part
         carriers, levels = runs[:, 2], runs[:, 3] * p.threshold_current
