@@ -55,30 +55,53 @@ _POST = 1.5e-9
 # holds each pump as three segments, so the cap bounds the time, not the
 # memory (30 voltages at the cap: ~0.2 s and ~40 MiB on one x86_64 core).
 _MAX_STEPS = 1e6
-def _phase_shift(duration: float, drive_steps) -> np.ndarray:
-    """Net phase of a drive step of `duration`, for each height in `drive_steps`.
 
-    The noiseless laser starts at its stationary state at the bias; the
-    phase is taken relative to the unperturbed laser, the reference.  The
-    reference and each level are the runs of one kernel call, the
-    reference first, each with a pump of three held segments: one sample
-    of the bias, the level, the bias.  The bias sample is the pump of the
-    step's first Heun predictor, so the trapezoidal steps hold the level
-    for the step's count of samples, the t of the closed form in
-    calibrate_physical_drive_scale.  The net phase is np.unwrap's over the
-    whole window: the angle of the last sample plus 2 pi per turn the
-    kernel counts, where np.unwrap adds a correction of about 2 pi.  A
-    divergence raises and names the first diverging level in input order,
-    the reference first, at its sample of the window.
+
+def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
+    """Net phase of the noiseless rate-equation laser for a drive step of each voltage.
+
+    The step per volt makes +V_pi give pi, in closed form from the integral
+    of the adiabatic and transient chirp (Koch & Bowers, Electron. Lett. 20,
+    1038 (1984)): a settled step dJ held for t accrues (alpha eps / 2) dS t
+    / tau_p, with the stationary dS = dJ tau_p / (1 + eps / (g tau_n)), so
+    pi takes dJ = 2 pi (1 + eps / (g tau_n)) / (alpha eps t), with t the
+    step's count of _DT samples.
+
+    The reference, the unperturbed laser, and each voltage are the runs of
+    one kernel call, the reference first, each from the bias's stationary
+    state with a pump of three held segments: one sample of the bias (the
+    pump of the step's first Heun predictor, so the trapezoidal steps hold
+    the level for t), the level, the bias.  A phase is its run's net phase,
+    np.unwrap's over the whole window (the angle of the last sample plus
+    2 pi per turn the kernel counts), minus the reference's.  A divergence
+    raises and names the first diverging run in input order, the reference
+    first, at its sample of the window.
     """
-    quiet = laser.LaserParams(spontaneous_fraction=0.0)
-    bias = 2.0 * quiet.threshold_current
-    n0, s0 = laser.stationary_state(quiet, bias)
+    duration = source.perturbation_duration
+    steps = (duration + _POST) / _DT
+    if not steps <= _MAX_STEPS:
+        raise PreconditionError(
+            f"physical_mode: source.perturbation_duration = {duration:g} s asks for {steps:.3g} "
+            f"rate-equation steps of {_DT:g} s per run, more than {_MAX_STEPS:.0e}"
+        )
     # samples of the step and of the bias after it, as
     # DriveWaveform.from_segments counts them; the drive ends on one more
     n_step, n_post = (int(round(t / _DT)) for t in (duration, _POST))
-    levels = bias + np.asarray(drive_steps, dtype=float)
-    runs = np.append(bias, levels)
+    if n_step < 1:
+        raise PreconditionError(
+            f"physical_mode: source.perturbation_duration = {duration:g} s "
+            f"must span at least one {_DT:g} s rate-equation step"
+        )
+    quiet = laser.LaserParams(spontaneous_fraction=0.0)
+    eps, alpha, t_m = quiet.gain_compression, quiet.linewidth_enhancement, n_step * _DT
+    step = math.tau * (1.0 + eps / (quiet.gain_slope * quiet.carrier_lifetime)) / (alpha * eps * t_m)
+    with np.errstate(over="ignore"):
+        drive_steps = (step / source.halfwave_voltage) * np.asarray(voltages, dtype=float)
+    if not np.isfinite(drive_steps).all():
+        raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
+    bias = 2.0 * quiet.threshold_current
+    n0, s0 = laser.stationary_state(quiet, bias)
+    runs = np.append(bias, bias + drive_steps)
     ends = [bias] * len(runs)
     field, carrier, diverged, turns = laser.integrate_pumps(
         quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
@@ -89,38 +112,7 @@ def _phase_shift(duration: float, drive_steps) -> np.ndarray:
         raise laser.diverged_error(diverged[j], field[j], carrier[j])
     # sample 0 is real and positive, at angle 0
     nets = np.angle(field) + math.tau * turns
-    return (nets[1:] - nets[0]).reshape(levels.shape)
-
-
-def calibrate_physical_drive_scale(source: SourceConfig) -> float:
-    """Drive-step-per-volt scale making the rate-equation laser hit pi at V_pi.
-
-    In closed form, from the integral of the adiabatic and transient chirp
-    (Koch & Bowers, Electron. Lett. 20, 1038 (1984)): once the laser has
-    settled, a step dJ held for t accrues (alpha eps / 2) dS t / tau_p of
-    net phase, and the stationary dS is dJ tau_p / (1 + eps / (g tau_n)).
-    So pi takes dJ = 2 pi (1 + eps / (g tau_n)) / (alpha eps t), where t is
-    the step as _phase_shift integrates it: its count of _DT samples.
-    A step whose window would take more than _MAX_STEPS steps per run, or
-    less than one step of its own, is a config error.
-    """
-    duration = source.perturbation_duration
-    steps = (duration + _POST) / _DT
-    if not steps <= _MAX_STEPS:
-        raise PreconditionError(
-            f"physical_mode: source.perturbation_duration = {duration:g} s asks for {steps:.3g} "
-            f"rate-equation steps of {_DT:g} s per run, more than {_MAX_STEPS:.0e}"
-        )
-    p = laser.LaserParams()
-    n_step = round(duration / _DT)
-    if n_step < 1:
-        raise PreconditionError(
-            f"physical_mode: source.perturbation_duration = {duration:g} s "
-            f"must span at least one {_DT:g} s rate-equation step"
-        )
-    eps, t_m = p.gain_compression, n_step * _DT
-    step = math.tau * (1.0 + eps / (p.gain_slope * p.carrier_lifetime)) / (p.linewidth_enhancement * eps * t_m)
-    return step / source.halfwave_voltage
+    return (nets[1:] - nets[0]).reshape(drive_steps.shape)
 
 
 @dataclass(frozen=True)
@@ -138,12 +130,7 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None
     if cfg.physical_mode:
-        scale = calibrate_physical_drive_scale(cfg.source)
-        with np.errstate(over="ignore"):
-            steps = scale * voltages
-        if not np.isfinite(steps).all():
-            raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
-        physical = _phase_shift(cfg.source.perturbation_duration, steps)
+        physical = physical_phase(cfg.source, voltages)
     if cfg.output_path:
         if physical is None:
             rows = np.column_stack([voltages, encoder])

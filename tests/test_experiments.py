@@ -107,8 +107,7 @@ class TestCalibration:
         # on and off the step grid: a step is integrated over its count of
         # samples, round(duration / _DT), which is 1 at 0.3 ps and 126 at 25.1 ps
         src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
-        scale = experiments.calibrate_physical_drive_scale(src)
-        up, down = experiments._phase_shift(duration, scale * np.array([1.0, -1.0]) * halfwave_voltage)
+        up, down = experiments.physical_phase(src, [halfwave_voltage, -halfwave_voltage])
         assert up == pytest.approx(math.pi, rel=1e-3)
         assert down == pytest.approx(-math.pi, rel=1e-3)
 
@@ -130,109 +129,75 @@ class TestCalibration:
         assert np.abs((4.0 * phases[2] - phases[1]) / 3.0 - exact).max() <= 1e-6
 
     def test_physical_phase_odd_in_voltage(self):
-        src = SourceConfig()
-        scale = experiments.calibrate_physical_drive_scale(src)
-        up, down = experiments._phase_shift(src.perturbation_duration, scale * np.array([0.2, -0.2]))
+        up, down = experiments.physical_phase(SourceConfig(), [0.2, -0.2])
         assert down == pytest.approx(-up, rel=0.05)
 
-    def test_physical_mode_integrates_reference_once(self, monkeypatch):
-        # the pump and holds of each kernel call, by the stage that made it
-        calls = {"calibrate": [], "voltages": []}
-        stage, scales = "voltages", []
-        batched, calibrate = laser.integrate_pumps, experiments.calibrate_physical_drive_scale
-
-        def counting(params, pump, *args, holds, **kwargs):
-            calls[stage].append((np.array(pump), list(holds)))
-            result = batched(params, pump, *args, holds=holds, **kwargs)
-            assert result[0].shape == result[1].shape == (len(pump[0]),)  # no traces
-            return result
-
-        def calibrating(*args, **kwargs):
-            nonlocal stage
-            stage = "calibrate"
-            try:
-                scales.append(calibrate(*args, **kwargs))
-                return scales[-1]
-            finally:
-                stage = "voltages"
-
-        monkeypatch.setattr(laser, "integrate_pumps", counting)
-        monkeypatch.setattr(experiments, "calibrate_physical_drive_scale", calibrating)
+    def test_physical_mode_integrates_reference_once(self, kernel_pumps):
         voltages = [-0.35, 0.0, 0.175, 0.35]
         cfg = ExperimentConfig(experiment="phase_voltage", voltages=voltages, physical_mode=True)
         res = experiments.run_phase_voltage(cfg)
-        # the calibration is a closed form: it integrates nothing
-        assert calls["calibrate"] == [] and len(scales) == 1
-        # one call over the whole window: the constant-pump reference first,
-        # once, then one run per voltage, 0 V a copy of the reference
-        ((pump, holds),) = calls["voltages"]
+        # one call in all, over the whole window: the constant-pump reference
+        # first, then one run per voltage, 0 V a copy of the reference; the
+        # calibration is a closed form and integrates nothing
+        ((pump, holds),) = kernel_pumps
         n_step = round(cfg.source.perturbation_duration / experiments._DT)
         n_post = round(experiments._POST / experiments._DT)
         assert holds == [1, n_step, n_post + 1]
         bias = pump[0, 0]
         # every run holds the bias, its level for the step's samples, then the bias again
         assert (pump[0] == bias).all() and (pump[2] == bias).all()
-        assert pump[1].tolist() == [bias] + [bias + scales[0] * v for v in voltages]
-        assert pump[:, 2].tolist() == pump[:, 0].tolist()
+        assert pump.shape == (3, 5) and pump[1, 0] == bias and pump[1, 2] == bias
+        # the level is linear in the voltage
+        down, _, half, up = pump[1, 1:] - bias
+        assert down == pytest.approx(-up, rel=1e-12) and half == pytest.approx(up / 2.0, rel=1e-12)
         assert res.physical_phase[1] == 0.0
         assert res.physical_phase[0] == pytest.approx(-math.pi, rel=1e-3)
         assert res.physical_phase[3] == pytest.approx(math.pi, rel=1e-3)
         # nothing is carried over to the next run: it makes the same call again
         again = experiments.run_phase_voltage(cfg)
-        assert len(calls["voltages"]) == 2 and calls["calibrate"] == []
-        assert calls["voltages"][1][0].tobytes() == pump.tobytes() and calls["voltages"][1][1] == holds
+        assert len(kernel_pumps) == 2
+        assert kernel_pumps[1][0].tobytes() == pump.tobytes() and kernel_pumps[1][1] == holds
         assert again.physical_phase.tobytes() == res.physical_phase.tobytes()
 
-    def test_default_physical_run_makes_one_call(self, monkeypatch):
+    def test_default_physical_run_makes_one_call(self, kernel_pumps):
         # the reference and each of the 21 voltages, 0 V among them, in one call
-        pumps = []
-        batched = laser.integrate_pumps
-
-        def counting(params, pump, *args, holds, **kwargs):
-            pumps.append((np.asarray(pump), holds))
-            return batched(params, pump, *args, holds=holds, **kwargs)
-
-        monkeypatch.setattr(laser, "integrate_pumps", counting)
         cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
         experiments.run_phase_voltage(replace(cfg, physical_mode=True, output_path=None))
-        ((pump, holds),) = pumps
+        ((pump, holds),) = kernel_pumps
         assert pump.shape == (3, 22) and len(set(pump[1].tolist())) == 21
         assert holds == [1, 1250, 7501]
         assert 22 * (sum(holds) - 1) == 192_522
 
-    def test_net_phase_equals_whole_window_run(self):
+    def test_net_phase_equals_whole_window_run(self, kernel_pumps):
         # the net phase from one integration over the whole window per drive
-        # step: the angle of its last sample plus 2 pi per correction of
+        # level: the angle of its last sample plus 2 pi per correction of
         # np.unwrap, bit for bit, and np.unwrap's own sum of the corrections,
         # each 2 pi to rounding, within 2e-14 rad per turn of the two runs
-        duration = SourceConfig().perturbation_duration
+        source = SourceConfig()
+        duration = source.perturbation_duration
 
-        def whole_window(step):
+        def whole_window(level):
             """(net phase from the turns, np.unwrap's net phase, turns)"""
-            trace = whole_window_trace(step, duration)
+            trace = whole_window_trace(level, duration)
             angle, two_pi = np.angle(trace.field), 2.0 * math.pi
             turns = round((trace.phase[-1] - angle[-1]) / two_pi)
             return angle[-1] + two_pi * turns - angle[0], trace.phase[-1] - trace.phase[0], turns
 
-        scale = experiments.calibrate_physical_drive_scale(SourceConfig())
-        reference = whole_window(0.0)
-
-        def phase_shift(step):
-            return experiments._phase_shift(duration, step)
-
-        for volts in (-0.5, -0.35, -0.1, 0.1, 0.35, 0.5, -3.0):
-            step = scale * volts
-            net, unwrapped, turns = whole_window(step)
-            assert phase_shift(step) == net - reference[0]
+        phases = experiments.physical_phase(source, [-0.5, -0.35, -0.1, 0.1, 0.35, 0.5, -3.0])
+        ((pump, _),) = kernel_pumps
+        reference = whole_window(pump[1, 0])
+        for phase, level in zip(phases, pump[1, 1:]):
+            net, unwrapped, turns = whole_window(level)
+            assert phase == net - reference[0]
             tolerance = (abs(turns) + abs(reference[2])) * 2e-14
-            assert abs(phase_shift(step) - (unwrapped - reference[1])) <= tolerance
-        # ~200 sign changes of Im E, and 4 turns, against the reference's 8
-        assert whole_window(scale * -3.0)[2] == 4 and reference[2] == 8
+            assert abs(phase - (unwrapped - reference[1])) <= tolerance
+        # ~200 sign changes of Im E, and 4 turns at -3 V, against the reference's 8
+        assert whole_window(pump[1, -1])[2] == 4 and reference[2] == 8
         # a diverging run names the sample of the whole window, at the same state
-        with pytest.raises(IntegrationDivergedError) as whole:
-            whole_window(scale * 1e6)
         with pytest.raises(IntegrationDivergedError) as resumed:
-            phase_shift(scale * 1e6)
+            experiments.physical_phase(source, [1e6])
+        with pytest.raises(IntegrationDivergedError) as whole:
+            whole_window(kernel_pumps[-1][0][1, 1])
         assert str(resumed.value) == str(whole.value)
 
     def test_default_physical_phases_bit_pin(self):
@@ -246,14 +211,14 @@ class TestCalibration:
             == "c5695d75ad5aed3ce7eaa68cc102bdc5640968650985516ba8315e57755f62de"
         )
 
-    def test_fresh_divergence_names_whole_window_sample(self):
+    def test_fresh_divergence_names_whole_window_sample(self, kernel_pumps):
         # the first request steps the reference and its levels from sample 0
-        duration = SourceConfig().perturbation_duration
-        scale = experiments.calibrate_physical_drive_scale(SourceConfig())
-        with pytest.raises(IntegrationDivergedError) as whole:
-            whole_window_trace(scale * 1e6, duration)
+        source = SourceConfig()
         with pytest.raises(IntegrationDivergedError) as fresh:
-            experiments._phase_shift(duration, scale * np.array([0.1, 1e6, 2e6]))
+            experiments.physical_phase(source, [0.1, 1e6, 2e6])
+        ((pump, _),) = kernel_pumps
+        with pytest.raises(IntegrationDivergedError) as whole:
+            whole_window_trace(pump[1, 2], source.perturbation_duration)
         assert str(fresh.value) == str(whole.value)
         assert (fresh.value.step_index, fresh.value.intensity, fresh.value.carrier) == (
             whole.value.step_index, whole.value.intensity, whole.value.carrier
@@ -261,30 +226,32 @@ class TestCalibration:
 
     @pytest.mark.parametrize("duration", [0.3e-12, SourceConfig().perturbation_duration])
     def test_net_phases_do_not_depend_on_grouping(self, duration):
-        # more new levels than one 24-run block of the kernel, with a repeat
-        # and the zero step
-        scale = experiments.calibrate_physical_drive_scale(replace(SourceConfig(), perturbation_duration=duration))
+        # more voltages than one 24-run block of the kernel, with a repeat and 0 V
+        source = replace(SourceConfig(), perturbation_duration=duration)
         volts = [0.35, -0.2, 0.0, 0.1, -0.5, 0.2, 0.35, 0.05, -0.05, 0.3, -0.35, 0.15]
         volts += [0.025 * i for i in range(-11, 12, 2)] + [0.4, -0.4, 0.45, -0.45]
-        steps = scale * np.array(volts)
-        assert len(set(steps.tolist())) > 24
+        assert len(set(volts)) > 24
         # all at once, one at a time, and in two calls
-        phases = [experiments._phase_shift(duration, steps)]
-        phases.append(np.array([float(experiments._phase_shift(duration, step)) for step in steps]))
-        phases.append(np.concatenate([experiments._phase_shift(duration, steps[:2]),
-                                      experiments._phase_shift(duration, steps[2:])]))
+        phases = [experiments.physical_phase(source, volts)]
+        phases.append(np.array([float(experiments.physical_phase(source, v)) for v in volts]))
+        phases.append(np.concatenate([experiments.physical_phase(source, volts[:2]),
+                                      experiments.physical_phase(source, volts[2:])]))
         assert all(phase.tobytes() == phases[0].tobytes() for phase in phases)
         assert phases[0][2] == 0.0 and phases[0][0] == phases[0][6]
 
     def test_step_cap_peak_memory(self, tmp_path):
-        # 30 voltages at a step of 190 ns, 958,500 steps per run: the kernel
-        # calls hold no field traces
+        # 30 voltages at a step of 190 ns, 958,500 steps per run, in one call
+        # of 31 runs: the kernel call holds no field traces and each pump is
+        # three held levels per run.  ~38 MiB measured, the interpreter and
+        # numpy; field traces would add ~300 MB, and a pump of one row per
+        # sample, 8 bytes per run-step, peaked at ~197 MiB
         volts = " ".join(f"{v:.4f}" for v in np.linspace(-0.5, 0.5, 30))
         (tmp_path / "cap.cfg").write_text(
             "experiment = phase_voltage\nphysical_mode = true\n"
             f"source.perturbation_duration = 190e-9\nvoltages = {volts}\n"
         )
-        # the peak is VmHWM, this process's own (see the next test)
+        # the peak is VmHWM, this process's own: Linux starts ru_maxrss of a
+        # spawned process at the peak of the one that spawned it
         script = (
             "import re, chirplink.cli; "
             "code = chirplink.cli.main(['phase-voltage', '--config', 'cap.cfg']); "
@@ -298,9 +265,7 @@ class TestCalibration:
         assert proc.returncode == 0, proc.stderr
         code, peak_kib = proc.stdout.split()
         assert code == "0"
-        # ~38 MiB measured: each pump is three held levels per run, the rest
-        # is the interpreter and numpy; field traces would add ~300 MB
-        assert int(peak_kib) / 1024 < 300
+        assert int(peak_kib) / 1024 < 80
 
     def test_many_voltages_exit_code(self, tmp_path):
         # 10,300 voltages at the default step, 10,301 runs of 9750 steps:
@@ -310,7 +275,7 @@ class TestCalibration:
         (tmp_path / "many.cfg").write_text(
             f"experiment = phase_voltage\nphysical_mode = true\nvoltages = {volts}\n"
         )
-        # the peak is VmHWM, this process's own (see test_step_cap_pumps_are_segments)
+        # the peak is VmHWM, this process's own (see test_step_cap_peak_memory)
         script = (
             "import re, chirplink.cli; "
             "code = chirplink.cli.main(['phase-voltage', '--config', 'many.cfg', '--out', 'many.csv']); "
@@ -330,31 +295,14 @@ class TestCalibration:
         # ~38 MiB measured: the interpreter, numpy and arrays of one value per run
         assert int(peak_kib) / 1024 < 80
 
-    def test_step_cap_pumps_are_segments(self):
-        # 31 levels at a step of 190 ns in one call of 31 runs: ~37 MiB
-        # measured, the interpreter and numpy; a pump of one row per sample,
-        # 8 bytes per run-step, peaked at ~197 MiB.  The peak is VmHWM, this
-        # process's own: Linux starts ru_maxrss of a spawned process at the
-        # peak of the one that spawned it
-        script = (
-            "import re, numpy as np; from chirplink import experiments; "
-            "experiments._phase_shift(190e-9, np.linspace(-1e12, 1e12, 30)); "
-            "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) / 1024 < 80
 
-
-def whole_window_trace(step, duration):
-    """One integration of the noiseless laser over the whole window of a drive step."""
+def whole_window_trace(level, duration):
+    """One integration of the noiseless laser over the whole window of a drive level."""
     dt, post = experiments._DT, experiments._POST
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)
-    segments = [(dt, bias), (duration, bias + step), (post, bias)]
+    segments = [(dt, bias), (duration, level), (post, bias)]
     drive = laser.DriveWaveform.from_segments(segments, dt)
     return laser.integrate(
         quiet, drive, dt=dt, initial_field=complex(math.sqrt(s0), 0.0), initial_carrier=n0

@@ -268,12 +268,15 @@ class TestFMResponse:
                 assert abs(coarse[b, f] / h - 1.0) < 1e-4, (b, f)
                 assert 3.5 < abs(coarse[b, f] - mid[b, f]) / abs(mid[b, f] - fine[b, f]) < 4.5, (b, f)
 
-    def test_zero_frequency_is_the_drive_calibration(self, quiet):
+    def test_zero_frequency_is_the_drive_calibration(self, quiet, kernel_pumps):
         from chirplink import experiments
         from chirplink.source import SourceConfig
 
         cfg = SourceConfig()
-        per_unit_drive = math.pi / (experiments.calibrate_physical_drive_scale(cfg) * cfg.halfwave_voltage)
+        experiments.physical_phase(cfg, [cfg.halfwave_voltage])
+        ((pump, _),) = kernel_pumps
+        # dJ(V_pi), the level less the bias: within 6e-16 of the closed form, relative
+        per_unit_drive = math.pi / (pump[1, 1] - pump[1, 0])
         t_m = round(cfg.perturbation_duration / DT) * DT  # the step as the physical path integrates it
         for b in self.BIASES:
             h0 = self.transfer(quiet, self.jacobian(quiet, b), 0.0)
