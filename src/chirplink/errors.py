@@ -9,23 +9,20 @@ class PreconditionError(ValueError):
 class IntegrationDivergedError(RuntimeError):
     """The rate-equation integrator produced a non-finite or runaway state.
 
-    `intensity` and `carrier` are |E|^2 and N at `step_index`; an ensemble
-    of two or more runs also names the first diverging run.
+    Built from the run's state at `step_index`, its complex field E and its
+    carrier N: `intensity` is |E|^2 = re re + im im, the kernel's own sum,
+    and `carrier` is N.  An ensemble of two or more runs also names the
+    first diverging run.
     """
 
-    def __init__(
-        self,
-        step_index: int,
-        intensity: float = float("nan"),
-        carrier: float = float("nan"),
-        run_index: int | None = None,
-    ):
-        self.step_index = step_index
-        self.intensity = float(intensity)
+    def __init__(self, step_index: int, field: complex, carrier: float, run_index: int | None = None):
+        e = complex(field)
+        self.step_index = int(step_index)
+        self.intensity = e.real * e.real + e.imag * e.imag
         self.carrier = float(carrier)
         self.run_index = run_index
         where = "" if run_index is None else f" in run {run_index}"
         super().__init__(
-            f"integration diverged at sample index {step_index}{where}: "
+            f"integration diverged at sample index {self.step_index}{where}: "
             f"|E|^2 = {self.intensity:.6g}, N = {self.carrier:.6g}"
         )

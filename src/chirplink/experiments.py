@@ -16,7 +16,7 @@ import numpy as np
 
 from . import laser
 from .config import ExperimentConfig
-from .errors import PreconditionError
+from .errors import IntegrationDivergedError, PreconditionError
 from .keyrate import RateCurve, bb84_rate_points, dps_rate_points
 from .optics import decoder_ports
 from .protocols import BB84, DPS, SiftResult, simulate_links
@@ -109,9 +109,9 @@ def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
     )
     if diverged.any():
         j = np.flatnonzero(diverged)[0]
-        raise laser.diverged_error(diverged[j], field[j], carrier[j])
+        raise IntegrationDivergedError(diverged[j], field[-1, j], carrier[-1, j])
     # sample 0 is real and positive, at angle 0
-    nets = np.angle(field) + math.tau * turns
+    nets = np.angle(field[-1]) + math.tau * turns
     return (nets[1:] - nets[0]).reshape(drive_steps.shape)
 
 

@@ -312,14 +312,14 @@ def integrate_pumps(
     (c = 0) or Im E (c = 1).  `injection`, (n_steps + 1, n_runs) complex
     samples, is added with the coupling.
 
-    Returns (field, carrier, diverged, turns).  field and carrier are the
-    (n_steps + 1, n_runs) traces, or, where `trace` is false, only the
-    state at the last sample.  diverged[j] is 0, or the sample index at
-    which run j diverged; the run keeps that state in every later sample,
-    so it is also its last state.  turns[j] is run j's signed count of the
-    steps at which E crosses the negative real axis, as _heun.c counts
-    them: its unwrapped phase at the last sample is
-    np.angle(last field) + 2 pi turns[j].
+    Returns (field, carrier, diverged, turns).  field and carrier are
+    (rows, n_runs) arrays: with `trace`, row k is sample k; without it, the
+    one row is the last sample.  Either way row -1 is each run's last
+    state.  diverged[j] is 0, or the sample index at which run j diverged;
+    the run keeps that state in every later sample, so it is also its last
+    state.  turns[j] is run j's signed count of the steps at which E
+    crosses the negative real axis, as _heun.c counts them: its unwrapped
+    phase at the last sample is np.angle(field[-1, j]) + 2 pi turns[j].
     """
     _check_dt(params, dt)
     pump = np.ascontiguousarray(pump, dtype=float)
@@ -363,15 +363,7 @@ def integrate_pumps(
         n_steps, n_runs, *coefficients, *inputs, field.ctypes.data, carrier.ctypes.data, trace,
         diverged.ctypes.data, counts.ctypes.data,
     )
-    if not trace:
-        field, carrier = field[0], carrier[0]
     return field, carrier, diverged, counts
-
-
-def diverged_error(step_index, field, carrier, run_index=None) -> IntegrationDivergedError:
-    """The error of a run that diverged at `step_index` in state (field, carrier)."""
-    e = complex(field)
-    return IntegrationDivergedError(int(step_index), e.real * e.real + e.imag * e.imag, carrier, run_index)
 
 
 def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, injection=None, trace=False):
@@ -382,9 +374,9 @@ def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, inject
     level of the pump for its stretch of equal samples.  With
     spontaneous_fraction > 0 the noise is the first ceil(2 n_steps n_runs
     / 64) raw words of a PCG64 generator seeded with `seed`.  Returns the
-    step times, field and carrier.  A divergence raises for the run that
-    diverges at the earliest sample, the lowest-numbered on a tie, naming
-    it only among several runs.
+    step times and integrate_pumps' field and carrier rows.  A divergence
+    raises for the run that diverges at the earliest sample, the
+    lowest-numbered on a tie, naming it only among several runs.
     """
     _check_dt(params, dt)
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
@@ -406,8 +398,9 @@ def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, inject
     )
     if diverged.any():
         run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))
-        e, n = (field[-1, run], carrier[-1, run]) if trace else (field[run], carrier[run])
-        raise diverged_error(diverged[run], e, n, run if n_runs > 1 else None)
+        raise IntegrationDivergedError(
+            diverged[run], field[-1, run], carrier[-1, run], run if n_runs > 1 else None
+        )
     return times, field, carrier
 
 
@@ -450,7 +443,8 @@ def integrate_ensemble(
     """
     if n_runs < 1:
         raise PreconditionError("n_runs must be >= 1")
-    return _run(params, drive, n_runs, rng_seed, dt, initial_field, initial_carrier)[1:]
+    _, field, carrier = _run(params, drive, n_runs, rng_seed, dt, initial_field, initial_carrier)
+    return field[-1], carrier[-1]
 
 
 def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[float, float]) -> float:

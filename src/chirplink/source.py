@@ -34,7 +34,7 @@ class SourceConfig:
             raise PreconditionError("halfwave_voltage must be positive")
         if self.perturbation_duration <= 0:
             raise PreconditionError("perturbation_duration must be positive")
-        # voltage_to_chirp's 1 / product: a subnormal product is not 0, but its reciprocal is inf
+        # phase_from_voltage's 1 / product: a subnormal product is not 0, but its reciprocal is inf
         product = 2.0 * self.halfwave_voltage * self.perturbation_duration
         if product == 0.0 or math.isinf(1.0 / product):
             raise PreconditionError("1 / (2 halfwave_voltage * perturbation_duration) overflows")
@@ -49,12 +49,7 @@ def chirp_to_phase(delta_nu: float, t_m: float) -> float:
     return math.tau * delta_nu * t_m
 
 
-def voltage_to_chirp(voltage: float, config: SourceConfig) -> float:
-    """Linear drive-voltage to chirp map calibrated by the halfwave voltage."""
-    kappa = 1.0 / (2.0 * config.halfwave_voltage * config.perturbation_duration)
-    return kappa * voltage
-
-
 def phase_from_voltage(voltage: float, config: SourceConfig) -> float:
     """Signed output phase for a voltage perturbation of the default duration (elementwise on an array)."""
-    return chirp_to_phase(voltage_to_chirp(voltage, config), config.perturbation_duration)
+    t_m = config.perturbation_duration
+    return chirp_to_phase((1.0 / (2.0 * config.halfwave_voltage * t_m)) * voltage, t_m)

@@ -582,6 +582,7 @@ class TestInputBounds:
         "command, lines, message",
         [
             ("bb84-sweep", "detector.dark_rate = 8e9", "dark_rate * gate_width"),
+            ("bb84-sweep", "detector.dark_rate = -1", "dark_rate must be >= 0"),
             ("bb84-sweep", "mzi.insertion_loss_db = nan", "mzi.insertion_loss_db must be finite"),
             ("dps-sweep", "source.mean_photon_number = inf", "mean_photon_number must be finite"),
             ("bb84-sweep", "source.clock_rate = 1e300", "clock_rate must be positive, and finite"),

@@ -27,8 +27,8 @@ class TestPhaseMaps:
 
     def test_voltage_to_chirp_at_halfwave(self, cfg):
         # [DERIVED] dnu(V_pi) = 1/(2 t_m) = 2 GHz for t_m = 250 ps
-        assert source.voltage_to_chirp(cfg.halfwave_voltage, cfg) == pytest.approx(
-            2e9, rel=1e-12
+        assert source.phase_from_voltage(cfg.halfwave_voltage, cfg) == pytest.approx(
+            source.chirp_to_phase(2e9, cfg.perturbation_duration), rel=1e-12
         )
 
     @given(
