@@ -19,7 +19,6 @@ from .experiments import (
     run_stability,
     run_sweep,
 )
-from .protocols import BB84, DPS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,8 +28,8 @@ EXIT_DIVERGED = 3
 _RECIPES = {
     "phase-voltage": run_phase_voltage,
     "randomization": run_randomization,
-    "bb84-sweep": functools.partial(run_sweep, protocol=BB84),
-    "dps-sweep": functools.partial(run_sweep, protocol=DPS),
+    "bb84-sweep": run_sweep,
+    "dps-sweep": run_sweep,
     "stability": run_stability,
 }
 

@@ -44,6 +44,8 @@ class KeyRateConfig:
             raise PreconditionError("keyrate intensities must satisfy 0 < nu < mu")
         if self.mu > 709.0:
             raise PreconditionError("keyrate.mu must be <= 709: the decoy bound takes exp(mu)")
+        if not self.mu * self.nu - self.nu * self.nu > 0.0:
+            raise PreconditionError("decoy intensities: mu * nu - nu^2 rounds to 0")
         if self.f_ec < 1.0:
             raise PreconditionError("f_ec must be >= 1")
 

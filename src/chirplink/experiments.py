@@ -51,9 +51,9 @@ def _write_outputs(cfg: ExperimentConfig, header: str, rows: np.ndarray, summary
 # laser to settle.
 _DT = 2e-13
 _POST = 1.5e-9
-# At most this many steps per run: the physical path keeps no trace and
-# holds each pump as three segments, so the cap bounds the time, not the
-# memory (30 voltages at the cap: ~0.2 s and ~40 MiB on one x86_64 core).
+# At most this many steps in each run's window, not a bound on the number
+# of runs; with no trace and three pump segments a run, it bounds the time,
+# not the memory (30 voltages at the cap: ~0.2 s, ~40 MiB on one x86_64 core).
 _MAX_STEPS = 1e6
 
 
@@ -75,23 +75,21 @@ def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
     np.unwrap's over the whole window (the angle of the last sample plus
     2 pi per turn the kernel counts), minus the reference's.  A divergence
     raises and names the first diverging run in input order, the reference
-    first, at its sample of the window.
+    first, at its sample of the window.  Nothing refuses a step that leaves
+    the model: at the defaults the bias is 2 J_th = 4e12 /s and the drive
+    step 2.44e12 /s per volt, so its pump is under threshold below -0.819 V
+    and negative below -1.638 V, integrated and written with no flag (the
+    rule is left to ROADMAP items 3 and 8).
     """
     duration = source.perturbation_duration
-    steps = (duration + _POST) / _DT
-    if not steps <= _MAX_STEPS:
+    if not (duration / _DT > 0.5 and (duration + _POST) / _DT <= _MAX_STEPS):
         raise PreconditionError(
-            f"physical_mode: source.perturbation_duration = {duration:g} s asks for {steps:.3g} "
-            f"rate-equation steps of {_DT:g} s per run, more than {_MAX_STEPS:.0e}"
+            f"physical_mode: source.perturbation_duration = {duration:g} s must span "
+            f"1 to {_MAX_STEPS - _POST / _DT:,.0f} rate-equation steps of {_DT * 1e12:g} ps"
         )
     # samples of the step and of the bias after it, as
     # DriveWaveform.from_segments counts them; the drive ends on one more
     n_step, n_post = (int(round(t / _DT)) for t in (duration, _POST))
-    if n_step < 1:
-        raise PreconditionError(
-            f"physical_mode: source.perturbation_duration = {duration:g} s "
-            f"must span at least one {_DT:g} s rate-equation step"
-        )
     quiet = laser.LaserParams(spontaneous_fraction=0.0)
     eps, alpha, t_m = quiet.gain_compression, quiet.linewidth_enhancement, n_step * _DT
     step = math.tau * (1.0 + eps / (quiet.gain_slope * quiet.carrier_lifetime)) / (alpha * eps * t_m)
@@ -221,20 +219,20 @@ def run_randomization(cfg: ExperimentConfig) -> RandomizationResult:
 # rate sweeps
 
 
-def run_sweep(cfg: ExperimentConfig, protocol: str) -> tuple[list[SiftResult], RateCurve]:
+def run_sweep(cfg: ExperimentConfig) -> tuple[list[SiftResult], RateCurve]:
     """(sifts, curve): a Monte Carlo SiftResult per loss of cfg.losses and the
-    analytic RateCurve over them.
+    analytic RateCurve over them, of the protocol cfg.experiment names.
 
     The curve evaluates the link law over the whole loss axis at once, and
     the Monte Carlo draws every loss's counts, from one generator seeded
     with cfg.rng_seed, from the curve's law at the signal.
     """
-    if protocol == BB84:
-        n, rate_points = max(1, cfg.trials // 2), bb84_rate_points
-    elif protocol == DPS:
-        n, rate_points = max(2, cfg.trials), dps_rate_points
+    if cfg.experiment == "bb84_sweep":
+        protocol, n, rate_points = BB84, max(1, cfg.trials // 2), bb84_rate_points
+    elif cfg.experiment == "dps_sweep":
+        protocol, n, rate_points = DPS, max(2, cfg.trials), dps_rate_points
     else:
-        raise PreconditionError(f"unknown protocol {protocol!r}")
+        raise PreconditionError(f"experiment {cfg.experiment!r} is not a rate sweep")
     curve = rate_points(cfg, cfg.losses)
     sifts = simulate_links(protocol, n, cfg.source.clock_rate, curve.law, cfg.rng_seed)
     if cfg.output_path:

@@ -50,8 +50,6 @@ def decoy_bb84_rate(keyrate: KeyRateConfig, q_mu: float, q_nu: float, e_mu: floa
     is 0.  KeyRateConfig has checked mu, nu and f_ec.
     """
     mu, nu = keyrate.mu, keyrate.nu
-    if not mu * nu - nu * nu > 0.0:
-        raise PreconditionError("decoy intensities: mu * nu - nu^2 rounds to 0")
     for name, v in zip(("q_mu", "q_nu", "e_mu", "e_nu", "y0"), (q_mu, q_nu, e_mu, e_nu, y0)):
         if not 0.0 <= v <= 1.0:
             raise PreconditionError(f"{name} must be in [0, 1]")

@@ -111,7 +111,7 @@ def test_criterion_4_bb84_sweep():
         rng_seed=7,
         mzi=mzi,
     )
-    sifts, sweep = experiments.run_sweep(cfg, protocols.BB84)
+    sifts, sweep = experiments.run_sweep(cfg)
     details = []
     band_ok = True
     for mc, loss, qber in zip(sifts, sweep.loss_db, sweep.qber, strict=True):

@@ -430,7 +430,7 @@ class TestSweeps:
             mzi=replace(ExperimentConfig().mzi, visibility=0.952),
             output_path=str(out),
         )
-        sifts, curve = experiments.run_sweep(cfg, "bb84")
+        sifts, curve = experiments.run_sweep(cfg)
         assert curve.loss_db.tolist() == [0.0, 10.0]
         for mc, qber, secure in zip(sifts, curve.qber, curve.secure_rate_bps, strict=True):
             se = math.sqrt(qber * (1 - qber) / max(mc.sifted_count, 1))
@@ -450,7 +450,7 @@ class TestSweeps:
             source=SourceConfig(mean_photon_number=0.2),
             mzi=replace(ExperimentConfig().mzi, visibility=0.962),
         )
-        sifts, curve = experiments.run_sweep(cfg, "dps")
+        sifts, curve = experiments.run_sweep(cfg)
         mc, qber = sifts[0], curve.qber[0]
         se = math.sqrt(qber * (1 - qber) / max(mc.sifted_count, 1))
         assert abs(mc.qber - qber) < 5 * se
@@ -466,7 +466,7 @@ class TestSweeps:
             rng_seed=7,
             mzi=mzi,
         )
-        (mc,), curve = experiments.run_sweep(cfg, protocol)
+        (mc,), curve = experiments.run_sweep(cfg)
         (qber,) = curve.qber
         e_det = 0.5 * (1 - 0.952 * math.cos(0.5))
         assert qber == pytest.approx(e_det, rel=0.02)
@@ -479,17 +479,19 @@ class TestSweeps:
         # source.mean_photon_number per DPS pulse
         cfg = replace(load_config(CONFIG_DIR / f"{protocol}_sweep.cfg"), output_path=None)
         mu = cfg.keyrate.mu if protocol == "bb84" else cfg.source.mean_photon_number
-        _, curve = experiments.run_sweep(cfg, protocol)
+        _, curve = experiments.run_sweep(cfg)
         assert curve.loss_db.tolist() == list(cfg.losses)
         for loss_db, curve_qber in zip(curve.loss_db.tolist(), curve.qber.tolist(), strict=True):
             channel = ChannelParams(loss_db)
             _, qber = expected_gain_qber(protocol, mu, channel, cfg.mzi, cfg.detector)
             assert curve_qber == qber
 
-    def test_unknown_protocol_rejected(self):
-        cfg = ExperimentConfig(experiment="bb84_sweep", trials=10)
-        with pytest.raises(PreconditionError):
-            experiments.run_sweep(cfg, "cow")
+    def test_other_experiment_rejected(self):
+        # the protocol follows from cfg.experiment, and only a sweep names one
+        for experiment in ("phase_voltage", "randomization", "stability"):
+            cfg = ExperimentConfig(experiment=experiment, trials=10)
+            with pytest.raises(PreconditionError, match=f"'{experiment}' is not a rate sweep"):
+                experiments.run_sweep(cfg)
 
     @pytest.mark.parametrize("protocol", ["bb84", "dps"])
     @pytest.mark.parametrize(
@@ -501,7 +503,7 @@ class TestSweeps:
         cfg = replace(
             ExperimentConfig(experiment=f"{protocol}_sweep"), trials=trials, losses=losses, rng_seed=5
         )
-        sifts, _ = experiments.run_sweep(cfg, protocol)
+        sifts, _ = experiments.run_sweep(cfg)
         if protocol == "bb84":
             mu, n = cfg.keyrate.mu / 2.0, max(1, trials // 2)
         else:
@@ -525,7 +527,7 @@ class TestSweeps:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, curve = experiments.run_sweep(cfg, protocol)
+            _, curve = experiments.run_sweep(cfg)
         if dark_rate == 0.0:
             assert (curve.sifted_rate_bps[-1], curve.qber[-1]) == (0.0, 0.0)
         assert all(secure >= 0.0 for secure in curve.secure_rate_bps)
@@ -550,7 +552,7 @@ class TestSweeps:
             losses=[0.0, 5.0],
             rng_seed=1,
         )
-        sifts, _ = experiments.run_sweep(cfg, "bb84")
+        sifts, _ = experiments.run_sweep(cfg)
         # one draw covers the whole loss axis: every loss gets clicks
         assert all(mc.sifted_count > 0 for mc in sifts)
 

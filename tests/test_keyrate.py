@@ -132,6 +132,9 @@ class TestDecoyBound:
         # exp(mu) overflows past 709
         with pytest.raises(PreconditionError):
             decoy_bb84_rate(KeyRateConfig(mu=800.0, nu=0.1, f_ec=1.16), 0.1, 0.1, 0.01, 0.01, 0.0)
+        # 0 < nu < mu holds, but mu * nu - nu^2 underflows to 0: the config refuses it
+        with pytest.raises(PreconditionError, match="rounds to 0"):
+            KeyRateConfig(mu=1e-323, nu=5e-324)
 
 
 class TestDpsBound:

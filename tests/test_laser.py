@@ -993,6 +993,12 @@ class TestEdgeStates:
     # a carrier of -0.0 makes the noise amplitude sqrt(-0.0) = -0.0, whose
     # sign a zero part of E takes
     @example(runs=[(-0.0, -5e-324, -0.0, 0.0, 1.0, 1.0)], n_steps=1, alpha=3.0, scales=(1e-4, 0.0), seed=0)
+    # E = (-0, +0) at the threshold carrier and pump, a -1 first Re
+    # increment, both scales at 5e-324 and, at seed 9, a master whose second
+    # sample is in the third quadrant: without the zero terms ZERO_TERMS
+    # lists, Im E of sample 1 is -0.0 where the oracle's is +0.0, at every
+    # --hypothesis-seed
+    @example(runs=[(-0.0, 0.0, 2000.0, 1.0, -1.0, 1.0)], n_steps=1, alpha=0.0, scales=(5e-324, 5e-324), seed=9)
     def test_runs_equal_the_oracle(self, params, runs, n_steps, alpha, scales, seed):
         beta, kappa = scales
         p = replace(params, linewidth_enhancement=alpha, spontaneous_fraction=beta, injection_coupling=kappa)
