@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import laser
 from .config import ExperimentConfig
-from .errors import IntegrationDivergedError, PreconditionError
+from .errors import PreconditionError
 from .keyrate import RateCurve, bb84_rate_points, dps_rate_points
 from .optics import decoder_ports
 from .protocols import BB84, DPS, SiftResult, simulate_links
-from .source import SourceConfig, phase_from_voltage
+from .source import phase_from_voltage
 
 
 def write_table(path, header: str, rows: np.ndarray, items=()) -> None:
@@ -46,73 +45,6 @@ def _write_outputs(cfg: ExperimentConfig, header: str, rows: np.ndarray, summary
 # phase vs voltage
 
 
-# The physical path steps the rate equations at this interval, for a
-# window of one sample of the bias, the perturbation, then _POST for the
-# laser to settle.
-_DT = 2e-13
-_POST = 1.5e-9
-# At most this many steps in each run's window, not a bound on the number
-# of runs; with no trace and three pump segments a run, it bounds the time,
-# not the memory (30 voltages at the cap: ~0.2 s, ~40 MiB on one x86_64 core).
-_MAX_STEPS = 1e6
-
-
-def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
-    """Net phase of the noiseless rate-equation laser for a drive step of each voltage.
-
-    The step per volt makes +V_pi give pi, in closed form from the integral
-    of the adiabatic and transient chirp (Koch & Bowers, Electron. Lett. 20,
-    1038 (1984)): a settled step dJ held for t accrues (alpha eps / 2) dS t
-    / tau_p, with the stationary dS = dJ tau_p / (1 + eps / (g tau_n)), so
-    pi takes dJ = 2 pi (1 + eps / (g tau_n)) / (alpha eps t), with t the
-    step's count of _DT samples.
-
-    The reference, the unperturbed laser, and each voltage are the runs of
-    one kernel call, the reference first, each from the bias's stationary
-    state with a pump of three held segments: one sample of the bias (the
-    pump of the step's first Heun predictor, so the trapezoidal steps hold
-    the level for t), the level, the bias.  A phase is its run's net phase,
-    np.unwrap's over the whole window (the angle of the last sample plus
-    2 pi per turn the kernel counts), minus the reference's.  A divergence
-    raises and names the first diverging run in input order, the reference
-    first, at its sample of the window.  Nothing refuses a step that leaves
-    the model: at the defaults the bias is 2 J_th = 4e12 /s and the drive
-    step 2.44e12 /s per volt, so its pump is under threshold below -0.819 V
-    and negative below -1.638 V, integrated and written with no flag (the
-    rule is left to ROADMAP items 3 and 8).
-    """
-    duration = source.perturbation_duration
-    if not (duration / _DT > 0.5 and (duration + _POST) / _DT <= _MAX_STEPS):
-        raise PreconditionError(
-            f"physical_mode: source.perturbation_duration = {duration:g} s must span "
-            f"1 to {_MAX_STEPS - _POST / _DT:,.0f} rate-equation steps of {_DT * 1e12:g} ps"
-        )
-    # samples of the step and of the bias after it, as
-    # DriveWaveform.from_segments counts them; the drive ends on one more
-    n_step, n_post = (int(round(t / _DT)) for t in (duration, _POST))
-    quiet = laser.LaserParams(spontaneous_fraction=0.0)
-    eps, alpha, t_m = quiet.gain_compression, quiet.linewidth_enhancement, n_step * _DT
-    step = math.tau * (1.0 + eps / (quiet.gain_slope * quiet.carrier_lifetime)) / (alpha * eps * t_m)
-    with np.errstate(over="ignore"):
-        drive_steps = (step / source.halfwave_voltage) * np.asarray(voltages, dtype=float)
-    if not np.isfinite(drive_steps).all():
-        raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
-    bias = 2.0 * quiet.threshold_current
-    n0, s0 = laser.stationary_state(quiet, bias)
-    runs = np.append(bias, bias + drive_steps)
-    ends = [bias] * len(runs)
-    field, carrier, diverged, turns = laser.integrate_pumps(
-        quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
-        trace=False, holds=[1, n_step, n_post + 1],
-    )
-    if diverged.any():
-        j = np.flatnonzero(diverged)[0]
-        raise IntegrationDivergedError(diverged[j], field[-1, j], carrier[-1, j])
-    # sample 0 is real and positive, at angle 0
-    nets = np.angle(field[-1]) + math.tau * turns
-    return (nets[1:] - nets[0]).reshape(drive_steps.shape)
-
-
 @dataclass(frozen=True)
 class PhaseVoltageResult:
     voltages: np.ndarray
@@ -128,7 +60,8 @@ def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
         raise PreconditionError("voltages: a voltage overflows the encoder phase")
     physical = None
     if cfg.physical_mode:
-        physical = physical_phase(cfg.source, voltages)
+        from . import laser  # here, so that the other recipes load no laser
+        physical = laser.physical_phase(cfg.source, voltages)
     if cfg.output_path:
         if physical is None:
             rows = np.column_stack([voltages, encoder])

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError, PreconditionError
+from .source import SourceConfig
 
 # Injection detuning beyond this is outside the validity window of the
 # single-mode locking model.
@@ -69,6 +70,16 @@ _STALE_LIBRARY_S = 30 * 86400.0
 
 # The kernel's integer type, converted from ctypes once.
 _LONG = np.dtype(ctypes.c_long)
+
+# The rate-equation step: physical_phase's, and integrate's and
+# integrate_ensemble's default.  physical_phase steps a window of one
+# sample of the bias, the perturbation, then _POST for the laser to settle.
+_DT = 2e-13
+_POST = 1.5e-9
+# At most this many steps in each run's window, not a bound on the number
+# of runs; with no trace and three pump segments a run, it bounds the time,
+# not the memory (30 voltages at the cap: ~0.2 s, ~40 MiB on one x86_64 core).
+_MAX_STEPS = 1e6
 
 
 @dataclass(frozen=True)
@@ -366,6 +377,62 @@ def integrate_pumps(
     return field, carrier, diverged, counts
 
 
+def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
+    """Net phase of the noiseless rate-equation laser for a drive step of each voltage.
+
+    The step per volt makes +V_pi give pi, in closed form from the integral
+    of the adiabatic and transient chirp (Koch & Bowers, Electron. Lett. 20,
+    1038 (1984)): a settled step dJ held for t accrues (alpha eps / 2) dS t
+    / tau_p, with the stationary dS = dJ tau_p / (1 + eps / (g tau_n)), so
+    pi takes dJ = 2 pi (1 + eps / (g tau_n)) / (alpha eps t), with t the
+    step's count of _DT samples.
+
+    The reference, the unperturbed laser, and each voltage are the runs of
+    one kernel call, the reference first, each from the bias's stationary
+    state with a pump of three held segments: one sample of the bias (the
+    pump of the step's first Heun predictor, so the trapezoidal steps hold
+    the level for t), the level, the bias.  A phase is its run's net phase,
+    np.unwrap's over the whole window (the angle of the last sample plus
+    2 pi per turn the kernel counts), minus the reference's.  A divergence
+    raises and names the first diverging run in input order, the reference
+    first, at its sample of the window.  Nothing refuses a step that leaves
+    the model: at the defaults the bias is 2 J_th = 4e12 /s and the drive
+    step 2.44e12 /s per volt, so its pump is under threshold below -0.819 V
+    and negative below -1.638 V, integrated and written with no flag (the
+    rule is left to ROADMAP item 10).
+    """
+    duration = source.perturbation_duration
+    if not (duration / _DT > 0.5 and (duration + _POST) / _DT <= _MAX_STEPS):
+        raise PreconditionError(
+            f"physical_mode: source.perturbation_duration = {duration:g} s must span "
+            f"1 to {_MAX_STEPS - _POST / _DT:,.0f} rate-equation steps of {_DT * 1e12:g} ps"
+        )
+    # samples of the step and of the bias after it, as
+    # DriveWaveform.from_segments counts them; the drive ends on one more
+    n_step, n_post = (int(round(t / _DT)) for t in (duration, _POST))
+    quiet = LaserParams(spontaneous_fraction=0.0)
+    eps, alpha, t_m = quiet.gain_compression, quiet.linewidth_enhancement, n_step * _DT
+    step = math.tau * (1.0 + eps / (quiet.gain_slope * quiet.carrier_lifetime)) / (alpha * eps * t_m)
+    with np.errstate(over="ignore"):
+        drive_steps = (step / source.halfwave_voltage) * np.asarray(voltages, dtype=float)
+    if not np.isfinite(drive_steps).all():
+        raise PreconditionError("physical_mode: a voltage overflows the laser drive step")
+    bias = 2.0 * quiet.threshold_current
+    n0, s0 = stationary_state(quiet, bias)
+    runs = np.append(bias, bias + drive_steps)
+    ends = [bias] * len(runs)
+    field, carrier, diverged, turns = integrate_pumps(
+        quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
+        trace=False, holds=[1, n_step, n_post + 1],
+    )
+    if diverged.any():
+        j = np.flatnonzero(diverged)[0]
+        raise IntegrationDivergedError(diverged[j], field[-1, j], carrier[-1, j])
+    # sample 0 is real and positive, at angle 0
+    nets = np.angle(field[-1]) + math.tau * turns
+    return (nets[1:] - nets[0]).reshape(drive_steps.shape)
+
+
 def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, injection=None, trace=False):
     """Step `n_runs` runs from one state under the pump of `drive`, every `dt`.
 
@@ -409,7 +476,7 @@ def integrate(
     drive: DriveWaveform,
     injection: FieldTrace | None = None,
     noise_seed: int = 0,
-    dt: float = 2e-13,
+    dt: float = _DT,
     initial_field: complex = 1e-6 + 0j,
     initial_carrier: float = 0.0,
 ) -> FieldTrace:
@@ -430,7 +497,7 @@ def integrate_ensemble(
     drive: DriveWaveform,
     n_runs: int,
     rng_seed: int = 0,
-    dt: float = 2e-13,
+    dt: float = _DT,
     initial_field: complex = 0j,
     initial_carrier: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +543,7 @@ def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[flo
 
 def export_trace_csv(trace: FieldTrace, path) -> None:
     """Write a trace as CSV with columns time_s, intensity, carrier, phase_rad."""
-    from .experiments import write_table  # here: experiments imports laser
+    from .experiments import write_table  # here, so that importing laser loads no recipes
 
     data = np.column_stack([trace.times, trace.intensity, trace.carrier, trace.phase])
     write_table(path, "time_s,intensity,carrier,phase_rad", data)

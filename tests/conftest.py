@@ -9,7 +9,7 @@ def kernel_pumps(monkeypatch):
     """The (pump, holds) of each laser.integrate_pumps call, in call order.
 
     Each pump is recorded before the kernel runs it, so a call whose runs
-    diverge leaves its pump too: row 1 of experiments.physical_phase's pump
+    diverge leaves its pump too: row 1 of laser.physical_phase's pump
     holds the exact drive level of each voltage, after the reference's bias.
     """
     calls, batched = [], laser.integrate_pumps

@@ -556,6 +556,37 @@ class TestCli:
         assert (tmp_path / "bb84-sweep.csv").exists()
         assert "physical_phase_rad" in (tmp_path / "phase-voltage.csv").read_text()
 
+    def test_only_a_physical_run_loads_the_laser(self, tmp_path):
+        # the laser, with its ctypes kernel types and its dataclasses, loads
+        # for phase-voltage with physical_mode alone: not with the CLI, nor
+        # for any other recipe's example config
+        physical = (CONFIG_DIR / "phase_voltage.cfg").read_text()
+        (tmp_path / "physical.cfg").write_text(physical.replace("physical_mode = false", "physical_mode = true"))
+        names = ["bb84_sweep", "dps_sweep", "stability", "phase_voltage", "randomization"]
+        runs = [(name.replace("_", "-"), str(CONFIG_DIR / f"{name}.cfg")) for name in names]
+        runs.append(("phase-voltage", "physical.cfg"))
+        script = textwrap.dedent(
+            f"""
+            import json, sys
+
+            import chirplink.cli
+            loaded = [["import", "chirplink.laser" in sys.modules]]
+            for i, (command, cfg) in enumerate({runs!r}):
+                code = chirplink.cli.main([command, "--config", cfg, "--out", f"{{i}}.csv"])
+                loaded.append([command, code, "chirplink.laser" in sys.modules])
+            print(json.dumps(loaded))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        expected = [["import", False]] + [[command, 0, False] for command, _ in runs[:-1]]
+        assert loaded == expected + [["phase-voltage", 0, True]]
+
     @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
     @pytest.mark.parametrize("key", ["source.pulse_width", "detector.gate_period", "mzi.delay"])
     def test_deleted_key_exit_code(self, tmp_path, command, key, capsys):

@@ -107,7 +107,7 @@ class TestCalibration:
         # on and off the step grid: a step is integrated over its count of
         # samples, round(duration / _DT), which is 1 at 0.3 ps and 126 at 25.1 ps
         src = SourceConfig(halfwave_voltage=halfwave_voltage, perturbation_duration=duration)
-        up, down = experiments.physical_phase(src, [halfwave_voltage, -halfwave_voltage])
+        up, down = laser.physical_phase(src, [halfwave_voltage, -halfwave_voltage])
         assert up == pytest.approx(math.pi, rel=1e-3)
         assert down == pytest.approx(-math.pi, rel=1e-3)
 
@@ -121,7 +121,7 @@ class TestCalibration:
         exact = math.pi * volts / cfg.source.halfwave_voltage
         phases = []
         for dt in (2e-13, 1e-13, 5e-14):
-            monkeypatch.setattr(experiments, "_DT", dt)
+            monkeypatch.setattr(laser, "_DT", dt)
             phases.append(experiments.run_phase_voltage(replace(cfg, voltages=volts.tolist())).physical_phase)
         errors = [phase - exact for phase in phases]
         for coarse, fine in zip(errors, errors[1:]):
@@ -129,7 +129,7 @@ class TestCalibration:
         assert np.abs((4.0 * phases[2] - phases[1]) / 3.0 - exact).max() <= 1e-6
 
     def test_physical_phase_odd_in_voltage(self):
-        up, down = experiments.physical_phase(SourceConfig(), [0.2, -0.2])
+        up, down = laser.physical_phase(SourceConfig(), [0.2, -0.2])
         assert down == pytest.approx(-up, rel=0.05)
 
     def test_physical_mode_integrates_reference_once(self, kernel_pumps):
@@ -140,8 +140,8 @@ class TestCalibration:
         # first, then one run per voltage, 0 V a copy of the reference; the
         # calibration is a closed form and integrates nothing
         ((pump, holds),) = kernel_pumps
-        n_step = round(cfg.source.perturbation_duration / experiments._DT)
-        n_post = round(experiments._POST / experiments._DT)
+        n_step = round(cfg.source.perturbation_duration / laser._DT)
+        n_post = round(laser._POST / laser._DT)
         assert holds == [1, n_step, n_post + 1]
         bias = pump[0, 0]
         # every run holds the bias, its level for the step's samples, then the bias again
@@ -183,7 +183,7 @@ class TestCalibration:
             turns = round((trace.phase[-1] - angle[-1]) / two_pi)
             return angle[-1] + two_pi * turns - angle[0], trace.phase[-1] - trace.phase[0], turns
 
-        phases = experiments.physical_phase(source, [-0.5, -0.35, -0.1, 0.1, 0.35, 0.5, -3.0])
+        phases = laser.physical_phase(source, [-0.5, -0.35, -0.1, 0.1, 0.35, 0.5, -3.0])
         ((pump, _),) = kernel_pumps
         reference = whole_window(pump[1, 0])
         for phase, level in zip(phases, pump[1, 1:]):
@@ -195,7 +195,7 @@ class TestCalibration:
         assert whole_window(pump[1, -1])[2] == 4 and reference[2] == 8
         # a diverging run names the sample of the whole window, at the same state
         with pytest.raises(IntegrationDivergedError) as resumed:
-            experiments.physical_phase(source, [1e6])
+            laser.physical_phase(source, [1e6])
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window(kernel_pumps[-1][0][1, 1])
         assert str(resumed.value) == str(whole.value)
@@ -215,7 +215,7 @@ class TestCalibration:
         # the first request steps the reference and its levels from sample 0
         source = SourceConfig()
         with pytest.raises(IntegrationDivergedError) as fresh:
-            experiments.physical_phase(source, [0.1, 1e6, 2e6])
+            laser.physical_phase(source, [0.1, 1e6, 2e6])
         ((pump, _),) = kernel_pumps
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window_trace(pump[1, 2], source.perturbation_duration)
@@ -232,10 +232,10 @@ class TestCalibration:
         volts += [0.025 * i for i in range(-11, 12, 2)] + [0.4, -0.4, 0.45, -0.45]
         assert len(set(volts)) > 24
         # all at once, one at a time, and in two calls
-        phases = [experiments.physical_phase(source, volts)]
-        phases.append(np.array([float(experiments.physical_phase(source, v)) for v in volts]))
-        phases.append(np.concatenate([experiments.physical_phase(source, volts[:2]),
-                                      experiments.physical_phase(source, volts[2:])]))
+        phases = [laser.physical_phase(source, volts)]
+        phases.append(np.array([float(laser.physical_phase(source, v)) for v in volts]))
+        phases.append(np.concatenate([laser.physical_phase(source, volts[:2]),
+                                      laser.physical_phase(source, volts[2:])]))
         assert all(phase.tobytes() == phases[0].tobytes() for phase in phases)
         assert phases[0][2] == 0.0 and phases[0][0] == phases[0][6]
 
@@ -298,7 +298,7 @@ class TestCalibration:
 
 def whole_window_trace(level, duration):
     """One integration of the noiseless laser over the whole window of a drive level."""
-    dt, post = experiments._DT, experiments._POST
+    dt, post = laser._DT, laser._POST
     quiet = replace(laser.LaserParams(), spontaneous_fraction=0.0)
     bias = 2.0 * quiet.threshold_current
     n0, s0 = laser.stationary_state(quiet, bias)

@@ -473,18 +473,11 @@ class TestAxisBits:
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
-    @pytest.mark.parametrize(
-        "ufunc, domain",
-        [
-            (np.exp, st.floats(-750.0, 709.0)),
-            (np.log2, st.floats(0.0, 1e300, exclude_min=True)),
-            (np.cos, st.floats(-1e6, 1e6)),
-        ],
-        ids=["exp", "log2", "cos"],
-    )
+    @pytest.mark.parametrize("ufunc, domain", [(np.cos, st.floats(-1e6, 1e6))], ids=["cos"])
     def test_ufunc_bits_independent_of_position(self, ufunc, domain, data):
-        # the axis forms rest on this: a value gets the same bits alone (0-d)
-        # and at any offset of an array, whatever the SIMD lanes and tails
+        # decoder_ports' np.cos rests on this: a value gets the same bits
+        # alone (0-d) and at any offset of an array, whatever the SIMD lanes
+        # and tails; no link output reads np.exp or np.log2
         values = np.array(data.draw(st.lists(domain, min_size=17, max_size=17)))
         alone = np.array([ufunc(np.array(v)) for v in values])
         for n in range(1, 18):

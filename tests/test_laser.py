@@ -269,11 +269,10 @@ class TestFMResponse:
                 assert 3.5 < abs(coarse[b, f] - mid[b, f]) / abs(mid[b, f] - fine[b, f]) < 4.5, (b, f)
 
     def test_zero_frequency_is_the_drive_calibration(self, quiet, kernel_pumps):
-        from chirplink import experiments
         from chirplink.source import SourceConfig
 
         cfg = SourceConfig()
-        experiments.physical_phase(cfg, [cfg.halfwave_voltage])
+        laser.physical_phase(cfg, [cfg.halfwave_voltage])
         ((pump, _),) = kernel_pumps
         # dJ(V_pi), the level less the bias: within 6e-16 of the closed form, relative
         per_unit_drive = math.pi / (pump[1, 1] - pump[1, 0])
