@@ -65,8 +65,6 @@ class StabilityConfig:
         # 0 and 1 give a zero model std, so the normal overlay is undefined
         if not 0.0 < self.true_qber < 1.0:
             raise PreconditionError("true_qber must be in (0, 1)")
-        if self.sifted_rate_bps <= 0:
-            raise PreconditionError("sifted_rate_bps must be positive")
         # bounded as floats, which may be inf, before the properties round them
         if not 0.5 < self.sifted_rate_bps * self.integration_time < 2.0**63:
             raise PreconditionError(

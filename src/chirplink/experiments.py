@@ -54,7 +54,7 @@ class PhaseVoltageResult:
 
 def run_phase_voltage(cfg: ExperimentConfig) -> PhaseVoltageResult:
     voltages = np.asarray(cfg.voltages, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         encoder = phase_from_voltage(voltages, cfg.source)
     if not np.isfinite(encoder).all():
         raise PreconditionError("voltages: a voltage overflows the encoder phase")

@@ -1,4 +1,4 @@
-"""BB84 and differential-phase-shift encoding, sifting and link statistics.
+"""Link statistics of BB84 and differential-phase-shift QKD: one law and its Monte Carlo.
 
 BB84 encodes each symbol on a pulse pair (coherence block of two) as a
 differential phase from {0, pi/2, pi, 3pi/2}; the receiver's basis is a

@@ -653,6 +653,9 @@ class TestInputBounds:
             ("bb84-sweep", "keyrate.mu = 1000\nkeyrate.nu = 1", "keyrate.mu must be <="),
             ("bb84-sweep", "keyrate.mu = 1e-323\nkeyrate.nu = 5e-324", "rounds to 0"),
             ("stability", "stability.sifted_rate_bps = 1e19", "sifted bits"),
+            # the product bound also refuses a rate that is not positive
+            ("stability", "stability.sifted_rate_bps = -1", "sifted_rate_bps * integration_time must round to 1"),
+            ("stability", "stability.sifted_rate_bps = 0", "sifted_rate_bps * integration_time must round to 1"),
             (
                 "stability",
                 "stability.integration_time = 1e-5\nstability.sifted_rate_bps = 1e6",

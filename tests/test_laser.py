@@ -910,6 +910,53 @@ class TestHeldPumps:
             laser.integrate_pumps(params, levels, DT, 1e-3, 0.0, np.zeros(10), holds=[4, 5])
 
 
+def knots(drive):
+    """The samples of a drive of held levels that np.interp needs: the first
+    and the last, and both samples at each level change."""
+    change = np.flatnonzero(drive.current[1:] != drive.current[:-1])
+    keep = np.unique(np.r_[0, change, change + 1, drive.times.size - 1])
+    return laser.DriveWaveform(drive.times[keep], drive.current[keep])
+
+
+@st.composite
+def held_drives(draw):
+    """A from_segments drive of 1 to 5 segments of 0 to 40 samples each.
+
+    Its levels are +0.0 or multiples of the threshold current, never -0.0:
+    np.interp returns a sample's own value where a step time lands on it,
+    and between two knots of one level 0 * (t - t_k) + level, which is +0.0
+    for a level of -0.0, so a dense drive and its knots would give the kernel
+    pumps of different signs there.
+    """
+    interval = draw(st.sampled_from([1e-11, 3e-12, 2e-13]))
+    counts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=5).filter(any))
+    levels = draw(st.lists(st.floats(0.0, 4.0), min_size=len(counts), max_size=len(counts)))
+    th = laser.LaserParams().threshold_current
+    return laser.DriveWaveform.from_segments([(n * interval, k * th) for n, k in zip(counts, levels)], interval)
+
+
+class TestDriveKnots:
+    """[DERIVED] np.interp is linear between adjacent samples, so between two
+    knots of one level it is that level, and a ramp is the same two samples
+    in both drives: a drive of held levels and its knots alone give the
+    kernel the same pump, and every run the same bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drive=held_drives(), seed=st.integers(0, 2**32 - 1))
+    def test_knots_integrate_as_the_dense_drive(self, params, steady, drive, seed):
+        sparse = knots(drive)
+        assert not np.signbit(drive.current).any()
+        quiet = replace(params, spontaneous_fraction=0.0)
+        injected = replace(params, injection_coupling=5e10, detuning=1.5e9)
+        for p, kwargs in ((quiet, {}), (params, {"noise_seed": seed}), (injected, {"injection": steady})):
+            dense, alone = (laser.integrate(p, d, dt=DT, **kwargs) for d in (drive, sparse))
+            assert [a.tobytes() for a in (dense.times, dense.field, dense.carrier)] == [
+                a.tobytes() for a in (alone.times, alone.field, alone.carrier)
+            ]
+        dense, alone = (laser.integrate_ensemble(params, d, 25, seed, DT) for d in (drive, sparse))
+        assert [a.tobytes() for a in dense] == [a.tobytes() for a in alone]
+
+
 # the field's parts: signed zeros, subnormals, tiny values whose squares
 # underflow, 1, and values whose squares pass the cap
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1.0, -1.0, 1e150, -1e150]
@@ -1438,12 +1485,21 @@ class TestValidationAndExport:
 
     def test_drive_validation(self):
         with pytest.raises(PreconditionError):
-            laser.DriveWaveform(np.array([0.0, 1.0, 1.5]), np.array([1.0, 1.0, 1.0]))
-        with pytest.raises(PreconditionError):
             laser.DriveWaveform(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         for times, current in (([0.0, 1.0, 2.0], [1.0, math.nan, 1.0]), ([0.0, math.inf], [1.0, 1.0])):
             with pytest.raises(PreconditionError, match="drive samples must be finite"):
                 laser.DriveWaveform(np.array(times), np.array(current))
+
+    def test_off_grid_drive_steps_its_interpolant(self, params, kernel_pumps):
+        # a ramp whose ends lie on no uniform grid: the kernel's held pump is
+        # the drive's piecewise-linear interpolant at every step time
+        th = params.threshold_current
+        drive = laser.DriveWaveform(np.array([0.0, 0.3712e-9, 0.3859e-9, 1.0e-9]), np.array([0.2, 0.2, 3.0, 3.0]) * th)
+        trace = laser.integrate(params, drive, dt=DT)
+        ((levels, holds),) = kernel_pumps
+        assert len(holds) > 2  # the ramp's own levels, between the two held ones
+        pump = np.repeat(levels[:, 0], holds)
+        assert pump.tobytes() == np.interp(trace.times, drive.times, drive.current).tobytes()
 
     @pytest.mark.parametrize(
         "segments",
