@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_finite
 from .optics import DetectorParams, InterferometerParams
 from .source import SourceConfig
 
@@ -40,6 +40,7 @@ class KeyRateConfig:
     f_ec: float = 1.16
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.nu < self.mu:
             raise PreconditionError("keyrate intensities must satisfy 0 < nu < mu")
         if self.mu > 709.0:

@@ -1,9 +1,18 @@
-"""Exception types shared across the simulator: one per failure exit code
-of the CLI, 2 for a refusal and 3 for a runaway integration."""
+"""Exception types, one per failure exit code of the CLI (2 for a refusal,
+3 for a runaway integration), and the finiteness check every parameter record makes first."""
+
+import math
 
 
 class PreconditionError(ValueError):
     """An operation or a configuration was given input outside its contract."""
+
+
+def require_finite(record) -> None:
+    """Refuse a record with a non-finite field, named: NaN passes every range check."""
+    for name, value in vars(record).items():
+        if not math.isfinite(value):
+            raise PreconditionError(f"{name} must be finite, got {value!r}")
 
 
 class IntegrationDivergedError(RuntimeError):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, PreconditionError
+from .errors import IntegrationDivergedError, PreconditionError, require_finite
 from .source import SourceConfig
 
 # Injection detuning beyond this is outside the validity window of the
@@ -64,9 +64,6 @@ EXTINCTION_FLOOR_FRACTION = 1e-3
 # value, only whether a negative argument would set errno.
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_heun.c")
 _CFLAGS = ("-O2", "-ftree-vectorize", "-fno-math-errno", "-shared", "-fPIC", "-ffp-contract=off")
-# A build removes the cache's libraries that no process has built or
-# loaded (a load refreshes the mtime) for this long.
-_STALE_LIBRARY_S = 30 * 86400.0
 
 # The kernel's integer type, converted from ctypes once.
 _LONG = np.dtype(ctypes.c_long)
@@ -97,10 +94,7 @@ class LaserParams:
     detuning: float = 0.0
 
     def __post_init__(self):
-        # NaN passes every comparison below
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise PreconditionError(f"{name} must be finite, got {value!r}")
+        require_finite(self)
         if self.carrier_lifetime <= 0 or self.photon_lifetime <= 0:
             raise PreconditionError("lifetimes must be strictly positive")
         if self.gain_slope <= 0:
@@ -230,7 +224,8 @@ def _heun():
     It is built for this CPU, with _target()'s flag.  The library is cached
     under $XDG_CACHE_HOME/chirplink (default ~/.cache/chirplink), named by
     the sha256 of the source, the gcc command with its target flag and the
-    machine architecture.  It is written under a temporary name and moved
+    machine architecture; the cache is never swept, and a load writes
+    nothing.  A build writes under a temporary name and moves the library
     into place, so runs that compile at once do not clash.  Where the cache
     cannot be written, it is built in a private temporary directory.
     """
@@ -244,12 +239,7 @@ def _heun():
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "chirplink")
     lib = os.path.join(cache, f"heun-{key}.so")
     private = None
-    if os.path.exists(lib):
-        try:
-            os.utime(lib)
-        except OSError:  # a read-only cache
-            pass
-    else:
+    if not os.path.exists(lib):
         import subprocess  # only to compile
 
         try:
@@ -270,15 +260,6 @@ def _heun():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        if not private:
-            built = os.stat(lib).st_mtime
-            for name in os.listdir(cache):
-                other = os.path.join(cache, name)
-                try:
-                    if name.startswith("heun-") and built - os.stat(other).st_mtime > _STALE_LIBRARY_S:
-                        os.remove(other)
-                except OSError:  # gone already, or not ours to remove
-                    pass
     kernel = ctypes.CDLL(lib).chirplink_heun
     if private:  # the loaded library stays mapped
         os.remove(lib)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_finite
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class ChannelParams:
     loss_per_km: float = 0.2
 
     def __post_init__(self):
+        require_finite(self)
         if self.loss_db < 0:
             raise PreconditionError("loss_db must be >= 0")
         if self.loss_per_km < 0:
@@ -48,6 +49,7 @@ class InterferometerParams:
     visibility: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.insertion_loss_db < 0:
             raise PreconditionError("insertion_loss_db must be >= 0")
         if not 0.0 <= self.visibility <= 1.0:
@@ -65,6 +67,7 @@ class DetectorParams:
     gate_width: float = 0.25e-9
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.efficiency <= 1.0:
             raise PreconditionError("efficiency must be in [0, 1]")
         if self.dark_rate < 0:

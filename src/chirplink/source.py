@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_finite
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class SourceConfig:
     mean_photon_number: float = 0.25
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 < self.clock_rate * 2.0**63 < math.inf:
             raise PreconditionError("clock_rate must be positive, and finite times 2**63 counts")
         if self.halfwave_voltage <= 0:

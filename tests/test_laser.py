@@ -1218,31 +1218,37 @@ class TestKernelBuild:
         assert second.returncode == 0, second.stderr
         assert second.stdout.strip() == "False"  # loaded, not compiled
 
-    def test_build_removes_stale_libraries(self, tmp_path):
-        # another checkout's library unused for 40 days goes; one in use stays
+    def test_build_keeps_other_keys_libraries(self, tmp_path):
+        # the cache keeps one library per key and is never swept: another
+        # key's library unused for 40 days stays, its mtime untouched
         cache = tmp_path / "chirplink"
         cache.mkdir()
-        stale, fresh = cache / "heun-0000000000000000.so", cache / "heun-1111111111111111.so"
-        for lib in (stale, fresh):
-            lib.write_bytes(b"another checkout's kernel")
-        forty_days_ago = stale.stat().st_mtime - 40 * 86400
-        os.utime(stale, (forty_days_ago, forty_days_ago))
+        other = cache / "heun-0000000000000000.so"
+        other.write_bytes(b"another checkout's kernel")
+        forty_days_ago = other.stat().st_mtime_ns - 40 * 86400 * 10**9
+        os.utime(other, ns=(forty_days_ago, forty_days_ago))
         proc = run_fresh(INTEGRATE_ONCE, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"  # compiled
         names = sorted(lib.name for lib in cache.iterdir())
-        assert stale.name not in names and fresh.name in names and len(names) == 2
+        assert other.name in names and len(names) == 2
+        assert other.stat().st_mtime_ns == forty_days_ago
 
-    def test_load_refreshes_library_mtime(self, builds, monkeypatch):
+    def test_load_writes_nothing_into_cache(self, builds, monkeypatch):
         kernels, cache = builds
-        ten_days_ago = min(lib.stat().st_mtime for lib in cache.iterdir()) - 10 * 86400
+        # backdated, so that a write at load time cannot leave the same mtime
+        ten_days_ago = min(lib.stat().st_mtime_ns for lib in cache.iterdir()) - 10 * 86400 * 10**9
         for lib in cache.iterdir():
-            os.utime(lib, (ten_days_ago, ten_days_ago))
+            os.utime(lib, ns=(ten_days_ago, ten_days_ago))
+
+        def mtimes():  # the directory's own moves with any file made or removed in it
+            return cache.stat().st_mtime_ns, {lib.name: lib.stat().st_mtime_ns for lib in cache.iterdir()}
+
+        before = mtimes()
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent))
         laser._heun.__wrapped__()  # this CPU's build, loaded from the cache
-        mtimes = sorted(lib.stat().st_mtime for lib in cache.iterdir())
-        assert len(mtimes) == len(kernels)
-        assert mtimes[-1] > ten_days_ago + 9 * 86400
+        assert len(before[1]) == len(kernels)
+        assert mtimes() == before
 
     def test_unwritable_cache_builds_in_private_directory(self, tmp_path):
         (tmp_path / "cache").write_text("a file, not a directory")
