@@ -1,23 +1,21 @@
 /* Fixed-step stochastic Heun integrator of the rate equations of laser.py,
  * for n_runs independent runs.
  *
- * Each run takes the step of the Python loop kept as the oracle in
- * tests/test_laser.py, written out in real arithmetic in the order
- * CPython 3.11 evaluates it: a float operand of a complex operation is
- * promoted to (x, 0.0), a product is (ar br - ai bi, ar bi + ai br) and a
- * sum adds the parts.  Python's 0.5j * alpha is (0.0, hi) with hi = 0.5
- * alpha >= +0.0, so only hi comes in.  Each zero term of the promotion
- * kept changes some bit the oracle gives for an accepted input, and
- * tests/test_laser.py pins each (test_zero_terms_that_stay).  Gone:
- * hi * 0.0, which is +0.0; 0.0 * 0.0, as 0.0 + (0.0 * 0.0 + y) is 0.0 + y;
- * and 0.0 * sr in ai, which turns ai only from -0.0 to +0.0 where ar >=
- * +0.0 masks it, or to NaN where Im E is NaN anyway (the step diverges,
- * with the same intensity).  Build it with -ffp-contract=off and without
- * -ffast-math: a fused multiply-add, a flush of subnormals or a
- * reordering would change the last bits.  laser._heun builds it for the
- * CPU it runs on: with -mavx512f (8 runs per vector) or -mavx2 (4) where
- * the CPU has it, else with no target flag, and then on x86_64 the
- * corrector loop stays scalar (its 64-bit compare needs SSE4.1).
+ * Each run takes the stochastic Heun step (Kloeden & Platen, Numerical
+ * Solution of SDEs, ch. 14) of those equations in real components, as
+ * oracle_integrate in tests/test_laser.py states it.  With cr = 0.5 (Gc -
+ * 1/tau_p) and ci = (alpha/2) (Gu - 1/tau_p), rates() gives dE = (cr Re E -
+ * ci Im E, cr Im E + ci Re E), plus kappa E_inj where injected, and dN = J -
+ * N (1/tau_n) - Gc |E|^2.  The predictor is E + dE1 dt, N + dN1 dt; the
+ * corrector E + (dE1 + dE2) h, N + (dN1 + dN2) h, with h = dt/2.  A noisy
+ * run adds the Langevin kick, amplitude sqrt(max(N, 0) c) with c = beta
+ * (1/tau_n) h, to both parts of E in the predictor and in the corrector.
+ * Build it with -ffp-contract=off and without -ffast-math: a fused
+ * multiply-add, a flush of subnormals or a reordering would change the
+ * last bits.  laser._heun builds it for the CPU it runs on: with -mavx512f
+ * (8 runs per vector) or -mavx2 (4) where the CPU has it, else with no
+ * target flag, and then on x86_64 the corrector loop stays scalar (its
+ * 64-bit compare needs SSE4.1).
  *
  * Loop order: the runs go in blocks of up to LANES, and a block is stepped
  * through all of its steps before the next starts, each run's state in a
@@ -67,26 +65,22 @@
 /* The bits of x: the top one is its sign bit. */
 static inline uint64_t bits(double x) { uint64_t u; memcpy(&u, &x, sizeof u); return u; }
 
-/* The right-hand side at E = er + i ei, N = n and the pump p, as the
- * oracle's de and dn lines compute it: de = (0.5 (gc - 1/tau_p) +
- * half_alpha_j (gu - 1/tau_p)) * e, plus kappa * inj where injected, and
- * dn = p - n / tau_n - gc s. */
+/* The right-hand side at E = er + i ei, N = n and the pump p, as the top
+ * of this file states it; hi is alpha/2. */
 typedef struct { double er, ei, n; } rate;
 
 static inline __attribute__((always_inline)) rate rates(
-    double er, double ei, double n, double p, const double *inj, double tau_n, double inv_tau_p,
+    double er, double ei, double n, double p, const double *inj, double inv_tau_n, double inv_tau_p,
     double g, double n_tr, double eps, double hi, double kappa, const int injected)
 {
     double s = er * er + ei * ei;
     double gu = g * (n - n_tr);
     double gc = gu / (1.0 + eps * s);
-    double x = gu - inv_tau_p;
-    double cr = 0.5 * (gc - inv_tau_p) + 0.0 * x;
-    double ci = 0.0 + hi * x;
-    rate d = {cr * er - ci * ei, cr * ei + ci * er, p - n / tau_n - gc * s};
+    double cr = 0.5 * (gc - inv_tau_p), ci = hi * (gu - inv_tau_p);
+    rate d = {cr * er - ci * ei, cr * ei + ci * er, p - n * inv_tau_n - gc * s};
     if (injected) {
-        d.er = d.er + (kappa * inj[0] - 0.0 * inj[1]);
-        d.ei = d.ei + (kappa * inj[1] + 0.0 * inj[0]);
+        d.er = d.er + kappa * inj[0];
+        d.ei = d.ei + kappa * inj[1];
     }
     return d;
 }
@@ -96,7 +90,7 @@ static inline __attribute__((always_inline)) rate rates(
  * their turns.  One copy for each presence of inj and xi and each w, so
  * that no branch is left inside the loop over lanes. */
 static inline __attribute__((always_inline)) void block(
-    const long w, long m, long j0, long n_steps, long n_runs, double tau_n, double inv_tau_p,
+    const long w, long m, long j0, long n_steps, long n_runs, double inv_tau_n, double inv_tau_p,
     double g, double n_tr, double eps, double hi, double beta, double kappa, double dt,
     const double *pump, const long *seg_end, const double *inj, const uint64_t *xi,
     double *restrict field, double *restrict carrier, int trace, long *restrict diverged,
@@ -107,6 +101,8 @@ static inline __attribute__((always_inline)) void block(
     /* the pumps of samples k and k + 1; the latter is reloaded only where a segment ends */
     double p0[LANES], p1[LANES];
     long dv[LANES], s = 0;
+    /* the corrector's dt/2, and the Langevin amplitude's square per carrier */
+    const double h = 0.5 * dt, c = beta * inv_tau_n * h;
     for (long l = 0; l < w; l++) {
         long j = j0 + (l < m ? l : m - 1);
         er[l] = field[2 * j];
@@ -127,43 +123,36 @@ static inline __attribute__((always_inline)) void block(
         double noise_r[LANES], noise_i[LANES];
         for (long l = 0; l < w; l++) {
             double er_ = er[l], ei_ = ei[l], nc_ = nc[l];
-            rate d1 = rates(er_, ei_, nc_, p0[l], i0 + 2 * l, tau_n, inv_tau_p, g, n_tr, eps, hi,
-                            kappa, injected);
-
-            double nr = 0.0, ni = 0.0;
-            if (noisy) {
-                /* the run's bits of Re and Im; a spare lane reads the block's last run's */
-                long i = 2 * k * n_runs + j0 + (l < m ? l : m - 1), j = i + n_runs;
-                double amp = sqrt((0.0 > nc_ ? 0.0 : nc_) * beta / tau_n * dt * 0.5);
-                nr = amp * (xi[i >> 6] >> (i & 63) & 1 ? 1.0 : -1.0);
-                ni = amp * (xi[j >> 6] >> (j & 63) & 1 ? 1.0 : -1.0);
-            }
-
-            /* ep = e + de1 * dt + noise */
-            ep_r[l] = er_ + (d1.er * dt - d1.ei * 0.0) + nr;
-            ep_i[l] = ei_ + (d1.er * 0.0 + d1.ei * dt) + ni;
+            rate d1 = rates(er_, ei_, nc_, p0[l], i0 + 2 * l, inv_tau_n, inv_tau_p, g, n_tr, eps,
+                            hi, kappa, injected);
+            ep_r[l] = er_ + d1.er * dt;
+            ep_i[l] = ei_ + d1.ei * dt;
             np1[l] = nc_ + d1.n * dt;
             de1_r[l] = d1.er;
             de1_i[l] = d1.ei;
             dn1_[l] = d1.n;
             if (noisy) {
-                noise_r[l] = nr;
-                noise_i[l] = ni;
+                /* the run's bits of Re and Im; a spare lane reads the block's last run's */
+                long i = 2 * k * n_runs + j0 + (l < m ? l : m - 1), j = i + n_runs;
+                double amp = sqrt((0.0 > nc_ ? 0.0 : nc_) * c);
+                noise_r[l] = amp * (xi[i >> 6] >> (i & 63) & 1 ? 1.0 : -1.0);
+                noise_i[l] = amp * (xi[j >> 6] >> (j & 63) & 1 ? 1.0 : -1.0);
+                ep_r[l] = ep_r[l] + noise_r[l];
+                ep_i[l] = ep_i[l] + noise_i[l];
             }
         }
         uint64_t flipped = 0;
         for (long l = 0; l < w; l++) {
             double er_ = er[l], ei_ = ei[l], nc_ = nc[l];
-            double nr = noisy ? noise_r[l] : 0.0, ni = noisy ? noise_i[l] : 0.0;
-            rate d2 = rates(ep_r[l], ep_i[l], np1[l], p1[l], i1 + 2 * l, tau_n, inv_tau_p, g, n_tr,
-                            eps, hi, kappa, injected);
-
-            /* e = e + 0.5 * (de1 + de2) * dt + noise */
-            double sr = de1_r[l] + d2.er, si = de1_i[l] + d2.ei;
-            double ar = 0.5 * sr - 0.0 * si, ai = 0.5 * si;
-            double er1_ = er_ + (ar * dt - ai * 0.0) + nr;
-            double ei1_ = ei_ + (ar * 0.0 + ai * dt) + ni;
-            double nc1 = nc_ + 0.5 * (dn1_[l] + d2.n) * dt;
+            rate d2 = rates(ep_r[l], ep_i[l], np1[l], p1[l], i1 + 2 * l, inv_tau_n, inv_tau_p, g,
+                            n_tr, eps, hi, kappa, injected);
+            double er1_ = er_ + (de1_r[l] + d2.er) * h;
+            double ei1_ = ei_ + (de1_i[l] + d2.ei) * h;
+            double nc1 = nc_ + (dn1_[l] + d2.n) * h;
+            if (noisy) {
+                er1_ = er1_ + noise_r[l];
+                ei1_ = ei1_ + noise_i[l];
+            }
 
             /* An intensity that is NaN, infinite or above the cap, or a carrier
              * that is not finite, diverges.  The tests are comparisons joined
@@ -206,13 +195,13 @@ static inline __attribute__((always_inline)) void block(
 }
 
 #define BLOCK(w, m, injected, noisy)                                                   \
-    block(w, m, j0, n_steps, n_runs, tau_n, inv_tau_p, g, n_tr, eps, hi, beta, kappa, dt, \
+    block(w, m, j0, n_steps, n_runs, inv_tau_n, inv_tau_p, g, n_tr, eps, hi, beta, kappa, dt, \
           pump, seg_end, inj, xi, field, carrier, trace, diverged, turns, injected, noisy)
 
 /* The entry, as the top of this file describes it: a lone run, and every
  * run with injection, in one lane; a block of 2 to 8 runs without noise in
  * 8 lanes; the rest in LANES. */
-void chirplink_heun(long n_steps, long n_runs, double tau_n, double inv_tau_p, double g, double n_tr,
+void chirplink_heun(long n_steps, long n_runs, double inv_tau_n, double inv_tau_p, double g, double n_tr,
                     double eps, double hi, double beta, double kappa, double dt, const double *pump,
                     const long *seg_end, const double *inj, const uint64_t *xi, double *field,
                     double *carrier, int trace, long *diverged, long *turns)

@@ -59,6 +59,7 @@ class StabilityConfig:
     true_qber: float = 0.0241
 
     def __post_init__(self):
+        require_finite(self)
         if self.duration <= 0 or self.integration_time <= 0:
             raise PreconditionError("duration and integration_time must be positive")
         if self.integration_time > self.duration:

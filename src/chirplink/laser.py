@@ -337,7 +337,7 @@ def integrate_pumps(
     field[0], carrier[0] = initial_field, initial_carrier
     diverged = np.zeros(n_runs, dtype=_LONG)
     coefficients = (
-        params.carrier_lifetime,
+        1.0 / params.carrier_lifetime,
         1.0 / params.photon_lifetime,
         params.gain_slope,
         params.transparency_carrier,

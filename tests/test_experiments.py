@@ -201,14 +201,17 @@ class TestCalibration:
         assert str(resumed.value) == str(whole.value)
 
     def test_default_physical_phases_bit_pin(self):
-        # recorded with one whole-window integration per drive step
+        # recorded with one whole-window run of tests/test_laser.py's
+        # real-form oracle_integrate per drive step: its np.unwrap net phase,
+        # as test_net_phase_equals_whole_window_run takes it, less the
+        # reference's
         cfg = load_config(CONFIG_DIR / "phase_voltage.cfg")
         cfg = replace(cfg, physical_mode=True, output_path=None)
         phases = experiments.run_phase_voltage(cfg).physical_phase
         assert len(phases) == 21
         assert (
             hashlib.sha256(phases.tobytes()).hexdigest()
-            == "c5695d75ad5aed3ce7eaa68cc102bdc5640968650985516ba8315e57755f62de"
+            == "8098e3408f0f14f4d05ddbae0bd00a6e8685d29a5a227e81ca6f7d03da248b01"
         )
 
     def test_fresh_divergence_names_whole_window_sample(self, kernel_pumps):

@@ -373,14 +373,15 @@ def sha256(array):
 
 class TestBitPins:
     """Frozen digests of the traces of scripts/laser_traces.py (seed 12345)
-    pin the Langevin-noise and injection branches of `integrate` bit for bit."""
+    pin the Langevin-noise and injection branches of `integrate` bit for bit;
+    oracle_integrate gives the same digests."""
 
     def test_gain_switched_noisy_trace(self, params):
         th = params.threshold_current
         drive = laser.DriveWaveform.from_segments([(0.5e-9, 0.2 * th), (3e-9, 3.0 * th)], 1e-11)
         trace = laser.integrate(params, drive, noise_seed=12345, dt=DT)
-        assert sha256(trace.field) == "6d9b7e1316cb767efe986da58a014cc871b6aced110712f8519390c81ca66f88"
-        assert sha256(trace.carrier) == "ba2fe41e429a0ddfb0d67466f95690ebd5db5ac7722fbe42fe247a2f00ecba2a"
+        assert sha256(trace.field) == "055f0e9a74ee74ae1cf18311ae4201db40e49c16afe2e9d5002752ffcd9cb47d"
+        assert sha256(trace.carrier) == "c4a61c956b8854a03f8080a5bae8abfed82012d97eed1960e5c0db0f254c512a"
 
     def test_injection_locked_noisy_slave(self, params, steady):
         assert sha256(steady.field) == "f10db547000e53439842237fb428899e29e6fad6fec456affb2453de7654edf7"
@@ -395,8 +396,8 @@ class TestBitPins:
             initial_field=1j * complex(math.sqrt(s0)),
             initial_carrier=n0,
         )
-        assert sha256(slave.field) == "3684940e224ba5bcc9e587e08d12f7c0e06178036c06cef16fd4bdfb71bbfc0f"
-        assert sha256(slave.carrier) == "48361b769775aea23da72459275cbd238551aeb6a3314cc2e5cf1293d30ee95c"
+        assert sha256(slave.field) == "7b8b39442f000bf8d57e1478f99eedf769f5a3553529d917d130b38ec97de538"
+        assert sha256(slave.carrier) == "976f46e6ee2458f01d78934e414b9c8b6b8195e61e4bc4649cf7f07b878f22c7"
 
 
 def noise_words(rng, n_steps, n_runs):
@@ -425,11 +426,18 @@ def seeded_increments(seed, n_steps, n_runs=1):
 
 def oracle_integrate(params, drive, injection=None, noise_seed=0, dt=DT,
                      initial_field=1e-6 + 0j, initial_carrier=0.0, xi=None):
-    """The stochastic Heun step in Python complex arithmetic, step by step.
+    """The stochastic Heun step of the rate equations in laser's docstring,
+    in real components, step by step.
 
-    This is the loop the compiled kernel replaced; the kernel must give the
-    same bits.  `xi`, an (n_steps, 2) array of increments of +-1.0,
-    replaces the increments drawn from `noise_seed`.
+    The scheme is Kloeden & Platen's (Numerical Solution of SDEs, ch. 14):
+    with cr = (Gc - 1/tau_p) / 2 and ci = (alpha / 2) (Gu - 1/tau_p), the
+    drift is dE = (cr Re E - ci Im E, cr Im E + ci Re E) + kappa E_inj and
+    dN = J - N (1/tau_n) - Gc |E|^2; the predictor is E + dE1 dt, the
+    corrector E + (dE1 + dE2) (dt/2), and the Langevin kick, amplitude
+    sqrt(max(N, 0) c) with c = beta (1/tau_n) (dt/2), is added to both
+    only where beta > 0.  The compiled kernel must give the same bits.
+    `xi`, an (n_steps, 2) array of increments of +-1.0, replaces the
+    increments drawn from `noise_seed`.
     """
     t0 = float(drive.times[0])
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
@@ -442,56 +450,61 @@ def oracle_integrate(params, drive, injection=None, noise_seed=0, dt=DT,
         inj = np.interp(times, injection.times, injection.field.real) + 1j * np.interp(
             times, injection.times, injection.field.imag
         )
-        inj = (inj * np.exp(1j * 2.0 * math.pi * params.detuning * (times - t0))).tolist()
+        inj = inj * np.exp(1j * 2.0 * math.pi * params.detuning * (times - t0))
+        inj_re, inj_im = inj.real.tolist(), inj.imag.tolist()
 
-    tau_n = params.carrier_lifetime
+    inv_tau_n = 1.0 / params.carrier_lifetime
     inv_tau_p = 1.0 / params.photon_lifetime
     g = params.gain_slope
     n_tr = params.transparency_carrier
     eps = params.gain_compression
-    half_alpha_j = 0.5j * params.linewidth_enhancement
+    half_alpha = 0.5 * params.linewidth_enhancement
     beta = params.spontaneous_fraction
+    h = 0.5 * dt
+    c = beta * inv_tau_n * h
     if beta > 0.0 and xi is None:
         xi = seeded_increments(noise_seed, n_steps)[:, :, 0]
     if beta > 0.0:
         xi_re, xi_im = xi[:, 0].tolist(), xi[:, 1].tolist()
 
-    e = complex(initial_field)
-    n = float(initial_carrier)
-    field = [e] * (n_steps + 1)
-    carrier = [n] * (n_steps + 1)
-    for k in range(n_steps):
-        s = e.real * e.real + e.imag * e.imag
+    def rates(er, ei, n, k):
+        s = er * er + ei * ei
         gu = g * (n - n_tr)
         gc = gu / (1.0 + eps * s)
-        de1 = (0.5 * (gc - inv_tau_p) + half_alpha_j * (gu - inv_tau_p)) * e
-        dn1 = pump[k] - n / tau_n - gc * s
+        cr = 0.5 * (gc - inv_tau_p)
+        ci = half_alpha * (gu - inv_tau_p)
+        der = cr * er - ci * ei
+        dei = cr * ei + ci * er
         if inj is not None:
-            de1 += kappa * inj[k]
+            der = der + kappa * inj_re[k]
+            dei = dei + kappa * inj_im[k]
+        return der, dei, pump[k] - n * inv_tau_n - gc * s
 
-        if beta > 0.0:
-            amp = math.sqrt(max(n, 0.0) * beta / tau_n * dt * 0.5)
-            noise = complex(amp * xi_re[k], amp * xi_im[k])
-        else:
-            noise = 0j
-
-        ep = e + de1 * dt + noise
+    er, ei = complex(initial_field).real, complex(initial_field).imag
+    n = float(initial_carrier)
+    field = [complex(initial_field)] * (n_steps + 1)
+    carrier = [n] * (n_steps + 1)
+    for k in range(n_steps):
+        der1, dei1, dn1 = rates(er, ei, n, k)
+        epr = er + der1 * dt
+        epi = ei + dei1 * dt
         np_ = n + dn1 * dt
-        sp = ep.real * ep.real + ep.imag * ep.imag
-        gup = g * (np_ - n_tr)
-        gcp = gup / (1.0 + eps * sp)
-        de2 = (0.5 * (gcp - inv_tau_p) + half_alpha_j * (gup - inv_tau_p)) * ep
-        dn2 = pump[k + 1] - np_ / tau_n - gcp * sp
-        if inj is not None:
-            de2 += kappa * inj[k + 1]
+        if beta > 0.0:
+            amp = math.sqrt(max(n, 0.0) * c)
+            noise_re, noise_im = amp * xi_re[k], amp * xi_im[k]
+            epr, epi = epr + noise_re, epi + noise_im
 
-        e = e + 0.5 * (de1 + de2) * dt + noise
-        n = n + 0.5 * (dn1 + dn2) * dt
+        der2, dei2, dn2 = rates(epr, epi, np_, k + 1)
+        er = er + (der1 + der2) * h
+        ei = ei + (dei1 + dei2) * h
+        n = n + (dn1 + dn2) * h
+        if beta > 0.0:
+            er, ei = er + noise_re, ei + noise_im
 
-        s_new = e.real * e.real + e.imag * e.imag
+        s_new = er * er + ei * ei
         if not (math.isfinite(s_new) and math.isfinite(n)) or s_new > 1e12:
-            raise IntegrationDivergedError(k + 1, e, n)
-        field[k + 1] = e
+            raise IntegrationDivergedError(k + 1, complex(er, ei), n)
+        field[k + 1] = complex(er, ei)
         carrier[k + 1] = n
     return laser.FieldTrace(times, np.array(field), np.array(carrier))
 
@@ -987,14 +1000,18 @@ def rule_turns(field):
     return turns
 
 
-# Each zero term of CPython's promotion that _heun.c keeps, and a run that
-# shows it: without the term a sample of the kernel's has a zero of the
-# other sign than oracle_integrate's.  (term, LaserParams fields, dt, E, N,
-# pump at each sample, the increments of each step, the master's samples
-# or None.)  A Langevin kick is a signed zero where its amplitude is a
-# zero, at a carrier <= 0 or where a spontaneous_fraction of 5e-324 makes
-# the amplitude's square underflow; the increment gives it its sign.  The
-# carrier max's sign is the @example of test_runs_equal_the_oracle.
+# Each zero term of CPython's complex promotion that the kernel repeated
+# before it took the real-form step, and a run at which that term gave a
+# sample a zero of the other sign.  Neither the kernel nor
+# oracle_integrate has these terms now, and the runs stay as edge states
+# on which the two must agree.  Three of the terms no longer show at their
+# own run, so the last two runs, named "real form", are ones at which they
+# would change a sample of the real-form step.  (term, LaserParams fields,
+# dt, E, N, pump at each sample, the increments of each step, the master's
+# samples or None.)  A Langevin kick is a signed zero where its amplitude
+# is a zero, at a carrier <= 0 or where a spontaneous_fraction of 5e-324
+# makes the amplitude's square underflow; the increment gives it its sign.
+# The carrier max's sign is the @example of test_runs_equal_the_oracle.
 # N = 2000 is the threshold carrier, where Gc = Gu = 1/tau_p at E = 0, and
 # a kappa of 5e-324 rounds kappa times a master's part to a signed zero.
 ZERO_TERMS = [
@@ -1018,6 +1035,11 @@ ZERO_TERMS = [
      [2e12, 2e12, 0.0], [(-1.0, 1.0), (-1.0, 1.0)], [(-1.0, 0.0), (-1e-5, 0.0), (-1e-310, -1e-310)]),
     ("injection: + 0.0 * inj[0]", dict(linewidth_enhancement=0.0, injection_coupling=5e-324, spontaneous_fraction=5e-324),
      DT, (-1.0, -0.0), 4000.0, [0.0, 0.0], [(1.0, -1.0)], [(0.0, -1e-5), (0.0, -0.3)]),
+    ("real form: predictor - d1.ei * 0.0, corrector - 0.0 * si", dict(injection_coupling=5e-324,
+                                                                       spontaneous_fraction=5e-324),
+     DT, (-0.0, 0.0), 2000.0, [2e12, 2e12], [(-1.0, 1.0)], [(-1e-5, -1.0), (-1e-5, 0.0)]),
+    ("real form: corrector ar * 0.0 +", dict(injection_coupling=5e-324, spontaneous_fraction=5e-324), DT, (-0.0, -0.0),
+     2000.0, [2e12, 2e12], [(-1.0, -1.0)], [(-1.0, -1e-5), (1.0, -1e-5)]),
 ]
 
 
@@ -1029,7 +1051,7 @@ class TestEdgeStates:
     @given(
         runs=EDGE_CALLS,
         n_steps=st.integers(1, 40),
-        alpha=st.sampled_from([0.0, 3.0]),  # 0 makes (0.5j * alpha).imag +0.0 too
+        alpha=st.sampled_from([0.0, 3.0]),  # 0 makes ci a signed zero
         # (spontaneous_fraction, injection_coupling): quiet, noisy, injected,
         # both, and both at 5e-324, which rounds every Langevin kick and kappa
         # times every master part to a signed zero
@@ -1041,9 +1063,9 @@ class TestEdgeStates:
     @example(runs=[(-0.0, -5e-324, -0.0, 0.0, 1.0, 1.0)], n_steps=1, alpha=3.0, scales=(1e-4, 0.0), seed=0)
     # E = (-0, +0) at the threshold carrier and pump, a -1 first Re
     # increment, both scales at 5e-324 and, at seed 9, a master whose second
-    # sample is in the third quadrant: without the zero terms ZERO_TERMS
-    # lists, Im E of sample 1 is -0.0 where the oracle's is +0.0, at every
-    # --hypothesis-seed
+    # sample is in the third quadrant: the state at which a kernel without
+    # the zero terms ZERO_TERMS lists differed in a signed zero from the
+    # complex-arithmetic loop, kept at every --hypothesis-seed
     @example(runs=[(-0.0, 0.0, 2000.0, 1.0, -1.0, 1.0)], n_steps=1, alpha=0.0, scales=(5e-324, 5e-324), seed=9)
     def test_runs_equal_the_oracle(self, params, runs, n_steps, alpha, scales, seed):
         beta, kappa = scales
@@ -1109,6 +1131,8 @@ class TestEdgeStates:
 
     @pytest.mark.parametrize("term, fields, dt, e0, n0, pump, xi, master", ZERO_TERMS, ids=[c[0] for c in ZERO_TERMS])
     def test_zero_terms_that_stay(self, params, term, fields, dt, e0, n0, pump, xi, master):
+        # each ZERO_TERMS state stays a case, named by its term: the kernel
+        # and the real-form oracle agree there bit for bit
         p = replace(params, **fields)
         times, pump = dt * np.arange(len(pump)), np.array(pump)
         initial = np.array(e0).view(complex)  # keeps the sign of each zero part
@@ -1299,35 +1323,35 @@ class TestIncrements:
 
 
 def gaussian_ensemble(params, drive, n_runs, seed, dt, initial_field, initial_carrier):
-    """oracle_integrate's step without injection, vectorized over runs and fed
-    unit normals: the Gaussian-increment reference of the two-point
-    increments.  Returns each run's last field and carrier."""
+    """oracle_integrate's real-form step without injection, vectorized over
+    runs and fed unit normals: the Gaussian-increment reference of the
+    two-point increments.  Returns each run's last field and carrier."""
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
     pump = np.interp(float(drive.times[0]) + dt * np.arange(n_steps + 1), drive.times, drive.current)
-    tau_n, inv_tau_p, g = params.carrier_lifetime, 1.0 / params.photon_lifetime, params.gain_slope
-    n_tr, eps, beta = params.transparency_carrier, params.gain_compression, params.spontaneous_fraction
-    half_alpha_j = 0.5j * params.linewidth_enhancement
+    inv_tau_n, inv_tau_p, g = 1.0 / params.carrier_lifetime, 1.0 / params.photon_lifetime, params.gain_slope
+    n_tr, eps, half_alpha = params.transparency_carrier, params.gain_compression, 0.5 * params.linewidth_enhancement
+    h = 0.5 * dt
+    c = params.spontaneous_fraction * inv_tau_n * h
     rng = np.random.default_rng(seed)
-    e, n = np.full(n_runs, complex(initial_field)), np.full(n_runs, float(initial_carrier))
-    for k in range(n_steps):
-        xi = rng.standard_normal((2, n_runs))
-        s = e.real * e.real + e.imag * e.imag
+
+    def rates(er, ei, n, k):
+        s = er * er + ei * ei
         gu = g * (n - n_tr)
         gc = gu / (1.0 + eps * s)
-        de1 = (0.5 * (gc - inv_tau_p) + half_alpha_j * (gu - inv_tau_p)) * e
-        dn1 = pump[k] - n / tau_n - gc * s
-        amp = np.sqrt(np.maximum(n, 0.0) * beta / tau_n * dt * 0.5)
-        noise = amp * xi[0] + 1j * (amp * xi[1])
-        ep = e + de1 * dt + noise
-        np_ = n + dn1 * dt
-        sp = ep.real * ep.real + ep.imag * ep.imag
-        gup = g * (np_ - n_tr)
-        gcp = gup / (1.0 + eps * sp)
-        de2 = (0.5 * (gcp - inv_tau_p) + half_alpha_j * (gup - inv_tau_p)) * ep
-        dn2 = pump[k + 1] - np_ / tau_n - gcp * sp
-        e = e + 0.5 * (de1 + de2) * dt + noise
-        n = n + 0.5 * (dn1 + dn2) * dt
-    return e, n
+        cr, ci = 0.5 * (gc - inv_tau_p), half_alpha * (gu - inv_tau_p)
+        return cr * er - ci * ei, cr * ei + ci * er, pump[k] - n * inv_tau_n - gc * s
+
+    er, ei = np.full(n_runs, complex(initial_field).real), np.full(n_runs, complex(initial_field).imag)
+    n = np.full(n_runs, float(initial_carrier))
+    for k in range(n_steps):
+        amp = np.sqrt(np.maximum(n, 0.0) * c)
+        noise_re, noise_im = amp * rng.standard_normal((2, n_runs))
+        der1, dei1, dn1 = rates(er, ei, n, k)
+        der2, dei2, dn2 = rates(er + der1 * dt + noise_re, ei + dei1 * dt + noise_im, n + dn1 * dt, k + 1)
+        er = er + (der1 + der2) * h + noise_re
+        ei = ei + (dei1 + dei2) * h + noise_im
+        n = n + (dn1 + dn2) * h
+    return er + 1j * ei, n
 
 
 class TestGaussianReference:

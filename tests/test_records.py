@@ -31,5 +31,5 @@ def test_non_finite_field_refused_by_name(record, name, bad):
     # NaN passes every range check, and inf passes the one-sided ones: a
     # record built in Python, not parsed from a config, is refused at
     # construction with the field named
-    with pytest.raises(PreconditionError, match=rf"\b{re.escape(name)}\b"):
+    with pytest.raises(PreconditionError, match=rf"^{re.escape(name)} must be finite, got "):
         record(**{name: bad})
