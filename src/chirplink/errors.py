@@ -20,8 +20,8 @@ class IntegrationDivergedError(RuntimeError):
 
     Built from the run's state at `step_index`, its complex field E and its
     carrier N: `intensity` is |E|^2 = re re + im im, the kernel's own sum,
-    and `carrier` is N.  An ensemble of two or more runs also names the
-    first diverging run.
+    and `carrier` is N.  A call of two or more runs also names the run,
+    which laser._finished picks.
     """
 
     def __init__(self, step_index: int, field: complex, carrier: float, run_index: int | None = None):

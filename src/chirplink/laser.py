@@ -109,6 +109,12 @@ class LaserParams:
             raise PreconditionError("injection_coupling must be >= 0")
         if abs(self.detuning) > MAX_DETUNING_HZ:
             raise PreconditionError(f"detuning must be within +/-{MAX_DETUNING_HZ:.0e} Hz")
+        # a lifetime near the float's floor passes the range checks, but a rate of it overflows
+        rates = {f"1 / {name}": 1.0 / getattr(self, name) for name in ("carrier_lifetime", "photon_lifetime")}
+        rates["threshold_current"] = self.threshold_current if self.gain_slope * self.photon_lifetime else math.inf
+        for name, value in rates.items():
+            if not math.isfinite(value):
+                raise PreconditionError(f"{name} must be finite, got {value!r}")
 
     @property
     def threshold_carrier(self) -> float:
@@ -302,14 +308,14 @@ def integrate_pumps(
     (c = 0) or Im E (c = 1).  `injection`, (n_steps + 1, n_runs) complex
     samples, is added with the coupling.
 
-    Returns (field, carrier, diverged, turns).  field and carrier are
-    (rows, n_runs) arrays: with `trace`, row k is sample k; without it, the
-    one row is the last sample.  Either way row -1 is each run's last
-    state.  diverged[j] is 0, or the sample index at which run j diverged;
-    the run keeps that state in every later sample, so it is also its last
-    state.  turns[j] is run j's signed count of the steps at which E
-    crosses the negative real axis, as _heun.c counts them: its unwrapped
-    phase at the last sample is np.angle(field[-1, j]) + 2 pi turns[j].
+    Returns (field, carrier, diverged, turns).  field and carrier are (rows,
+    n_runs) arrays: with `trace`, row k is sample k; without it, the one row is
+    the last sample.  Either way row -1 is each run's last state.  diverged[j]
+    is 0, or the sample index at which run j diverged; the run keeps that state
+    in every later sample, so row -1 holds it (:func:`_finished` picks the run
+    to report).  turns[j] is run j's signed count of the steps at which E
+    crosses the negative real axis, as _heun.c counts them: its unwrapped phase
+    at the last sample is np.angle(field[-1, j]) + 2 pi turns[j].
     """
     _check_dt(params, dt)
     pump = np.ascontiguousarray(pump, dtype=float)
@@ -356,6 +362,15 @@ def integrate_pumps(
     return field, carrier, diverged, counts
 
 
+def _finished(field, carrier, diverged, turns):
+    """(field, carrier, turns) of an integrate_pumps result, or IntegrationDivergedError for the
+    run that diverged at the earliest sample, the lowest-numbered on a tie, named among several."""
+    if diverged.any():
+        j = int(min(np.flatnonzero(diverged), key=diverged.__getitem__))
+        raise IntegrationDivergedError(diverged[j], field[-1, j], carrier[-1, j], j if diverged.size > 1 else None)
+    return field, carrier, turns
+
+
 def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
     """Net phase of the noiseless rate-equation laser for a drive step of each voltage.
 
@@ -373,12 +388,12 @@ def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
     the level for t), the level, the bias.  A phase is its run's net phase,
     np.unwrap's over the whole window (the angle of the last sample plus
     2 pi per turn the kernel counts), minus the reference's.  A divergence
-    raises and names the first diverging run in input order, the reference
-    first, at its sample of the window.  Nothing refuses a step that leaves
-    the model: at the defaults the bias is 2 J_th = 4e12 /s and the drive
-    step 2.44e12 /s per volt, so its pump is under threshold below -0.819 V
-    and negative below -1.638 V, integrated and written with no flag (the
-    rule is left to ROADMAP item 10).
+    raises by :func:`_finished`'s rule: run 0 is the reference, run j is
+    voltages[j - 1].  Nothing refuses a step that leaves the model: at the
+    defaults the bias is 2 J_th = 4e12 /s and the drive step 2.44e12 /s per
+    volt, so its pump is under threshold below -0.819 V and negative below
+    -1.638 V, integrated and written with no flag (the rule is left to
+    ROADMAP item 10).
     """
     duration = source.perturbation_duration
     if not (duration / _DT > 0.5 and (duration + _POST) / _DT <= _MAX_STEPS):
@@ -400,13 +415,10 @@ def physical_phase(source: SourceConfig, voltages) -> np.ndarray:
     n0, s0 = stationary_state(quiet, bias)
     runs = np.append(bias, bias + drive_steps)
     ends = [bias] * len(runs)
-    field, carrier, diverged, turns = integrate_pumps(
+    field, _, turns = _finished(*integrate_pumps(
         quiet, [ends, runs, ends], _DT, complex(math.sqrt(s0)), n0,
         trace=False, holds=[1, n_step, n_post + 1],
-    )
-    if diverged.any():
-        j = np.flatnonzero(diverged)[0]
-        raise IntegrationDivergedError(diverged[j], field[-1, j], carrier[-1, j])
+    ))
     # sample 0 is real and positive, at angle 0
     nets = np.angle(field[-1]) + math.tau * turns
     return (nets[1:] - nets[0]).reshape(drive_steps.shape)
@@ -420,9 +432,8 @@ def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, inject
     level of the pump for its stretch of equal samples.  With
     spontaneous_fraction > 0 the noise is the first ceil(2 n_steps n_runs
     / 64) raw words of a PCG64 generator seeded with `seed`.  Returns the
-    step times and integrate_pumps' field and carrier rows.  A divergence
-    raises for the run that diverges at the earliest sample, the
-    lowest-numbered on a tie, naming it only among several runs.
+    step times and integrate_pumps' field and carrier rows, or raises by
+    :func:`_finished`'s rule.
     """
     _check_dt(params, dt)
     n_steps = int(math.floor(drive.duration / dt + 1e-9))
@@ -438,15 +449,10 @@ def _run(params, drive, n_runs, seed, dt, initial_field, initial_carrier, inject
         inj = ((re + 1j * im) * np.exp(1j * math.tau * params.detuning * (times - times[0])))[:, None]
     words = -(-2 * n_steps * n_runs // 64)
     xi = np.random.default_rng(seed).bit_generator.random_raw(words) if params.spontaneous_fraction else None
-    field, carrier, diverged, _ = integrate_pumps(
+    field, carrier, _ = _finished(*integrate_pumps(
         params, pumps, dt, initial_field, initial_carrier, xi, inj, trace,
         holds=np.diff(starts, append=len(pump)),
-    )
-    if diverged.any():
-        run = int(np.argmin(np.where(diverged > 0, diverged, n_steps + 1)))
-        raise IntegrationDivergedError(
-            diverged[run], field[-1, run], carrier[-1, run], run if n_runs > 1 else None
-        )
+    ))
     return times, field, carrier
 
 
@@ -496,8 +502,8 @@ def integrate_ensemble(
 def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[float, float]) -> float:
     """Circular mean of slave - master phase over a time window, in (-pi, pi].
 
-    A window without samples, or one where the master or the slave is
-    extinguished, is refused with a PreconditionError.
+    A window without samples, past either end of the master's trace, or where
+    the master or the slave is extinguished is refused with a PreconditionError.
     """
     t0, t1 = window
     if not t1 > t0:
@@ -506,6 +512,8 @@ def locked_phase_offset(master: FieldTrace, slave: FieldTrace, window: tuple[flo
     if not np.any(sel):
         raise PreconditionError("window contains no samples")
     times = slave.times[sel]
+    if times.min() < master.times[0] or times.max() > master.times[-1]:
+        raise PreconditionError("window has samples outside the master trace")
     if np.min(slave.intensity[sel]) < EXTINCTION_FLOOR_FRACTION * float(np.max(slave.intensity)):
         raise PreconditionError("slave extinguished inside window")
     m_int = np.interp(times, master.times, master.intensity)

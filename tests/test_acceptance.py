@@ -15,10 +15,9 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy import stats
 
-from chirplink import experiments, keyrate, laser, protocols, source
+from chirplink import experiments, laser, protocols, source
 from chirplink.config import ExperimentConfig, KeyRateConfig, StabilityConfig
 from chirplink.keyrate import bb84_rate_points, decoy_bb84_rate
 from chirplink.optics import ChannelParams, DetectorParams, InterferometerParams

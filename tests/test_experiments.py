@@ -19,7 +19,7 @@ from chirplink.config import ExperimentConfig, StabilityConfig, load_config
 from chirplink.errors import IntegrationDivergedError, PreconditionError
 from chirplink.optics import ChannelParams, InterferometerParams, transmittances
 from chirplink.protocols import expected_gain_qber
-from chirplink.source import SourceConfig, phase_from_voltage
+from chirplink.source import SourceConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -193,12 +193,13 @@ class TestCalibration:
             assert abs(phase - (unwrapped - reference[1])) <= tolerance
         # ~200 sign changes of Im E, and 4 turns at -3 V, against the reference's 8
         assert whole_window(pump[1, -1])[2] == 4 and reference[2] == 8
-        # a diverging run names the sample of the whole window, at the same state
+        # a diverging run names the sample of the whole window, at the same
+        # state, and its run of the call, the reference being run 0
         with pytest.raises(IntegrationDivergedError) as resumed:
             laser.physical_phase(source, [1e6])
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window(kernel_pumps[-1][0][1, 1])
-        assert str(resumed.value) == str(whole.value)
+        assert str(resumed.value) == str(whole.value).replace(":", " in run 1:", 1)
 
     def test_default_physical_phases_bit_pin(self):
         # recorded with one whole-window run of tests/test_laser.py's
@@ -215,17 +216,31 @@ class TestCalibration:
         )
 
     def test_fresh_divergence_names_whole_window_sample(self, kernel_pumps):
-        # the first request steps the reference and its levels from sample 0
+        # the first request steps the reference and its levels from sample 0;
+        # the 1e6 V and 2e6 V runs tie at their sample, and the lower-numbered is named
         source = SourceConfig()
         with pytest.raises(IntegrationDivergedError) as fresh:
             laser.physical_phase(source, [0.1, 1e6, 2e6])
         ((pump, _),) = kernel_pumps
         with pytest.raises(IntegrationDivergedError) as whole:
             whole_window_trace(pump[1, 2], source.perturbation_duration)
-        assert str(fresh.value) == str(whole.value)
+        assert str(fresh.value) == str(whole.value).replace(":", " in run 2:", 1)
         assert (fresh.value.step_index, fresh.value.intensity, fresh.value.carrier) == (
             whole.value.step_index, whole.value.intensity, whole.value.carrier
         )
+
+    def test_divergence_names_the_earliest_run(self, kernel_pumps):
+        # the 1e9 V run diverges at sample 2, before the 1e6 V run at sample
+        # 3: the earliest sample is reported, whatever the input order, and
+        # named by its run, voltages[j - 1]
+        source = SourceConfig()
+        with pytest.raises(IntegrationDivergedError) as earliest:
+            laser.physical_phase(source, [1e6, 1e9])
+        assert (earliest.value.run_index, earliest.value.step_index) == (2, 2)
+        ((pump, _),) = kernel_pumps
+        with pytest.raises(IntegrationDivergedError) as whole:
+            whole_window_trace(pump[1, 2], source.perturbation_duration)
+        assert str(earliest.value) == str(whole.value).replace(":", " in run 2:", 1)
 
     @pytest.mark.parametrize("duration", [0.3e-12, SourceConfig().perturbation_duration])
     def test_net_phases_do_not_depend_on_grouping(self, duration):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -328,6 +329,14 @@ class TestLockedPhaseOffset:
         lit = self.hand_trace([1.0, 1.0, 1.0])
         with pytest.raises(PreconditionError, match="window contains no samples"):
             laser.locked_phase_offset(lit, lit, (0.2e-9, 0.8e-9))
+
+    def test_window_past_the_master_trace_rejected(self):
+        # np.interp would hold the 1 ns master's last phase over the slave's 2-4 ns
+        master = self.hand_trace([1.0, 1j])
+        slave = self.hand_trace([1.0, 1j, -1.0, -1j, 1.0])
+        with pytest.raises(PreconditionError, match="window has samples outside the master trace"):
+            laser.locked_phase_offset(master, slave, (2e-9, 4e-9))
+        assert laser.locked_phase_offset(slave, slave, (2e-9, 4e-9)) == 0.0
 
     def test_offset_of_minus_pi_wraps_to_pi(self):
         # the slave at (-1, -0) has angle exactly -pi, so the circular mean's
@@ -1506,6 +1515,19 @@ class TestValidationAndExport:
         # later as a bad dt; each field is named at construction
         with pytest.raises(PreconditionError, match=f"^{name} must be finite"):
             laser.LaserParams(**{name: bad})
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(carrier_lifetime=1e-310), "1 / carrier_lifetime"),
+        (dict(carrier_lifetime=1e-306), "threshold_current"),
+        (dict(photon_lifetime=1e-310), "1 / photon_lifetime"),
+        (dict(gain_slope=1e-300, photon_lifetime=1e-10), "threshold_current"),
+        (dict(gain_slope=1e-200, photon_lifetime=1e-200), "threshold_current"),
+    ])
+    def test_overflowing_rate_rejected(self, kwargs, name):
+        # each field is finite and in range, but a rate the kernel takes is not:
+        # the last case's g tau_p underflows to 0.0
+        with pytest.raises(PreconditionError, match=f"^{re.escape(name)} must be finite, got inf$"):
+            laser.LaserParams(**kwargs)
 
     def test_threshold_current_follows_carrier_lifetime(self):
         params = replace(laser.LaserParams(), carrier_lifetime=2e-9)
